@@ -22,11 +22,6 @@ from .classifiers import (
     plane_distances,
     predict,
     train,
-    train_gepsvm,
-    train_igepsvm,
-    train_iugepsvm,
-    train_kernel,
-    train_ugepsvm,
 )
 from .dataio import (
     FoldPlan,
@@ -125,11 +120,6 @@ __all__ = [
     "smallest_eigpair_standard",
     "subset_universum",
     "train",
-    "train_gepsvm",
-    "train_igepsvm",
-    "train_iugepsvm",
-    "train_kernel",
-    "train_ugepsvm",
     "wilcoxon_signed_rank",
     "win_tie_loss",
     "write_bundle",

@@ -15,9 +15,9 @@ and P (Universum):
 
 Kernel mode replaces the data rows by kernel evaluations against the
 expansion Z = [X1; X2; U] and solves the same problems in coefficient
-space; the rbf family is solved there directly, while the linear family
-is trained in primal coordinates and re-expressed over Z, which keeps it
-prediction-identical to the linear model.
+space.  Only the rbf family trains there: a linear kernel spec trains the
+linear model itself, since the dot-product kernel spans nothing the primal
+coordinates do not.
 """
 
 from __future__ import annotations
@@ -53,11 +53,6 @@ __all__ = [
     "plane_problems",
     "predict",
     "train",
-    "train_gepsvm",
-    "train_igepsvm",
-    "train_iugepsvm",
-    "train_kernel",
-    "train_ugepsvm",
     "train_with_blocks",
 ]
 
@@ -84,7 +79,8 @@ class TrainSpec:
     require it positive).  ``nu`` weighs the subtracted class term for
     ``igepsvm``; ``gamma1``/``psi1`` weigh the class and Universum terms of
     ``iugepsvm`` plane 1, with ``gamma2``/``psi2`` defaulting to the same
-    values for plane 2.  ``kernel=None`` selects linear mode.
+    values for plane 2.  ``kernel=None`` or a linear kernel selects linear
+    mode.
     """
 
     classifier: str
@@ -182,11 +178,11 @@ def class_matrices(dataset: LabeledDataset) -> AugmentedClassMatrices:
 class ProblemBlocks:
     """Solve-ready Gram blocks, independent of delta/nu/gamma/psi.
 
-    ``mode`` is ``linear`` (primal coordinates), ``kernel`` (coefficient
-    coordinates over the expansion Z), or ``linear_kernel`` (primal blocks
-    that will be re-expressed over Z after training).  Grid searches cache
-    these per fold: every hyperparameter enters later as a scalar
-    combination of G/H/P.
+    ``mode`` is ``linear`` (primal coordinates, also used for a linear
+    kernel spec) or ``kernel`` (coefficient coordinates over the rbf
+    expansion Z, with its Gram matrix K_ZZ).  Grid searches cache these per
+    fold: every hyperparameter enters later as a scalar combination of
+    G/H/P.
 
     When the feature dimension exceeds the training row count (wide data),
     ``basis`` holds an orthonormal basis of the span of the bias-augmented
@@ -201,7 +197,6 @@ class ProblemBlocks:
 
     mode: str
     matrices: AugmentedClassMatrices
-    dataset: LabeledDataset = field(repr=False)
     kernel: KernelSpec | None = None
     Z: np.ndarray | None = field(default=None, repr=False)
     K_ZZ: np.ndarray | None = field(default=None, repr=False)
@@ -229,7 +224,8 @@ def build_blocks(
 ) -> ProblemBlocks:
     """Assemble the Gram blocks a trainer needs for ``dataset``.
 
-    rbf kernels with an unset sigma are resolved here from the training
+    A linear kernel gets the same primal blocks as ``kernel=None``.  rbf
+    kernels with an unset sigma are resolved here from the training
     rows (labeled plus Universum).  The kernel expansion size m + 1 must
     stay within ``gram_cap``.
     """
@@ -239,18 +235,7 @@ def build_blocks(
             matrices, basis = _projected_class_matrices(dataset)
         else:
             matrices, basis = class_matrices(dataset), None
-        if kernel is None:
-            return ProblemBlocks(
-                mode="linear", matrices=matrices, dataset=dataset, basis=basis
-            )
-        return ProblemBlocks(
-            mode="linear_kernel",
-            matrices=matrices,
-            dataset=dataset,
-            kernel=kernel,
-            Z=np.vstack([dataset.X1, dataset.X2, dataset.U]),
-            basis=basis,
-        )
+        return ProblemBlocks(mode="linear", matrices=matrices, basis=basis)
     Z = np.vstack([dataset.X1, dataset.X2, dataset.U])
     m = Z.shape[0]
     if m + 1 > gram_cap:
@@ -259,7 +244,7 @@ def build_blocks(
         )
     if kernel.sigma is None:
         kernel = KernelSpec(family="rbf", sigma=default_sigma(Z))
-    K_ZZ = gram(Z, Z, kernel, row_source="expansion", col_source="expansion").values
+    K_ZZ = gram(Z, Z, kernel)
     q = m + 1
     K1 = K_ZZ[: dataset.m1]
     K2 = K_ZZ[dataset.m1 : dataset.m1 + dataset.m2]
@@ -267,9 +252,7 @@ def build_blocks(
     matrices = AugmentedClassMatrices(
         G=_aug_gram(K1, q), H=_aug_gram(K2, q), P=_aug_gram(KU, q)
     )
-    return ProblemBlocks(
-        mode="kernel", matrices=matrices, dataset=dataset, kernel=kernel, Z=Z, K_ZZ=K_ZZ
-    )
+    return ProblemBlocks(mode="kernel", matrices=matrices, kernel=kernel, Z=Z, K_ZZ=K_ZZ)
 
 
 @dataclass(frozen=True)
@@ -323,7 +306,8 @@ class HyperplanePair:
 
     Linear mode stores weight vectors (w1, b1) / (w2, b2); kernel mode
     stores expansion coefficients (alpha1, b1) / (alpha2, b2) together with
-    the expansion rows Z and the kernel.  ``plane_norms`` caches the
+    the expansion rows Z and the kernel (rbf when trained here; model files
+    may also carry a linear kernel).  ``plane_norms`` caches the
     denominators of the point-to-plane distances.
     """
 
@@ -383,26 +367,6 @@ def _kernel_norm(alpha: np.ndarray, K_ZZ: np.ndarray, context: str) -> float:
 
 def train_with_blocks(blocks: ProblemBlocks, spec: TrainSpec) -> HyperplanePair:
     """Solve both plane problems over prepared blocks and package the model."""
-    if blocks.mode == "linear_kernel":
-        primal = train_with_blocks(
-            ProblemBlocks(
-                mode="linear",
-                matrices=blocks.matrices,
-                dataset=blocks.dataset,
-                basis=blocks.basis,
-            ),
-            TrainSpec(
-                classifier=spec.classifier,
-                delta=spec.delta,
-                nu=spec.nu,
-                gamma1=spec.gamma1,
-                psi1=spec.psi1,
-                gamma2=spec.gamma2,
-                psi2=spec.psi2,
-            ),
-        )
-        return _reparameterize_linear_kernel(primal, blocks, spec)
-
     problems = plane_problems(blocks, spec)
     solutions = tuple(_solve_plane(p) for p in problems)
     hyper = spec.hyperparameters()
@@ -447,74 +411,11 @@ def train_with_blocks(blocks: ProblemBlocks, spec: TrainSpec) -> HyperplanePair:
     )
 
 
-def _reparameterize_linear_kernel(
-    primal: HyperplanePair, blocks: ProblemBlocks, spec: TrainSpec
-) -> HyperplanePair:
-    """Express a primal plane pair as expansion coefficients over Z.
-
-    With k(x, y) = x.y the representer form k(x, Z) alpha + b equals
-    x.(Z' alpha) + b, so solving Z' alpha = w keeps predictions identical
-    to the primal model (the expansion spans the weight vector whenever the
-    training rows span the feature space).
-    """
-    Z = blocks.Z
-    K_ZZ = Z @ Z.T
-    planes = []
-    for w, b in ((primal.w1, primal.b1), (primal.w2, primal.b2)):
-        alpha, *_ = np.linalg.lstsq(Z.T, w, rcond=None)
-        scale = float(np.linalg.norm(np.concatenate([alpha, [b]])))
-        alpha = alpha / scale
-        b = b / scale
-        norm = _kernel_norm(alpha, K_ZZ, f"{spec.classifier} (linear kernel)")
-        planes.append((alpha, b, norm))
-    hyper = spec.hyperparameters()
-    return HyperplanePair(
-        mode="kernel",
-        trained_by=spec.classifier,
-        hyperparameters=hyper,
-        alpha1=planes[0][0],
-        b1=planes[0][1],
-        alpha2=planes[1][0],
-        b2=planes[1][1],
-        Z=Z,
-        kernel=blocks.kernel,
-        plane_norms=(planes[0][2], planes[1][2]),
-        eigenvalues=primal.eigenvalues,
-    )
-
-
 def train(
     dataset: LabeledDataset, spec: TrainSpec, gram_cap: int = DEFAULT_GRAM_CAP
 ) -> HyperplanePair:
     """Train ``spec.classifier`` on ``dataset`` (linear or kernel mode)."""
     return train_with_blocks(build_blocks(dataset, spec.kernel, gram_cap), spec)
-
-
-def _named_trainer(name: str):
-    def trainer(dataset: LabeledDataset, spec: TrainSpec, **kwargs) -> HyperplanePair:
-        if spec.classifier != name:
-            raise ValueError(f"spec names {spec.classifier!r}, expected {name!r}")
-        return train(dataset, spec, **kwargs)
-
-    trainer.__name__ = f"train_{name}"
-    trainer.__qualname__ = trainer.__name__
-    trainer.__doc__ = f"Train a {name} model; ``spec.classifier`` must be {name!r}."
-    return trainer
-
-
-train_gepsvm = _named_trainer("gepsvm")
-train_igepsvm = _named_trainer("igepsvm")
-train_ugepsvm = _named_trainer("ugepsvm")
-train_iugepsvm = _named_trainer("iugepsvm")
-
-
-def train_kernel(
-    dataset: LabeledDataset, spec: TrainSpec, gram_cap: int = DEFAULT_GRAM_CAP
-) -> HyperplanePair:
-    """Train in kernel mode; ``spec.kernel`` must be set."""
-    if spec.kernel is None:
-        raise ValueError("train_kernel needs spec.kernel")
-    return train(dataset, spec, gram_cap)
 
 
 def _validated_queries(model: HyperplanePair, queries: np.ndarray) -> np.ndarray:
@@ -537,7 +438,7 @@ def plane_distances(model: HyperplanePair, queries: np.ndarray) -> tuple[np.ndar
         d1 = np.abs(queries @ model.w1 + model.b1) / model.plane_norms[0]
         d2 = np.abs(queries @ model.w2 + model.b2) / model.plane_norms[1]
     else:
-        K = gram(queries, model.Z, model.kernel, row_source="query", col_source="expansion").values
+        K = gram(queries, model.Z, model.kernel)
         d1 = np.abs(K @ model.alpha1 + model.b1) / model.plane_norms[0]
         d2 = np.abs(K @ model.alpha2 + model.b2) / model.plane_norms[1]
     return d1, d2

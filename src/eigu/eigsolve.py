@@ -137,7 +137,7 @@ def smallest_eigpair_standard(A: np.ndarray) -> EigenSolution:
     residual = float(np.linalg.norm(problem.A @ vector - value * vector))
     bound = _residual_bound(problem.A, None, value)
     if residual > bound:
-        raise RuntimeError(
+        raise np.linalg.LinAlgError(
             f"standard eigensolve residual {residual:.3e} exceeds bound {bound:.3e}"
         )
     return EigenSolution(eigenvalue=value, eigenvector=vector, residual=residual)

@@ -24,6 +24,7 @@ import scipy.stats
 from .classifiers import (
     CLASSIFIER_NAMES,
     DEFAULT_GRAM_CAP,
+    DegeneratePlaneError,
     ProblemBlocks,
     TrainSpec,
     build_blocks,
@@ -41,6 +42,7 @@ from .dataio import (
     subset_universum,
     truncate_recordings,
 )
+from .eigsolve import SingularDenominatorError
 from .features import FeatureConfig, dwt_features, feature_config_from_id, fit_features
 from .kernels import KernelSpec
 
@@ -98,7 +100,14 @@ class BlockCache:
         self.blocks: dict[tuple, ProblemBlocks] = {}
 
 
-_GridCache = BlockCache
+#: Numerical and input failures that fail one fold; anything else is a bug
+#: and propagates unwrapped.
+_FOLD_FAILURES = (
+    ValueError,
+    np.linalg.LinAlgError,
+    SingularDenominatorError,
+    DegeneratePlaneError,
+)
 
 
 def _fold_rows(dataset: LabeledDataset, folds: FoldPlan, fold: int):
@@ -121,7 +130,7 @@ def run_cv(
     gram_cap: int = DEFAULT_GRAM_CAP,
     task: str = "",
     feature_id: str = "",
-    cache: _GridCache | None = None,
+    cache: BlockCache | None = None,
     cache_tag=None,
 ) -> CVReport:
     """Stratified k-fold evaluation of one hyperparameter setting.
@@ -155,19 +164,15 @@ def run_cv(
                         cache.features[fold] = cached
                     refits += 1
                 fitted, train1, train2, test_rows = cached
-                universum = fitted.transform(dataset.U)
-            else:
-                universum = dataset.U
-            fold_data = LabeledDataset(X1=train1, X2=train2, U=universum)
 
             blocks = None
             key = None
             if cache is not None:
-                family = None if spec.kernel is None else spec.kernel.family
-                sigma = None if spec.kernel is None else spec.kernel.sigma
-                key = (fold, cache_tag, family, sigma)
+                key = (fold, cache_tag, spec.kernel)
                 blocks = cache.blocks.get(key)
             if blocks is None:
+                universum = dataset.U if extractor is None else fitted.transform(dataset.U)
+                fold_data = LabeledDataset(X1=train1, X2=train2, U=universum)
                 blocks = build_blocks(fold_data, spec.kernel, gram_cap)
                 if cache is not None:
                     cache.blocks[key] = blocks
@@ -176,7 +181,7 @@ def run_cv(
             start = time.perf_counter()
             labels = predict(model, test_rows)
             predict_seconds += time.perf_counter() - start
-        except Exception as exc:
+        except _FOLD_FAILURES as exc:
             raise FoldTrainingError(f"fold {fold}: {exc}") from exc
         accuracies.append(100.0 * float(np.mean(labels == test_labels)))
     if cache is not None and extractor is not None and refits == 0:
@@ -302,7 +307,7 @@ def grid_search(
         sorted(grid.universum_size) if grid.universum_size is not None else [None],
     ]
     subsets: dict = {}
-    cache = _GridCache()  # feature fits are u-independent; block keys carry u
+    cache = BlockCache()  # feature fits are u-independent; block keys carry u
     best: tuple[TrainSpec, CVReport] | None = None
     n_runs = 0
     for delta, nu, gamma, psi, sigma, u in itertools.product(*axes):
@@ -392,7 +397,7 @@ def _run_cell(job: _CellJob) -> BenchRow:
             task=job.task,
             feature_id=job.feature,
         )
-    except Exception as exc:
+    except (FoldTrainingError, ValueError) as exc:
         return BenchRow(
             task=job.task,
             feature=job.feature,

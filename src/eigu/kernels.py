@@ -10,11 +10,11 @@ exact unit diagonal.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["GramBlock", "KernelSpec", "default_sigma", "gram", "squared_distances"]
+__all__ = ["KernelSpec", "default_sigma", "gram", "squared_distances"]
 
 KERNEL_FAMILIES = ("linear", "rbf")
 
@@ -42,15 +42,6 @@ class KernelSpec:
             raise ValueError("linear kernel takes no sigma")
 
 
-@dataclass(frozen=True)
-class GramBlock:
-    """A kernel matrix along with labels for what its axes index."""
-
-    values: np.ndarray = field(repr=False)
-    row_source: str = "query"
-    col_source: str = "query"
-
-
 def _as_rows(rows: np.ndarray, name: str) -> np.ndarray:
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2:
@@ -74,13 +65,7 @@ def squared_distances(rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
     return np.maximum(d2, 0.0)
 
 
-def gram(
-    rows_a: np.ndarray,
-    rows_b: np.ndarray,
-    spec: KernelSpec,
-    row_source: str = "query",
-    col_source: str = "query",
-) -> GramBlock:
+def gram(rows_a: np.ndarray, rows_b: np.ndarray, spec: KernelSpec) -> np.ndarray:
     """Kernel matrix ``K[i, j] = k(rows_a[i], rows_b[j])``.
 
     When both axes index the same point set (same array object or equal
@@ -89,18 +74,17 @@ def gram(
     rows_a = _as_rows(rows_a, "rows_a")
     rows_b = _as_rows(rows_b, "rows_b")
     if spec.family == "linear":
-        values = rows_a @ rows_b.T
-    else:
-        if spec.sigma is None:
-            raise ValueError("rbf sigma is unresolved; fix it before evaluating a Gram block")
-        d2 = squared_distances(rows_a, rows_b)
-        values = np.exp(-d2 / (2.0 * spec.sigma**2))
-        same = rows_a is rows_b or (
-            rows_a.shape == rows_b.shape and np.array_equal(rows_a, rows_b)
-        )
-        if same:
-            np.fill_diagonal(values, 1.0)
-    return GramBlock(values=values, row_source=row_source, col_source=col_source)
+        return rows_a @ rows_b.T
+    if spec.sigma is None:
+        raise ValueError("rbf sigma is unresolved; fix it before evaluating a Gram block")
+    d2 = squared_distances(rows_a, rows_b)
+    values = np.exp(-d2 / (2.0 * spec.sigma**2))
+    same = rows_a is rows_b or (
+        rows_a.shape == rows_b.shape and np.array_equal(rows_a, rows_b)
+    )
+    if same:
+        np.fill_diagonal(values, 1.0)
+    return values
 
 
 def default_sigma(rows: np.ndarray) -> float:

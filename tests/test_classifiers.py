@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,7 @@ def test_zero_psi_matched_gamma_reduces_to_the_difference_model():
 
 
 def test_linear_kernel_reproduces_linear_labels():
+    """A linear kernel spec trains the linear model itself."""
     rng = np.random.default_rng(3)
     for _ in range(5):
         dataset = random_dataset(rng, n_max=6, m_max=20, p_max=8)
@@ -138,10 +141,46 @@ def test_linear_kernel_reproduces_linear_labels():
                     kernel=KernelSpec(family="linear"),
                 ),
             )
-            assert kernelized.mode == "kernel"
+            assert kernelized.mode == "linear", name
+            assert kernelized.hyperparameters["kernel"] == "linear", name
+            assert kernelized.b1 == linear.b1 and kernelized.b2 == linear.b2, name
+            np.testing.assert_array_equal(kernelized.w1, linear.w1, err_msg=name)
+            np.testing.assert_array_equal(kernelized.w2, linear.w2, err_msg=name)
             np.testing.assert_array_equal(
                 predict(kernelized, queries), predict(linear, queries), err_msg=name
             )
+
+
+def test_saved_linear_kernel_models_still_predict(planes_dataset):
+    """Model files in kernel mode with a linear kernel load and predict.
+
+    The file holds expansion coefficients over Z with Z' alpha = w, so
+    k(x, Z) alpha + b = x.w + b and the labels match the primal model.
+    """
+    linear = train(planes_dataset, LINEAR_SPECS["iugepsvm"])
+    Z = np.vstack([planes_dataset.X1, planes_dataset.X2, planes_dataset.U])
+    alphas = [np.linalg.lstsq(Z.T, w, rcond=None)[0] for w in (linear.w1, linear.w2)]
+    payload = {
+        "format_version": 1,
+        "mode": "kernel",
+        "trained_by": "iugepsvm",
+        "hyperparameters": dict(linear.hyperparameters, kernel="linear"),
+        "b1": linear.b1,
+        "b2": linear.b2,
+        "plane_norms": [float(np.linalg.norm(Z.T @ a)) for a in alphas],
+        "eigenvalues": list(linear.eigenvalues),
+        "w1": None,
+        "w2": None,
+        "alpha1": alphas[0].tolist(),
+        "alpha2": alphas[1].tolist(),
+        "kernel": {"family": "linear", "sigma": None},
+        "Z": Z.tolist(),
+    }
+    saved = model_from_json(json.dumps(payload))
+    assert saved.mode == "kernel" and saved.kernel == KernelSpec(family="linear")
+    rng = np.random.default_rng(5)
+    queries = np.vstack([Z, rng.standard_normal((200, 2))])
+    np.testing.assert_array_equal(predict(saved, queries), predict(linear, queries))
 
 
 def test_wide_data_projection_matches_the_dense_solve():
@@ -156,9 +195,7 @@ def test_wide_data_projection_matches_the_dense_solve():
         X2=rng.standard_normal((3, 8)) + 0.4,
         U=rng.standard_normal((2, 8)),
     )
-    dense_blocks = ProblemBlocks(
-        mode="linear", matrices=class_matrices(dataset), dataset=dataset
-    )
+    dense_blocks = ProblemBlocks(mode="linear", matrices=class_matrices(dataset))
     for name, spec in LINEAR_SPECS.items():
         projected = train(dataset, spec)
         dense = train_with_blocks(dense_blocks, spec)

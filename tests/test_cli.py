@@ -359,6 +359,21 @@ def test_bench_reports_cell_errors_but_exits_zero(bonn_tree, tmp_path, capsys):
     assert "1 with errors" in capsys.readouterr().out
 
 
+def test_bench_exits_nonzero_on_a_programming_error(bonn_tree, tmp_path, monkeypatch):
+    """A bug inside training aborts the run instead of becoming a failed cell."""
+
+    def broken(blocks, spec):
+        raise TypeError("broken trainer")
+
+    monkeypatch.setattr("eigu.evaluation.train_with_blocks", broken)
+    manifest_path = tmp_path / "manifest.json"
+    manifest_path.write_text(json.dumps(_toy_manifest_payload(bonn_tree)))
+    out = tmp_path / "results"
+    rc = main(["bench", "--manifest", str(manifest_path), "--output-dir", str(out)])
+    assert rc == 1
+    assert not (out / "results.csv").exists()
+
+
 def test_stats_reads_a_results_csv(tmp_path, capsys):
     rows = [
         "task,feature,classifier,mean_acc,fold_accs,params_json,test_time_s,n_runs,error",

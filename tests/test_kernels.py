@@ -11,24 +11,23 @@ from eigu.kernels import KernelSpec, default_sigma, gram
 def test_linear_gram_is_the_inner_product():
     A = np.array([[1.0, 2.0], [0.0, -1.0]])
     B = np.array([[3.0, 1.0]])
-    block = gram(A, B, KernelSpec(family="linear"))
-    np.testing.assert_array_equal(block.values, A @ B.T)
+    K = gram(A, B, KernelSpec(family="linear"))
+    np.testing.assert_array_equal(K, A @ B.T)
 
 
 def test_rbf_hand_value():
     """Points 0 and 2 with sigma 1: exp(-4 / 2) = exp(-2)."""
-    block = gram(
+    K = gram(
         np.array([[0.0]]), np.array([[2.0]]), KernelSpec(family="rbf", sigma=1.0)
     )
-    assert block.values[0, 0] == pytest.approx(np.exp(-2.0), abs=1e-15)
-    assert block.values[0, 0] == pytest.approx(0.1353352832366127, abs=1e-12)
+    assert K[0, 0] == pytest.approx(np.exp(-2.0), abs=1e-15)
+    assert K[0, 0] == pytest.approx(0.1353352832366127, abs=1e-12)
 
 
 def test_rbf_self_gram_has_unit_diagonal_and_bounded_entries():
     rng = np.random.default_rng(2)
     rows = rng.standard_normal((20, 4))
-    block = gram(rows, rows, KernelSpec(family="rbf", sigma=0.7))
-    values = block.values
+    values = gram(rows, rows, KernelSpec(family="rbf", sigma=0.7))
     np.testing.assert_array_equal(np.diag(values), np.ones(20))
     assert np.all(values > 0)
     assert np.all(values <= 1.0)
@@ -40,11 +39,11 @@ def test_rbf_cross_gram_matches_loop():
     A = rng.standard_normal((5, 3))
     B = rng.standard_normal((4, 3))
     sigma = 1.3
-    block = gram(A, B, KernelSpec(family="rbf", sigma=sigma))
+    K = gram(A, B, KernelSpec(family="rbf", sigma=sigma))
     for i in range(5):
         for j in range(4):
             d2 = float(np.sum((A[i] - B[j]) ** 2))
-            assert block.values[i, j] == pytest.approx(
+            assert K[i, j] == pytest.approx(
                 np.exp(-d2 / (2.0 * sigma**2)), rel=1e-12
             )
 
