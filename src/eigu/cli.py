@@ -50,7 +50,8 @@ from .dataio import (
 from .eigsolve import smallest_eigpair_generalized, smallest_eigpair_standard
 from .evaluation import (
     DECADE_GRID,
-    BlockCache,
+    GridSpec,
+    grid_search,
     results_csv,
     run_benchmark,
     run_cv,
@@ -488,55 +489,34 @@ def cmd_sweep(args) -> int:
             f"sweep needs a classifier with gamma and psi axes; "
             f"{args.classifier!r} has none"
         )
-    gammas = (
-        _parse_grid_values(args.gamma_grid, "gamma-grid")
-        if args.gamma_grid
-        else list(DECADE_GRID)
-    )
-    psis = (
-        _parse_grid_values(args.psi_grid, "psi-grid")
-        if args.psi_grid
-        else list(DECADE_GRID)
-    )
-    kernel = _build_kernel(args)
+    gammas = _parse_grid_values(args.gamma_grid, "gamma-grid") if args.gamma_grid else DECADE_GRID
+    psis = _parse_grid_values(args.psi_grid, "psi-grid") if args.psi_grid else DECADE_GRID
+    if (args.kernel == "rbf") != (args.sigma is not None):
+        raise UsageError(
+            "sweep --kernel rbf needs --sigma, and --sigma needs --kernel rbf: "
+            "each sweep row names one bandwidth"
+        )
     dataset, task = _load_dataset(args)
     dataset, extractor, feature_id = _prepare_features(dataset, args)
     folds = make_folds(dataset, args.folds, args.seed)
-    cache = BlockCache()
+    sigma = (args.sigma,) if args.kernel == "rbf" else None
+    grid = GridSpec(delta=(args.delta,), gamma=gammas, psi=psis, sigma=sigma)
+    result = grid_search(
+        dataset, folds, "iugepsvm", grid,
+        extractor=extractor, gram_cap=args.gram_cap, task=task, feature_id=feature_id,
+    )
     lines = ["log10_gamma,log10_psi,mean_accuracy"]
-    best: tuple[float, float, float] | None = None
-    for gamma in sorted(gammas):
-        for psi in sorted(psis):
-            spec = TrainSpec(
-                classifier="iugepsvm",
-                delta=args.delta,
-                gamma1=gamma,
-                psi1=psi,
-                kernel=kernel,
-            )
-            report = run_cv(
-                dataset,
-                folds,
-                spec,
-                extractor=extractor,
-                gram_cap=args.gram_cap,
-                task=task,
-                feature_id=feature_id,
-                cache=cache,
-                cache_tag="sweep",
-            )
-            lines.append(
-                f"{math.log10(gamma)!r},{math.log10(psi)!r},{report.mean_accuracy!r}"
-            )
-            if best is None or report.mean_accuracy > best[2]:
-                best = (gamma, psi, report.mean_accuracy)
+    for report in result.reports:
+        gamma, psi = report.params["gamma1"], report.params["psi1"]
+        lines.append(f"{math.log10(gamma)!r},{math.log10(psi)!r},{report.mean_accuracy!r}")
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "sweep.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     _write_runinfo(out, "sweep", args.raw_argv, started)
+    best = result.best_spec
     print(
-        f"{len(lines) - 1} cells -> {out / 'sweep.csv'}; best mean accuracy "
-        f"{best[2]:.2f} at gamma={best[0]:g} psi={best[1]:g}"
+        f"{result.n_runs} cells -> {out / 'sweep.csv'}; best mean accuracy "
+        f"{result.best_report.mean_accuracy:.2f} at gamma={best.gamma1:g} psi={best.psi1:g}"
     )
     return EXIT_OK
 
@@ -861,7 +841,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated psi values (default: the 1e-5..1e5 decades)",
     )
     p.add_argument("--kernel", choices=KERNEL_CHOICES, default=None, help="kernel mode")
-    p.add_argument("--sigma", type=float, default=None, help="rbf bandwidth")
+    p.add_argument("--sigma", type=float, default=None, help="rbf bandwidth, required by --kernel rbf")
     p.add_argument("--output-dir", required=True, help="sweep CSV destination")
     p.set_defaults(func=cmd_sweep)
 

@@ -234,6 +234,8 @@ def assemble_task(
 
 def subset_universum(dataset: LabeledDataset, universum_size: int, seed: int) -> LabeledDataset:
     """Re-draw the Universum as a seeded-shuffle prefix of the dataset's own pool."""
+    if universum_size < 0:
+        raise ValueError("universum_size must be >= 0")
     if universum_size > dataset.p:
         raise ValueError(
             f"universum_size {universum_size} exceeds the {dataset.p} pooled rows"

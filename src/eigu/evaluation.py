@@ -3,19 +3,22 @@
 Accuracy is reported as the plain mean over stratified folds (one value in
 [0, 100] per fold), with prediction wall-clock tracked separately so result
 files stay byte-reproducible.  Feature transforms that require fitting
-(PCA/ICA) are refit on each fold's training rows only; the fitted objects
-and the hyperparameter-independent Gram blocks are cached across grid
-points, which keeps exhaustive sweeps affordable without changing the
-number of CV runs actually performed.
+(PCA/ICA) are refit on each fold's training rows only.  ``grid_search`` is
+the one grid engine: it runs ``run_cv`` once per grid point and hands every
+call the same plain dict, in which each fold's fitted transform and the
+hyperparameter-independent blocks are kept across points.  That keeps
+exhaustive sweeps affordable without changing the number of CV runs
+actually performed, or any result.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +28,6 @@ from .classifiers import (
     CLASSIFIER_NAMES,
     DEFAULT_GRAM_CAP,
     DegeneratePlaneError,
-    ProblemBlocks,
     TrainSpec,
     build_blocks,
     predict,
@@ -49,7 +51,6 @@ from .kernels import KernelSpec
 __all__ = [
     "BenchRow",
     "BenchmarkResult",
-    "BlockCache",
     "CVReport",
     "DECADE_GRID",
     "FoldTrainingError",
@@ -92,14 +93,6 @@ class CVReport:
     feature_refits: int = 0
 
 
-class BlockCache:
-    """Fold-keyed reuse of fitted features and hyperparameter-free blocks."""
-
-    def __init__(self) -> None:
-        self.features: dict[int, tuple] = {}
-        self.blocks: dict[tuple, ProblemBlocks] = {}
-
-
 #: Numerical and input failures that fail one fold; anything else is a bug
 #: and propagates unwrapped.
 _FOLD_FAILURES = (
@@ -110,16 +103,20 @@ _FOLD_FAILURES = (
 )
 
 
-def _fold_rows(dataset: LabeledDataset, folds: FoldPlan, fold: int):
-    train1 = dataset.X1[folds.class1_folds != fold]
-    train2 = dataset.X2[folds.class2_folds != fold]
-    test1 = dataset.X1[folds.class1_folds == fold]
-    test2 = dataset.X2[folds.class2_folds == fold]
-    test_rows = np.vstack([test1, test2])
-    test_labels = np.concatenate(
-        [np.ones(len(test1), dtype=int), -np.ones(len(test2), dtype=int)]
+def _fit_fold_features(extractor: FeatureConfig, dataset: LabeledDataset, test1, test2):
+    """Fit on one fold's labeled training rows; transform its train and test rows."""
+    train1 = dataset.X1[~test1]
+    train2 = dataset.X2[~test2]
+    fit_labels = np.concatenate(
+        [np.ones(len(train1), dtype=int), -np.ones(len(train2), dtype=int)]
     )
-    return train1, train2, test_rows, test_labels
+    fitted = fit_features(extractor, np.vstack([train1, train2]), fit_labels)
+    return (
+        fitted,
+        fitted.transform(train1),
+        fitted.transform(train2),
+        fitted.transform(np.vstack([dataset.X1[test1], dataset.X2[test2]])),
+    )
 
 
 def run_cv(
@@ -130,8 +127,7 @@ def run_cv(
     gram_cap: int = DEFAULT_GRAM_CAP,
     task: str = "",
     feature_id: str = "",
-    cache: BlockCache | None = None,
-    cache_tag=None,
+    cache: dict | None = None,
 ) -> CVReport:
     """Stratified k-fold evaluation of one hyperparameter setting.
 
@@ -139,44 +135,39 @@ def run_cv(
     the transform is fit per fold on that fold's labeled training rows only
     and applied to training, Universum, and test rows alike.  Universum
     rows join every training split and no test split.
+
+    ``cache`` is the per-fold store ``grid_search`` shares across its grid
+    points.  Key ``fold`` holds that fold's fitted transform and transformed
+    train and test rows (extractor runs only); key
+    ``(fold, dataset.p, spec.kernel)`` holds the hyperparameter-free blocks.
+    The Universum size names the Universum only because, within one grid
+    search, every Universum is a seeded prefix of the same pool and the
+    labeled rows never change; a cache must not outlive that.  On a block
+    hit only the fold's test rows are sliced.
     """
     accuracies = []
     predict_seconds = 0.0
-    refits = 0
     for fold in range(folds.k):
+        store = {} if cache is None else cache  # uncached: nothing outlives the fold
+        test1 = folds.class1_folds == fold
+        test2 = folds.class2_folds == fold
+        test_labels = np.repeat([1, -1], [np.count_nonzero(test1), np.count_nonzero(test2)])
         try:
-            train1, train2, test_rows, test_labels = _fold_rows(dataset, folds, fold)
-            if extractor is not None:
-                cached = cache.features.get(fold) if cache is not None else None
-                if cached is None:
-                    fit_rows = np.vstack([train1, train2])
-                    fit_labels = np.concatenate(
-                        [np.ones(len(train1), dtype=int), -np.ones(len(train2), dtype=int)]
-                    )
-                    fitted = fit_features(extractor, fit_rows, fit_labels)
-                    cached = (
-                        fitted,
-                        fitted.transform(train1),
-                        fitted.transform(train2),
-                        fitted.transform(test_rows),
-                    )
-                    if cache is not None:
-                        cache.features[fold] = cached
-                    refits += 1
-                fitted, train1, train2, test_rows = cached
-
-            blocks = None
-            key = None
-            if cache is not None:
-                key = (fold, cache_tag, spec.kernel)
-                blocks = cache.blocks.get(key)
-            if blocks is None:
-                universum = dataset.U if extractor is None else fitted.transform(dataset.U)
+            if extractor is None:
+                test_rows = np.vstack([dataset.X1[test1], dataset.X2[test2]])
+            else:
+                if fold not in store:
+                    store[fold] = _fit_fold_features(extractor, dataset, test1, test2)
+                fitted, train1, train2, test_rows = store[fold]
+            key = (fold, dataset.p, spec.kernel)
+            if key not in store:
+                if extractor is None:
+                    train1, train2, universum = dataset.X1[~test1], dataset.X2[~test2], dataset.U
+                else:
+                    universum = fitted.transform(dataset.U)
                 fold_data = LabeledDataset(X1=train1, X2=train2, U=universum)
-                blocks = build_blocks(fold_data, spec.kernel, gram_cap)
-                if cache is not None:
-                    cache.blocks[key] = blocks
-            model = train_with_blocks(blocks, spec)
+                store[key] = build_blocks(fold_data, spec.kernel, gram_cap)
+            model = train_with_blocks(store[key], spec)
 
             start = time.perf_counter()
             labels = predict(model, test_rows)
@@ -184,8 +175,6 @@ def run_cv(
         except _FOLD_FAILURES as exc:
             raise FoldTrainingError(f"fold {fold}: {exc}") from exc
         accuracies.append(100.0 * float(np.mean(labels == test_labels)))
-    if cache is not None and extractor is not None and refits == 0:
-        refits = len(cache.features)
     return CVReport(
         classifier=spec.classifier,
         k=folds.k,
@@ -196,7 +185,7 @@ def run_cv(
         seed=folds.seed,
         task=task,
         feature_id=feature_id,
-        feature_refits=refits if extractor is not None else 0,
+        feature_refits=folds.k if extractor is not None else 0,
     )
 
 
@@ -216,11 +205,19 @@ class GridSpec:
             values = getattr(self, name)
             if values is None:
                 continue
+            if not isinstance(values, (list, tuple)) or not all(
+                isinstance(v, numbers.Real) and not isinstance(v, bool) for v in values
+            ):
+                raise ValueError(f"grid axis {name} must be a list of numbers, got {values!r}")
             values = tuple(values)
             if not values:
                 raise ValueError(f"grid axis {name} is empty")
             if not all(np.isfinite(v) for v in values):
                 raise ValueError(f"grid axis {name} has non-finite values")
+            if name == "universum_size":
+                if any(v < 0 or v != int(v) for v in values):
+                    raise ValueError(f"grid axis universum_size needs integers >= 0, got {values}")
+                values = tuple(int(v) for v in values)
             object.__setattr__(self, name, values)
 
     def cardinality(self) -> int:
@@ -237,8 +234,7 @@ def parse_grid(payload: dict) -> GridSpec:
     unknown = set(payload) - known
     if unknown:
         raise ValueError(f"unknown grid axes: {sorted(unknown)}")
-    kwargs = {k: tuple(v) for k, v in payload.items()}
-    return GridSpec(**kwargs)
+    return GridSpec(**payload)
 
 
 def _validate_grid(grid: GridSpec, classifier: str) -> None:
@@ -263,9 +259,15 @@ def _validate_grid(grid: GridSpec, classifier: str) -> None:
 
 @dataclass(frozen=True)
 class GridSearchResult:
+    """The winning point plus every point's report, in visit order."""
+
     best_spec: TrainSpec
     best_report: CVReport
-    n_runs: int
+    reports: tuple[CVReport, ...]
+
+    @property
+    def n_runs(self) -> int:
+        return len(self.reports)
 
 
 def _spec_for(classifier: str, delta, nu, gamma, psi, kernel) -> TrainSpec:
@@ -294,8 +296,10 @@ def grid_search(
     order and a point must be strictly better to displace the incumbent,
     so ties resolve to the lexicographically smallest tuple.  When a
     ``universum_size`` axis is present, each u re-draws that many rows
-    from the dataset's Universum pool (seeded by the fold plan's seed).
-    The number of CV runs performed equals the grid cardinality exactly.
+    from the dataset's Universum pool (seeded by the fold plan's seed) and
+    the point's report records it as ``params["universum_size"]``.  Every
+    point runs ``run_cv`` once, all of them sharing one per-fold cache, so
+    the number of CV runs performed equals the grid cardinality exactly.
     """
     _validate_grid(grid, classifier)
     axes = [
@@ -307,9 +311,10 @@ def grid_search(
         sorted(grid.universum_size) if grid.universum_size is not None else [None],
     ]
     subsets: dict = {}
-    cache = BlockCache()  # feature fits are u-independent; block keys carry u
-    best: tuple[TrainSpec, CVReport] | None = None
-    n_runs = 0
+    cache: dict = {}
+    specs: list[TrainSpec] = []
+    reports: list[CVReport] = []
+    best = None
     for delta, nu, gamma, psi, sigma, u in itertools.product(*axes):
         kernel = None if sigma is None else KernelSpec(family="rbf", sigma=float(sigma))
         spec = _spec_for(classifier, delta, nu, gamma, psi, kernel)
@@ -317,7 +322,7 @@ def grid_search(
             trial_data = dataset
         else:
             if u not in subsets:
-                subsets[u] = subset_universum(dataset, int(u), folds.seed)
+                subsets[u] = subset_universum(dataset, u, folds.seed)
             trial_data = subsets[u]
         report = run_cv(
             trial_data,
@@ -328,13 +333,16 @@ def grid_search(
             task=task,
             feature_id=feature_id,
             cache=cache,
-            cache_tag=u,
         )
-        n_runs += 1
-        if best is None or report.mean_accuracy > best[1].mean_accuracy:
-            best = (spec, report)
-    assert best is not None
-    return GridSearchResult(best_spec=best[0], best_report=best[1], n_runs=n_runs)
+        if u is not None:
+            report = replace(report, params={**report.params, "universum_size": u})
+        if best is None or report.mean_accuracy > reports[best].mean_accuracy:
+            best = len(reports)
+        specs.append(spec)
+        reports.append(report)
+    return GridSearchResult(
+        best_spec=specs[best], best_report=reports[best], reports=tuple(reports)
+    )
 
 
 def rank_models(accuracy_matrix: np.ndarray) -> np.ndarray:

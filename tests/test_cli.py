@@ -8,10 +8,10 @@ import json
 import numpy as np
 import pytest
 
-from eigu.classifiers import TrainSpec, model_from_json, predict
+from eigu.classifiers import model_from_json, predict
 from eigu.cli import main
 from eigu.dataio import make_folds, read_bundle
-from eigu.evaluation import run_cv
+from eigu.evaluation import GridSpec, grid_search
 
 from conftest import TOY_SEGMENT
 
@@ -235,6 +235,12 @@ def test_cv_rejects_invalid_hyperparameters(toy_bundle, capsys):
     assert rc == 2
     assert "error:" in capsys.readouterr().err
 
+    rc = main(
+        ["cv", "--bundle", str(toy_bundle), "--classifier", "ugepsvm", "--universum-size", "-1"]
+    )
+    assert rc == 2
+    assert "universum_size must be >= 0" in capsys.readouterr().err
+
 
 def test_bench_runs_a_manifest_and_summarizes(bonn_tree, tmp_path, capsys):
     manifest_path = tmp_path / "manifest.json"
@@ -346,6 +352,29 @@ def test_bench_usage_errors(bonn_tree, tmp_path, capsys):
     gone.write_text(json.dumps(payload))
     rc = main(["bench", "--manifest", str(gone), "--output-dir", str(tmp_path / "d")])
     assert rc == 1
+    capsys.readouterr()
+
+    for name, axis in (("delta", 0.1), ("delta", "0.1"), ("universum_size", [-5])):
+        payload = _toy_manifest_payload(bonn_tree)
+        payload["grids"]["iugepsvm"][name] = axis
+        malformed = tmp_path / "malformed.json"
+        malformed.write_text(json.dumps(payload))
+        rc = main(["bench", "--manifest", str(malformed), "--output-dir", str(tmp_path / "e")])
+        assert rc == 2
+        assert name in capsys.readouterr().err
+
+
+def test_bench_params_name_the_universum_size(bonn_tree, tmp_path):
+    payload = _toy_manifest_payload(bonn_tree)
+    payload["grids"]["iugepsvm"]["universum_size"] = [2, 4]
+    manifest_path = tmp_path / "manifest.json"
+    manifest_path.write_text(json.dumps(payload))
+    out = tmp_path / "results"
+    assert main(["bench", "--manifest", str(manifest_path), "--output-dir", str(out)]) == 0
+    with open(out / "results.csv", newline="") as handle:
+        rows = {row["classifier"]: row for row in csv.DictReader(handle)}
+    assert json.loads(rows["iugepsvm"]["params_json"])["universum_size"] in (2, 4)
+    assert "universum_size" not in json.loads(rows["gepsvm"]["params_json"])
 
 
 def test_bench_reports_cell_errors_but_exits_zero(bonn_tree, tmp_path, capsys):
@@ -414,9 +443,8 @@ def test_stats_from_bundled_tables(capsys):
     )
 
 
-def test_sweep_writes_the_grid_csv(toy_bundle, tmp_path, capsys):
-    out = tmp_path / "sweep"
-    rc = main(
+def _sweep(toy_bundle, out, *extra):
+    return main(
         [
             "sweep",
             "--bundle",
@@ -429,21 +457,45 @@ def test_sweep_writes_the_grid_csv(toy_bundle, tmp_path, capsys):
             "0.01",
             "--output-dir",
             str(out),
+            *extra,
         ]
     )
-    assert rc == 0
+
+
+def _assert_sweep_rows_match_the_engine(toy_bundle, out, output, sigma):
     lines = (out / "sweep.csv").read_text().splitlines()
     assert lines[0] == "log10_gamma,log10_psi,mean_accuracy"
-    assert len(lines) == 3
-    first = [float(v) for v in lines[1].split(",")]
-    second = [float(v) for v in lines[2].split(",")]
-    assert first[:2] == [-1.0, -2.0]
-    assert second[:2] == [0.0, -2.0]
+    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    assert [row[:2] for row in rows] == [[-1.0, -2.0], [0.0, -2.0]]
 
     dataset, _ = read_bundle(toy_bundle)
     folds = make_folds(dataset, 2, seed=0)
-    spec = TrainSpec(classifier="iugepsvm", delta=1e-5, gamma1=0.1, psi1=0.01)
-    assert first[2] == run_cv(dataset, folds, spec).mean_accuracy
+    grid = GridSpec(delta=(1e-5,), gamma=(0.1, 1.0), psi=(0.01,), sigma=sigma)
+    result = grid_search(dataset, folds, "iugepsvm", grid)
+    assert [row[2] for row in rows] == [r.mean_accuracy for r in result.reports]
+    best = result.best_spec
+    assert output.endswith(
+        f"best mean accuracy {result.best_report.mean_accuracy:.2f} "
+        f"at gamma={best.gamma1:g} psi={best.psi1:g}\n"
+    )
+
+
+def test_sweep_writes_the_grid_csv(toy_bundle, tmp_path, capsys):
+    out = tmp_path / "sweep"
+    assert _sweep(toy_bundle, out) == 0
+    _assert_sweep_rows_match_the_engine(toy_bundle, out, capsys.readouterr().out, None)
+
+
+def test_sweep_with_a_named_rbf_sigma(toy_bundle, tmp_path, capsys):
+    out = tmp_path / "sweep"
+    assert _sweep(toy_bundle, out, "--kernel", "rbf", "--sigma", "64") == 0
+    _assert_sweep_rows_match_the_engine(toy_bundle, out, capsys.readouterr().out, (64.0,))
+
+
+def test_sweep_rbf_needs_a_named_sigma(toy_bundle, tmp_path, capsys):
+    assert _sweep(toy_bundle, tmp_path / "s", "--kernel", "rbf") == 2
+    assert "--sigma" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
 
 
 def test_sweep_default_grid_has_121_cells(toy_bundle, tmp_path):

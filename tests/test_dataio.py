@@ -121,6 +121,8 @@ def test_subset_universum_is_a_seeded_prefix():
     assert subset_universum(dataset, 10, seed=9) is dataset
     with pytest.raises(ValueError):
         subset_universum(dataset, 11, seed=9)
+    with pytest.raises(ValueError, match=">= 0"):
+        subset_universum(dataset, -3, seed=9)
 
 
 def test_make_folds_partitions_each_class():

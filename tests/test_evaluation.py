@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 
 from eigu.classifiers import TrainSpec
-from eigu.dataio import LabeledDataset, make_folds
+from eigu.dataio import LabeledDataset, make_folds, subset_universum
 from eigu.evaluation import (
-    BlockCache,
     FoldTrainingError,
     GridSpec,
     grid_search,
@@ -22,8 +21,9 @@ from eigu.evaluation import (
     run_cv,
 )
 from eigu.features import FeatureConfig
+from eigu.kernels import KernelSpec
 
-from conftest import TOY_SEGMENT
+from conftest import TOY_SEGMENT, random_dataset
 
 
 def test_run_cv_is_perfect_on_separable_data(planes_dataset):
@@ -41,7 +41,7 @@ def test_run_cv_is_deterministic_with_and_without_a_cache(planes_dataset):
     spec = TrainSpec(classifier="iugepsvm", delta=1e-5, gamma1=0.1, psi1=0.01)
     first = run_cv(planes_dataset, folds, spec)
     second = run_cv(planes_dataset, folds, spec)
-    cached = run_cv(planes_dataset, folds, spec, cache=BlockCache(), cache_tag=None)
+    cached = run_cv(planes_dataset, folds, spec, cache={})
     assert first.fold_accuracies == second.fold_accuracies == cached.fold_accuracies
     assert first.mean_accuracy == second.mean_accuracy == cached.mean_accuracy
 
@@ -58,11 +58,11 @@ def test_run_cv_refits_the_extractor_once_per_fold():
     report = run_cv(dataset, folds, spec, extractor=config)
     assert report.feature_refits == folds.k
 
-    cache = BlockCache()
+    cache = {}
     warm = run_cv(dataset, folds, spec, extractor=config, cache=cache)
     reused = run_cv(dataset, folds, spec, extractor=config, cache=cache)
     assert warm.fold_accuracies == reused.fold_accuracies == report.fold_accuracies
-    assert reused.feature_refits == folds.k  # reported from the cache, not refit
+    assert reused.feature_refits == folds.k  # one fit per fold per cache
 
 
 def test_run_cv_wraps_fold_failures():
@@ -89,8 +89,73 @@ def test_grid_search_draws_universum_subsets(planes_dataset):
     folds = make_folds(planes_dataset, 3, seed=2)
     grid = GridSpec(delta=(1e-4,), universum_size=(0, 10))
     result = grid_search(planes_dataset, folds, "ugepsvm", grid)
-    assert result.n_runs == 2
+    assert result.n_runs == len(result.reports) == 2
     assert result.best_report.classifier == "ugepsvm"
+    assert [r.params["universum_size"] for r in result.reports] == [0, 10]
+    assert result.best_report in result.reports
+
+
+def _uncached_reports(dataset, folds, classifier, grid, extractor=None):
+    """Every grid point run alone through run_cv, in grid_search's visit order."""
+    reports = []
+    for delta in sorted(grid.delta):
+        for gamma in sorted(grid.gamma or [None]):
+            for sigma in sorted(grid.sigma or [None]):
+                for u in sorted(grid.universum_size):
+                    kernel = None if sigma is None else KernelSpec("rbf", sigma=sigma)
+                    extra = {} if gamma is None else {"gamma1": gamma, "psi1": grid.psi[0]}
+                    spec = TrainSpec(classifier=classifier, delta=delta, kernel=kernel, **extra)
+                    data = subset_universum(dataset, u, folds.seed)
+                    reports.append(run_cv(data, folds, spec, extractor=extractor))
+    return reports
+
+
+def _assert_the_cache_changes_no_result(dataset, folds, classifier, grid, extractor=None):
+    try:
+        expected = _uncached_reports(dataset, folds, classifier, grid, extractor)
+    except FoldTrainingError:
+        with pytest.raises(FoldTrainingError):
+            grid_search(dataset, folds, classifier, grid, extractor=extractor)
+        return
+    result = grid_search(dataset, folds, classifier, grid, extractor=extractor)
+    assert len(result.reports) == len(expected)
+    for got, want in zip(result.reports, expected):
+        assert got.fold_accuracies == want.fold_accuracies
+        params = dict(got.params)
+        params.pop("universum_size")
+        assert params == want.params
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_the_grid_cache_changes_no_result(seed):
+    rng = np.random.default_rng(seed)
+    dataset = random_dataset(rng)
+    folds = make_folds(dataset, 2, seed=seed)
+    sizes = tuple(sorted({0, dataset.p // 2, dataset.p}))
+    grid = GridSpec(delta=(1e-4, 1e-2), gamma=(0.1, 1.0), psi=(0.01,), universum_size=sizes)
+    _assert_the_cache_changes_no_result(dataset, folds, "iugepsvm", grid)
+
+
+def test_grid_search_fails_where_an_uncached_point_fails():
+    # constant classes: without a Universum the first plane is all bias
+    dataset = LabeledDataset(X1=np.zeros((4, 2)), X2=np.zeros((4, 2)), U=np.ones((2, 2)))
+    folds = make_folds(dataset, 2, seed=0)
+    grid = GridSpec(delta=(1e-4,), universum_size=(0, 2))
+    with pytest.raises(FoldTrainingError):
+        _uncached_reports(dataset, folds, "ugepsvm", grid)
+    _assert_the_cache_changes_no_result(dataset, folds, "ugepsvm", grid)
+
+
+def test_the_grid_cache_changes_no_result_with_an_extractor():
+    rng = np.random.default_rng(8)
+    X1 = rng.standard_normal((10, 16))
+    X2 = rng.standard_normal((10, 16))
+    X1[:, 0] += 3.0
+    dataset = LabeledDataset(X1=X1, X2=X2, U=rng.standard_normal((6, 16)))
+    folds = make_folds(dataset, 2, seed=0)
+    grid = GridSpec(delta=(1e-4,), sigma=(0.5, 4.0), universum_size=(3, 6))
+    config = FeatureConfig(method="pca", n_components=3)
+    _assert_the_cache_changes_no_result(dataset, folds, "ugepsvm", grid, extractor=config)
 
 
 def test_grid_axis_validation(planes_dataset):
@@ -114,6 +179,13 @@ def test_grid_axis_validation(planes_dataset):
         GridSpec(delta=())
     with pytest.raises(ValueError, match="unknown grid axes"):
         parse_grid({"delta": [1e-4], "lambda": [1.0]})
+    for axis in (0.1, "0.1", ["0.1"]):
+        with pytest.raises(ValueError, match="grid axis delta must be a list of numbers"):
+            parse_grid({"delta": axis})
+    for sizes in ((-5,), (2.5,)):
+        with pytest.raises(ValueError, match="universum_size needs integers >= 0"):
+            GridSpec(delta=(1e-4,), universum_size=sizes)
+    assert GridSpec(delta=(1e-4,), universum_size=(20.0,)).universum_size == (20,)
 
 
 def test_rank_models_matches_hand_ranking():
