@@ -38,8 +38,8 @@ from .kernels import KernelSpec, default_sigma, gram
 __all__ = [
     "AugmentedClassMatrices",
     "CLASSIFIER_NAMES",
-    "DEFAULT_GRAM_CAP",
     "DegeneratePlaneError",
+    "GRAM_CAP",
     "HyperplanePair",
     "MODEL_FORMAT_VERSION",
     "PlaneProblem",
@@ -62,7 +62,7 @@ CLASSIFIER_NAMES = ("gepsvm", "igepsvm", "ugepsvm", "iugepsvm")
 DEGENERATE_NORM = 1e-12
 
 #: Largest kernel expansion (m + 1) accepted before erroring out.
-DEFAULT_GRAM_CAP = 4096
+GRAM_CAP = 4096
 
 MODEL_FORMAT_VERSION = 1
 
@@ -217,17 +217,13 @@ def _projected_class_matrices(
     return matrices, basis
 
 
-def build_blocks(
-    dataset: LabeledDataset,
-    kernel: KernelSpec | None,
-    gram_cap: int = DEFAULT_GRAM_CAP,
-) -> ProblemBlocks:
+def build_blocks(dataset: LabeledDataset, kernel: KernelSpec | None) -> ProblemBlocks:
     """Assemble the Gram blocks a trainer needs for ``dataset``.
 
     A linear kernel gets the same primal blocks as ``kernel=None``.  rbf
     kernels with an unset sigma are resolved here from the training
     rows (labeled plus Universum).  The kernel expansion size m + 1 must
-    stay within ``gram_cap``.
+    stay within ``GRAM_CAP``.
     """
     if kernel is None or kernel.family == "linear":
         rows = dataset.m1 + dataset.m2 + dataset.p
@@ -238,10 +234,8 @@ def build_blocks(
         return ProblemBlocks(mode="linear", matrices=matrices, basis=basis)
     Z = np.vstack([dataset.X1, dataset.X2, dataset.U])
     m = Z.shape[0]
-    if m + 1 > gram_cap:
-        raise ValueError(
-            f"kernel expansion size {m + 1} exceeds the configured cap {gram_cap}"
-        )
+    if m + 1 > GRAM_CAP:
+        raise ValueError(f"kernel expansion size {m + 1} exceeds the cap {GRAM_CAP}")
     if kernel.sigma is None:
         kernel = KernelSpec(family="rbf", sigma=default_sigma(Z))
     K_ZZ = gram(Z, Z, kernel)
@@ -411,11 +405,9 @@ def train_with_blocks(blocks: ProblemBlocks, spec: TrainSpec) -> HyperplanePair:
     )
 
 
-def train(
-    dataset: LabeledDataset, spec: TrainSpec, gram_cap: int = DEFAULT_GRAM_CAP
-) -> HyperplanePair:
+def train(dataset: LabeledDataset, spec: TrainSpec) -> HyperplanePair:
     """Train ``spec.classifier`` on ``dataset`` (linear or kernel mode)."""
-    return train_with_blocks(build_blocks(dataset, spec.kernel, gram_cap), spec)
+    return train_with_blocks(build_blocks(dataset, spec.kernel), spec)
 
 
 def _validated_queries(model: HyperplanePair, queries: np.ndarray) -> np.ndarray:

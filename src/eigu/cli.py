@@ -27,36 +27,31 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .classifiers import (
-    CLASSIFIER_NAMES,
-    DEFAULT_GRAM_CAP,
-    TrainSpec,
-    model_to_json,
-    train,
-)
+from .classifiers import CLASSIFIER_NAMES, TrainSpec, model_to_json, train
 from .dataio import (
     SEGMENT_LENGTH,
     TASKS,
     UNIVERSUM_SET,
     LabeledDataset,
     assemble_task,
-    load_bonn_set,
     make_folds,
     read_bundle,
     subset_universum,
-    truncate_recordings,
     write_bundle,
 )
 from .eigsolve import smallest_eigpair_generalized, smallest_eigpair_standard
 from .evaluation import (
     DECADE_GRID,
     GridSpec,
+    featurize,
+    fit_labeled,
     grid_search,
+    load_sets,
     results_csv,
     run_benchmark,
     run_cv,
 )
-from .features import feature_config_from_id, fit_features
+from .features import DEFAULT_LEVELS, feature_config_from_id
 from .kernels import KernelSpec
 from .stats import build_stat_report, load_published_tables
 
@@ -146,11 +141,8 @@ def _assemble_from_root(
     labels = set(TASKS[task])
     if universum_size > 0:
         labels.add(UNIVERSUM_SET)
-    rows_by_set: dict[str, np.ndarray] = {}
     try:
-        for label in sorted(labels):
-            recordings = load_bonn_set(root / label, label)
-            rows_by_set[label] = truncate_recordings(recordings, segment_length)
+        rows_by_set = load_sets(root, labels, segment_length)
     except (OSError, ValueError) as exc:
         raise UsageError(str(exc)) from exc
     return assemble_task(task, rows_by_set, universum_size, seed)
@@ -182,15 +174,8 @@ def _prepare_features(dataset: LabeledDataset, args):
     config = feature_config_from_id(
         args.feature, n_components=args.n_components, seed=args.seed
     )
-    if config.method == "dwt":
-        fitted = fit_features(config, dataset.X1)
-        dataset = LabeledDataset(
-            X1=fitted.transform(dataset.X1),
-            X2=fitted.transform(dataset.X2),
-            U=fitted.transform(dataset.U),
-        )
-        return dataset, None, config.feature_id
-    return dataset, config, config.feature_id
+    dataset, extractor = featurize(dataset, config)
+    return dataset, extractor, config.feature_id
 
 
 def _build_kernel(args) -> KernelSpec | None:
@@ -275,14 +260,7 @@ def cmd_features(args) -> int:
     if args.top_k is not None:
         overrides["top_k"] = args.top_k
     config = feature_config_from_id(args.feature, **overrides)
-    labeled = np.vstack([dataset.X1, dataset.X2])
-    labels = np.concatenate([np.ones(dataset.m1), -np.ones(dataset.m2)])
-    fitted = fit_features(config, labeled, labels)
-    transformed = LabeledDataset(
-        X1=fitted.transform(dataset.X1),
-        X2=fitted.transform(dataset.X2),
-        U=fitted.transform(dataset.U),
-    )
+    fitted, transformed = fit_labeled(config, dataset)
     out = Path(args.output_dir)
     write_bundle(
         transformed,
@@ -295,7 +273,7 @@ def cmd_features(args) -> int:
         "config": {
             "method": config.method,
             "wavelet": config.wavelet,
-            "level": config.level,
+            "level": DEFAULT_LEVELS[config.wavelet] if config.method == "dwt" else None,
             "n_components": config.n_components,
             "top_k": config.top_k,
             "seed": config.seed,
@@ -336,23 +314,13 @@ def cmd_cv(args) -> int:
         folds,
         spec,
         extractor=extractor,
-        gram_cap=args.gram_cap,
         task=task,
         feature_id=feature_id,
     )
     _emit_json(dataclasses.asdict(report), args.output)
     if args.save_model:
-        full = dataset
-        if extractor is not None:
-            labeled = np.vstack([dataset.X1, dataset.X2])
-            labels = np.concatenate([np.ones(dataset.m1), -np.ones(dataset.m2)])
-            fitted = fit_features(extractor, labeled, labels)
-            full = LabeledDataset(
-                X1=fitted.transform(dataset.X1),
-                X2=fitted.transform(dataset.X2),
-                U=fitted.transform(dataset.U),
-            )
-        model = train(full, spec, gram_cap=args.gram_cap)
+        full = dataset if extractor is None else fit_labeled(extractor, dataset)[1]
+        model = train(full, spec)
         path = Path(args.save_model)
         path.parent.mkdir(parents=True, exist_ok=True)
         text = model_to_json(model)
@@ -503,7 +471,7 @@ def cmd_sweep(args) -> int:
     grid = GridSpec(delta=(args.delta,), gamma=gammas, psi=psis, sigma=sigma)
     result = grid_search(
         dataset, folds, "iugepsvm", grid,
-        extractor=extractor, gram_cap=args.gram_cap, task=task, feature_id=feature_id,
+        extractor=extractor, task=task, feature_id=feature_id,
     )
     lines = ["log10_gamma,log10_psi,mean_accuracy"]
     for report in result.reports:
@@ -530,56 +498,42 @@ def cmd_eig_selftest(args) -> int:
         q = int(rng.integers(2, args.size + 1))
         probes = rng.standard_normal((args.probes, q))
         probes /= np.linalg.norm(probes, axis=1, keepdims=True)
-
         basis = rng.standard_normal((q, q))
-        A = (basis + basis.T) / 2.0
-        solution = smallest_eigpair_standard(A)
-        max_residual = max(max_residual, solution.residual)
-        probe_values = np.einsum("ij,jk,ik->i", probes, A, probes)
-        slack = 1e-9 * (1.0 + abs(solution.eigenvalue))
-        if probe_values.min() < solution.eigenvalue - slack:
-            failures.append(
-                f"trial {trial}: standard probe beat the eigenvalue by "
-                f"{solution.eigenvalue - probe_values.min():.3e}"
-            )
-
         factor = rng.standard_normal((q, q))
-        B = factor @ factor.T + q * np.eye(q)
         numerator = rng.standard_normal((q, q))
-        A2 = (numerator + numerator.T) / 2.0
-        solution = smallest_eigpair_generalized(A2, B, context="selftest spd pencil")
-        max_residual = max(max_residual, solution.residual)
-        ridge_escalations += solution.used_ridge > 0
-        B_eff = B + solution.used_ridge * np.eye(q)
-        quotients = np.einsum("ij,jk,ik->i", probes, A2, probes) / np.einsum(
-            "ij,jk,ik->i", probes, B_eff, probes
-        )
-        slack = 1e-9 * (1.0 + abs(solution.eigenvalue))
-        if quotients.min() < solution.eigenvalue - slack:
-            failures.append(
-                f"trial {trial}: spd-pencil probe beat the eigenvalue by "
-                f"{solution.eigenvalue - quotients.min():.3e}"
-            )
-
         low_rank = rng.standard_normal((q, max(1, q // 2)))
-        B_singular = low_rank @ low_rank.T
         psd = rng.standard_normal((q, q))
-        A3 = psd @ psd.T / q + 1e-3 * np.eye(q)
-        solution = smallest_eigpair_generalized(
-            A3, B_singular, context="selftest rank-deficient pencil"
+        pencils = (  # (probe name, solver context, A, B); B None is the standard problem
+            ("standard", "", (basis + basis.T) / 2.0, None),
+            (
+                "spd-pencil",
+                "selftest spd pencil",
+                (numerator + numerator.T) / 2.0,
+                factor @ factor.T + q * np.eye(q),
+            ),
+            (
+                "rank-deficient",
+                "selftest rank-deficient pencil",
+                psd @ psd.T / q + 1e-3 * np.eye(q),
+                low_rank @ low_rank.T,
+            ),
         )
-        max_residual = max(max_residual, solution.residual)
-        ridge_escalations += solution.used_ridge > 0
-        B_eff = B_singular + solution.used_ridge * np.eye(q)
-        quotients = np.einsum("ij,jk,ik->i", probes, A3, probes) / np.einsum(
-            "ij,jk,ik->i", probes, B_eff, probes
-        )
-        slack = 1e-9 * (1.0 + abs(solution.eigenvalue))
-        if quotients.min() < solution.eigenvalue - slack:
-            failures.append(
-                f"trial {trial}: rank-deficient probe beat the eigenvalue by "
-                f"{solution.eigenvalue - quotients.min():.3e}"
-            )
+        for name, context, A, B in pencils:
+            quotients = np.einsum("ij,jk,ik->i", probes, A, probes)
+            if B is None:
+                solution = smallest_eigpair_standard(A)
+            else:
+                solution = smallest_eigpair_generalized(A, B, context=context)
+                ridge_escalations += solution.used_ridge > 0
+                B_eff = B + solution.used_ridge * np.eye(q)
+                quotients = quotients / np.einsum("ij,jk,ik->i", probes, B_eff, probes)
+            max_residual = max(max_residual, solution.residual)
+            slack = 1e-9 * (1.0 + abs(solution.eigenvalue))
+            if quotients.min() < solution.eigenvalue - slack:
+                failures.append(
+                    f"trial {trial}: {name} probe beat the eigenvalue by "
+                    f"{solution.eigenvalue - quotients.min():.3e}"
+                )
     print(
         f"{args.trials} trials x 3 pencils: max residual {max_residual:.3e}, "
         f"{ridge_escalations} ridge escalations, {len(failures)} failures"
@@ -638,12 +592,6 @@ def _add_input_arguments(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--folds", type=int, default=5, help="cross-validation folds")
     p.add_argument("--seed", type=int, default=0, help="fold/shuffle seed")
-    p.add_argument(
-        "--gram-cap",
-        type=int,
-        default=DEFAULT_GRAM_CAP,
-        help="largest kernel matrix edge allowed",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:

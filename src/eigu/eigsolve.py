@@ -9,8 +9,8 @@ solves are used throughout.
 
 The right operand of a ratio objective is frequently rank-deficient (a
 class Gram block has rank at most the class size).  ``smallest_eigpair_
-generalized`` therefore applies an automatic ridge escalation: starting
-from the caller's ridge it tries up to three successively larger diagonal
+generalized`` therefore applies an automatic ridge escalation: after an
+unshifted attempt it tries up to three successively larger diagonal
 shifts until the operand passes a Cholesky factorization *and* the solved
 pair meets the residual bound below.
 """
@@ -25,7 +25,6 @@ import scipy.linalg
 __all__ = [
     "EigenSolution",
     "SingularDenominatorError",
-    "SymmetricEigenProblem",
     "rayleigh_quotient",
     "smallest_eigpair_generalized",
     "smallest_eigpair_standard",
@@ -38,7 +37,7 @@ RESIDUAL_RTOL = 1e-8
 #: Maximum relative asymmetry accepted before symmetrization.
 SYMMETRY_RTOL = 1e-10
 
-#: Number of automatic ridge escalations (x10 each) after the caller's value.
+#: Number of automatic ridge escalations (x10 each) after the unshifted attempt.
 MAX_RIDGE_ESCALATIONS = 3
 
 
@@ -65,35 +64,6 @@ def _validated_symmetric(M: np.ndarray, name: str) -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
-@dataclass
-class SymmetricEigenProblem:
-    """A standard (``B is None``) or generalized symmetric eigenproblem.
-
-    Operands are symmetrized on construction; inputs whose relative
-    asymmetry exceeds ``SYMMETRY_RTOL`` are rejected.  ``ridge`` is the
-    non-negative starting diagonal shift for the right operand.
-    """
-
-    A: np.ndarray
-    B: np.ndarray | None = None
-    ridge: float = 0.0
-
-    def __post_init__(self) -> None:
-        self.A = _validated_symmetric(self.A, "A")
-        if self.B is not None:
-            self.B = _validated_symmetric(self.B, "B")
-            if self.B.shape != self.A.shape:
-                raise ValueError(
-                    f"operand shapes differ: A {self.A.shape}, B {self.B.shape}"
-                )
-        if not np.isfinite(self.ridge) or self.ridge < 0:
-            raise ValueError(f"ridge must be a non-negative real, got {self.ridge}")
-
-    @property
-    def size(self) -> int:
-        return self.A.shape[0]
-
-
 @dataclass(frozen=True)
 class EigenSolution:
     """Smallest eigenpair of a symmetric problem.
@@ -102,7 +72,7 @@ class EigenSolution:
     component (first such index on ties) is positive.  ``used_ridge`` is the
     diagonal shift actually applied to the right operand (0 for standard
     problems and for generalized problems whose operand was already
-    positive-definite at the caller's ridge).
+    positive-definite).
     """
 
     eigenvalue: float
@@ -130,12 +100,12 @@ def _residual_bound(A: np.ndarray, B_eff: np.ndarray | None, eigenvalue: float) 
 
 def smallest_eigpair_standard(A: np.ndarray) -> EigenSolution:
     """Smallest eigenpair of the standard problem ``A z = lambda z``."""
-    problem = SymmetricEigenProblem(A)
-    eigenvalues, vectors = scipy.linalg.eigh(problem.A)
+    A = _validated_symmetric(A, "A")
+    eigenvalues, vectors = scipy.linalg.eigh(A)
     value = float(eigenvalues[0])
     vector = _sign_fixed_unit(vectors[:, 0])
-    residual = float(np.linalg.norm(problem.A @ vector - value * vector))
-    bound = _residual_bound(problem.A, None, value)
+    residual = float(np.linalg.norm(A @ vector - value * vector))
+    bound = _residual_bound(A, None, value)
     if residual > bound:
         raise np.linalg.LinAlgError(
             f"standard eigensolve residual {residual:.3e} exceeds bound {bound:.3e}"
@@ -143,43 +113,37 @@ def smallest_eigpair_standard(A: np.ndarray) -> EigenSolution:
     return EigenSolution(eigenvalue=value, eigenvector=vector, residual=residual)
 
 
-def _ridge_candidates(B: np.ndarray, start: float) -> list[float]:
+def _ridge_candidates(B: np.ndarray) -> list[float]:
     q = B.shape[0]
-    base = 1e-12 * max(float(np.trace(B)) / q, 1e-300)
-    candidates = [start]
-    current = start
-    for _ in range(MAX_RIDGE_ESCALATIONS):
-        current = base if current == 0.0 else current * 10.0
-        candidates.append(current)
+    candidates = [0.0, 1e-12 * max(float(np.trace(B)) / q, 1e-300)]
+    for _ in range(MAX_RIDGE_ESCALATIONS - 1):
+        candidates.append(candidates[-1] * 10.0)
     return candidates
 
 
 def smallest_eigpair_generalized(
-    A: np.ndarray,
-    B: np.ndarray,
-    ridge: float = 0.0,
-    context: str = "generalized eigenproblem",
+    A: np.ndarray, B: np.ndarray, context: str = "generalized eigenproblem"
 ) -> EigenSolution:
-    """Smallest eigenpair of ``A z = lambda (B + ridge*I) z``.
+    """Smallest eigenpair of ``A z = lambda B z``.
 
-    The right operand must become positive-definite within the automatic
-    ridge escalation schedule; the solve itself goes through the symmetric
-    reduction with a triangular factorization of the right operand.  A
-    candidate ridge is accepted only if the factorization succeeds and the
-    solved pair satisfies the residual bound; when the direct reduction
-    misses the bound and ``A`` is positive-definite, the inverted pencil
-    ``(B_eff, A)`` is solved instead (same eigenvector, reciprocal
-    eigenvalue) before escalating.  Raises ``SingularDenominatorError``
+    The right operand must be positive-definite, or become so within the
+    automatic ridge escalation schedule; the solve itself goes through the
+    symmetric reduction with a triangular factorization of the right
+    operand.  A candidate ridge is accepted only if the factorization
+    succeeds and the solved pair satisfies the residual bound; when the
+    direct reduction misses the bound and ``A`` is positive-definite, the
+    inverted pencil ``(B_eff, A)`` is solved instead (same eigenvector,
+    reciprocal eigenvalue) before escalating.  Raises ``SingularDenominatorError``
     (naming ``context``) when the schedule is exhausted.
     """
-    problem = SymmetricEigenProblem(A, B, ridge)
-    A_sym = problem.A
-    B_sym = problem.B
-    assert B_sym is not None
-    identity = np.eye(problem.size)
+    A_sym = _validated_symmetric(A, "A")
+    B_sym = _validated_symmetric(B, "B")
+    if B_sym.shape != A_sym.shape:
+        raise ValueError(f"operand shapes differ: A {A_sym.shape}, B {B_sym.shape}")
+    identity = np.eye(A_sym.shape[0])
 
     last_failure = "not attempted"
-    for candidate in _ridge_candidates(B_sym, problem.ridge):
+    for candidate in _ridge_candidates(B_sym):
         B_eff = B_sym + candidate * identity
         try:
             scipy.linalg.cholesky(B_eff, lower=True)

@@ -26,7 +26,6 @@ import scipy.stats
 
 from .classifiers import (
     CLASSIFIER_NAMES,
-    DEFAULT_GRAM_CAP,
     DegeneratePlaneError,
     TrainSpec,
     build_blocks,
@@ -45,7 +44,13 @@ from .dataio import (
     truncate_recordings,
 )
 from .eigsolve import SingularDenominatorError
-from .features import FeatureConfig, dwt_features, feature_config_from_id, fit_features
+from .features import (
+    FeatureConfig,
+    FittedFeatures,
+    dwt_features,
+    feature_config_from_id,
+    fit_features,
+)
 from .kernels import KernelSpec
 
 __all__ = [
@@ -58,7 +63,10 @@ __all__ = [
     "GridSpec",
     "SIGMA_GRID",
     "UNIVERSUM_GRID",
+    "featurize",
+    "fit_labeled",
     "grid_search",
+    "load_sets",
     "parse_grid",
     "rank_models",
     "results_csv",
@@ -103,20 +111,49 @@ _FOLD_FAILURES = (
 )
 
 
-def _fit_fold_features(extractor: FeatureConfig, dataset: LabeledDataset, test1, test2):
-    """Fit on one fold's labeled training rows; transform its train and test rows."""
-    train1 = dataset.X1[~test1]
-    train2 = dataset.X2[~test2]
-    fit_labels = np.concatenate(
-        [np.ones(len(train1), dtype=int), -np.ones(len(train2), dtype=int)]
+def load_sets(root: Path, labels, segment_length: int) -> dict[str, np.ndarray]:
+    """Each named set's recordings as rows cut to ``segment_length``, by set label."""
+    return {
+        label: truncate_recordings(load_bonn_set(root / label, label), segment_length)
+        for label in sorted(labels)
+    }
+
+
+def featurize(
+    dataset: LabeledDataset, config: FeatureConfig
+) -> tuple[LabeledDataset, FeatureConfig | None]:
+    """Apply ``config`` to raw rows: ``(dataset, extractor)`` for ``run_cv``.
+
+    A wavelet needs no fit, so it transforms every row up front and no
+    extractor is left.  PCA/ICA rows stay raw and ``config`` comes back as
+    the extractor ``run_cv`` fits on each training fold.
+    """
+    if config.method != "dwt":
+        return dataset, config
+
+    def transform(rows: np.ndarray) -> np.ndarray:
+        if rows.shape[0] == 0:
+            return rows  # an empty Universum stays a (0, n) block
+        return np.vstack([dwt_features(r, config.wavelet) for r in rows])
+
+    transformed = LabeledDataset(
+        X1=transform(dataset.X1), X2=transform(dataset.X2), U=transform(dataset.U)
     )
-    fitted = fit_features(extractor, np.vstack([train1, train2]), fit_labels)
-    return (
-        fitted,
-        fitted.transform(train1),
-        fitted.transform(train2),
-        fitted.transform(np.vstack([dataset.X1[test1], dataset.X2[test2]])),
+    return transformed, None
+
+
+def fit_labeled(
+    config: FeatureConfig, dataset: LabeledDataset
+) -> tuple[FittedFeatures, LabeledDataset]:
+    """Fit ``config`` on the labeled rows (X1 as +1, X2 as -1); transform X1, X2 and U."""
+    labels = np.repeat([1, -1], [dataset.m1, dataset.m2])
+    fitted = fit_features(config, np.vstack([dataset.X1, dataset.X2]), labels)
+    transformed = LabeledDataset(
+        X1=fitted.transform(dataset.X1),
+        X2=fitted.transform(dataset.X2),
+        U=fitted.transform(dataset.U),
     )
+    return fitted, transformed
 
 
 def run_cv(
@@ -124,7 +161,6 @@ def run_cv(
     folds: FoldPlan,
     spec: TrainSpec,
     extractor: FeatureConfig | None = None,
-    gram_cap: int = DEFAULT_GRAM_CAP,
     task: str = "",
     feature_id: str = "",
     cache: dict | None = None,
@@ -137,8 +173,8 @@ def run_cv(
     rows join every training split and no test split.
 
     ``cache`` is the per-fold store ``grid_search`` shares across its grid
-    points.  Key ``fold`` holds that fold's fitted transform and transformed
-    train and test rows (extractor runs only); key
+    points.  Key ``fold`` holds that fold's fitted transform, its transformed
+    training dataset and test rows (extractor runs only); key
     ``(fold, dataset.p, spec.kernel)`` holds the hyperparameter-free blocks.
     The Universum size names the Universum only because, within one grid
     search, every Universum is a seeded prefix of the same pool and the
@@ -157,16 +193,24 @@ def run_cv(
                 test_rows = np.vstack([dataset.X1[test1], dataset.X2[test2]])
             else:
                 if fold not in store:
-                    store[fold] = _fit_fold_features(extractor, dataset, test1, test2)
-                fitted, train1, train2, test_rows = store[fold]
+                    fold_train = LabeledDataset(
+                        X1=dataset.X1[~test1], X2=dataset.X2[~test2], U=dataset.U
+                    )
+                    fitted, fold_train = fit_labeled(extractor, fold_train)
+                    test_raw = np.vstack([dataset.X1[test1], dataset.X2[test2]])
+                    store[fold] = fitted, fold_train, fitted.transform(test_raw)
+                fitted, fold_train, test_rows = store[fold]
             key = (fold, dataset.p, spec.kernel)
             if key not in store:
                 if extractor is None:
-                    train1, train2, universum = dataset.X1[~test1], dataset.X2[~test2], dataset.U
+                    fold_data = LabeledDataset(
+                        X1=dataset.X1[~test1], X2=dataset.X2[~test2], U=dataset.U
+                    )
+                elif fold_train.p == dataset.p:  # the Universum the fold was fit with
+                    fold_data = fold_train
                 else:
-                    universum = fitted.transform(dataset.U)
-                fold_data = LabeledDataset(X1=train1, X2=train2, U=universum)
-                store[key] = build_blocks(fold_data, spec.kernel, gram_cap)
+                    fold_data = replace(fold_train, U=fitted.transform(dataset.U))
+                store[key] = build_blocks(fold_data, spec.kernel)
             model = train_with_blocks(store[key], spec)
 
             start = time.perf_counter()
@@ -286,7 +330,6 @@ def grid_search(
     classifier: str,
     grid: GridSpec,
     extractor: FeatureConfig | None = None,
-    gram_cap: int = DEFAULT_GRAM_CAP,
     task: str = "",
     feature_id: str = "",
 ) -> GridSearchResult:
@@ -329,7 +372,6 @@ def grid_search(
             folds,
             spec,
             extractor=extractor,
-            gram_cap=gram_cap,
             task=task,
             feature_id=feature_id,
             cache=cache,
@@ -390,7 +432,6 @@ class _CellJob:
     folds: FoldPlan
     grid: GridSpec
     extractor: FeatureConfig | None
-    gram_cap: int
 
 
 def _run_cell(job: _CellJob) -> BenchRow:
@@ -401,7 +442,6 @@ def _run_cell(job: _CellJob) -> BenchRow:
             job.classifier,
             job.grid,
             extractor=job.extractor,
-            gram_cap=job.gram_cap,
             task=job.task,
             feature_id=job.feature,
         )
@@ -443,8 +483,9 @@ def run_benchmark(manifest: dict, workers: int | None = None) -> BenchmarkResult
     per-classifier ``grids``, a ``data_root`` holding the set directories,
     and a ``seed``; optional keys tune ``folds`` (default 5),
     ``universum_pool`` (default 100), ``segment_length`` (default 4096),
-    ``n_components`` (default 32), ``gram_cap``, and ``workers``.  Cell
-    failures are recorded in their row and do not abort the run.  Identical
+    ``n_components`` (default 32), and ``workers``.  A malformed manifest
+    raises before any data is read; cell failures are recorded in their
+    row and do not abort the run.  Identical
     manifests yield identical accuracy cells regardless of worker count.
     """
     for key in ("tasks", "features", "classifiers", "grids", "data_root"):
@@ -458,7 +499,6 @@ def run_benchmark(manifest: dict, workers: int | None = None) -> BenchmarkResult
     pool_size = int(_manifest_value(manifest, "universum_pool", 100))
     segment_length = int(_manifest_value(manifest, "segment_length", 4096))
     n_components = int(_manifest_value(manifest, "n_components", 32))
-    gram_cap = int(_manifest_value(manifest, "gram_cap", DEFAULT_GRAM_CAP))
     if workers is None:
         workers = int(_manifest_value(manifest, "workers", 1))
 
@@ -473,39 +513,24 @@ def run_benchmark(manifest: dict, workers: int | None = None) -> BenchmarkResult
     for name in classifiers:
         if name not in grids:
             raise ValueError(f"manifest grids are missing classifier {name!r}")
+        _validate_grid(grids[name], name)
 
-    needed_sets = {UNIVERSUM_SET}
-    for task in tasks:
-        needed_sets.update(TASKS[task])
-    raw_rows: dict[str, np.ndarray] = {}
-    for set_label in sorted(needed_sets):
-        recordings = load_bonn_set(data_root / set_label, set_label)
-        raw_rows[set_label] = truncate_recordings(recordings, segment_length)
-
+    needed_sets = {UNIVERSUM_SET}.union(*(TASKS[task] for task in tasks))
+    raw_rows = load_sets(data_root, needed_sets, segment_length)
+    pool = min(pool_size, raw_rows[UNIVERSUM_SET].shape[0])
     jobs: list[_CellJob] = []
     for task in tasks:
+        raw_task = assemble_task(task, raw_rows, pool, seed)
         for feature in manifest["features"]:
             config = feature_config_from_id(
                 feature, n_components=n_components, seed=seed
             )
-            if config.method == "dwt":
-                rows_by_set = {
-                    label: np.vstack(
-                        [dwt_features(r, config.wavelet, config.level) for r in rows]
-                    )
-                    for label, rows in raw_rows.items()
-                }
-                extractor = None
-            else:
-                rows_by_set = raw_rows
-                extractor = config
-            pool = min(pool_size, raw_rows[UNIVERSUM_SET].shape[0])
-            dataset = assemble_task(task, rows_by_set, pool, seed)
+            dataset, extractor = featurize(raw_task, config)
             folds = make_folds(dataset, k, seed)
             for classifier in classifiers:
                 grid = grids[classifier]
                 cell_data = dataset
-                if grid.universum_size is None and classifier in ("gepsvm", "igepsvm"):
+                if classifier in ("gepsvm", "igepsvm"):  # these grids have no Universum axis
                     cell_data = subset_universum(dataset, 0, seed)
                 jobs.append(
                     _CellJob(
@@ -516,7 +541,6 @@ def run_benchmark(manifest: dict, workers: int | None = None) -> BenchmarkResult
                         folds=folds,
                         grid=grid,
                         extractor=extractor,
-                        gram_cap=gram_cap,
                     )
                 )
 

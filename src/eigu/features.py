@@ -393,7 +393,6 @@ class FeatureConfig:
 
     method: str  # "dwt" | "pca" | "ica"
     wavelet: str | None = None
-    level: int | None = None
     n_components: int = 32
     top_k: int | None = None
     seed: int = 0
@@ -406,8 +405,8 @@ class FeatureConfig:
                 raise ValueError(
                     f"dwt needs a wavelet from {SUPPORTED_WAVELETS}, got {self.wavelet!r}"
                 )
-        elif self.wavelet is not None or self.level is not None:
-            raise ValueError(f"{self.method} takes no wavelet/level")
+        elif self.wavelet is not None:
+            raise ValueError(f"{self.method} takes no wavelet")
 
     @property
     def feature_id(self) -> str:
@@ -442,9 +441,7 @@ class FittedFeatures:
             width = len(self.keep) if self.keep is not None else rows.shape[1]
             return np.zeros((0, width))
         if self.config.method == "dwt":
-            return np.vstack(
-                [dwt_features(r, self.config.wavelet, self.config.level) for r in rows]
-            )
+            return np.vstack([dwt_features(r, self.config.wavelet) for r in rows])
         if self.config.method == "pca":
             scores = pca_transform(self.pca, rows)
         else:

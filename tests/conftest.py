@@ -11,6 +11,13 @@ from eigu.synth import cross_planes, mid_band_universum
 TOY_SEGMENT = 256
 TOY_PER_SET = 12
 
+#: (classifier, grid, error) for manifest grids the classifier cannot run.
+INVALID_GRIDS = (
+    ("gepsvm", {"delta": [1e-4], "nu": [0.1]}, "gepsvm does not consume grid axis nu"),
+    ("iugepsvm", {"delta": [1e-4], "gamma": [0.1]}, "iugepsvm grid needs a psi axis"),
+    ("svm", {"delta": [1e-4]}, "unknown classifier 'svm'"),
+)
+
 # amplitude, dominant frequency, noise level per set; spread far enough
 # apart that the binary tasks stay learnable at this miniature scale
 SET_SHAPES = {

@@ -323,13 +323,14 @@ def test_train_spec_validation():
     assert spec.effective_psi2 == 0.3
 
 
-def test_kernel_expansion_cap_is_enforced(planes_dataset):
+def test_kernel_expansion_cap_is_enforced(planes_dataset, monkeypatch):
     spec = TrainSpec(
         classifier="gepsvm", delta=1e-4, kernel=KernelSpec(family="rbf", sigma=1.0)
     )
+    monkeypatch.setattr("eigu.classifiers.GRAM_CAP", 10)
     with pytest.raises(ValueError) as excinfo:
-        train(planes_dataset, spec, gram_cap=10)
-    assert "cap" in str(excinfo.value)
+        train(planes_dataset, spec)
+    assert "cap 10" in str(excinfo.value)
 
 
 def test_predict_validates_query_width(planes_dataset):

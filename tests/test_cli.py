@@ -11,9 +11,9 @@ import pytest
 from eigu.classifiers import model_from_json, predict
 from eigu.cli import main
 from eigu.dataio import make_folds, read_bundle
-from eigu.evaluation import GridSpec, grid_search
+from eigu.evaluation import GridSpec, grid_search, run_benchmark
 
-from conftest import TOY_SEGMENT
+from conftest import INVALID_GRIDS, TOY_SEGMENT
 
 
 @pytest.fixture(scope="session")
@@ -220,6 +220,34 @@ def test_cv_saves_a_loadable_model(toy_bundle, tmp_path, capsys):
     assert set(np.unique(labels)) <= {-1.0, 1.0}
 
 
+@pytest.mark.parametrize(
+    "feature, classifier, pool",
+    [("dwt_db2", "iugepsvm", 6), ("pca", "iugepsvm", 6), ("dwt_db2", "gepsvm", 0)],
+)
+def test_cv_task_mode_matches_the_bench_cell(bonn_tree, tmp_path, feature, classifier, pool):
+    """cv --task/--feature prepares the data as bench does: same folds, same accuracies."""
+    model_path = tmp_path / "model.json"
+    report_path = tmp_path / "report.json"
+    rc = main(
+        [
+            "cv", "--task", "o_vs_s", "--data-root", str(bonn_tree),
+            "--universum-pool", str(pool), "--segment-length", str(TOY_SEGMENT),
+            "--feature", feature, "--n-components", "4", "--folds", "2", "--seed", "1",
+            "--classifier", classifier, "--output", str(report_path),
+            "--save-model", str(model_path),
+        ]
+    )
+    assert rc == 0
+    report = json.loads(report_path.read_text())
+    payload = _toy_manifest_payload(bonn_tree)
+    payload.update(features=[feature], classifiers=[classifier], universum_pool=pool)
+    (row,) = run_benchmark(payload).rows
+    assert row.error is None
+    assert tuple(report["fold_accuracies"]) == row.fold_accs
+    model = model_from_json(model_path.read_text())
+    assert model.n_features == (4 if feature == "pca" else TOY_SEGMENT)
+
+
 def test_cv_rejects_invalid_hyperparameters(toy_bundle, capsys):
     rc = main(
         [
@@ -362,6 +390,17 @@ def test_bench_usage_errors(bonn_tree, tmp_path, capsys):
         rc = main(["bench", "--manifest", str(malformed), "--output-dir", str(tmp_path / "e")])
         assert rc == 2
         assert name in capsys.readouterr().err
+
+    for classifier, grid, message in INVALID_GRIDS:
+        payload = _toy_manifest_payload(bonn_tree)
+        payload["classifiers"] = [classifier]
+        payload["grids"][classifier] = grid
+        invalid = tmp_path / "invalid.json"
+        invalid.write_text(json.dumps(payload))
+        rc = main(["bench", "--manifest", str(invalid), "--output-dir", str(tmp_path / "f")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "f" / "results.csv").exists()
 
 
 def test_bench_params_name_the_universum_size(bonn_tree, tmp_path):

@@ -23,7 +23,7 @@ from eigu.evaluation import (
 from eigu.features import FeatureConfig
 from eigu.kernels import KernelSpec
 
-from conftest import TOY_SEGMENT, random_dataset
+from conftest import INVALID_GRIDS, TOY_SEGMENT, random_dataset
 
 
 def test_run_cv_is_perfect_on_separable_data(planes_dataset):
@@ -278,6 +278,10 @@ def test_run_benchmark_validates_the_manifest(bonn_tree, tmp_path):
         run_benchmark(_toy_manifest(bonn_tree, tasks=["o_vs_x"]))
     with pytest.raises(ValueError, match="missing classifier"):
         run_benchmark(_toy_manifest(bonn_tree, grids={"gepsvm": {"delta": [1e-4]}}))
+    for classifier, grid, message in INVALID_GRIDS:
+        manifest = _toy_manifest(bonn_tree, classifiers=[classifier], grids={classifier: grid})
+        with pytest.raises(ValueError, match=message):
+            run_benchmark(manifest)
     with pytest.raises(FileNotFoundError):
         run_benchmark(_toy_manifest(bonn_tree, data_root=str(tmp_path / "missing")))
 
