@@ -46,7 +46,6 @@ from .evaluation import (
     FoldTrainingError,
     GridSpec,
     grid_search,
-    rank_models,
     run_benchmark,
     run_cv,
 )
@@ -68,6 +67,7 @@ from .stats import (
     build_stat_report,
     friedman_test,
     load_published_tables,
+    rank_models,
     win_tie_loss,
     wilcoxon_signed_rank,
 )

@@ -37,6 +37,7 @@ from .kernels import KernelSpec, default_sigma, gram
 
 __all__ = [
     "AugmentedClassMatrices",
+    "CLASSIFIER_AXES",
     "CLASSIFIER_NAMES",
     "DegeneratePlaneError",
     "GRAM_CAP",
@@ -56,7 +57,16 @@ __all__ = [
     "train_with_blocks",
 ]
 
-CLASSIFIER_NAMES = ("gepsvm", "igepsvm", "ugepsvm", "iugepsvm")
+#: The grid axes each classifier consumes beyond delta (and sigma, which
+#: any classifier takes through its kernel).  Every axis but
+#: ``universum_size`` names a weight the classifier needs.
+CLASSIFIER_AXES = {
+    "gepsvm": (),
+    "igepsvm": ("nu",),
+    "ugepsvm": ("universum_size",),
+    "iugepsvm": ("gamma", "psi", "universum_size"),
+}
+CLASSIFIER_NAMES = tuple(CLASSIFIER_AXES)
 
 #: Weight vectors smaller than this are all-bias planes: refuse to train.
 DEGENERATE_NORM = 1e-12

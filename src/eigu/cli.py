@@ -271,12 +271,8 @@ def cmd_features(args) -> int:
     )
     sidecar: dict = {
         "config": {
-            "method": config.method,
-            "wavelet": config.wavelet,
+            **dataclasses.asdict(config),
             "level": DEFAULT_LEVELS[config.wavelet] if config.method == "dwt" else None,
-            "n_components": config.n_components,
-            "top_k": config.top_k,
-            "seed": config.seed,
             "feature_id": config.feature_id,
         },
         "n_fit_rows": fitted.n_fit_rows,
@@ -284,20 +280,9 @@ def cmd_features(args) -> int:
     if fitted.keep is not None:
         sidecar["component_order"] = list(fitted.keep)
     if fitted.pca is not None:
-        sidecar["pca"] = {
-            "mean": fitted.pca.mean,
-            "components": fitted.pca.components,
-            "explained_variance": fitted.pca.explained_variance,
-            "rank_deficient": fitted.pca.rank_deficient,
-        }
+        sidecar["pca"] = fitted.pca
     if fitted.ica is not None:
-        sidecar["ica"] = {
-            "mean": fitted.ica.mean,
-            "whitening": fitted.ica.whitening,
-            "unmixing": fitted.ica.unmixing,
-            "converged": fitted.ica.converged,
-            "n_iterations": fitted.ica.n_iterations,
-        }
+        sidecar["ica"] = fitted.ica
     _emit_json(sidecar, str(out / "features.json"))
     _write_runinfo(out, "features", args.raw_argv, started)
     print(f"wrote {config.feature_id} bundle n={transformed.n} -> {out}")
@@ -364,9 +349,9 @@ def cmd_bench(args) -> int:
         manifest["seed"] = args.seed
     if args.workers is not None and args.workers < 1:
         raise UsageError(f"--workers must be >= 1, got {args.workers}")
+    result = run_benchmark(manifest, workers=args.workers)
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    result = run_benchmark(manifest, workers=args.workers)
     (out / "results.csv").write_text(results_csv(result.rows), encoding="utf-8")
     (out / "summary.json").write_text(
         json.dumps(_jsonable(result.summary), indent=2, sort_keys=True) + "\n",
@@ -452,11 +437,6 @@ def cmd_stats(args) -> int:
 
 def cmd_sweep(args) -> int:
     started = time.time()
-    if args.classifier != "iugepsvm":
-        raise UsageError(
-            f"sweep needs a classifier with gamma and psi axes; "
-            f"{args.classifier!r} has none"
-        )
     gammas = _parse_grid_values(args.gamma_grid, "gamma-grid") if args.gamma_grid else DECADE_GRID
     psis = _parse_grid_values(args.psi_grid, "psi-grid") if args.psi_grid else DECADE_GRID
     if (args.kernel == "rbf") != (args.sigma is not None):
@@ -769,14 +749,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_stats)
 
-    p = add_command("sweep", "Sweep the gamma/psi axes; emits plot-ready CSV.")
+    p = add_command("sweep", "Sweep iugepsvm's gamma/psi axes; emits plot-ready CSV.")
     _add_input_arguments(p)
-    p.add_argument(
-        "--classifier",
-        default="iugepsvm",
-        choices=CLASSIFIER_NAMES,
-        help="must expose gamma and psi axes",
-    )
     p.add_argument("--delta", type=float, default=1e-5, help="Tikhonov weight")
     p.add_argument(
         "--gamma-grid",

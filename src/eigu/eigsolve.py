@@ -89,28 +89,37 @@ def _sign_fixed_unit(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _residual_bound(A: np.ndarray, B_eff: np.ndarray | None, eigenvalue: float) -> float:
-    a_norm = float(np.linalg.norm(A))
-    if B_eff is None:
+def _checked_pair(
+    A: np.ndarray, B: np.ndarray | None, value: float, vector: np.ndarray, ridge: float = 0.0
+) -> EigenSolution | str:
+    """The sign-fixed pair as a solution, or why it misses the residual bound.
+
+    ``B=None`` is the identity metric of the standard problem; ``ridge`` is
+    recorded as the solution's ``used_ridge``.
+    """
+    vector = _sign_fixed_unit(vector)
+    if B is None:
+        residual = float(np.linalg.norm(A @ vector - value * vector))
         b_norm = float(np.sqrt(A.shape[0]))  # Frobenius norm of the implicit identity
     else:
-        b_norm = float(np.linalg.norm(B_eff))
-    return RESIDUAL_RTOL * (a_norm + abs(eigenvalue) * b_norm)
+        residual = float(np.linalg.norm(A @ vector - value * (B @ vector)))
+        b_norm = float(np.linalg.norm(B))
+    bound = RESIDUAL_RTOL * (float(np.linalg.norm(A)) + abs(value) * b_norm)
+    if residual > bound:
+        return f"residual {residual:.3e} exceeds bound {bound:.3e}"
+    return EigenSolution(
+        eigenvalue=value, eigenvector=vector, residual=residual, used_ridge=ridge
+    )
 
 
 def smallest_eigpair_standard(A: np.ndarray) -> EigenSolution:
     """Smallest eigenpair of the standard problem ``A z = lambda z``."""
     A = _validated_symmetric(A, "A")
     eigenvalues, vectors = scipy.linalg.eigh(A)
-    value = float(eigenvalues[0])
-    vector = _sign_fixed_unit(vectors[:, 0])
-    residual = float(np.linalg.norm(A @ vector - value * vector))
-    bound = _residual_bound(A, None, value)
-    if residual > bound:
-        raise np.linalg.LinAlgError(
-            f"standard eigensolve residual {residual:.3e} exceeds bound {bound:.3e}"
-        )
-    return EigenSolution(eigenvalue=value, eigenvector=vector, residual=residual)
+    solution = _checked_pair(A, None, float(eigenvalues[0]), vectors[:, 0])
+    if isinstance(solution, str):
+        raise np.linalg.LinAlgError(f"standard eigensolve {solution}")
+    return solution
 
 
 def _ridge_candidates(B: np.ndarray) -> list[float]:
@@ -145,41 +154,22 @@ def smallest_eigpair_generalized(
     last_failure = "not attempted"
     for candidate in _ridge_candidates(B_sym):
         B_eff = B_sym + candidate * identity
-        try:
-            scipy.linalg.cholesky(B_eff, lower=True)
-        except scipy.linalg.LinAlgError:
-            last_failure = f"Cholesky failed at ridge {candidate:.3e}"
-            continue
-        try:
+        try:  # eigh factors B_eff by Cholesky and raises when it is not positive-definite
             eigenvalues, vectors = scipy.linalg.eigh(A_sym, B_eff)
         except scipy.linalg.LinAlgError as exc:
             last_failure = f"eigensolve failed at ridge {candidate:.3e}: {exc}"
             continue
-        value = float(eigenvalues[0])
-        vector = _sign_fixed_unit(vectors[:, 0])
-        residual = float(np.linalg.norm(A_sym @ vector - value * (B_eff @ vector)))
-        bound = _residual_bound(A_sym, B_eff, value)
-        if residual <= bound:
-            return EigenSolution(
-                eigenvalue=value,
-                eigenvector=vector,
-                residual=residual,
-                used_ridge=candidate,
-            )
-        last_failure = (
-            f"residual {residual:.3e} above bound {bound:.3e} at ridge {candidate:.3e}"
-        )
+        solution = _checked_pair(A_sym, B_eff, float(eigenvalues[0]), vectors[:, 0], candidate)
+        if not isinstance(solution, str):
+            return solution
+        last_failure = f"{solution} at ridge {candidate:.3e}"
         # Rescue for severely rank-deficient right operands (tiny ridge on a
         # low-rank B makes the direct reduction lose the small eigenvalues):
         # when A is positive-definite the pencil inverts -- the smallest
         # eigenpair of (A, B_eff) is the largest of (B_eff, A) with the
         # eigenvalue reciprocated -- and the reduction through the far
         # better-conditioned A meets the residual bound where the direct
-        # route cannot.
-        try:
-            scipy.linalg.cholesky(A_sym, lower=True)
-        except scipy.linalg.LinAlgError:
-            continue
+        # route cannot.  eigh raises here when A is not positive-definite.
         try:
             inv_values, inv_vectors = scipy.linalg.eigh(B_eff, A_sym)
         except scipy.linalg.LinAlgError as exc:
@@ -189,18 +179,10 @@ def smallest_eigpair_generalized(
         if largest <= 0 or not np.isfinite(largest):
             last_failure += "; inverted pencil has no positive eigenvalue"
             continue
-        value = 1.0 / largest
-        vector = _sign_fixed_unit(inv_vectors[:, -1])
-        residual = float(np.linalg.norm(A_sym @ vector - value * (B_eff @ vector)))
-        bound = _residual_bound(A_sym, B_eff, value)
-        if residual <= bound:
-            return EigenSolution(
-                eigenvalue=value,
-                eigenvector=vector,
-                residual=residual,
-                used_ridge=candidate,
-            )
-        last_failure += f"; inverted residual {residual:.3e} above bound {bound:.3e}"
+        solution = _checked_pair(A_sym, B_eff, 1.0 / largest, inv_vectors[:, -1], candidate)
+        if not isinstance(solution, str):
+            return solution
+        last_failure += f"; inverted {solution}"
     raise SingularDenominatorError(
         f"{context}: right-hand operand not usably positive-definite after "
         f"{MAX_RIDGE_ESCALATIONS} ridge escalations ({last_failure})"

@@ -22,10 +22,9 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-import scipy.stats
 
 from .classifiers import (
-    CLASSIFIER_NAMES,
+    CLASSIFIER_AXES,
     DegeneratePlaneError,
     TrainSpec,
     build_blocks,
@@ -52,6 +51,7 @@ from .features import (
     fit_features,
 )
 from .kernels import KernelSpec
+from .stats import rank_models
 
 __all__ = [
     "BenchRow",
@@ -59,6 +59,7 @@ __all__ = [
     "CVReport",
     "DECADE_GRID",
     "FoldTrainingError",
+    "GRID_AXES",
     "GridSearchResult",
     "GridSpec",
     "SIGMA_GRID",
@@ -68,7 +69,6 @@ __all__ = [
     "grid_search",
     "load_sets",
     "parse_grid",
-    "rank_models",
     "results_csv",
     "run_benchmark",
     "run_cv",
@@ -79,6 +79,9 @@ __all__ = [
 DECADE_GRID = tuple(10.0**e for e in range(-5, 6))
 SIGMA_GRID = tuple(2.0**e for e in range(-5, 6))
 UNIVERSUM_GRID = tuple(range(10, 101, 10))
+
+#: Every grid axis, in the order ``grid_search`` visits them.
+GRID_AXES = ("delta", "nu", "gamma", "psi", "sigma", "universum_size")
 
 
 class FoldTrainingError(RuntimeError):
@@ -245,7 +248,7 @@ class GridSpec:
     universum_size: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        for name in ("delta", "nu", "gamma", "psi", "sigma", "universum_size"):
+        for name in GRID_AXES:
             values = getattr(self, name)
             if values is None:
                 continue
@@ -266,7 +269,7 @@ class GridSpec:
 
     def cardinality(self) -> int:
         total = 1
-        for name in ("delta", "nu", "gamma", "psi", "sigma", "universum_size"):
+        for name in GRID_AXES:
             values = getattr(self, name)
             total *= len(values) if values is not None else 1
         return total
@@ -274,30 +277,23 @@ class GridSpec:
 
 def parse_grid(payload: dict) -> GridSpec:
     """Build a GridSpec from a JSON-style dict of value lists."""
-    known = {"delta", "nu", "gamma", "psi", "sigma", "universum_size"}
-    unknown = set(payload) - known
+    unknown = set(payload) - set(GRID_AXES)
     if unknown:
         raise ValueError(f"unknown grid axes: {sorted(unknown)}")
     return GridSpec(**payload)
 
 
 def _validate_grid(grid: GridSpec, classifier: str) -> None:
-    if classifier not in CLASSIFIER_NAMES:
+    if classifier not in CLASSIFIER_AXES:
         raise ValueError(f"unknown classifier {classifier!r}")
     if grid.delta is None:
         raise ValueError(f"{classifier} grid needs a delta axis")
-    required = {"igepsvm": ("nu",), "iugepsvm": ("gamma", "psi")}.get(classifier, ())
-    for name in required:
-        if getattr(grid, name) is None:
+    consumed = CLASSIFIER_AXES[classifier]
+    for name in consumed:
+        if name != "universum_size" and getattr(grid, name) is None:
             raise ValueError(f"{classifier} grid needs a {name} axis")
-    forbidden = {
-        "gepsvm": ("nu", "gamma", "psi", "universum_size"),
-        "igepsvm": ("gamma", "psi", "universum_size"),
-        "ugepsvm": ("nu", "gamma", "psi"),
-        "iugepsvm": ("nu",),
-    }[classifier]
-    for name in forbidden:
-        if getattr(grid, name) is not None:
+    for name in GRID_AXES:
+        if name not in ("delta", "sigma", *consumed) and getattr(grid, name) is not None:
             raise ValueError(f"{classifier} does not consume grid axis {name}")
 
 
@@ -314,16 +310,6 @@ class GridSearchResult:
         return len(self.reports)
 
 
-def _spec_for(classifier: str, delta, nu, gamma, psi, kernel) -> TrainSpec:
-    kwargs = {"classifier": classifier, "delta": delta, "kernel": kernel}
-    if classifier == "igepsvm":
-        kwargs["nu"] = nu
-    elif classifier == "iugepsvm":
-        kwargs["gamma1"] = gamma
-        kwargs["psi1"] = psi
-    return TrainSpec(**kwargs)
-
-
 def grid_search(
     dataset: LabeledDataset,
     folds: FoldPlan,
@@ -335,9 +321,9 @@ def grid_search(
 ) -> GridSearchResult:
     """Exhaustive sweep over the grid's Cartesian product.
 
-    Points are visited in ascending (delta, nu, gamma, psi, sigma, u)
-    order and a point must be strictly better to displace the incumbent,
-    so ties resolve to the lexicographically smallest tuple.  When a
+    Points are visited in ascending ``GRID_AXES`` order and a point must
+    be strictly better to displace the incumbent, so ties resolve to the
+    lexicographically smallest tuple.  When a
     ``universum_size`` axis is present, each u re-draws that many rows
     from the dataset's Universum pool (seeded by the fold plan's seed) and
     the point's report records it as ``params["universum_size"]``.  Every
@@ -346,21 +332,25 @@ def grid_search(
     """
     _validate_grid(grid, classifier)
     axes = [
-        sorted(grid.delta),
-        sorted(grid.nu) if grid.nu is not None else [None],
-        sorted(grid.gamma) if grid.gamma is not None else [None],
-        sorted(grid.psi) if grid.psi is not None else [None],
-        sorted(grid.sigma) if grid.sigma is not None else [None],
-        sorted(grid.universum_size) if grid.universum_size is not None else [None],
+        [None] if getattr(grid, name) is None else sorted(getattr(grid, name))
+        for name in GRID_AXES
     ]
     subsets: dict = {}
     cache: dict = {}
     specs: list[TrainSpec] = []
     reports: list[CVReport] = []
     best = None
-    for delta, nu, gamma, psi, sigma, u in itertools.product(*axes):
+    for point in itertools.product(*axes):
+        value = dict(zip(GRID_AXES, point))
+        sigma, u = value["sigma"], value["universum_size"]
         kernel = None if sigma is None else KernelSpec(family="rbf", sigma=float(sigma))
-        spec = _spec_for(classifier, delta, nu, gamma, psi, kernel)
+        weights = {"nu": value["nu"], "gamma1": value["gamma"], "psi1": value["psi"]}
+        spec = TrainSpec(
+            classifier=classifier,
+            delta=value["delta"],
+            kernel=kernel,
+            **{name: w for name, w in weights.items() if w is not None},
+        )
         if u is None:
             trial_data = dataset
         else:
@@ -385,23 +375,6 @@ def grid_search(
     return GridSearchResult(
         best_spec=specs[best], best_report=reports[best], reports=tuple(reports)
     )
-
-
-def rank_models(accuracy_matrix: np.ndarray) -> np.ndarray:
-    """Average fractional ranks per column (rank 1 = highest accuracy).
-
-    Each row is ranked descending with ties sharing the average rank, so
-    every row's ranks sum to k(k+1)/2; the column means are returned.
-    """
-    matrix = np.asarray(accuracy_matrix, dtype=float)
-    if matrix.ndim != 2 or matrix.size == 0:
-        raise ValueError("accuracy matrix must be 2-d and non-empty")
-    if not np.all(np.isfinite(matrix)):
-        raise ValueError("accuracy matrix has non-finite entries")
-    ranks = np.vstack(
-        [scipy.stats.rankdata(-row, method="average") for row in matrix]
-    )
-    return ranks.mean(axis=0)
 
 
 @dataclass(frozen=True)
@@ -530,7 +503,7 @@ def run_benchmark(manifest: dict, workers: int | None = None) -> BenchmarkResult
             for classifier in classifiers:
                 grid = grids[classifier]
                 cell_data = dataset
-                if classifier in ("gepsvm", "igepsvm"):  # these grids have no Universum axis
+                if "universum_size" not in CLASSIFIER_AXES[classifier]:
                     cell_data = subset_universum(dataset, 0, seed)
                 jobs.append(
                     _CellJob(

@@ -37,6 +37,7 @@ __all__ = [
     "friedman_test",
     "load_published_tables",
     "pairwise_wilcoxon",
+    "rank_models",
     "win_tie_loss",
     "wilcoxon_signed_rank",
 ]
@@ -54,6 +55,23 @@ def chi2_sf(x: float, df: int) -> float:
     if x <= 0:
         return 1.0
     return float(scipy.special.gammaincc(df / 2.0, x / 2.0))
+
+
+def rank_models(accuracy_matrix: np.ndarray) -> np.ndarray:
+    """Average fractional ranks per column (rank 1 = highest accuracy).
+
+    Each row is ranked descending with ties sharing the average rank, so
+    every row's ranks sum to k(k+1)/2; the column means are returned.
+    """
+    matrix = np.asarray(accuracy_matrix, dtype=float)
+    if matrix.ndim != 2 or matrix.size == 0:
+        raise ValueError("accuracy matrix must be 2-d and non-empty")
+    if not np.all(np.isfinite(matrix)):
+        raise ValueError("accuracy matrix has non-finite entries")
+    ranks = np.vstack(
+        [scipy.stats.rankdata(-row, method="average") for row in matrix]
+    )
+    return ranks.mean(axis=0)
 
 
 @dataclass(frozen=True)
@@ -80,8 +98,7 @@ def friedman_test(accuracy_matrix: np.ndarray, alpha: float = 0.05) -> FriedmanR
         raise ValueError("accuracy matrix has non-finite entries")
     if not (0 < alpha < 1):
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    ranks = np.vstack([scipy.stats.rankdata(-row, method="average") for row in matrix])
-    mean_ranks = ranks.mean(axis=0)
+    mean_ranks = rank_models(matrix)
     chi2 = (12.0 * n / (k * (k + 1))) * (
         float(np.sum(mean_ranks**2)) - k * (k + 1) ** 2 / 4.0
     )

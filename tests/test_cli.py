@@ -400,7 +400,7 @@ def test_bench_usage_errors(bonn_tree, tmp_path, capsys):
         rc = main(["bench", "--manifest", str(invalid), "--output-dir", str(tmp_path / "f")])
         assert rc == 2
         assert message in capsys.readouterr().err
-        assert not (tmp_path / "f" / "results.csv").exists()
+        assert not (tmp_path / "f").exists()
 
 
 def test_bench_params_name_the_universum_size(bonn_tree, tmp_path):
@@ -439,7 +439,7 @@ def test_bench_exits_nonzero_on_a_programming_error(bonn_tree, tmp_path, monkeyp
     out = tmp_path / "results"
     rc = main(["bench", "--manifest", str(manifest_path), "--output-dir", str(out)])
     assert rc == 1
-    assert not (out / "results.csv").exists()
+    assert not out.exists()
 
 
 def test_stats_reads_a_results_csv(tmp_path, capsys):
@@ -557,20 +557,15 @@ def test_sweep_default_grid_has_121_cells(toy_bundle, tmp_path):
     assert gammas == [float(e) for e in range(-5, 6)]
 
 
-def test_sweep_rejects_classifiers_without_the_axes(toy_bundle, tmp_path, capsys):
-    rc = main(
-        [
-            "sweep",
-            "--bundle",
-            str(toy_bundle),
-            "--classifier",
-            "gepsvm",
-            "--output-dir",
-            str(tmp_path / "s"),
-        ]
-    )
-    assert rc == 2
-    assert "gamma and psi" in capsys.readouterr().err
+def test_sweep_takes_no_classifier_flag(toy_bundle, tmp_path, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        _sweep(toy_bundle, tmp_path / "s", "--classifier", "iugepsvm")
+    assert excinfo.value.code == 2
+    assert not (tmp_path / "s").exists()
+    with pytest.raises(SystemExit) as excinfo:
+        main(["sweep", "--help"])
+    assert excinfo.value.code == 0
+    assert "--classifier" not in capsys.readouterr().out
 
 
 def test_eig_selftest_passes_quickly(capsys):

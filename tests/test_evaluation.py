@@ -8,11 +8,13 @@ import io
 import numpy as np
 import pytest
 
-from eigu.classifiers import TrainSpec
+from eigu.classifiers import CLASSIFIER_AXES, TrainSpec
 from eigu.dataio import LabeledDataset, make_folds, subset_universum
 from eigu.evaluation import (
+    GRID_AXES,
     FoldTrainingError,
     GridSpec,
+    _validate_grid,
     grid_search,
     parse_grid,
     rank_models,
@@ -186,6 +188,32 @@ def test_grid_axis_validation(planes_dataset):
         with pytest.raises(ValueError, match="universum_size needs integers >= 0"):
             GridSpec(delta=(1e-4,), universum_size=sizes)
     assert GridSpec(delta=(1e-4,), universum_size=(20.0,)).universum_size == (20,)
+
+
+@pytest.mark.parametrize("classifier", CLASSIFIER_AXES)
+def test_grid_axes_follow_the_classifier_table(classifier):
+    values = {
+        "delta": (1e-4,),
+        "nu": (0.1,),
+        "gamma": (0.1,),
+        "psi": (0.01,),
+        "sigma": (1.0,),
+        "universum_size": (2,),
+    }
+    consumed = CLASSIFIER_AXES[classifier]
+    full = {name: values[name] for name in ("delta", "sigma", *consumed)}
+    _validate_grid(GridSpec(**full), classifier)
+    without_u = {name: v for name, v in full.items() if name != "universum_size"}
+    _validate_grid(GridSpec(**without_u), classifier)  # the Universum axis is optional
+    for name in GRID_AXES:
+        if name not in full:
+            with pytest.raises(ValueError, match=f"{classifier} does not consume grid axis {name}"):
+                _validate_grid(GridSpec(**full, **{name: values[name]}), classifier)
+    for name in without_u:
+        if name != "sigma":
+            missing = {other: v for other, v in full.items() if other != name}
+            with pytest.raises(ValueError, match=f"{classifier} grid needs a {name} axis"):
+                _validate_grid(GridSpec(**missing), classifier)
 
 
 def test_rank_models_matches_hand_ranking():
