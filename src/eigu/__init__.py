@@ -37,7 +37,6 @@ from .dataio import (
 from .eigsolve import (
     EigenSolution,
     SingularDenominatorError,
-    rayleigh_quotient,
     smallest_eigpair_generalized,
     smallest_eigpair_standard,
 )
@@ -112,7 +111,6 @@ __all__ = [
     "plane_distances",
     "predict",
     "rank_models",
-    "rayleigh_quotient",
     "read_bundle",
     "run_benchmark",
     "run_cv",

@@ -59,7 +59,10 @@ __all__ = [
 
 #: The grid axes each classifier consumes beyond delta (and sigma, which
 #: any classifier takes through its kernel).  Every axis but
-#: ``universum_size`` names a weight the classifier needs.
+#: ``universum_size`` names a weight the classifier needs.  A classifier
+#: with no weight axis minimizes a ratio objective, whose numerator
+#: G + delta*I must be positive-definite for the inverted pencil, so
+#: ``TrainSpec`` requires delta > 0 for it.
 CLASSIFIER_AXES = {
     "gepsvm": (),
     "igepsvm": ("nu",),
@@ -67,6 +70,9 @@ CLASSIFIER_AXES = {
     "iugepsvm": ("gamma", "psi", "universum_size"),
 }
 CLASSIFIER_NAMES = tuple(CLASSIFIER_AXES)
+
+#: The ``TrainSpec`` weights behind each weight axis, in reported order.
+_AXIS_WEIGHTS = {"nu": ("nu",), "gamma": ("gamma1", "gamma2"), "psi": ("psi1", "psi2")}
 
 #: Weight vectors smaller than this are all-bias planes: refuse to train.
 DEGENERATE_NORM = 1e-12
@@ -107,21 +113,14 @@ class TrainSpec:
             raise ValueError(
                 f"unknown classifier {self.classifier!r}, expected one of {CLASSIFIER_NAMES}"
             )
-        values = {
-            "delta": self.delta,
-            "nu": self.nu,
-            "gamma1": self.gamma1,
-            "psi1": self.psi1,
-            "gamma2": self.effective_gamma2,
-            "psi2": self.effective_psi2,
-        }
-        for name, value in values.items():
+        for name, value in self._weights().items():
             if not np.isfinite(value) or value < 0:
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
-        if self.classifier in ("gepsvm", "ugepsvm") and self.delta <= 0:
+        axes = self._weight_axes()
+        if not axes and self.delta <= 0:
             raise ValueError(f"{self.classifier} requires delta > 0, got {self.delta}")
-        if self.classifier == "igepsvm" and self.nu <= 0:
-            raise ValueError(f"igepsvm requires nu > 0, got {self.nu}")
+        if "nu" in axes and self.nu <= 0:
+            raise ValueError(f"{self.classifier} requires nu > 0, got {self.nu}")
 
     @property
     def effective_gamma2(self) -> float:
@@ -131,18 +130,25 @@ class TrainSpec:
     def effective_psi2(self) -> float:
         return self.psi1 if self.psi2 is None else self.psi2
 
+    def _weights(self) -> dict:
+        return {
+            "delta": self.delta,
+            "nu": self.nu,
+            "gamma1": self.gamma1,
+            "psi1": self.psi1,
+            "gamma2": self.effective_gamma2,
+            "psi2": self.effective_psi2,
+        }
+
+    def _weight_axes(self) -> tuple[str, ...]:
+        return tuple(a for a in CLASSIFIER_AXES[self.classifier] if a in _AXIS_WEIGHTS)
+
     def hyperparameters(self) -> dict:
         """The parameters this classifier actually consumed, verbatim."""
+        weights = self._weights()
         out: dict = {"delta": float(self.delta)}
-        if self.classifier == "igepsvm":
-            out["nu"] = float(self.nu)
-        elif self.classifier == "iugepsvm":
-            out.update(
-                gamma1=float(self.gamma1),
-                gamma2=float(self.effective_gamma2),
-                psi1=float(self.psi1),
-                psi2=float(self.effective_psi2),
-            )
+        for axis in self._weight_axes():
+            out.update((name, float(weights[name])) for name in _AXIS_WEIGHTS[axis])
         if self.kernel is not None:
             out["kernel"] = self.kernel.family
             if self.kernel.sigma is not None:

@@ -39,7 +39,6 @@ from .dataio import (
     subset_universum,
     write_bundle,
 )
-from .eigsolve import smallest_eigpair_generalized, smallest_eigpair_standard
 from .evaluation import (
     DECADE_GRID,
     GridSpec,
@@ -469,60 +468,6 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def cmd_eig_selftest(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    failures: list[str] = []
-    max_residual = 0.0
-    ridge_escalations = 0
-    for trial in range(args.trials):
-        q = int(rng.integers(2, args.size + 1))
-        probes = rng.standard_normal((args.probes, q))
-        probes /= np.linalg.norm(probes, axis=1, keepdims=True)
-        basis = rng.standard_normal((q, q))
-        factor = rng.standard_normal((q, q))
-        numerator = rng.standard_normal((q, q))
-        low_rank = rng.standard_normal((q, max(1, q // 2)))
-        psd = rng.standard_normal((q, q))
-        pencils = (  # (probe name, solver context, A, B); B None is the standard problem
-            ("standard", "", (basis + basis.T) / 2.0, None),
-            (
-                "spd-pencil",
-                "selftest spd pencil",
-                (numerator + numerator.T) / 2.0,
-                factor @ factor.T + q * np.eye(q),
-            ),
-            (
-                "rank-deficient",
-                "selftest rank-deficient pencil",
-                psd @ psd.T / q + 1e-3 * np.eye(q),
-                low_rank @ low_rank.T,
-            ),
-        )
-        for name, context, A, B in pencils:
-            quotients = np.einsum("ij,jk,ik->i", probes, A, probes)
-            if B is None:
-                solution = smallest_eigpair_standard(A)
-            else:
-                solution = smallest_eigpair_generalized(A, B, context=context)
-                ridge_escalations += solution.used_ridge > 0
-                B_eff = B + solution.used_ridge * np.eye(q)
-                quotients = quotients / np.einsum("ij,jk,ik->i", probes, B_eff, probes)
-            max_residual = max(max_residual, solution.residual)
-            slack = 1e-9 * (1.0 + abs(solution.eigenvalue))
-            if quotients.min() < solution.eigenvalue - slack:
-                failures.append(
-                    f"trial {trial}: {name} probe beat the eigenvalue by "
-                    f"{solution.eigenvalue - quotients.min():.3e}"
-                )
-    print(
-        f"{args.trials} trials x 3 pencils: max residual {max_residual:.3e}, "
-        f"{ridge_escalations} ridge escalations, {len(failures)} failures"
-    )
-    for line in failures:
-        print(f"  {line}", file=sys.stderr)
-    return EXIT_OK if not failures else EXIT_RUNTIME
-
-
 # ---------------------------------------------------------------------------
 # parser
 
@@ -766,22 +711,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, default=None, help="rbf bandwidth, required by --kernel rbf")
     p.add_argument("--output-dir", required=True, help="sweep CSV destination")
     p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser(
-        "eig-selftest",
-        description="Randomized eigensolver battery: residual and minimality checks.",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-    )
-    p.add_argument(
-        "-v", "--verbose", action="count", default=0, help="increase log verbosity"
-    )
-    p.add_argument("--trials", type=int, default=20, help="random pencils per family")
-    p.add_argument("--size", type=int, default=24, help="largest matrix edge")
-    p.add_argument(
-        "--probes", type=int, default=2000, help="random unit probes per check"
-    )
-    p.add_argument("--seed", type=int, default=0, help="battery seed")
-    p.set_defaults(func=cmd_eig_selftest)
 
     return parser
 

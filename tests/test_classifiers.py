@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from eigu.classifiers import (
+    AugmentedClassMatrices,
     DegeneratePlaneError,
     HyperplanePair,
     ProblemBlocks,
@@ -23,6 +24,7 @@ from eigu.classifiers import (
     train_with_blocks,
 )
 from eigu.dataio import LabeledDataset
+from eigu.eigsolve import SingularDenominatorError
 from eigu.kernels import KernelSpec
 from eigu.synth import concentric_circles, cross_planes, mid_band_universum
 
@@ -217,6 +219,20 @@ def test_coincident_degenerate_classes_raise():
     )
     with pytest.raises(DegeneratePlaneError):
         train(dataset, TrainSpec(classifier="gepsvm", delta=1e-4))
+
+
+def test_an_indefinite_ratio_numerator_names_the_plane():
+    """G + delta*I must be positive-definite; the error names the plane."""
+    eye = np.eye(3)
+    blocks = ProblemBlocks(
+        mode="linear",
+        matrices=AugmentedClassMatrices(G=-eye, H=eye, P=np.zeros((3, 3))),
+    )
+    with pytest.raises(SingularDenominatorError) as excinfo:
+        train_with_blocks(blocks, TrainSpec(classifier="gepsvm", delta=1e-4))
+    message = str(excinfo.value)
+    assert "gepsvm (linear) plane 1" in message
+    assert "numerator not positive-definite" in message
 
 
 def test_universum_term_pushes_planes_off_the_band(planes_dataset):

@@ -65,7 +65,6 @@ def test_help_lists_commands_but_hides_the_selftest(capsys):
     out = capsys.readouterr().out
     for command in ("ingest", "features", "cv", "bench", "stats", "sweep"):
         assert command in out
-    assert "eig-selftest" not in out
 
 
 def test_version_flag(capsys):
@@ -566,9 +565,3 @@ def test_sweep_takes_no_classifier_flag(toy_bundle, tmp_path, capsys):
         main(["sweep", "--help"])
     assert excinfo.value.code == 0
     assert "--classifier" not in capsys.readouterr().out
-
-
-def test_eig_selftest_passes_quickly(capsys):
-    rc = main(["eig-selftest", "--trials", "3", "--size", "10", "--probes", "200"])
-    assert rc == 0
-    assert "max residual" in capsys.readouterr().out
