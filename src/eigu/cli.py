@@ -82,8 +82,14 @@ def _resolve_data_root(flag_value: str | None) -> Path:
     return root
 
 
-def _write_runinfo(directory: Path, command: str, argv: list[str], started: float) -> None:
-    """Host and timestamp details, quarantined away from the result files."""
+def _write_runinfo(
+    directory: Path, command: str, argv: list[str], started: float, counters=None
+) -> None:
+    """Host and timestamp details, quarantined away from the result files.
+
+    ``counters`` (``bench`` only) are the run's feature fits, block builds
+    and block-store hits.
+    """
     finished = time.time()
     info = {
         "command": command,
@@ -100,6 +106,8 @@ def _write_runinfo(directory: Path, command: str, argv: list[str], started: floa
         ),
         "duration_seconds": round(finished - started, 3),
     }
+    if counters is not None:
+        info["counters"] = counters
     with open(directory / "runinfo.json", "w", encoding="utf-8") as handle:
         json.dump(info, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -356,7 +364,7 @@ def cmd_bench(args) -> int:
         json.dumps(_jsonable(result.summary), indent=2, sort_keys=True) + "\n",
         encoding="utf-8",
     )
-    _write_runinfo(out, "bench", args.raw_argv, started)
+    _write_runinfo(out, "bench", args.raw_argv, started, counters=result.counters)
     n_errors = sum(1 for row in result.rows if row.error)
     print(f"{len(result.rows)} cells, {n_errors} with errors -> {out / 'results.csv'}")
     return EXIT_OK

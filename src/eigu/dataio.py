@@ -74,8 +74,30 @@ class Recording:
 
 
 def load_recording(path: str | Path, set_label: str) -> Recording:
-    """Parse one ASCII recording (one integer amplitude per line)."""
+    """Parse one ASCII recording (one integer amplitude per line).
+
+    The file is read, split into lines and converted to integers in one
+    pass.  Whatever that pass rejects (a blank line included) is parsed
+    again line by line, which accepts blank lines and names the first bad
+    line in its error.
+    """
     path = Path(path)
+    try:
+        lines = path.read_text(encoding="ascii").split("\n")
+        if lines[-1] == "":
+            lines.pop()  # the newline that ends the last line
+        values = np.fromiter(map(int, lines), dtype=float, count=len(lines))
+    except (ValueError, OverflowError):
+        values = _parse_lines(path)
+    if len(values) == 0:
+        raise ValueError(f"{path.name}: no samples found")
+    return Recording(
+        set_label=set_label, samples=np.asarray(values), source_id=path.stem
+    )
+
+
+def _parse_lines(path: Path) -> list[float]:
+    """The recording's values, read line by line; raises at the first bad line."""
     values: list[float] = []
     with open(path, "r", encoding="ascii") as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -88,11 +110,7 @@ def load_recording(path: str | Path, set_label: str) -> Recording:
                 raise ValueError(
                     f"{path.name}: line {lineno}: expected an integer amplitude, got {text!r}"
                 ) from exc
-    if not values:
-        raise ValueError(f"{path.name}: no samples found")
-    return Recording(
-        set_label=set_label, samples=np.asarray(values), source_id=path.stem
-    )
+    return values
 
 
 def write_recording(recording: Recording, path: str | Path) -> None:

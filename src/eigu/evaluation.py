@@ -9,6 +9,12 @@ call the same plain dict, in which each fold's fitted transform and the
 hyperparameter-independent blocks are kept across points.  That keeps
 exhaustive sweeps affordable without changing the number of CV runs
 actually performed, or any result.
+
+``run_benchmark`` runs one job per (task, feature) pair: the job featurizes
+the task's rows, makes the folds and runs the pair's classifier cells in
+manifest order, all through one such store.  So each fold's extractor is
+fit once and each fold's blocks are built once per pair, not once per
+classifier.  ``--workers`` > 1 runs pairs in parallel.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import itertools
 import json
 import numbers
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -178,16 +185,20 @@ def run_cv(
     ``cache`` is the per-fold store ``grid_search`` shares across its grid
     points.  Key ``fold`` holds that fold's fitted transform, its transformed
     training dataset and test rows (extractor runs only); key
-    ``(fold, dataset.p, spec.kernel)`` holds the hyperparameter-free blocks.
-    The Universum size names the Universum only because, within one grid
-    search, every Universum is a seeded prefix of the same pool and the
-    labeled rows never change; a cache must not outlive that.  On a block
-    hit only the fold's test rows are sliced.
+    ``(fold, dataset.p, spec.kernel)`` holds the hyperparameter-free blocks;
+    key ``"counts"`` tallies feature fits, block builds and block hits.
+    The Universum size names the Universum only because every run sharing
+    a store has the same labeled rows, ``FoldPlan``, seed and Universum
+    pool, and draws each Universum as that seeded prefix of the pool
+    (``subset_universum``).  A store may outlive one grid search, as it does
+    across a (task, feature) pair's cells, but never those.  On a block hit
+    only the fold's test rows are sliced.
     """
     accuracies = []
     predict_seconds = 0.0
     for fold in range(folds.k):
         store = {} if cache is None else cache  # uncached: nothing outlives the fold
+        counts = store.setdefault("counts", Counter())
         test1 = folds.class1_folds == fold
         test2 = folds.class2_folds == fold
         test_labels = np.repeat([1, -1], [np.count_nonzero(test1), np.count_nonzero(test2)])
@@ -202,9 +213,12 @@ def run_cv(
                     fitted, fold_train = fit_labeled(extractor, fold_train)
                     test_raw = np.vstack([dataset.X1[test1], dataset.X2[test2]])
                     store[fold] = fitted, fold_train, fitted.transform(test_raw)
+                    counts["feature_fits"] += 1
                 fitted, fold_train, test_rows = store[fold]
             key = (fold, dataset.p, spec.kernel)
-            if key not in store:
+            if key in store:
+                counts["block_hits"] += 1
+            else:
                 if extractor is None:
                     fold_data = LabeledDataset(
                         X1=dataset.X1[~test1], X2=dataset.X2[~test2], U=dataset.U
@@ -214,6 +228,7 @@ def run_cv(
                 else:
                     fold_data = replace(fold_train, U=fitted.transform(dataset.U))
                 store[key] = build_blocks(fold_data, spec.kernel)
+                counts["block_builds"] += 1
             model = train_with_blocks(store[key], spec)
 
             start = time.perf_counter()
@@ -310,6 +325,11 @@ class GridSearchResult:
         return len(self.reports)
 
 
+def _kernel(sigma: float | None) -> KernelSpec | None:
+    """The kernel of one grid point's ``sigma`` (None: linear)."""
+    return None if sigma is None else KernelSpec(family="rbf", sigma=float(sigma))
+
+
 def grid_search(
     dataset: LabeledDataset,
     folds: FoldPlan,
@@ -318,6 +338,7 @@ def grid_search(
     extractor: FeatureConfig | None = None,
     task: str = "",
     feature_id: str = "",
+    cache: dict | None = None,
 ) -> GridSearchResult:
     """Exhaustive sweep over the grid's Cartesian product.
 
@@ -327,8 +348,10 @@ def grid_search(
     ``universum_size`` axis is present, each u re-draws that many rows
     from the dataset's Universum pool (seeded by the fold plan's seed) and
     the point's report records it as ``params["universum_size"]``.  Every
-    point runs ``run_cv`` once, all of them sharing one per-fold cache, so
+    point runs ``run_cv`` once, all of them sharing one per-fold store, so
     the number of CV runs performed equals the grid cardinality exactly.
+    ``cache`` passes in that store (see ``run_cv`` for what may share one);
+    by default the search gets a fresh one.
     """
     _validate_grid(grid, classifier)
     axes = [
@@ -336,19 +359,18 @@ def grid_search(
         for name in GRID_AXES
     ]
     subsets: dict = {}
-    cache: dict = {}
+    cache = {} if cache is None else cache
     specs: list[TrainSpec] = []
     reports: list[CVReport] = []
     best = None
     for point in itertools.product(*axes):
         value = dict(zip(GRID_AXES, point))
-        sigma, u = value["sigma"], value["universum_size"]
-        kernel = None if sigma is None else KernelSpec(family="rbf", sigma=float(sigma))
+        u = value["universum_size"]
         weights = {"nu": value["nu"], "gamma1": value["gamma"], "psi1": value["psi"]}
         spec = TrainSpec(
             classifier=classifier,
             delta=value["delta"],
-            kernel=kernel,
+            kernel=_kernel(value["sigma"]),
             **{name: w for name, w in weights.items() if w is not None},
         )
         if u is None:
@@ -390,56 +412,93 @@ class BenchRow:
     error: str | None = None
 
 
+#: The per-pair work counts ``run_benchmark`` reports, summed over pairs.
+_COUNTER_NAMES = ("feature_fits", "block_builds", "block_hits")
+
+
 @dataclass(frozen=True)
 class BenchmarkResult:
     rows: tuple[BenchRow, ...]
     summary: dict
+    counters: dict
 
 
 @dataclass(frozen=True)
-class _CellJob:
+class _PairJob:
+    """One (task, feature) pair: its raw rows and its cells in manifest order."""
+
     task: str
     feature: str
-    classifier: str
-    dataset: LabeledDataset
-    folds: FoldPlan
-    grid: GridSpec
-    extractor: FeatureConfig | None
+    raw: LabeledDataset
+    config: FeatureConfig
+    k: int
+    seed: int
+    cells: tuple[tuple[str, GridSpec], ...]
 
 
-def _run_cell(job: _CellJob) -> BenchRow:
-    try:
-        result = grid_search(
-            job.dataset,
-            job.folds,
-            job.classifier,
-            job.grid,
-            extractor=job.extractor,
-            task=job.task,
-            feature_id=job.feature,
-        )
-    except (FoldTrainingError, ValueError) as exc:
-        return BenchRow(
+def _block_keys(classifier: str, grid: GridSpec, pool: int) -> set:
+    """The (Universum size, kernel) pairs of the blocks a cell's grid can reach."""
+    if "universum_size" not in CLASSIFIER_AXES[classifier]:
+        sizes = (0,)
+    else:
+        sizes = grid.universum_size or (pool,)
+    return set(itertools.product(sizes, map(_kernel, grid.sigma or (None,))))
+
+
+def _run_pair(job: _PairJob) -> tuple[list[BenchRow], Counter]:
+    """Run a pair's cells through one store; also return its work counts.
+
+    After each cell the store drops every block no later cell can reach,
+    so it never holds more blocks than the cells that still need them.
+    """
+    dataset, extractor = featurize(job.raw, job.config)
+    folds = make_folds(dataset, job.k, job.seed)
+    store: dict = {"counts": Counter()}
+    rows = []
+    for i, (classifier, grid) in enumerate(job.cells):
+        cell_data = dataset
+        if "universum_size" not in CLASSIFIER_AXES[classifier]:
+            cell_data = subset_universum(dataset, 0, job.seed)
+        row = BenchRow(
             task=job.task,
             feature=job.feature,
-            classifier=job.classifier,
+            classifier=classifier,
             mean_acc=None,
             fold_accs=(),
             params={},
             test_time_s=0.0,
-            error=f"{type(exc).__name__}: {exc}",
         )
-    report = result.best_report
-    return BenchRow(
-        task=job.task,
-        feature=job.feature,
-        classifier=job.classifier,
-        mean_acc=report.mean_accuracy,
-        fold_accs=report.fold_accuracies,
-        params=report.params,
-        test_time_s=report.test_time_seconds,
-        n_runs=result.n_runs,
-    )
+        try:
+            result = grid_search(
+                cell_data,
+                folds,
+                classifier,
+                grid,
+                extractor=extractor,
+                task=job.task,
+                feature_id=job.feature,
+                cache=store,
+            )
+        except (FoldTrainingError, ValueError) as exc:
+            rows.append(replace(row, error=f"{type(exc).__name__}: {exc}"))
+        else:
+            best = result.best_report
+            rows.append(
+                replace(
+                    row,
+                    mean_acc=best.mean_accuracy,
+                    fold_accs=best.fold_accuracies,
+                    params=best.params,
+                    test_time_s=best.test_time_seconds,
+                    n_runs=result.n_runs,
+                )
+            )
+        reachable = set().union(
+            *(_block_keys(c, g, dataset.p) for c, g in job.cells[i + 1 :])
+        )
+        for key in [k for k in store if isinstance(k, tuple) and k[1:] not in reachable]:
+            del store[key]
+    return rows, store["counts"]
 
 
 def _manifest_value(manifest: dict, key: str, default):
@@ -451,6 +510,10 @@ def _manifest_value(manifest: dict, key: str, default):
 
 def run_benchmark(manifest: dict, workers: int | None = None) -> BenchmarkResult:
     """Run every (task, feature, classifier) cell described by a manifest.
+
+    The unit of work is a (task, feature) pair (see the module docstring);
+    ``workers`` > 1 runs pairs in parallel processes.  ``counters`` sums
+    each pair's feature fits, block builds and block hits.
 
     The manifest carries ``tasks``, ``features``, ``classifiers``,
     per-classifier ``grids``, a ``data_root`` holding the set directories,
@@ -491,40 +554,25 @@ def run_benchmark(manifest: dict, workers: int | None = None) -> BenchmarkResult
     needed_sets = {UNIVERSUM_SET}.union(*(TASKS[task] for task in tasks))
     raw_rows = load_sets(data_root, needed_sets, segment_length)
     pool = min(pool_size, raw_rows[UNIVERSUM_SET].shape[0])
-    jobs: list[_CellJob] = []
+    cells = tuple((classifier, grids[classifier]) for classifier in classifiers)
+    jobs = []
     for task in tasks:
         raw_task = assemble_task(task, raw_rows, pool, seed)
         for feature in manifest["features"]:
-            config = feature_config_from_id(
-                feature, n_components=n_components, seed=seed
-            )
-            dataset, extractor = featurize(raw_task, config)
-            folds = make_folds(dataset, k, seed)
-            for classifier in classifiers:
-                grid = grids[classifier]
-                cell_data = dataset
-                if "universum_size" not in CLASSIFIER_AXES[classifier]:
-                    cell_data = subset_universum(dataset, 0, seed)
-                jobs.append(
-                    _CellJob(
-                        task=task,
-                        feature=feature,
-                        classifier=classifier,
-                        dataset=cell_data,
-                        folds=folds,
-                        grid=grid,
-                        extractor=extractor,
-                    )
-                )
+            config = feature_config_from_id(feature, n_components=n_components, seed=seed)
+            jobs.append(_PairJob(task, feature, raw_task, config, k, seed, cells))
 
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool_exec:
-            rows = tuple(pool_exec.map(_run_cell, jobs))
+            results = list(pool_exec.map(_run_pair, jobs))
     else:
-        rows = tuple(_run_cell(job) for job in jobs)
+        results = [_run_pair(job) for job in jobs]
+    rows = tuple(row for pair_rows, _ in results for row in pair_rows)
+    totals = sum((counts for _, counts in results), Counter())
+    counters = {name: totals[name] for name in _COUNTER_NAMES}
 
     summary = _summarize(rows, tasks, manifest["features"], classifiers)
-    return BenchmarkResult(rows=rows, summary=summary)
+    return BenchmarkResult(rows=rows, summary=summary, counters=counters)
 
 
 def _summarize(rows, tasks, features, classifiers) -> dict:

@@ -11,6 +11,7 @@ from eigu.dataio import (
     SEGMENT_LENGTH,
     LabeledDataset,
     Recording,
+    _parse_lines,
     assemble_task,
     load_bonn_set,
     load_recording,
@@ -41,6 +42,51 @@ def test_load_recording_error_names_file_and_line(tmp_path):
     message = str(excinfo.value)
     assert "S003" in message
     assert "line 2" in message
+
+
+@pytest.mark.parametrize(
+    "text, values",
+    [
+        ("12\n-7\n\n44\n", [12, -7, 44]),  # a blank line
+        ("+5\n-5\n", [5, -5]),  # signs
+        ("  7 \n\t8", [7, 8]),  # padding, no final newline
+        ("1\r\n2\r\n", [1, 2]),
+        ("1\r2\r", [1, 2]),  # universal newlines
+        ("1_000\n", [1000]),  # int() syntax, as before
+        ("9007199254740993\n", [9007199254740992.0]),  # rounded like float(int)
+        ("\f5\x1c\n", [5]),  # whitespace str.strip removes but int() keeps
+    ],
+)
+def test_load_recording_accepts_what_the_line_loop_accepts(tmp_path, text, values):
+    path = tmp_path / "N007.txt"
+    path.write_bytes(text.encode("ascii"))
+    np.testing.assert_array_equal(load_recording(path, "N").samples, values)
+    np.testing.assert_array_equal(_parse_lines(path), values)  # the line loop agrees
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1 2\n", "N007.txt: line 1: expected an integer amplitude, got '1 2'"),
+        ("5\n\n3.5\n", "N007.txt: line 3: expected an integer amplitude, got '3.5'"),
+        ("1\x0b2\n", "N007.txt: line 1: expected an integer amplitude, got '1\\x0b2'"),
+        ("", "N007.txt: no samples found"),
+        ("\n \n", "N007.txt: no samples found"),
+    ],
+)
+def test_load_recording_rejects_what_the_line_loop_rejects(tmp_path, text, message):
+    path = tmp_path / "N007.txt"
+    path.write_bytes(text.encode("ascii"))
+    with pytest.raises(ValueError) as excinfo:
+        load_recording(path, "N")
+    assert str(excinfo.value) == message
+
+
+def test_load_recording_rejects_non_ascii(tmp_path):
+    path = tmp_path / "N007.txt"
+    path.write_bytes(b"5\n\xe96\n")
+    with pytest.raises(UnicodeDecodeError):
+        load_recording(path, "N")
 
 
 def test_recording_round_trip(tmp_path):

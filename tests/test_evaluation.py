@@ -9,20 +9,23 @@ import numpy as np
 import pytest
 
 from eigu.classifiers import CLASSIFIER_AXES, TrainSpec
-from eigu.dataio import LabeledDataset, make_folds, subset_universum
+from eigu import evaluation
+from eigu.dataio import LabeledDataset, assemble_task, make_folds, subset_universum
 from eigu.evaluation import (
     GRID_AXES,
     FoldTrainingError,
     GridSpec,
     _validate_grid,
+    featurize,
     grid_search,
+    load_sets,
     parse_grid,
     rank_models,
     results_csv,
     run_benchmark,
     run_cv,
 )
-from eigu.features import FeatureConfig
+from eigu.features import FeatureConfig, feature_config_from_id
 from eigu.kernels import KernelSpec
 
 from conftest import INVALID_GRIDS, TOY_SEGMENT, random_dataset
@@ -328,3 +331,121 @@ def test_results_csv_parses_back_with_a_stock_reader(bonn_tree):
         assert record["error"] == ""
     # rendering is stable across calls
     assert text == results_csv(result.rows)
+
+
+#: Cells that share blocks across classifiers: gepsvm and igepsvm the
+#: (no Universum, rbf 4.0) blocks, ugepsvm and iugepsvm the (3 rows,
+#: linear) ones.  ugepsvm fails at u = 50 (the pool holds 6 rows) after
+#: its u = 3 point has run, so later cells start from its partial store.
+SHARING_GRIDS = {
+    "gepsvm": {"delta": [1e-4], "sigma": [4.0]},
+    "ugepsvm": {"delta": [1e-4], "universum_size": [3, 50]},
+    "igepsvm": {"delta": [1e-5], "nu": [0.1], "sigma": [4.0]},
+    "iugepsvm": {"delta": [1e-5], "gamma": [0.1], "psi": [0.01], "universum_size": [3]},
+}
+
+
+def _sharing_manifest(bonn_tree):
+    return _toy_manifest(
+        bonn_tree,
+        features=["dwt_db2", "pca"],
+        classifiers=list(SHARING_GRIDS),
+        grids=SHARING_GRIDS,
+    )
+
+
+def _fresh_rows(bonn_tree, manifest):
+    """Each cell as its own grid search on freshly featurized rows, unshared."""
+    raw = load_sets(bonn_tree, {"O", "S", "N"}, manifest["segment_length"])
+    seed = manifest["seed"]
+    rows = []
+    for task in manifest["tasks"]:
+        raw_task = assemble_task(task, raw, manifest["universum_pool"], seed)
+        for feature in manifest["features"]:
+            config = feature_config_from_id(
+                feature, n_components=manifest["n_components"], seed=seed
+            )
+            dataset, extractor = featurize(raw_task, config)
+            folds = make_folds(dataset, manifest["folds"], seed)
+            for classifier in manifest["classifiers"]:
+                data = dataset
+                if "universum_size" not in CLASSIFIER_AXES[classifier]:
+                    data = subset_universum(dataset, 0, seed)
+                grid = parse_grid(manifest["grids"][classifier])
+                try:
+                    result = grid_search(data, folds, classifier, grid, extractor=extractor)
+                except (FoldTrainingError, ValueError) as exc:
+                    rows.append((feature, classifier, (), {}, 0, f"{type(exc).__name__}: {exc}"))
+                    continue
+                best = result.best_report
+                rows.append(
+                    (feature, classifier, best.fold_accuracies, best.params, result.n_runs, None)
+                )
+    return rows
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sharing_a_pair_store_changes_no_result(bonn_tree, workers):
+    manifest = _sharing_manifest(bonn_tree)
+    result = run_benchmark(manifest, workers=workers)
+    got = [
+        (r.feature, r.classifier, r.fold_accs, r.params, r.n_runs, r.error) for r in result.rows
+    ]
+    assert got == _fresh_rows(bonn_tree, manifest)
+    failed = {(r.feature, r.classifier) for r in result.rows if r.error is not None}
+    assert failed == {("dwt_db2", "ugepsvm"), ("pca", "ugepsvm")}
+
+
+def test_each_cell_leaves_only_blocks_a_later_cell_can_reach(bonn_tree, monkeypatch):
+    original = evaluation.grid_search
+    entries = []
+
+    def spy(dataset, folds, classifier, grid, **kwargs):
+        entries.append((classifier, set(kwargs["cache"]), kwargs["cache"]))
+        return original(dataset, folds, classifier, grid, **kwargs)
+
+    monkeypatch.setattr(evaluation, "grid_search", spy)
+    manifest = _sharing_manifest(bonn_tree)
+    run_benchmark(manifest)
+
+    rbf = KernelSpec("rbf", sigma=4.0)
+    reachable_from = {  # (Universum size, kernel) blocks of this cell and every later one
+        "gepsvm": {(0, rbf), (3, None), (50, None)},
+        "ugepsvm": {(0, rbf), (3, None), (50, None)},
+        "igepsvm": {(0, rbf), (3, None)},
+        "iugepsvm": {(3, None)},
+    }
+    assert [c for c, _, _ in entries] == list(SHARING_GRIDS) * 2
+    folds = set(range(manifest["folds"]))
+    for classifier, keys, _ in entries:
+        blocks = {key for key in keys if isinstance(key, tuple)}
+        assert keys - blocks <= folds | {"counts"}
+        assert {key[1:] for key in blocks} <= reachable_from[classifier], classifier
+    kept = {key for key in entries[-1][1] if isinstance(key, tuple)}
+    assert kept == {(fold, 3, None) for fold in folds}  # ugepsvm's u = 3 blocks, reused
+    for _, _, store in entries:
+        assert not any(isinstance(key, tuple) for key in store)  # all dropped at the end
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_benchmark_counts_fits_builds_and_hits(bonn_tree, workers):
+    grids = {
+        "ugepsvm": {"delta": [1e-4, 1e-2], "universum_size": [3, 6]},
+        "iugepsvm": {"delta": [1e-5], "gamma": [0.1], "psi": [0.01], "universum_size": [3, 6]},
+    }
+    manifest = _toy_manifest(bonn_tree, classifiers=list(grids), grids=grids)
+    k = manifest["folds"]
+    lookups = (4 + 2) * k  # every grid point looks up one block per fold
+    pca = run_benchmark({**manifest, "features": ["pca"]}, workers=workers)
+    assert all(r.error is None for r in pca.rows)
+    assert pca.counters == {
+        "feature_fits": k,  # once per fold, not once per classifier
+        "block_builds": 2 * k,  # once per (fold, Universum size)
+        "block_hits": lookups - 2 * k,
+    }
+    both = run_benchmark({**manifest, "features": ["pca", "dwt_db2"]}, workers=workers)
+    assert both.counters == {
+        "feature_fits": k,  # a wavelet fits nothing
+        "block_builds": 4 * k,
+        "block_hits": 2 * (lookups - 2 * k),
+    }
