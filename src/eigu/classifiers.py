@@ -17,7 +17,10 @@ Kernel mode replaces the data rows by kernel evaluations against the
 expansion Z = [X1; X2; U] and solves the same problems in coefficient
 space.  Only the rbf family trains there: a linear kernel spec trains the
 linear model itself, since the dot-product kernel spans nothing the primal
-coordinates do not.
+coordinates do not.  What kernel mode needs before a bandwidth enters --
+Z, its squared distances and those of the test rows to Z -- is one
+``KernelTable``; a grid passes the same table to every bandwidth it
+visits, and the blocks and models built from it share its Z.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .eigsolve import (
     smallest_eigpair_generalized,
     smallest_eigpair_standard,
 )
-from .kernels import KernelSpec, default_sigma, gram
+from .kernels import KernelSpec, default_sigma, gram, squared_distances
 
 __all__ = [
     "AugmentedClassMatrices",
@@ -42,12 +45,14 @@ __all__ = [
     "DegeneratePlaneError",
     "GRAM_CAP",
     "HyperplanePair",
+    "KernelTable",
     "MODEL_FORMAT_VERSION",
     "PlaneProblem",
     "ProblemBlocks",
     "TrainSpec",
     "build_blocks",
     "class_matrices",
+    "kernel_table",
     "model_from_json",
     "model_to_json",
     "plane_distances",
@@ -196,9 +201,9 @@ class ProblemBlocks:
 
     ``mode`` is ``linear`` (primal coordinates, also used for a linear
     kernel spec) or ``kernel`` (coefficient coordinates over the rbf
-    expansion Z, with its Gram matrix K_ZZ).  Grid searches cache these per
-    fold: every hyperparameter enters later as a scalar combination of
-    G/H/P.
+    expansion Z, with its Gram matrix K_ZZ; Z is the ``KernelTable``'s,
+    not a copy).  Grid searches cache these per fold: every
+    hyperparameter enters later as a scalar combination of G/H/P.
 
     When the feature dimension exceeds the training row count (wide data),
     ``basis`` holds an orthonormal basis of the span of the bias-augmented
@@ -233,13 +238,45 @@ def _projected_class_matrices(
     return matrices, basis
 
 
-def build_blocks(dataset: LabeledDataset, kernel: KernelSpec | None) -> ProblemBlocks:
+@dataclass(frozen=True)
+class KernelTable:
+    """The bandwidth-free part of kernel mode for one training set.
+
+    ``Z`` is the expansion [X1; X2; U], ``D_ZZ`` is
+    ``squared_distances(Z, Z)`` and ``D_test`` is
+    ``squared_distances(test_rows, Z)`` (None without test rows).  Every
+    rbf bandwidth at this training set builds its blocks and predicts from
+    one table, so no bandwidth copies Z or recomputes a distance.
+    """
+
+    Z: np.ndarray = field(repr=False)
+    D_ZZ: np.ndarray = field(repr=False)
+    D_test: np.ndarray | None = field(default=None, repr=False)
+
+
+def kernel_table(dataset: LabeledDataset, test_rows: np.ndarray | None = None) -> KernelTable:
+    """Stack ``dataset``'s expansion and compute its distance table.
+
+    The expansion size m + 1 must stay within ``GRAM_CAP``.
+    """
+    Z = np.vstack([dataset.X1, dataset.X2, dataset.U])
+    m = Z.shape[0]
+    if m + 1 > GRAM_CAP:
+        raise ValueError(f"kernel expansion size {m + 1} exceeds the cap {GRAM_CAP}")
+    D_test = None if test_rows is None else squared_distances(test_rows, Z)
+    return KernelTable(Z=Z, D_ZZ=squared_distances(Z, Z), D_test=D_test)
+
+
+def build_blocks(
+    dataset: LabeledDataset, kernel: KernelSpec | None, table: KernelTable | None = None
+) -> ProblemBlocks:
     """Assemble the Gram blocks a trainer needs for ``dataset``.
 
     A linear kernel gets the same primal blocks as ``kernel=None``.  rbf
     kernels with an unset sigma are resolved here from the training
-    rows (labeled plus Universum).  The kernel expansion size m + 1 must
-    stay within ``GRAM_CAP``.
+    rows (labeled plus Universum).  An rbf kernel reads Z and its
+    distances from ``table``, which must be ``kernel_table(dataset, ...)``;
+    without one it computes its own.
     """
     if kernel is None or kernel.family == "linear":
         rows = dataset.m1 + dataset.m2 + dataset.p
@@ -248,13 +285,15 @@ def build_blocks(dataset: LabeledDataset, kernel: KernelSpec | None) -> ProblemB
         else:
             matrices, basis = class_matrices(dataset), None
         return ProblemBlocks(mode="linear", matrices=matrices, basis=basis)
-    Z = np.vstack([dataset.X1, dataset.X2, dataset.U])
-    m = Z.shape[0]
-    if m + 1 > GRAM_CAP:
-        raise ValueError(f"kernel expansion size {m + 1} exceeds the cap {GRAM_CAP}")
+    if table is None:
+        table = kernel_table(dataset)
+    Z = table.Z
+    m = dataset.m1 + dataset.m2 + dataset.p
+    if Z.shape[0] != m:
+        raise ValueError(f"kernel table has {Z.shape[0]} expansion rows, dataset has {m}")
     if kernel.sigma is None:
-        kernel = KernelSpec(family="rbf", sigma=default_sigma(Z))
-    K_ZZ = gram(Z, Z, kernel)
+        kernel = KernelSpec(family="rbf", sigma=default_sigma(Z, table.D_ZZ))
+    K_ZZ = gram(Z, Z, kernel, table.D_ZZ)
     q = m + 1
     K1 = K_ZZ[: dataset.m1]
     K2 = K_ZZ[dataset.m1 : dataset.m1 + dataset.m2]
@@ -439,23 +478,34 @@ def _validated_queries(model: HyperplanePair, queries: np.ndarray) -> np.ndarray
     return queries
 
 
-def plane_distances(model: HyperplanePair, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Point-to-plane distances to plane 1 and plane 2 for each query row."""
+def plane_distances(
+    model: HyperplanePair, queries: np.ndarray, d2: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Point-to-plane distances to plane 1 and plane 2 for each query row.
+
+    A kernel model may take ``d2 = squared_distances(queries, model.Z)``
+    computed earlier (a ``KernelTable``'s ``D_test``); a linear one ignores it.
+    """
     queries = _validated_queries(model, queries)
     if model.mode == "linear":
-        d1 = np.abs(queries @ model.w1 + model.b1) / model.plane_norms[0]
-        d2 = np.abs(queries @ model.w2 + model.b2) / model.plane_norms[1]
+        dist1 = np.abs(queries @ model.w1 + model.b1) / model.plane_norms[0]
+        dist2 = np.abs(queries @ model.w2 + model.b2) / model.plane_norms[1]
     else:
-        K = gram(queries, model.Z, model.kernel)
-        d1 = np.abs(K @ model.alpha1 + model.b1) / model.plane_norms[0]
-        d2 = np.abs(K @ model.alpha2 + model.b2) / model.plane_norms[1]
-    return d1, d2
+        K = gram(queries, model.Z, model.kernel, d2)
+        dist1 = np.abs(K @ model.alpha1 + model.b1) / model.plane_norms[0]
+        dist2 = np.abs(K @ model.alpha2 + model.b2) / model.plane_norms[1]
+    return dist1, dist2
 
 
-def predict(model: HyperplanePair, queries: np.ndarray) -> np.ndarray:
-    """Labels in {+1, -1}: +1 when plane 1 is at least as near as plane 2."""
-    d1, d2 = plane_distances(model, queries)
-    return np.where(d1 <= d2, 1, -1)
+def predict(
+    model: HyperplanePair, queries: np.ndarray, d2: np.ndarray | None = None
+) -> np.ndarray:
+    """Labels in {+1, -1}: +1 when plane 1 is at least as near as plane 2.
+
+    ``d2`` is passed on to :func:`plane_distances`.
+    """
+    dist1, dist2 = plane_distances(model, queries, d2)
+    return np.where(dist1 <= dist2, 1, -1)
 
 
 def _array_payload(values: np.ndarray | None):

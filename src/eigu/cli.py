@@ -87,8 +87,8 @@ def _write_runinfo(
 ) -> None:
     """Host and timestamp details, quarantined away from the result files.
 
-    ``counters`` (``bench`` only) are the run's feature fits, block builds
-    and block-store hits.
+    ``counters`` (``bench`` only) are the run's feature fits, kernel
+    tables, block builds and block-store hits.
     """
     finished = time.time()
     info = {

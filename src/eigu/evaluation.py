@@ -6,7 +6,10 @@ files stay byte-reproducible.  Feature transforms that require fitting
 (PCA/ICA) are refit on each fold's training rows only.  ``grid_search`` is
 the one grid engine: it runs ``run_cv`` once per grid point and hands every
 call the same plain dict, in which each fold's fitted transform and the
-hyperparameter-independent blocks are kept across points.  That keeps
+hyperparameter-independent blocks are kept across points.  In kernel mode
+the dict also keeps one distance table per (fold, Universum size): the
+expansion Z and its squared distances to itself and to the test rows,
+which every rbf bandwidth reads instead of recomputing.  That keeps
 exhaustive sweeps affordable without changing the number of CV runs
 actually performed, or any result.
 
@@ -35,6 +38,7 @@ from .classifiers import (
     DegeneratePlaneError,
     TrainSpec,
     build_blocks,
+    kernel_table,
     predict,
     train_with_blocks,
 )
@@ -186,16 +190,22 @@ def run_cv(
     points.  Key ``fold`` holds that fold's fitted transform, its transformed
     training dataset and test rows (extractor runs only); key
     ``(fold, dataset.p, spec.kernel)`` holds the hyperparameter-free blocks;
-    key ``"counts"`` tallies feature fits, block builds and block hits.
+    key ``(fold, dataset.p)`` holds the fold's ``KernelTable`` (rbf runs
+    only), which every bandwidth's blocks and predictions at that Universum
+    size read; key ``"counts"`` tallies feature fits, kernel tables, block
+    builds and block hits.
     The Universum size names the Universum only because every run sharing
     a store has the same labeled rows, ``FoldPlan``, seed and Universum
     pool, and draws each Universum as that seeded prefix of the pool
     (``subset_universum``).  A store may outlive one grid search, as it does
     across a (task, feature) pair's cells, but never those.  On a block hit
-    only the fold's test rows are sliced.
+    only the fold's test rows are sliced.  ``feature_refits`` reports the
+    extractor fits this call made, not the ones it found in the store.
     """
     accuracies = []
     predict_seconds = 0.0
+    refits = 0
+    rbf = spec.kernel is not None and spec.kernel.family == "rbf"
     for fold in range(folds.k):
         store = {} if cache is None else cache  # uncached: nothing outlives the fold
         counts = store.setdefault("counts", Counter())
@@ -214,8 +224,10 @@ def run_cv(
                     test_raw = np.vstack([dataset.X1[test1], dataset.X2[test2]])
                     store[fold] = fitted, fold_train, fitted.transform(test_raw)
                     counts["feature_fits"] += 1
+                    refits += 1
                 fitted, fold_train, test_rows = store[fold]
             key = (fold, dataset.p, spec.kernel)
+            table_key = (fold, dataset.p)
             if key in store:
                 counts["block_hits"] += 1
             else:
@@ -227,12 +239,17 @@ def run_cv(
                     fold_data = fold_train
                 else:
                     fold_data = replace(fold_train, U=fitted.transform(dataset.U))
-                store[key] = build_blocks(fold_data, spec.kernel)
+                if rbf and table_key not in store:
+                    store[table_key] = kernel_table(fold_data, test_rows)
+                    counts["kernel_tables"] += 1
+                table = store[table_key] if rbf else None
+                store[key] = build_blocks(fold_data, spec.kernel, table)
                 counts["block_builds"] += 1
             model = train_with_blocks(store[key], spec)
+            test_d2 = store[table_key].D_test if rbf else None
 
             start = time.perf_counter()
-            labels = predict(model, test_rows)
+            labels = predict(model, test_rows, test_d2)
             predict_seconds += time.perf_counter() - start
         except _FOLD_FAILURES as exc:
             raise FoldTrainingError(f"fold {fold}: {exc}") from exc
@@ -247,7 +264,7 @@ def run_cv(
         seed=folds.seed,
         task=task,
         feature_id=feature_id,
-        feature_refits=folds.k if extractor is not None else 0,
+        feature_refits=refits,
     )
 
 
@@ -413,7 +430,7 @@ class BenchRow:
 
 
 #: The per-pair work counts ``run_benchmark`` reports, summed over pairs.
-_COUNTER_NAMES = ("feature_fits", "block_builds", "block_hits")
+_COUNTER_NAMES = ("feature_fits", "kernel_tables", "block_builds", "block_hits")
 
 
 @dataclass(frozen=True)
@@ -449,7 +466,8 @@ def _run_pair(job: _PairJob) -> tuple[list[BenchRow], Counter]:
     """Run a pair's cells through one store; also return its work counts.
 
     After each cell the store drops every block no later cell can reach,
-    so it never holds more blocks than the cells that still need them.
+    and every kernel table at a Universum size where no later cell has an
+    rbf sigma, so it never holds more than the cells that still need it.
     """
     dataset, extractor = featurize(job.raw, job.config)
     folds = make_folds(dataset, job.k, job.seed)
@@ -496,6 +514,8 @@ def _run_pair(job: _PairJob) -> tuple[list[BenchRow], Counter]:
         reachable = set().union(
             *(_block_keys(c, g, dataset.p) for c, g in job.cells[i + 1 :])
         )
+        # a block key is (fold, u, kernel), a table key (fold, u)
+        reachable |= {(u,) for u, kernel in reachable if kernel is not None}
         for key in [k for k in store if isinstance(k, tuple) and k[1:] not in reachable]:
             del store[key]
     return rows, store["counts"]
@@ -513,7 +533,7 @@ def run_benchmark(manifest: dict, workers: int | None = None) -> BenchmarkResult
 
     The unit of work is a (task, feature) pair (see the module docstring);
     ``workers`` > 1 runs pairs in parallel processes.  ``counters`` sums
-    each pair's feature fits, block builds and block hits.
+    each pair's feature fits, kernel tables, block builds and block hits.
 
     The manifest carries ``tasks``, ``features``, ``classifiers``,
     per-classifier ``grids``, a ``data_root`` holding the set directories,

@@ -65,38 +65,57 @@ def squared_distances(rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
     return np.maximum(d2, 0.0)
 
 
-def gram(rows_a: np.ndarray, rows_b: np.ndarray, spec: KernelSpec) -> np.ndarray:
+def _checked_distances(rows_a: np.ndarray, rows_b: np.ndarray, d2) -> np.ndarray:
+    """``d2`` when given (its shape checked against the rows), else computed."""
+    if d2 is None:
+        return squared_distances(rows_a, rows_b)
+    if d2.shape != (len(rows_a), len(rows_b)):
+        raise ValueError(
+            f"squared distances have shape {d2.shape}, rows give "
+            f"{(len(rows_a), len(rows_b))}"
+        )
+    return d2
+
+
+def gram(
+    rows_a: np.ndarray,
+    rows_b: np.ndarray,
+    spec: KernelSpec,
+    d2: np.ndarray | None = None,
+) -> np.ndarray:
     """Kernel matrix ``K[i, j] = k(rows_a[i], rows_b[j])``.
 
     When both axes index the same point set (same array object or equal
-    contents) the rbf diagonal is set to exactly 1.
+    contents) the rbf diagonal is set to exactly 1.  ``d2`` may pass in
+    ``squared_distances(rows_a, rows_b)``, computed once for several
+    bandwidths; that call checked the rows, so here they are only matched
+    against its shape.  A linear kernel does not read ``d2``.
     """
-    rows_a = _as_rows(rows_a, "rows_a")
-    rows_b = _as_rows(rows_b, "rows_b")
     if spec.family == "linear":
-        return rows_a @ rows_b.T
+        return _as_rows(rows_a, "rows_a") @ _as_rows(rows_b, "rows_b").T
     if spec.sigma is None:
         raise ValueError("rbf sigma is unresolved; fix it before evaluating a Gram block")
-    d2 = squared_distances(rows_a, rows_b)
+    d2 = _checked_distances(rows_a, rows_b, d2)
     values = np.exp(-d2 / (2.0 * spec.sigma**2))
     same = rows_a is rows_b or (
-        rows_a.shape == rows_b.shape and np.array_equal(rows_a, rows_b)
+        np.shape(rows_a) == np.shape(rows_b) and np.array_equal(rows_a, rows_b)
     )
     if same:
         np.fill_diagonal(values, 1.0)
     return values
 
 
-def default_sigma(rows: np.ndarray) -> float:
+def default_sigma(rows: np.ndarray, d2: np.ndarray | None = None) -> float:
     """Data-driven rbf bandwidth: mean of all N^2 pairwise squared distances.
 
     Self-distances are included in the mean.  A degenerate point set (all
     rows identical, mean distance 0) falls back to 1.0 with a warning.
+    ``d2`` may pass in ``squared_distances(rows, rows)`` computed earlier.
     """
     rows = _as_rows(rows, "rows")
     if rows.shape[0] == 0:
         raise ValueError("rows must be non-empty")
-    mean_d2 = float(squared_distances(rows, rows).mean())
+    mean_d2 = float(_checked_distances(rows, rows, d2).mean())
     if mean_d2 == 0.0:
         warnings.warn(
             "all rows identical; falling back to sigma = 1.0", stacklevel=2

@@ -15,6 +15,7 @@ from eigu.classifiers import (
     TrainSpec,
     build_blocks,
     class_matrices,
+    kernel_table,
     model_from_json,
     model_to_json,
     plane_distances,
@@ -25,7 +26,8 @@ from eigu.classifiers import (
 )
 from eigu.dataio import LabeledDataset
 from eigu.eigsolve import SingularDenominatorError
-from eigu.kernels import KernelSpec
+from eigu import classifiers, kernels
+from eigu.kernels import KernelSpec, default_sigma
 from eigu.synth import concentric_circles, cross_planes, mid_band_universum
 
 from conftest import random_dataset
@@ -323,6 +325,30 @@ def test_rbf_solves_the_circles_problem_where_linear_cannot():
     )
     assert rbf_accuracy >= 95.0
     assert linear_accuracy <= 70.0
+
+
+def test_a_data_driven_sigma_computes_the_distances_once(planes_dataset, monkeypatch):
+    calls = []
+    original = kernels.squared_distances
+
+    def counted(rows_a, rows_b):
+        calls.append((rows_a.shape[0], rows_b.shape[0]))
+        return original(rows_a, rows_b)
+
+    monkeypatch.setattr(kernels, "squared_distances", counted)
+    monkeypatch.setattr(classifiers, "squared_distances", counted)
+    blocks = build_blocks(planes_dataset, KernelSpec(family="rbf"))
+    m = planes_dataset.m1 + planes_dataset.m2 + planes_dataset.p
+    assert calls == [(m, m)]  # shared by the bandwidth rule and the Gram block
+    monkeypatch.undo()
+    assert blocks.kernel.sigma == default_sigma(blocks.Z)
+
+
+def test_a_kernel_table_must_come_from_the_dataset(planes_dataset):
+    table = kernel_table(planes_dataset)
+    smaller = LabeledDataset(X1=planes_dataset.X1, X2=planes_dataset.X2, U=planes_dataset.U[:5])
+    with pytest.raises(ValueError, match="expansion rows"):
+        build_blocks(smaller, KernelSpec(family="rbf", sigma=1.0), table)
 
 
 def test_train_spec_validation():

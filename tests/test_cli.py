@@ -285,7 +285,12 @@ def test_bench_runs_a_manifest_and_summarizes(bonn_tree, tmp_path, capsys):
     assert runinfo["command"] == "bench"
     assert "host" in runinfo and "duration_seconds" in runinfo
     # gepsvm (no Universum) and iugepsvm (the whole pool) share no block
-    assert runinfo["counters"] == {"feature_fits": 0, "block_builds": 4, "block_hits": 0}
+    assert runinfo["counters"] == {
+        "feature_fits": 0,
+        "kernel_tables": 0,  # a linear grid needs no distance table
+        "block_builds": 4,
+        "block_hits": 0,
+    }
 
 
 def test_bench_filters_restrict_the_grid(bonn_tree, tmp_path):

@@ -8,7 +8,13 @@ import io
 import numpy as np
 import pytest
 
-from eigu.classifiers import CLASSIFIER_AXES, TrainSpec
+from eigu.classifiers import (
+    CLASSIFIER_AXES,
+    TrainSpec,
+    build_blocks,
+    plane_distances,
+    train_with_blocks,
+)
 from eigu import evaluation
 from eigu.dataio import LabeledDataset, assemble_task, make_folds, subset_universum
 from eigu.evaluation import (
@@ -67,7 +73,50 @@ def test_run_cv_refits_the_extractor_once_per_fold():
     warm = run_cv(dataset, folds, spec, extractor=config, cache=cache)
     reused = run_cv(dataset, folds, spec, extractor=config, cache=cache)
     assert warm.fold_accuracies == reused.fold_accuracies == report.fold_accuracies
-    assert reused.feature_refits == folds.k  # one fit per fold per cache
+    assert warm.feature_refits == folds.k  # one fit per fold per cache
+    assert reused.feature_refits == 0  # every fold's fit came from the cache
+    assert cache["counts"]["feature_fits"] == folds.k
+
+
+def test_every_bandwidth_shares_one_kernel_table(planes_dataset, monkeypatch):
+    original = evaluation.predict
+    predictions = []
+
+    def spy(model, queries, d2=None):
+        labels = original(model, queries, d2)
+        predictions.append((model, labels))
+        return labels
+
+    monkeypatch.setattr(evaluation, "predict", spy)
+    dataset, folds = planes_dataset, make_folds(planes_dataset, 2, seed=0)
+    kernels = [KernelSpec("rbf", sigma=0.5), KernelSpec("rbf", sigma=4.0)]
+    specs = [
+        TrainSpec(classifier="iugepsvm", delta=1e-5, gamma1=0.1, psi1=0.01, kernel=kernel)
+        for kernel in kernels
+    ]
+    cache = {}
+    for spec in specs:
+        run_cv(dataset, folds, spec, cache=cache)
+    assert cache["counts"]["kernel_tables"] == folds.k
+    assert cache["counts"]["block_builds"] == len(kernels) * folds.k
+
+    fold = 0
+    test1, test2 = folds.class1_folds == fold, folds.class2_folds == fold
+    fold_data = LabeledDataset(X1=dataset.X1[~test1], X2=dataset.X2[~test2], U=dataset.U)
+    test_rows = np.vstack([dataset.X1[test1], dataset.X2[test2]])
+    table = cache[(fold, dataset.p)]
+    # run_cv visits every fold of a spec before the next spec
+    for spec, (model, labels) in zip(specs, predictions[fold :: folds.k]):
+        blocks = cache[(fold, dataset.p, spec.kernel)]
+        assert blocks.Z is table.Z and model.Z is table.Z
+        fresh_blocks = build_blocks(fold_data, spec.kernel)
+        fresh_model = train_with_blocks(fresh_blocks, spec)
+        assert fresh_blocks.Z is not table.Z
+        assert np.array_equal(blocks.K_ZZ, fresh_blocks.K_ZZ)
+        shared = plane_distances(model, test_rows, table.D_test)
+        unshared = plane_distances(fresh_model, test_rows)
+        assert all(np.array_equal(a, b) for a, b in zip(shared, unshared))
+        assert np.array_equal(labels, original(fresh_model, test_rows))
 
 
 def test_run_cv_wraps_fold_failures():
@@ -409,18 +458,23 @@ def test_each_cell_leaves_only_blocks_a_later_cell_can_reach(bonn_tree, monkeypa
     run_benchmark(manifest)
 
     rbf = KernelSpec("rbf", sigma=4.0)
-    reachable_from = {  # (Universum size, kernel) blocks of this cell and every later one
-        "gepsvm": {(0, rbf), (3, None), (50, None)},
-        "ugepsvm": {(0, rbf), (3, None), (50, None)},
-        "igepsvm": {(0, rbf), (3, None)},
+    # (Universum size, kernel) blocks of this cell and every later one, and
+    # (Universum size,) kernel tables of a later cell with an rbf sigma
+    reachable_from = {
+        "gepsvm": {(0, rbf), (3, None), (50, None), (0,)},
+        "ugepsvm": {(0, rbf), (3, None), (50, None), (0,)},
+        "igepsvm": {(0, rbf), (3, None), (0,)},
         "iugepsvm": {(3, None)},
     }
+    tables_at_entry = {"gepsvm": set(), "ugepsvm": {0}, "igepsvm": {0}, "iugepsvm": set()}
     assert [c for c, _, _ in entries] == list(SHARING_GRIDS) * 2
     folds = set(range(manifest["folds"]))
     for classifier, keys, _ in entries:
-        blocks = {key for key in keys if isinstance(key, tuple)}
-        assert keys - blocks <= folds | {"counts"}
-        assert {key[1:] for key in blocks} <= reachable_from[classifier], classifier
+        stored = {key for key in keys if isinstance(key, tuple)}
+        assert keys - stored <= folds | {"counts"}
+        assert {key[1:] for key in stored} <= reachable_from[classifier], classifier
+        tables = {key for key in stored if len(key) == 2}
+        assert tables == {(f, u) for f in folds for u in tables_at_entry[classifier]}
     kept = {key for key in entries[-1][1] if isinstance(key, tuple)}
     assert kept == {(fold, 3, None) for fold in folds}  # ugepsvm's u = 3 blocks, reused
     for _, _, store in entries:
@@ -440,12 +494,26 @@ def test_run_benchmark_counts_fits_builds_and_hits(bonn_tree, workers):
     assert all(r.error is None for r in pca.rows)
     assert pca.counters == {
         "feature_fits": k,  # once per fold, not once per classifier
+        "kernel_tables": 0,  # linear grids need no distance table
         "block_builds": 2 * k,  # once per (fold, Universum size)
         "block_hits": lookups - 2 * k,
     }
     both = run_benchmark({**manifest, "features": ["pca", "dwt_db2"]}, workers=workers)
     assert both.counters == {
         "feature_fits": k,  # a wavelet fits nothing
+        "kernel_tables": 0,
         "block_builds": 4 * k,
         "block_hits": 2 * (lookups - 2 * k),
+    }
+    rbf_grids = {"gepsvm": {"delta": [1e-4, 1e-2], "sigma": [4.0, 64.0]}}
+    rbf = run_benchmark(
+        {**manifest, "features": ["pca"], "classifiers": ["gepsvm"], "grids": rbf_grids},
+        workers=workers,
+    )
+    assert all(r.error is None for r in rbf.rows)
+    assert rbf.counters == {
+        "feature_fits": k,
+        "kernel_tables": k,  # one per (fold, Universum size), shared by both sigmas
+        "block_builds": 2 * k,  # one per (fold, sigma)
+        "block_hits": 4 * k - 2 * k,
     }

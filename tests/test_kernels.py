@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from eigu.kernels import KernelSpec, default_sigma, gram
+from eigu.kernels import KernelSpec, default_sigma, gram, squared_distances
 
 
 def test_linear_gram_is_the_inner_product():
@@ -46,6 +46,26 @@ def test_rbf_cross_gram_matches_loop():
             assert K[i, j] == pytest.approx(
                 np.exp(-d2 / (2.0 * sigma**2)), rel=1e-12
             )
+
+
+def test_precomputed_distances_give_the_same_bits():
+    rng = np.random.default_rng(4)
+    A = rng.standard_normal((6, 3))
+    B = rng.standard_normal((4, 3))
+    spec = KernelSpec(family="rbf", sigma=0.8)
+    for rows_a, rows_b in ((A, B), (A, A)):
+        d2 = squared_distances(rows_a, rows_b)
+        np.testing.assert_array_equal(
+            gram(rows_a, rows_b, spec, d2), gram(rows_a, rows_b, spec)
+        )
+    self_d2 = squared_distances(A, A)
+    gram(A, A, spec, self_d2)
+    np.testing.assert_array_equal(self_d2, squared_distances(A, A))  # left unmodified
+    assert default_sigma(A, self_d2) == default_sigma(A)
+    with pytest.raises(ValueError, match="shape"):
+        gram(A, B, spec, self_d2)
+    with pytest.raises(ValueError, match="shape"):
+        default_sigma(B, self_d2)
 
 
 def test_default_sigma_hand_values():
