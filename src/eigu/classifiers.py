@@ -26,9 +26,10 @@ visits, and the blocks and models built from it share its Z.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.linalg.lapack import dormqr
 
 from .dataio import LabeledDataset
 from .eigsolve import (
@@ -49,6 +50,7 @@ __all__ = [
     "MODEL_FORMAT_VERSION",
     "PlaneProblem",
     "ProblemBlocks",
+    "SpanFactor",
     "TrainSpec",
     "build_blocks",
     "class_matrices",
@@ -196,6 +198,59 @@ def class_matrices(dataset: LabeledDataset) -> AugmentedClassMatrices:
 
 
 @dataclass(frozen=True)
+class SpanFactor:
+    """An orthonormal basis Q of the augmented training rows' span, as reflectors.
+
+    ``np.linalg.qr(F.T, mode="raw")`` of the stacked bias-augmented rows F
+    runs only the Householder factorization: ``reflectors`` is LAPACK's
+    Fortran-ordered result (R in its upper triangle, the reflectors below)
+    and ``tau`` their scales.  Q is applied through them (``dormqr``) and
+    never formed.  ``bias_coords`` are the first q entries of Q'e_n, where
+    e_n is the bias axis, and ``bias_residual`` is the norm of the rest;
+    together they give a plane's weight norm without lifting it.
+    """
+
+    reflectors: np.ndarray = field(repr=False)
+    tau: np.ndarray = field(repr=False)
+    bias_coords: np.ndarray = field(repr=False)
+    bias_residual: float
+
+    def project(self, rows: np.ndarray) -> np.ndarray:
+        """Span coordinates of the bias-augmented ``rows``: (Q'[x; 1])[:q], one row per row."""
+        columns = _augmented(rows).T
+        return _apply_reflectors(self.reflectors, self.tau, columns, "T")[: self.tau.size].T
+
+    def lift(self, z: np.ndarray) -> np.ndarray:
+        """The feature-space vector Q z of span coordinates ``z``."""
+        padded = np.zeros((self.reflectors.shape[0], 1))
+        padded[: z.size, 0] = z
+        return _apply_reflectors(self.reflectors, self.tau, padded, "N")[:, 0]
+
+    def weight_norm(self, z: np.ndarray) -> float:
+        """||(Q z)[:-1]||, the weight norm of plane ``z`` without lifting it.
+
+        With c = bias_coords . z, (Q z)[:-1] has norm
+        sqrt(||z - c bias_coords||^2 + (c bias_residual)^2), which keeps the
+        absolute accuracy of the lifted norm instead of cancelling in
+        ||z||^2 - c^2.
+        """
+        c = float(self.bias_coords @ z)
+        in_span = float(np.linalg.norm(z - c * self.bias_coords))
+        return float(np.hypot(in_span, c * self.bias_residual))
+
+
+def _apply_reflectors(
+    reflectors: np.ndarray, tau: np.ndarray, columns: np.ndarray, trans: str
+) -> np.ndarray:
+    """Q @ columns (``trans="N"``) or Q' @ columns (``"T"``) for Householder Q."""
+    work = dormqr("L", trans, reflectors, tau, columns, -1)[1]
+    out, _, info = dormqr("L", trans, reflectors, tau, columns, int(work[0]))
+    if info != 0:
+        raise RuntimeError(f"dormqr rejected argument {-info}")
+    return out
+
+
+@dataclass(frozen=True)
 class ProblemBlocks:
     """Solve-ready Gram blocks, independent of delta/nu/gamma/psi.
 
@@ -206,14 +261,18 @@ class ProblemBlocks:
     hyperparameter enters later as a scalar combination of G/H/P.
 
     When the feature dimension exceeds the training row count (wide data),
-    ``basis`` holds an orthonormal basis of the span of the bias-augmented
-    training rows and G/H/P are expressed in that basis; eigenvectors are
-    lifted back through it.  Minimizers provably live in that span -- the
-    delta term penalizes any out-of-span component of a ratio objective,
-    and a difference objective is constant (= delta) on the orthogonal
-    complement, which never beats an in-span direction once any counter
-    term carries weight -- so the projected solve is exact while the
-    eigenproblem shrinks from feature-sized to row-count-sized.
+    ``span`` holds the Householder reflectors of an orthonormal basis Q of
+    the span of the bias-augmented training rows and G/H/P are expressed
+    in that basis.  Models trained here keep their planes in span
+    coordinates: a grid predicts from test rows projected through Q' once
+    per (fold, Universum size) (``SpanFactor.project``), and a plane is
+    lifted back to w = Q z only when its weights are asked for
+    (``HyperplanePair.lifted``).  Minimizers provably live in that span --
+    the delta term penalizes any out-of-span component of a ratio
+    objective, and a difference objective is constant (= delta) on the
+    orthogonal complement, which never beats an in-span direction once any
+    counter term carries weight -- so the projected solve is exact while
+    the eigenproblem shrinks from feature-sized to row-count-sized.
     """
 
     mode: str
@@ -221,21 +280,32 @@ class ProblemBlocks:
     kernel: KernelSpec | None = None
     Z: np.ndarray | None = field(default=None, repr=False)
     K_ZZ: np.ndarray | None = field(default=None, repr=False)
-    basis: np.ndarray | None = field(default=None, repr=False)
+    span: SpanFactor | None = field(default=None, repr=False)
 
 
 def _projected_class_matrices(
     dataset: LabeledDataset,
-) -> tuple[AugmentedClassMatrices, np.ndarray]:
+) -> tuple[AugmentedClassMatrices, SpanFactor]:
     """Class matrices in an orthonormal basis of the augmented row span."""
     F = np.vstack(
         [_augmented(dataset.X1), _augmented(dataset.X2), _augmented(dataset.U)]
     )
-    basis, R = np.linalg.qr(F.T)  # F' = basis @ R, basis columns orthonormal
+    h, tau = np.linalg.qr(F.T, mode="raw")  # F' = Q R, Q left as reflectors
+    reflectors = h.T
+    R = np.triu(reflectors[: tau.size])  # the R that mode="reduced" returns
+    bias_axis = np.zeros((reflectors.shape[0], 1))
+    bias_axis[-1] = 1.0
+    rotated = _apply_reflectors(reflectors, tau, bias_axis, "T")[:, 0]
+    span = SpanFactor(
+        reflectors=reflectors,
+        tau=tau,
+        bias_coords=rotated[: tau.size],
+        bias_residual=float(np.linalg.norm(rotated[tau.size :])),
+    )
     m1, m2 = dataset.m1, dataset.m2
     R1, R2, RU = R[:, :m1], R[:, m1 : m1 + m2], R[:, m1 + m2 :]
     matrices = AugmentedClassMatrices(G=R1 @ R1.T, H=R2 @ R2.T, P=RU @ RU.T)
-    return matrices, basis
+    return matrices, span
 
 
 @dataclass(frozen=True)
@@ -281,10 +351,10 @@ def build_blocks(
     if kernel is None or kernel.family == "linear":
         rows = dataset.m1 + dataset.m2 + dataset.p
         if dataset.n + 1 > rows:
-            matrices, basis = _projected_class_matrices(dataset)
+            matrices, span = _projected_class_matrices(dataset)
         else:
-            matrices, basis = class_matrices(dataset), None
-        return ProblemBlocks(mode="linear", matrices=matrices, basis=basis)
+            matrices, span = class_matrices(dataset), None
+        return ProblemBlocks(mode="linear", matrices=matrices, span=span)
     if table is None:
         table = kernel_table(dataset)
     Z = table.Z
@@ -356,8 +426,12 @@ class HyperplanePair:
     Linear mode stores weight vectors (w1, b1) / (w2, b2); kernel mode
     stores expansion coefficients (alpha1, b1) / (alpha2, b2) together with
     the expansion rows Z and the kernel (rbf when trained here; model files
-    may also carry a linear kernel).  ``plane_norms`` caches the
-    denominators of the point-to-plane distances.
+    may also carry a linear kernel).  A linear model trained over wide
+    blocks keeps its planes as span coordinates (z1, z2) together with the
+    blocks' ``span``, with w1/w2 unset and b1/b2 the planes' bias terms:
+    it predicts from projected queries, and :meth:`lifted` gives the same
+    model with explicit weights.  ``plane_norms`` caches the denominators
+    of the point-to-plane distances.
     """
 
     mode: str
@@ -373,12 +447,31 @@ class HyperplanePair:
     kernel: KernelSpec | None = None
     plane_norms: tuple[float, float] = (1.0, 1.0)
     eigenvalues: tuple[float, float] = (0.0, 0.0)
+    span: SpanFactor | None = field(default=None, repr=False)
+    z1: np.ndarray | None = field(default=None, repr=False)
+    z2: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n_features(self) -> int:
+        if self.span is not None:
+            return int(self.span.reflectors.shape[0] - 1)
         if self.mode == "linear":
             return int(self.w1.size)
         return int(self.Z.shape[1])
+
+    def lifted(self) -> HyperplanePair:
+        """This model with explicit weights: each span plane lifted to Q z."""
+        if self.span is None:
+            return self
+        planes = []
+        for index, z in ((1, self.z1), (2, self.z2)):
+            vector = self.span.lift(z)
+            context = f"{self.trained_by} ({self.mode}) plane {index}"
+            planes.append(_split_plane(vector / np.linalg.norm(vector), context))
+        (w1, b1, n1), (w2, b2, n2) = planes
+        return replace(
+            self, w1=w1, b1=b1, w2=w2, b2=b2, plane_norms=(n1, n2), span=None, z1=None, z2=None
+        )
 
 
 def _solve_plane(problem: PlaneProblem) -> EigenSolution:
@@ -387,21 +480,18 @@ def _solve_plane(problem: PlaneProblem) -> EigenSolution:
     return smallest_eigpair_generalized(problem.A, problem.B, context=problem.context)
 
 
-def _split_plane(
-    solution: EigenSolution, context: str, basis: np.ndarray | None = None
-) -> tuple[np.ndarray, float, float]:
-    vector = solution.eigenvector
-    if basis is not None:
-        lifted = basis @ vector
-        vector = lifted / np.linalg.norm(lifted)
-    weights, bias = vector[:-1], float(vector[-1])
-    norm = float(np.linalg.norm(weights))
+def _checked_weight_norm(norm: float, context: str) -> float:
     if norm < DEGENERATE_NORM:
         raise DegeneratePlaneError(
             f"{context}: plane weight norm {norm:.3e} is below {DEGENERATE_NORM:.0e} "
             "(all weight on the bias term)"
         )
-    return weights, bias, norm
+    return norm
+
+
+def _split_plane(vector: np.ndarray, context: str) -> tuple[np.ndarray, float, float]:
+    weights, bias = vector[:-1], float(vector[-1])
+    return weights, bias, _checked_weight_norm(float(np.linalg.norm(weights)), context)
 
 
 def _kernel_norm(alpha: np.ndarray, K_ZZ: np.ndarray, context: str) -> float:
@@ -415,14 +505,37 @@ def _kernel_norm(alpha: np.ndarray, K_ZZ: np.ndarray, context: str) -> float:
 
 
 def train_with_blocks(blocks: ProblemBlocks, spec: TrainSpec) -> HyperplanePair:
-    """Solve both plane problems over prepared blocks and package the model."""
+    """Solve both plane problems over prepared blocks and package the model.
+
+    Over wide blocks the model keeps its planes in span coordinates (see
+    :class:`HyperplanePair`); nothing here is feature-sized.
+    """
     problems = plane_problems(blocks, spec)
     solutions = tuple(_solve_plane(p) for p in problems)
     hyper = spec.hyperparameters()
+    eigenvalues = (solutions[0].eigenvalue, solutions[1].eigenvalue)
+
+    if blocks.span is not None:
+        z1, z2 = (solution.eigenvector for solution in solutions)
+        return HyperplanePair(
+            mode="linear",
+            trained_by=spec.classifier,
+            hyperparameters=hyper,
+            b1=float(blocks.span.bias_coords @ z1),
+            b2=float(blocks.span.bias_coords @ z2),
+            plane_norms=tuple(
+                _checked_weight_norm(blocks.span.weight_norm(z), problem.context)
+                for z, problem in zip((z1, z2), problems)
+            ),
+            eigenvalues=eigenvalues,
+            span=blocks.span,
+            z1=z1,
+            z2=z2,
+        )
 
     if blocks.mode == "linear":
-        w1, b1, n1 = _split_plane(solutions[0], problems[0].context, blocks.basis)
-        w2, b2, n2 = _split_plane(solutions[1], problems[1].context, blocks.basis)
+        w1, b1, n1 = _split_plane(solutions[0].eigenvector, problems[0].context)
+        w2, b2, n2 = _split_plane(solutions[1].eigenvector, problems[1].context)
         return HyperplanePair(
             mode="linear",
             trained_by=spec.classifier,
@@ -432,7 +545,7 @@ def train_with_blocks(blocks: ProblemBlocks, spec: TrainSpec) -> HyperplanePair:
             w2=w2,
             b2=b2,
             plane_norms=(n1, n2),
-            eigenvalues=(solutions[0].eigenvalue, solutions[1].eigenvalue),
+            eigenvalues=eigenvalues,
         )
 
     hyper["sigma"] = float(blocks.kernel.sigma)  # resolved value, possibly data-driven
@@ -456,13 +569,13 @@ def train_with_blocks(blocks: ProblemBlocks, spec: TrainSpec) -> HyperplanePair:
         Z=blocks.Z,
         kernel=blocks.kernel,
         plane_norms=(norms[0], norms[1]),
-        eigenvalues=(solutions[0].eigenvalue, solutions[1].eigenvalue),
+        eigenvalues=eigenvalues,
     )
 
 
 def train(dataset: LabeledDataset, spec: TrainSpec) -> HyperplanePair:
-    """Train ``spec.classifier`` on ``dataset`` (linear or kernel mode)."""
-    return train_with_blocks(build_blocks(dataset, spec.kernel), spec)
+    """Train ``spec.classifier`` on ``dataset`` (linear or kernel mode), weights lifted."""
+    return train_with_blocks(build_blocks(dataset, spec.kernel), spec).lifted()
 
 
 def _validated_queries(model: HyperplanePair, queries: np.ndarray) -> np.ndarray:
@@ -479,32 +592,36 @@ def _validated_queries(model: HyperplanePair, queries: np.ndarray) -> np.ndarray
 
 
 def plane_distances(
-    model: HyperplanePair, queries: np.ndarray, d2: np.ndarray | None = None
+    model: HyperplanePair, queries: np.ndarray, precomputed: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Point-to-plane distances to plane 1 and plane 2 for each query row.
 
-    A kernel model may take ``d2 = squared_distances(queries, model.Z)``
-    computed earlier (a ``KernelTable``'s ``D_test``); a linear one ignores it.
+    ``precomputed`` is per-query work a fold store did once: a kernel
+    model's ``squared_distances(queries, model.Z)`` (a ``KernelTable``'s
+    ``D_test``), or a span model's ``model.span.project(queries)``.  A span
+    model without it is lifted first; a dense linear model ignores it.
     """
     queries = _validated_queries(model, queries)
-    if model.mode == "linear":
-        dist1 = np.abs(queries @ model.w1 + model.b1) / model.plane_norms[0]
-        dist2 = np.abs(queries @ model.w2 + model.b2) / model.plane_norms[1]
+    if model.span is not None and precomputed is None:
+        model = model.lifted()
+    if model.span is not None:
+        score1, score2 = precomputed @ model.z1, precomputed @ model.z2
+    elif model.mode == "linear":
+        score1, score2 = queries @ model.w1 + model.b1, queries @ model.w2 + model.b2
     else:
-        K = gram(queries, model.Z, model.kernel, d2)
-        dist1 = np.abs(K @ model.alpha1 + model.b1) / model.plane_norms[0]
-        dist2 = np.abs(K @ model.alpha2 + model.b2) / model.plane_norms[1]
-    return dist1, dist2
+        K = gram(queries, model.Z, model.kernel, precomputed)
+        score1, score2 = K @ model.alpha1 + model.b1, K @ model.alpha2 + model.b2
+    return np.abs(score1) / model.plane_norms[0], np.abs(score2) / model.plane_norms[1]
 
 
 def predict(
-    model: HyperplanePair, queries: np.ndarray, d2: np.ndarray | None = None
+    model: HyperplanePair, queries: np.ndarray, precomputed: np.ndarray | None = None
 ) -> np.ndarray:
     """Labels in {+1, -1}: +1 when plane 1 is at least as near as plane 2.
 
-    ``d2`` is passed on to :func:`plane_distances`.
+    ``precomputed`` is passed on to :func:`plane_distances`.
     """
-    dist1, dist2 = plane_distances(model, queries, d2)
+    dist1, dist2 = plane_distances(model, queries, precomputed)
     return np.where(dist1 <= dist2, 1, -1)
 
 
@@ -513,7 +630,11 @@ def _array_payload(values: np.ndarray | None):
 
 
 def model_to_json(model: HyperplanePair) -> str:
-    """Serialize a model to JSON (floats keep full round-trip precision)."""
+    """Serialize a model to JSON (floats keep full round-trip precision).
+
+    A span model is lifted first, so the file always holds explicit weights.
+    """
+    model = model.lifted()
     payload = {
         "format_version": MODEL_FORMAT_VERSION,
         "mode": model.mode,

@@ -88,7 +88,7 @@ def _write_runinfo(
     """Host and timestamp details, quarantined away from the result files.
 
     ``counters`` (``bench`` only) are the run's feature fits, kernel
-    tables, block builds and block-store hits.
+    tables, span projections, block builds and block-store hits.
     """
     finished = time.time()
     info = {

@@ -9,9 +9,11 @@ call the same plain dict, in which each fold's fitted transform and the
 hyperparameter-independent blocks are kept across points.  In kernel mode
 the dict also keeps one distance table per (fold, Universum size): the
 expansion Z and its squared distances to itself and to the test rows,
-which every rbf bandwidth reads instead of recomputing.  That keeps
-exhaustive sweeps affordable without changing the number of CV runs
-actually performed, or any result.
+which every rbf bandwidth reads instead of recomputing.  On wide linear
+data it keeps each (fold, Universum size)'s test rows projected once into
+the span of the training rows, so no grid point does feature-sized work.
+That keeps exhaustive sweeps affordable without changing the number of CV
+runs actually performed.
 
 ``run_benchmark`` runs one job per (task, feature) pair: the job featurizes
 the task's rows, makes the folds and runs the pair's classifier cells in
@@ -192,17 +194,23 @@ def run_cv(
     ``(fold, dataset.p, spec.kernel)`` holds the hyperparameter-free blocks;
     key ``(fold, dataset.p)`` holds the fold's ``KernelTable`` (rbf runs
     only), which every bandwidth's blocks and predictions at that Universum
-    size read; key ``"counts"`` tallies feature fits, kernel tables, block
-    builds and block hits.
+    size read; key ``(fold, dataset.p, "span")`` holds the fold's test rows
+    projected once through the Householder reflectors of wide linear
+    blocks (``SpanFactor.project``), from which every grid point at that
+    Universum size predicts; key ``"counts"`` tallies feature fits, kernel
+    tables, span projections, block builds and block hits.
     The Universum size names the Universum only because every run sharing
     a store has the same labeled rows, ``FoldPlan``, seed and Universum
     pool, and draws each Universum as that seeded prefix of the pool
     (``subset_universum``).  A store may outlive one grid search, as it does
     across a (task, feature) pair's cells, but never those.  On a block hit
     only the fold's test rows are sliced.  ``feature_refits`` reports the
-    extractor fits this call made, not the ones it found in the store.
+    extractor fits this call made, not the ones it found in the store.  An
+    rbf spec with an unset sigma reports each fold's resolved bandwidth as
+    ``params["fold_sigmas"]``.
     """
     accuracies = []
+    fold_sigmas = []
     predict_seconds = 0.0
     refits = 0
     rbf = spec.kernel is not None and spec.kernel.family == "rbf"
@@ -228,6 +236,7 @@ def run_cv(
                 fitted, fold_train, test_rows = store[fold]
             key = (fold, dataset.p, spec.kernel)
             table_key = (fold, dataset.p)
+            span_key = (fold, dataset.p, "span")
             if key in store:
                 counts["block_hits"] += 1
             else:
@@ -245,22 +254,30 @@ def run_cv(
                 table = store[table_key] if rbf else None
                 store[key] = build_blocks(fold_data, spec.kernel, table)
                 counts["block_builds"] += 1
+                if store[key].span is not None:
+                    store[span_key] = store[key].span.project(test_rows)
+                    counts["span_projections"] += 1
             model = train_with_blocks(store[key], spec)
-            test_d2 = store[table_key].D_test if rbf else None
+            if rbf:
+                fold_sigmas.append(model.hyperparameters["sigma"])
+            precomputed = store[table_key].D_test if rbf else store.get(span_key)
 
             start = time.perf_counter()
-            labels = predict(model, test_rows, test_d2)
+            labels = predict(model, test_rows, precomputed)
             predict_seconds += time.perf_counter() - start
         except _FOLD_FAILURES as exc:
             raise FoldTrainingError(f"fold {fold}: {exc}") from exc
         accuracies.append(100.0 * float(np.mean(labels == test_labels)))
+    params = spec.hyperparameters()
+    if rbf and spec.kernel.sigma is None:
+        params["fold_sigmas"] = fold_sigmas  # each fold's data-driven bandwidth
     return CVReport(
         classifier=spec.classifier,
         k=folds.k,
         fold_accuracies=tuple(accuracies),
         mean_accuracy=float(np.mean(accuracies)),
         test_time_seconds=predict_seconds,
-        params=spec.hyperparameters(),
+        params=params,
         seed=folds.seed,
         task=task,
         feature_id=feature_id,
@@ -430,7 +447,13 @@ class BenchRow:
 
 
 #: The per-pair work counts ``run_benchmark`` reports, summed over pairs.
-_COUNTER_NAMES = ("feature_fits", "kernel_tables", "block_builds", "block_hits")
+_COUNTER_NAMES = (
+    "feature_fits",
+    "kernel_tables",
+    "span_projections",
+    "block_builds",
+    "block_hits",
+)
 
 
 @dataclass(frozen=True)
@@ -466,8 +489,10 @@ def _run_pair(job: _PairJob) -> tuple[list[BenchRow], Counter]:
     """Run a pair's cells through one store; also return its work counts.
 
     After each cell the store drops every block no later cell can reach,
-    and every kernel table at a Universum size where no later cell has an
-    rbf sigma, so it never holds more than the cells that still need it.
+    every kernel table at a Universum size where no later cell has an rbf
+    sigma, and every test-row projection at a Universum size where no
+    later cell has a linear block, so it never holds more than the cells
+    that still need it.
     """
     dataset, extractor = featurize(job.raw, job.config)
     folds = make_folds(dataset, job.k, job.seed)
@@ -514,8 +539,9 @@ def _run_pair(job: _PairJob) -> tuple[list[BenchRow], Counter]:
         reachable = set().union(
             *(_block_keys(c, g, dataset.p) for c, g in job.cells[i + 1 :])
         )
-        # a block key is (fold, u, kernel), a table key (fold, u)
-        reachable |= {(u,) for u, kernel in reachable if kernel is not None}
+        # a block key is (fold, u, kernel), a table key (fold, u), a projection key
+        # (fold, u, "span"); tables serve rbf blocks, projections linear ones
+        reachable |= {(u,) if kernel is not None else (u, "span") for u, kernel in reachable}
         for key in [k for k in store if isinstance(k, tuple) and k[1:] not in reachable]:
             del store[key]
     return rows, store["counts"]
@@ -533,7 +559,8 @@ def run_benchmark(manifest: dict, workers: int | None = None) -> BenchmarkResult
 
     The unit of work is a (task, feature) pair (see the module docstring);
     ``workers`` > 1 runs pairs in parallel processes.  ``counters`` sums
-    each pair's feature fits, kernel tables, block builds and block hits.
+    each pair's feature fits, kernel tables, span projections, block builds
+    and block hits.
 
     The manifest carries ``tasks``, ``features``, ``classifiers``,
     per-classifier ``grids``, a ``data_root`` holding the set directories,

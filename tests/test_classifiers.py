@@ -24,8 +24,9 @@ from eigu.classifiers import (
     train,
     train_with_blocks,
 )
-from eigu.dataio import LabeledDataset
+from eigu.dataio import LabeledDataset, make_folds
 from eigu.eigsolve import SingularDenominatorError
+from eigu.evaluation import DECADE_GRID, FoldTrainingError, run_cv
 from eigu import classifiers, kernels
 from eigu.kernels import KernelSpec, default_sigma
 from eigu.synth import concentric_circles, cross_planes, mid_band_universum
@@ -213,6 +214,124 @@ def test_wide_data_projection_matches_the_dense_solve():
                 np.linalg.norm(z_p) * np.linalg.norm(z_d)
             )
             assert overlap == pytest.approx(1.0, abs=1e-7), name
+
+
+def _wide_dataset(kind: str) -> LabeledDataset:
+    """Fewer rows than features: generic, rank-deficient, or without a Universum."""
+    rng = np.random.default_rng(12)
+    X1 = rng.standard_normal((4, 30))
+    X2 = rng.standard_normal((5, 30)) + 0.5
+    U = rng.standard_normal((3, 30)) + 0.25
+    if kind == "duplicated rows":
+        X1 = np.vstack([X1[:2], X1[:2]])
+        X2 = np.vstack([X2[:3], X1[:1], X2[:1]])
+        U = np.vstack([X1[:1], X2[:2]])
+    elif kind == "empty universum":
+        U = np.zeros((0, 30))
+    return LabeledDataset(X1=X1, X2=X2, U=U)
+
+
+WIDE_KINDS = ("generic", "duplicated rows", "empty universum")
+
+
+def _explicit_qr(dataset: LabeledDataset) -> tuple[np.ndarray, np.ndarray]:
+    """Q and R of the stacked augmented training rows, Q formed explicitly."""
+    F = np.vstack([dataset.X1, dataset.X2, dataset.U])
+    return np.linalg.qr(np.hstack([F, np.ones((F.shape[0], 1))]).T)
+
+
+@pytest.mark.parametrize("kind", WIDE_KINDS)
+def test_span_factor_blocks_equal_the_explicit_qr_blocks(kind):
+    """Keeping Q as reflectors leaves R, and so G/H/P, bit for bit."""
+    dataset = _wide_dataset(kind)
+    blocks = build_blocks(dataset, None)
+    assert blocks.span is not None
+    _, R = _explicit_qr(dataset)
+    m1, m2 = dataset.m1, dataset.m2
+    R1, R2, RU = R[:, :m1], R[:, m1 : m1 + m2], R[:, m1 + m2 :]
+    assert np.array_equal(blocks.matrices.G, R1 @ R1.T)
+    assert np.array_equal(blocks.matrices.H, R2 @ R2.T)
+    assert np.array_equal(blocks.matrices.P, RU @ RU.T)
+
+
+@pytest.mark.parametrize("kind", WIDE_KINDS)
+def test_lazily_lifted_planes_match_the_explicit_q_lift(kind):
+    dataset = _wide_dataset(kind)
+    blocks = build_blocks(dataset, None)
+    Q, _ = _explicit_qr(dataset)
+    for name, spec in LINEAR_SPECS.items():
+        model = train_with_blocks(blocks, spec)
+        assert model.w1 is None and model.span is blocks.span, name
+        lifted = model.lifted()
+        for z, w, b in ((model.z1, lifted.w1, lifted.b1), (model.z2, lifted.w2, lifted.b2)):
+            explicit = Q @ z
+            explicit /= np.linalg.norm(explicit)
+            np.testing.assert_allclose(
+                np.append(w, b), explicit, rtol=0, atol=1e-12, err_msg=name
+            )
+        np.testing.assert_allclose(model.plane_norms, lifted.plane_norms, rtol=0, atol=1e-12)
+        trained = train(dataset, spec)
+        assert trained.span is None
+        assert np.array_equal(trained.w1, lifted.w1) and np.array_equal(trained.w2, lifted.w2)
+
+
+@pytest.mark.parametrize("kind", WIDE_KINDS)
+def test_span_coordinates_give_the_lifted_distances(kind):
+    dataset = _wide_dataset(kind)
+    blocks = build_blocks(dataset, None)
+    queries = np.random.default_rng(13).standard_normal((9, dataset.n))
+    coords = blocks.span.project(queries)
+    assert coords.shape == (9, blocks.matrices.G.shape[0])
+    for name, spec in LINEAR_SPECS.items():
+        model = train_with_blocks(blocks, spec)
+        lifted = model.lifted()
+        for got, want in zip(
+            plane_distances(model, queries, coords), plane_distances(lifted, queries)
+        ):
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12, err_msg=name)
+        # without coordinates a span model lifts itself first
+        assert np.array_equal(predict(model, queries), predict(lifted, queries)), name
+
+
+def test_a_wide_all_bias_plane_raises_through_train_and_run_cv():
+    """All-zero rows put e_n in the row span: the plane is all bias."""
+    zeros = LabeledDataset(X1=np.zeros((4, 8)), X2=np.zeros((4, 8)), U=np.zeros((0, 8)))
+    spec = TrainSpec(classifier="gepsvm", delta=1e-4)
+    assert build_blocks(zeros, None).span is not None
+    with pytest.raises(DegeneratePlaneError):
+        train(zeros, spec)
+    with pytest.raises(FoldTrainingError) as excinfo:
+        run_cv(zeros, make_folds(zeros, 2, seed=0), spec)
+    assert isinstance(excinfo.value.__cause__, DegeneratePlaneError)
+
+
+def test_wide_ratio_planes_barely_move_along_the_delta_axis():
+    """A ratio plane can lie in null(G), where delta only scales its value.
+
+    With fewer class-1 rows than features, null(G) holds directions that
+    pass through every class-1 row.  On such a direction the numerator
+    z'(G + delta I)z is delta|z|^2, so the minimizer stays put while the
+    eigenvalue grows in proportion to delta.  Rows on the scale of raw
+    EEG coefficients make G's nonzero eigenvalues dwarf every grid delta.
+    """
+    rng = np.random.default_rng(11)
+    dataset = LabeledDataset(
+        X1=1e4 * rng.standard_normal((8, 40)),
+        X2=1e4 * (rng.standard_normal((8, 40)) + 0.5),
+        U=1e4 * rng.standard_normal((4, 40)),
+    )
+    planes, ratios = [], []
+    for delta in DECADE_GRID:
+        model = train(dataset, TrainSpec(classifier="ugepsvm", delta=delta))
+        plane = np.append(model.w1, model.b1)
+        planes.append(plane / np.linalg.norm(plane))
+        ratios.append(model.eigenvalues[0] / delta)
+        own = np.abs(dataset.X1 @ model.w1 + model.b1) / model.plane_norms[0]
+        other = np.abs(dataset.X2 @ model.w1 + model.b1) / model.plane_norms[0]
+        assert own.max() < 1e-3 * other.min(), delta  # through every class-1 row
+    overlaps = np.abs(np.array(planes) @ planes[0])
+    assert overlaps.min() > 1.0 - 1e-6
+    np.testing.assert_allclose(ratios, ratios[0], rtol=1e-3)
 
 
 def test_coincident_degenerate_classes_raise():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from eigu.evaluation import (
     run_cv,
 )
 from eigu.features import FeatureConfig, feature_config_from_id
-from eigu.kernels import KernelSpec
+from eigu.kernels import KernelSpec, default_sigma
 
 from conftest import INVALID_GRIDS, TOY_SEGMENT, random_dataset
 
@@ -117,6 +118,50 @@ def test_every_bandwidth_shares_one_kernel_table(planes_dataset, monkeypatch):
         unshared = plane_distances(fresh_model, test_rows)
         assert all(np.array_equal(a, b) for a, b in zip(shared, unshared))
         assert np.array_equal(labels, original(fresh_model, test_rows))
+
+
+def test_run_cv_reports_each_folds_data_driven_sigma(planes_dataset):
+    dataset, folds = planes_dataset, make_folds(planes_dataset, 3, seed=0)
+    spec = TrainSpec(classifier="gepsvm", delta=1e-4, kernel=KernelSpec("rbf"))
+    report = run_cv(dataset, folds, spec)
+    expected = []
+    for fold in range(folds.k):
+        test1, test2 = folds.class1_folds == fold, folds.class2_folds == fold
+        expected.append(
+            default_sigma(np.vstack([dataset.X1[~test1], dataset.X2[~test2], dataset.U]))
+        )
+    assert report.params["fold_sigmas"] == expected
+    assert len(set(expected)) == folds.k  # each fold resolved its own bandwidth
+    named = replace(spec, kernel=KernelSpec("rbf", sigma=2.0))
+    assert "fold_sigmas" not in run_cv(dataset, folds, named).params
+
+
+def test_wide_folds_predict_from_one_projection_per_universum_size(monkeypatch):
+    rng = np.random.default_rng(21)
+    dataset = LabeledDataset(
+        X1=rng.standard_normal((10, 40)),
+        X2=rng.standard_normal((10, 40)) + 0.3,
+        U=rng.standard_normal((6, 40)),
+    )
+    folds = make_folds(dataset, 2, seed=0)
+    original = evaluation.predict
+    calls = []
+
+    def spy(model, queries, precomputed=None):
+        labels = original(model, queries, precomputed)
+        calls.append((model, queries, precomputed, labels))
+        return labels
+
+    monkeypatch.setattr(evaluation, "predict", spy)
+    cache: dict = {}
+    grid = GridSpec(delta=(1e-4, 1e-2), universum_size=(2, 6))
+    grid_search(dataset, folds, "ugepsvm", grid, cache=cache)
+    assert cache["counts"]["block_builds"] == 2 * folds.k
+    assert cache["counts"]["span_projections"] == 2 * folds.k  # one per (fold, u)
+    assert len(calls) == grid.cardinality() * folds.k
+    for model, queries, precomputed, labels in calls:
+        assert model.span is not None and precomputed is not None
+        assert np.array_equal(labels, original(model.lifted(), queries))
 
 
 def test_run_cv_wraps_fold_failures():
@@ -458,13 +503,14 @@ def test_each_cell_leaves_only_blocks_a_later_cell_can_reach(bonn_tree, monkeypa
     run_benchmark(manifest)
 
     rbf = KernelSpec("rbf", sigma=4.0)
-    # (Universum size, kernel) blocks of this cell and every later one, and
-    # (Universum size,) kernel tables of a later cell with an rbf sigma
+    # (Universum size, kernel) blocks of this cell and every later one,
+    # (Universum size,) kernel tables of a later cell with an rbf sigma, and
+    # (Universum size, "span") test-row projections of a later linear block
     reachable_from = {
-        "gepsvm": {(0, rbf), (3, None), (50, None), (0,)},
-        "ugepsvm": {(0, rbf), (3, None), (50, None), (0,)},
-        "igepsvm": {(0, rbf), (3, None), (0,)},
-        "iugepsvm": {(3, None)},
+        "gepsvm": {(0, rbf), (3, None), (50, None), (0,), (3, "span"), (50, "span")},
+        "ugepsvm": {(0, rbf), (3, None), (50, None), (0,), (3, "span"), (50, "span")},
+        "igepsvm": {(0, rbf), (3, None), (0,), (3, "span")},
+        "iugepsvm": {(3, None), (3, "span")},
     }
     tables_at_entry = {"gepsvm": set(), "ugepsvm": {0}, "igepsvm": {0}, "iugepsvm": set()}
     assert [c for c, _, _ in entries] == list(SHARING_GRIDS) * 2
@@ -477,6 +523,10 @@ def test_each_cell_leaves_only_blocks_a_later_cell_can_reach(bonn_tree, monkeypa
         assert tables == {(f, u) for f in folds for u in tables_at_entry[classifier]}
     kept = {key for key in entries[-1][1] if isinstance(key, tuple)}
     assert kept == {(fold, 3, None) for fold in folds}  # ugepsvm's u = 3 blocks, reused
+    # dwt_db2 rows are wide, so those blocks' test-row projections are kept with them
+    dwt_iugepsvm = entries[len(SHARING_GRIDS) - 1][1]
+    projections = {key for key in dwt_iugepsvm if isinstance(key, tuple) and "span" in key}
+    assert projections == {(fold, 3, "span") for fold in folds}
     for _, _, store in entries:
         assert not any(isinstance(key, tuple) for key in store)  # all dropped at the end
 
@@ -495,6 +545,7 @@ def test_run_benchmark_counts_fits_builds_and_hits(bonn_tree, workers):
     assert pca.counters == {
         "feature_fits": k,  # once per fold, not once per classifier
         "kernel_tables": 0,  # linear grids need no distance table
+        "span_projections": 0,  # 4 pca components: no row-span factor
         "block_builds": 2 * k,  # once per (fold, Universum size)
         "block_hits": lookups - 2 * k,
     }
@@ -502,6 +553,7 @@ def test_run_benchmark_counts_fits_builds_and_hits(bonn_tree, workers):
     assert both.counters == {
         "feature_fits": k,  # a wavelet fits nothing
         "kernel_tables": 0,
+        "span_projections": 2 * k,  # wide wavelet rows: one per dwt block
         "block_builds": 4 * k,
         "block_hits": 2 * (lookups - 2 * k),
     }
@@ -514,6 +566,7 @@ def test_run_benchmark_counts_fits_builds_and_hits(bonn_tree, workers):
     assert rbf.counters == {
         "feature_fits": k,
         "kernel_tables": k,  # one per (fold, Universum size), shared by both sigmas
+        "span_projections": 0,
         "block_builds": 2 * k,  # one per (fold, sigma)
         "block_hits": 4 * k - 2 * k,
     }
