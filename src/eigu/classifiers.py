@@ -20,7 +20,9 @@ linear model itself, since the dot-product kernel spans nothing the primal
 coordinates do not.  What kernel mode needs before a bandwidth enters --
 Z, its squared distances and those of the test rows to Z -- is one
 ``KernelTable``; a grid passes the same table to every bandwidth it
-visits, and the blocks and models built from it share its Z.
+visits, and the blocks and models built from it share its Z.  On wide
+linear data the counterpart is a ``SpanFactor``.  Either also serves every
+training set made of its first rows, as a ``prefix``.
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ __all__ = [
     "plane_distances",
     "plane_problems",
     "predict",
+    "span_factor",
     "train",
     "train_with_blocks",
 ]
@@ -204,16 +207,33 @@ class SpanFactor:
     ``np.linalg.qr(F.T, mode="raw")`` of the stacked bias-augmented rows F
     runs only the Householder factorization: ``reflectors`` is LAPACK's
     Fortran-ordered result (R in its upper triangle, the reflectors below)
-    and ``tau`` their scales.  Q is applied through them (``dormqr``) and
-    never formed.  ``bias_coords`` are the first q entries of Q'e_n, where
-    e_n is the bias axis, and ``bias_residual`` is the norm of the rest;
-    together they give a plane's weight norm without lifting it.
+    and ``tau`` their scales, one per row of F.  Q is applied through them
+    (``dormqr``) and never formed.  ``bias_coords`` are the first q entries
+    of Q'e_n, where e_n is the bias axis, and ``bias_residual`` is the norm
+    of the rest; together they give a plane's weight norm without lifting
+    it.  The first k reflectors depend only on the first k rows of F
+    (Golub & Van Loan, *Matrix Computations*, 5.2), so one factor holds
+    the factor of every leading block of rows (:meth:`prefix`).
     """
 
     reflectors: np.ndarray = field(repr=False)
     tau: np.ndarray = field(repr=False)
     bias_coords: np.ndarray = field(repr=False)
     bias_residual: float
+
+    @classmethod
+    def from_reflectors(cls, reflectors: np.ndarray, tau: np.ndarray) -> SpanFactor:
+        """The factor of LAPACK's ``reflectors`` and ``tau``, with its bias terms."""
+        bias_axis = np.zeros((reflectors.shape[0], 1))
+        bias_axis[-1] = 1.0
+        rotated = _apply_reflectors(reflectors, tau, bias_axis, "T")[:, 0]
+        return cls(reflectors, tau, rotated[: tau.size], float(np.linalg.norm(rotated[tau.size :])))
+
+    def prefix(self, m: int) -> SpanFactor:
+        """The factor of the first ``m`` stacked rows: the first m reflectors."""
+        if m >= self.tau.size:
+            return self
+        return SpanFactor.from_reflectors(self.reflectors[:, :m], self.tau[:m])
 
     def project(self, rows: np.ndarray) -> np.ndarray:
         """Span coordinates of the bias-augmented ``rows``: (Q'[x; 1])[:q], one row per row."""
@@ -257,17 +277,16 @@ class ProblemBlocks:
     ``mode`` is ``linear`` (primal coordinates, also used for a linear
     kernel spec) or ``kernel`` (coefficient coordinates over the rbf
     expansion Z, with its Gram matrix K_ZZ; Z is the ``KernelTable``'s,
-    not a copy).  Grid searches cache these per fold: every
-    hyperparameter enters later as a scalar combination of G/H/P.
+    not a copy).  Every hyperparameter enters later as a scalar
+    combination of G/H/P.
 
     When the feature dimension exceeds the training row count (wide data),
     ``span`` holds the Householder reflectors of an orthonormal basis Q of
     the span of the bias-augmented training rows and G/H/P are expressed
     in that basis.  Models trained here keep their planes in span
-    coordinates: a grid predicts from test rows projected through Q' once
-    per (fold, Universum size) (``SpanFactor.project``), and a plane is
-    lifted back to w = Q z only when its weights are asked for
-    (``HyperplanePair.lifted``).  Minimizers provably live in that span --
+    coordinates, predict from test rows projected through Q'
+    (``SpanFactor.project``), and lift a plane back to w = Q z only when
+    its weights are asked for (``HyperplanePair.lifted``).  Minimizers provably live in that span --
     the delta term penalizes any out-of-span component of a ratio
     objective, and a difference objective is constant (= delta) on the
     orthogonal complement, which never beats an in-span direction once any
@@ -283,29 +302,13 @@ class ProblemBlocks:
     span: SpanFactor | None = field(default=None, repr=False)
 
 
-def _projected_class_matrices(
-    dataset: LabeledDataset,
-) -> tuple[AugmentedClassMatrices, SpanFactor]:
-    """Class matrices in an orthonormal basis of the augmented row span."""
+def span_factor(dataset: LabeledDataset) -> SpanFactor:
+    """The Householder factor of ``dataset``'s stacked augmented rows [X1; X2; U]."""
     F = np.vstack(
         [_augmented(dataset.X1), _augmented(dataset.X2), _augmented(dataset.U)]
     )
     h, tau = np.linalg.qr(F.T, mode="raw")  # F' = Q R, Q left as reflectors
-    reflectors = h.T
-    R = np.triu(reflectors[: tau.size])  # the R that mode="reduced" returns
-    bias_axis = np.zeros((reflectors.shape[0], 1))
-    bias_axis[-1] = 1.0
-    rotated = _apply_reflectors(reflectors, tau, bias_axis, "T")[:, 0]
-    span = SpanFactor(
-        reflectors=reflectors,
-        tau=tau,
-        bias_coords=rotated[: tau.size],
-        bias_residual=float(np.linalg.norm(rotated[tau.size :])),
-    )
-    m1, m2 = dataset.m1, dataset.m2
-    R1, R2, RU = R[:, :m1], R[:, m1 : m1 + m2], R[:, m1 + m2 :]
-    matrices = AugmentedClassMatrices(G=R1 @ R1.T, H=R2 @ R2.T, P=RU @ RU.T)
-    return matrices, span
+    return SpanFactor.from_reflectors(h.T[:, : tau.size], tau)
 
 
 @dataclass(frozen=True)
@@ -323,6 +326,13 @@ class KernelTable:
     D_ZZ: np.ndarray = field(repr=False)
     D_test: np.ndarray | None = field(default=None, repr=False)
 
+    def prefix(self, m: int) -> KernelTable:
+        """The table of the expansion's first ``m`` rows, as views of this one."""
+        if m >= self.Z.shape[0]:
+            return self
+        D_test = None if self.D_test is None else self.D_test[:, :m]
+        return KernelTable(Z=self.Z[:m], D_ZZ=self.D_ZZ[:m, :m], D_test=D_test)
+
 
 def kernel_table(dataset: LabeledDataset, test_rows: np.ndarray | None = None) -> KernelTable:
     """Stack ``dataset``'s expansion and compute its distance table.
@@ -330,47 +340,49 @@ def kernel_table(dataset: LabeledDataset, test_rows: np.ndarray | None = None) -
     The expansion size m + 1 must stay within ``GRAM_CAP``.
     """
     Z = np.vstack([dataset.X1, dataset.X2, dataset.U])
-    m = Z.shape[0]
-    if m + 1 > GRAM_CAP:
-        raise ValueError(f"kernel expansion size {m + 1} exceeds the cap {GRAM_CAP}")
+    if Z.shape[0] + 1 > GRAM_CAP:
+        raise ValueError(f"kernel expansion size {Z.shape[0] + 1} exceeds the cap {GRAM_CAP}")
     D_test = None if test_rows is None else squared_distances(test_rows, Z)
     return KernelTable(Z=Z, D_ZZ=squared_distances(Z, Z), D_test=D_test)
 
 
 def build_blocks(
-    dataset: LabeledDataset, kernel: KernelSpec | None, table: KernelTable | None = None
+    dataset: LabeledDataset,
+    kernel: KernelSpec | None,
+    basis: SpanFactor | KernelTable | None = None,
 ) -> ProblemBlocks:
     """Assemble the Gram blocks a trainer needs for ``dataset``.
 
     A linear kernel gets the same primal blocks as ``kernel=None``.  rbf
     kernels with an unset sigma are resolved here from the training
-    rows (labeled plus Universum).  An rbf kernel reads Z and its
-    distances from ``table``, which must be ``kernel_table(dataset, ...)``;
-    without one it computes its own.
+    rows (labeled plus Universum).  ``basis`` is the work several blocks
+    over ``dataset`` share: its ``span_factor`` for wide linear blocks, its
+    ``kernel_table`` for rbf ones (a larger training set's ``prefix``
+    serves too).  Narrow linear blocks read none; without one, the others
+    compute their own.
     """
+    m1, m2 = dataset.m1, dataset.m2
+    m = m1 + m2 + dataset.p
     if kernel is None or kernel.family == "linear":
-        rows = dataset.m1 + dataset.m2 + dataset.p
-        if dataset.n + 1 > rows:
-            matrices, span = _projected_class_matrices(dataset)
-        else:
-            matrices, span = class_matrices(dataset), None
+        if dataset.n + 1 <= m:
+            return ProblemBlocks(mode="linear", matrices=class_matrices(dataset))
+        span = span_factor(dataset) if basis is None else basis
+        if span.tau.size != m:
+            raise ValueError(f"span factor has {span.tau.size} reflectors, dataset has {m} rows")
+        R = np.triu(span.reflectors[:m])  # the R that mode="reduced" returns
+        R1, R2, RU = R[:, :m1], R[:, m1 : m1 + m2], R[:, m1 + m2 :]
+        matrices = AugmentedClassMatrices(G=R1 @ R1.T, H=R2 @ R2.T, P=RU @ RU.T)
         return ProblemBlocks(mode="linear", matrices=matrices, span=span)
-    if table is None:
-        table = kernel_table(dataset)
+    table = kernel_table(dataset) if basis is None else basis
     Z = table.Z
-    m = dataset.m1 + dataset.m2 + dataset.p
     if Z.shape[0] != m:
         raise ValueError(f"kernel table has {Z.shape[0]} expansion rows, dataset has {m}")
     if kernel.sigma is None:
         kernel = KernelSpec(family="rbf", sigma=default_sigma(Z, table.D_ZZ))
     K_ZZ = gram(Z, Z, kernel, table.D_ZZ)
     q = m + 1
-    K1 = K_ZZ[: dataset.m1]
-    K2 = K_ZZ[dataset.m1 : dataset.m1 + dataset.m2]
-    KU = K_ZZ[dataset.m1 + dataset.m2 :]
-    matrices = AugmentedClassMatrices(
-        G=_aug_gram(K1, q), H=_aug_gram(K2, q), P=_aug_gram(KU, q)
-    )
+    K1, K2, KU = K_ZZ[:m1], K_ZZ[m1 : m1 + m2], K_ZZ[m1 + m2 :]
+    matrices = AugmentedClassMatrices(G=_aug_gram(K1, q), H=_aug_gram(K2, q), P=_aug_gram(KU, q))
     return ProblemBlocks(mode="kernel", matrices=matrices, kernel=kernel, Z=Z, K_ZZ=K_ZZ)
 
 

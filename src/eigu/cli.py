@@ -88,7 +88,7 @@ def _write_runinfo(
     """Host and timestamp details, quarantined away from the result files.
 
     ``counters`` (``bench`` only) are the run's feature fits, kernel
-    tables, span projections, block builds and block-store hits.
+    tables, span factors, block builds and block-store hits.
     """
     finished = time.time()
     info = {
@@ -354,8 +354,6 @@ def cmd_bench(args) -> int:
         manifest[key] = _filtered(manifest[key], flag, key.rstrip("s"))
     if args.seed is not None:
         manifest["seed"] = args.seed
-    if args.workers is not None and args.workers < 1:
-        raise UsageError(f"--workers must be >= 1, got {args.workers}")
     result = run_benchmark(manifest, workers=args.workers)
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -217,9 +217,9 @@ def assemble_task(
     """Build the labeled dataset for a named task.
 
     ``feature_rows_by_set`` maps set labels to row matrices.  The Universum
-    is the first ``universum_size`` rows of set N after a seeded shuffle
-    (``universum_size = 0`` yields an empty Universum and set N need not be
-    supplied).
+    is ``subset_universum`` of set N: its first ``universum_size`` rows
+    after a seeded shuffle (``universum_size = 0`` yields an empty
+    Universum and set N need not be supplied).
     """
     key = task.lower()
     if key not in TASKS:
@@ -228,38 +228,24 @@ def assemble_task(
     for required in (pos_set, neg_set):
         if required not in feature_rows_by_set:
             raise ValueError(f"task {task!r} needs rows for set {required}")
-    X1 = np.asarray(feature_rows_by_set[pos_set], dtype=float)
-    X2 = np.asarray(feature_rows_by_set[neg_set], dtype=float)
-    if universum_size < 0:
-        raise ValueError("universum_size must be >= 0")
-    if universum_size == 0:
-        U = np.zeros((0, X1.shape[1]))
-    else:
-        if UNIVERSUM_SET not in feature_rows_by_set:
-            raise ValueError(
-                f"universum_size > 0 needs rows for set {UNIVERSUM_SET}"
-            )
-        pool = np.asarray(feature_rows_by_set[UNIVERSUM_SET], dtype=float)
-        if universum_size > pool.shape[0]:
-            raise ValueError(
-                f"universum_size {universum_size} exceeds the {pool.shape[0]} "
-                f"available set-{UNIVERSUM_SET} rows"
-            )
-        order = np.random.default_rng(seed).permutation(pool.shape[0])
-        U = pool[order[:universum_size]]
-    return LabeledDataset(X1=X1, X2=X2, U=U)
+    pool = feature_rows_by_set.get(UNIVERSUM_SET) if universum_size > 0 else ()
+    if pool is None:
+        raise ValueError(f"universum_size > 0 needs rows for set {UNIVERSUM_SET}")
+    X1, X2 = feature_rows_by_set[pos_set], feature_rows_by_set[neg_set]
+    return subset_universum(LabeledDataset(X1=X1, X2=X2, U=pool), universum_size, seed)
 
 
 def subset_universum(dataset: LabeledDataset, universum_size: int, seed: int) -> LabeledDataset:
-    """Re-draw the Universum as a seeded-shuffle prefix of the dataset's own pool."""
+    """Re-draw the Universum as a seeded-shuffle prefix of the dataset's own pool.
+
+    Every draw, the whole pool's included, is a prefix of every larger one.
+    """
     if universum_size < 0:
         raise ValueError("universum_size must be >= 0")
     if universum_size > dataset.p:
         raise ValueError(
             f"universum_size {universum_size} exceeds the {dataset.p} pooled rows"
         )
-    if universum_size == dataset.p:
-        return dataset
     order = np.random.default_rng(seed).permutation(dataset.p)
     return LabeledDataset(X1=dataset.X1, X2=dataset.X2, U=dataset.U[order[:universum_size]])
 

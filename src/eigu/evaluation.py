@@ -4,22 +4,17 @@ Accuracy is reported as the plain mean over stratified folds (one value in
 [0, 100] per fold), with prediction wall-clock tracked separately so result
 files stay byte-reproducible.  Feature transforms that require fitting
 (PCA/ICA) are refit on each fold's training rows only.  ``grid_search`` is
-the one grid engine: it runs ``run_cv`` once per grid point and hands every
-call the same plain dict, in which each fold's fitted transform and the
-hyperparameter-independent blocks are kept across points.  In kernel mode
-the dict also keeps one distance table per (fold, Universum size): the
-expansion Z and its squared distances to itself and to the test rows,
-which every rbf bandwidth reads instead of recomputing.  On wide linear
-data it keeps each (fold, Universum size)'s test rows projected once into
-the span of the training rows, so no grid point does feature-sized work.
-That keeps exhaustive sweeps affordable without changing the number of CV
-runs actually performed.
+the one grid engine: it runs ``run_cv`` once per grid point, all through
+one per-fold store (see ``run_cv``) that keeps each fold's fitted rows, one
+basis of them for every Universum size, and its hyperparameter-free
+blocks, so no grid point does feature-sized work and the number of CV runs
+still equals the grid's size.
 
 ``run_benchmark`` runs one job per (task, feature) pair: the job featurizes
 the task's rows, makes the folds and runs the pair's classifier cells in
 manifest order, all through one such store.  So each fold's extractor is
-fit once and each fold's blocks are built once per pair, not once per
-classifier.  ``--workers`` > 1 runs pairs in parallel.
+fit once and its basis built once per pair.  ``--workers`` > 1 runs pairs
+in parallel.
 """
 
 from __future__ import annotations
@@ -38,10 +33,13 @@ import numpy as np
 from .classifiers import (
     CLASSIFIER_AXES,
     DegeneratePlaneError,
+    KernelTable,
+    SpanFactor,
     TrainSpec,
     build_blocks,
     kernel_table,
     predict,
+    span_factor,
     train_with_blocks,
 )
 from .dataio import (
@@ -172,6 +170,56 @@ def fit_labeled(
     return fitted, transformed
 
 
+@dataclass
+class _FoldRecord:
+    """One fold's entry in a ``run_cv`` store; see there."""
+
+    train: LabeledDataset
+    test_rows: np.ndarray
+    test_labels: np.ndarray
+    span: SpanFactor | None = None
+    projection: np.ndarray | None = None
+    table: KernelTable | None = None
+
+    def basis(self, train: LabeledDataset, rbf: bool, counts: Counter):
+        """The basis of ``train``, a prefix of this record's rows; built on first use."""
+        rows = train.m1 + train.m2 + train.p
+        if rbf:
+            if self.table is None:
+                self.table = kernel_table(self.train, self.test_rows)
+                Z, m1, m2 = self.table.Z, self.train.m1, self.train.m1 + self.train.m2
+                self.train = LabeledDataset(X1=Z[:m1], X2=Z[m1:m2], U=Z[m2:])  # rows held once
+                counts["kernel_tables"] += 1
+            return self.table.prefix(rows)
+        if train.n + 1 <= rows:
+            return None  # narrow linear blocks read the rows themselves
+        if self.span is None:
+            self.span = span_factor(self.train)
+            self.projection = self.span.project(self.test_rows)
+            counts["span_factors"] += 1
+        return self.span.prefix(rows)
+
+
+def _fold_records(store: dict, dataset: LabeledDataset, folds: FoldPlan, extractor) -> int:
+    """Record every fold ``store`` lacks, over ``dataset``; return the extractor fits made."""
+    counts = store.setdefault("counts", Counter())
+    fits = counts["feature_fits"]
+    for fold in [fold for fold in range(folds.k) if fold not in store]:
+        test1, test2 = folds.class1_folds == fold, folds.class2_folds == fold
+        train = LabeledDataset(X1=dataset.X1[~test1], X2=dataset.X2[~test2], U=dataset.U)
+        test_rows = np.vstack([dataset.X1[test1], dataset.X2[test2]])
+        if extractor is not None:
+            try:
+                fitted, train = fit_labeled(extractor, train)
+                test_rows = fitted.transform(test_rows)
+            except _FOLD_FAILURES as exc:
+                raise FoldTrainingError(f"fold {fold}: {exc}") from exc
+            counts["feature_fits"] += 1
+        labels = np.repeat([1, -1], [np.count_nonzero(test1), np.count_nonzero(test2)])
+        store[fold] = _FoldRecord(train, test_rows, labels)
+    return counts["feature_fits"] - fits
+
+
 def run_cv(
     dataset: LabeledDataset,
     folds: FoldPlan,
@@ -189,85 +237,64 @@ def run_cv(
     rows join every training split and no test split.
 
     ``cache`` is the per-fold store ``grid_search`` shares across its grid
-    points.  Key ``fold`` holds that fold's fitted transform, its transformed
-    training dataset and test rows (extractor runs only); key
-    ``(fold, dataset.p, spec.kernel)`` holds the hyperparameter-free blocks;
-    key ``(fold, dataset.p)`` holds the fold's ``KernelTable`` (rbf runs
-    only), which every bandwidth's blocks and predictions at that Universum
-    size read; key ``(fold, dataset.p, "span")`` holds the fold's test rows
-    projected once through the Householder reflectors of wide linear
-    blocks (``SpanFactor.project``), from which every grid point at that
-    Universum size predicts; key ``"counts"`` tallies feature fits, kernel
-    tables, span projections, block builds and block hits.
-    The Universum size names the Universum only because every run sharing
-    a store has the same labeled rows, ``FoldPlan``, seed and Universum
-    pool, and draws each Universum as that seeded prefix of the pool
-    (``subset_universum``).  A store may outlive one grid search, as it does
-    across a (task, feature) pair's cells, but never those.  On a block hit
-    only the fold's test rows are sliced.  ``feature_refits`` reports the
-    extractor fits this call made, not the ones it found in the store.  An
-    rbf spec with an unset sigma reports each fold's resolved bandwidth as
-    ``params["fold_sigmas"]``.
+    points.  Besides a ``"counts"`` tally of feature fits, kernel tables,
+    span factors, block builds and block hits, it holds two kinds of entry:
+
+    * key ``fold``, the fold's record, which lives as long as the store.
+      It holds the fold's training rows (transformed when an extractor
+      runs) with the Universum of the run that made it, its test rows and
+      labels, and two bases of the training rows, each built on first use:
+      a ``SpanFactor`` plus the test rows projected into it (wide linear
+      blocks) and a ``KernelTable`` (rbf blocks).
+    * key ``(fold, dataset.p, spec.kernel)``, the hyperparameter-free
+      blocks over the record's first ``dataset.p`` Universum rows, built
+      from the ``prefix`` of its basis.  ``run_benchmark`` drops them after
+      each cell.
+
+    A record serves every smaller Universum as a prefix, and the size names
+    the Universum, because every run sharing a store has the same labeled
+    rows, ``FoldPlan``, seed and pool, and draws each Universum as that
+    seeded prefix of the pool (``subset_universum``, the whole pool too).
+    A store may outlive one grid search, as it does across a (task,
+    feature) pair's cells, but never those.  ``feature_refits`` reports the
+    extractor fits this call made.  An rbf spec with an unset sigma reports
+    each fold's resolved bandwidth as ``params["fold_sigmas"]``.
     """
     accuracies = []
     fold_sigmas = []
     predict_seconds = 0.0
-    refits = 0
     rbf = spec.kernel is not None and spec.kernel.family == "rbf"
+    u = dataset.p
+    store = {} if cache is None else cache
+    counts = store.setdefault("counts", Counter())
+    refits = _fold_records(store, dataset, folds, extractor)
+    if store[0].train.p < u:
+        raise RuntimeError(f"the store's folds hold {store[0].train.p} Universum rows, not {u}")
     for fold in range(folds.k):
-        store = {} if cache is None else cache  # uncached: nothing outlives the fold
-        counts = store.setdefault("counts", Counter())
-        test1 = folds.class1_folds == fold
-        test2 = folds.class2_folds == fold
-        test_labels = np.repeat([1, -1], [np.count_nonzero(test1), np.count_nonzero(test2)])
+        record = store[fold]
+        rows = record.train.m1 + record.train.m2 + u
+        key = (fold, u, spec.kernel)
         try:
-            if extractor is None:
-                test_rows = np.vstack([dataset.X1[test1], dataset.X2[test2]])
-            else:
-                if fold not in store:
-                    fold_train = LabeledDataset(
-                        X1=dataset.X1[~test1], X2=dataset.X2[~test2], U=dataset.U
-                    )
-                    fitted, fold_train = fit_labeled(extractor, fold_train)
-                    test_raw = np.vstack([dataset.X1[test1], dataset.X2[test2]])
-                    store[fold] = fitted, fold_train, fitted.transform(test_raw)
-                    counts["feature_fits"] += 1
-                    refits += 1
-                fitted, fold_train, test_rows = store[fold]
-            key = (fold, dataset.p, spec.kernel)
-            table_key = (fold, dataset.p)
-            span_key = (fold, dataset.p, "span")
             if key in store:
                 counts["block_hits"] += 1
             else:
-                if extractor is None:
-                    fold_data = LabeledDataset(
-                        X1=dataset.X1[~test1], X2=dataset.X2[~test2], U=dataset.U
-                    )
-                elif fold_train.p == dataset.p:  # the Universum the fold was fit with
-                    fold_data = fold_train
-                else:
-                    fold_data = replace(fold_train, U=fitted.transform(dataset.U))
-                if rbf and table_key not in store:
-                    store[table_key] = kernel_table(fold_data, test_rows)
-                    counts["kernel_tables"] += 1
-                table = store[table_key] if rbf else None
-                store[key] = build_blocks(fold_data, spec.kernel, table)
+                train = replace(record.train, U=record.train.U[:u])
+                store[key] = build_blocks(train, spec.kernel, record.basis(train, rbf, counts))
                 counts["block_builds"] += 1
-                if store[key].span is not None:
-                    store[span_key] = store[key].span.project(test_rows)
-                    counts["span_projections"] += 1
-            model = train_with_blocks(store[key], spec)
+            blocks = store[key]
+            model = train_with_blocks(blocks, spec)
             if rbf:
                 fold_sigmas.append(model.hyperparameters["sigma"])
-            precomputed = store[table_key].D_test if rbf else store.get(span_key)
+                precomputed = record.table.D_test[:, :rows]
+            else:
+                precomputed = None if blocks.span is None else record.projection[:, :rows]
 
             start = time.perf_counter()
-            labels = predict(model, test_rows, precomputed)
+            labels = predict(model, record.test_rows, precomputed)
             predict_seconds += time.perf_counter() - start
         except _FOLD_FAILURES as exc:
             raise FoldTrainingError(f"fold {fold}: {exc}") from exc
-        accuracies.append(100.0 * float(np.mean(labels == test_labels)))
+        accuracies.append(100.0 * float(np.mean(labels == record.test_labels)))
     params = spec.hyperparameters()
     if rbf and spec.kernel.sigma is None:
         params["fold_sigmas"] = fold_sigmas  # each fold's data-driven bandwidth
@@ -359,11 +386,6 @@ class GridSearchResult:
         return len(self.reports)
 
 
-def _kernel(sigma: float | None) -> KernelSpec | None:
-    """The kernel of one grid point's ``sigma`` (None: linear)."""
-    return None if sigma is None else KernelSpec(family="rbf", sigma=float(sigma))
-
-
 def grid_search(
     dataset: LabeledDataset,
     folds: FoldPlan,
@@ -384,8 +406,10 @@ def grid_search(
     the point's report records it as ``params["universum_size"]``.  Every
     point runs ``run_cv`` once, all of them sharing one per-fold store, so
     the number of CV runs performed equals the grid cardinality exactly.
-    ``cache`` passes in that store (see ``run_cv`` for what may share one);
-    by default the search gets a fresh one.
+    A store without fold records gets them over the largest Universum
+    the grid draws (capped at the pool) before the first point.  ``cache``
+    passes in that store (see ``run_cv`` for its entries and what may
+    share one); by default the search gets a fresh one.
     """
     _validate_grid(grid, classifier)
     axes = [
@@ -394,17 +418,21 @@ def grid_search(
     ]
     subsets: dict = {}
     cache = {} if cache is None else cache
+    largest = dataset
+    if grid.universum_size is not None:
+        largest = subset_universum(dataset, min(max(grid.universum_size), dataset.p), folds.seed)
+    _fold_records(cache, largest, folds, extractor)
     specs: list[TrainSpec] = []
     reports: list[CVReport] = []
     best = None
     for point in itertools.product(*axes):
         value = dict(zip(GRID_AXES, point))
-        u = value["universum_size"]
+        u, sigma = value["universum_size"], value["sigma"]
         weights = {"nu": value["nu"], "gamma1": value["gamma"], "psi1": value["psi"]}
         spec = TrainSpec(
             classifier=classifier,
             delta=value["delta"],
-            kernel=_kernel(value["sigma"]),
+            kernel=None if sigma is None else KernelSpec(family="rbf", sigma=float(sigma)),
             **{name: w for name, w in weights.items() if w is not None},
         )
         if u is None:
@@ -450,7 +478,7 @@ class BenchRow:
 _COUNTER_NAMES = (
     "feature_fits",
     "kernel_tables",
-    "span_projections",
+    "span_factors",
     "block_builds",
     "block_hits",
 )
@@ -476,82 +504,53 @@ class _PairJob:
     cells: tuple[tuple[str, GridSpec], ...]
 
 
-def _block_keys(classifier: str, grid: GridSpec, pool: int) -> set:
-    """The (Universum size, kernel) pairs of the blocks a cell's grid can reach."""
-    if "universum_size" not in CLASSIFIER_AXES[classifier]:
-        sizes = (0,)
-    else:
-        sizes = grid.universum_size or (pool,)
-    return set(itertools.product(sizes, map(_kernel, grid.sigma or (None,))))
-
-
 def _run_pair(job: _PairJob) -> tuple[list[BenchRow], Counter]:
     """Run a pair's cells through one store; also return its work counts.
 
-    After each cell the store drops every block no later cell can reach,
-    every kernel table at a Universum size where no later cell has an rbf
-    sigma, and every test-row projection at a Universum size where no
-    later cell has a linear block, so it never holds more than the cells
-    that still need it.
+    The fold records are built over the largest Universum any cell draws
+    (capped at the pool); every block is dropped after its cell.
     """
     dataset, extractor = featurize(job.raw, job.config)
     folds = make_folds(dataset, job.k, job.seed)
+    sizes = [
+        max(grid.universum_size or (dataset.p,)) if "universum_size" in CLASSIFIER_AXES[c] else 0
+        for c, grid in job.cells
+    ]
+    largest = subset_universum(dataset, min(max(sizes), dataset.p), job.seed)
     store: dict = {"counts": Counter()}
     rows = []
-    for i, (classifier, grid) in enumerate(job.cells):
+    for classifier, grid in job.cells:
         cell_data = dataset
         if "universum_size" not in CLASSIFIER_AXES[classifier]:
             cell_data = subset_universum(dataset, 0, job.seed)
-        row = BenchRow(
-            task=job.task,
-            feature=job.feature,
-            classifier=classifier,
-            mean_acc=None,
-            fold_accs=(),
-            params={},
-            test_time_s=0.0,
-        )
+        cell = (job.task, job.feature, classifier)
         try:
+            _fold_records(store, largest, folds, extractor)
             result = grid_search(
-                cell_data,
-                folds,
-                classifier,
-                grid,
-                extractor=extractor,
-                task=job.task,
-                feature_id=job.feature,
-                cache=store,
+                cell_data, folds, classifier, grid,
+                extractor=extractor, task=job.task, feature_id=job.feature, cache=store,
             )
         except (FoldTrainingError, ValueError) as exc:
-            rows.append(replace(row, error=f"{type(exc).__name__}: {exc}"))
+            rows.append(BenchRow(*cell, None, (), {}, 0.0, error=f"{type(exc).__name__}: {exc}"))
         else:
             best = result.best_report
-            rows.append(
-                replace(
-                    row,
-                    mean_acc=best.mean_accuracy,
-                    fold_accs=best.fold_accuracies,
-                    params=best.params,
-                    test_time_s=best.test_time_seconds,
-                    n_runs=result.n_runs,
-                )
-            )
-        reachable = set().union(
-            *(_block_keys(c, g, dataset.p) for c, g in job.cells[i + 1 :])
-        )
-        # a block key is (fold, u, kernel), a table key (fold, u), a projection key
-        # (fold, u, "span"); tables serve rbf blocks, projections linear ones
-        reachable |= {(u,) if kernel is not None else (u, "span") for u, kernel in reachable}
-        for key in [k for k in store if isinstance(k, tuple) and k[1:] not in reachable]:
-            del store[key]
+            scores = (best.mean_accuracy, best.fold_accuracies, best.params, best.test_time_seconds)
+            rows.append(BenchRow(*cell, *scores, n_runs=result.n_runs))
+        for key in [key for key in store if isinstance(key, tuple)]:
+            del store[key]  # a block lives one cell
     return rows, store["counts"]
 
 
 def _manifest_value(manifest: dict, key: str, default):
-    value = manifest.get(key, default)
-    if value is None:
-        return default
-    return value
+    value = manifest.get(key)
+    return default if value is None else value
+
+
+#: The manifest's integer settings: key -> (default, smallest value allowed).
+_INT_SETTINGS = dict(
+    folds=(5, 2), universum_pool=(100, 0), segment_length=(4096, 1),
+    n_components=(32, 1), workers=(1, 1),
+)
 
 
 def run_benchmark(manifest: dict, workers: int | None = None) -> BenchmarkResult:
@@ -559,17 +558,19 @@ def run_benchmark(manifest: dict, workers: int | None = None) -> BenchmarkResult
 
     The unit of work is a (task, feature) pair (see the module docstring);
     ``workers`` > 1 runs pairs in parallel processes.  ``counters`` sums
-    each pair's feature fits, kernel tables, span projections, block builds
+    each pair's feature fits, kernel tables, span factors, block builds
     and block hits.
 
     The manifest carries ``tasks``, ``features``, ``classifiers``,
     per-classifier ``grids``, a ``data_root`` holding the set directories,
     and a ``seed``; optional keys tune ``folds`` (default 5),
     ``universum_pool`` (default 100), ``segment_length`` (default 4096),
-    ``n_components`` (default 32), and ``workers``.  A malformed manifest
-    raises before any data is read; cell failures are recorded in their
-    row and do not abort the run.  Identical
-    manifests yield identical accuracy cells regardless of worker count.
+    ``n_components`` (default 32), and ``workers`` (default 1; the
+    argument overrides it).  A malformed manifest, including an integer
+    setting below its smallest value (``folds`` 2, ``universum_pool`` 0,
+    the others 1), raises before any data is read; cell failures are
+    recorded in their row and do not abort the run.  Identical manifests
+    yield identical accuracy cells regardless of worker count.
     """
     for key in ("tasks", "features", "classifiers", "grids", "data_root"):
         if key not in manifest:
@@ -578,12 +579,13 @@ def run_benchmark(manifest: dict, workers: int | None = None) -> BenchmarkResult
     if not data_root.is_dir():
         raise FileNotFoundError(f"data root not found: {data_root}")
     seed = int(_manifest_value(manifest, "seed", 0))
-    k = int(_manifest_value(manifest, "folds", 5))
-    pool_size = int(_manifest_value(manifest, "universum_pool", 100))
-    segment_length = int(_manifest_value(manifest, "segment_length", 4096))
-    n_components = int(_manifest_value(manifest, "n_components", 32))
-    if workers is None:
-        workers = int(_manifest_value(manifest, "workers", 1))
+    settings = {k: int(_manifest_value(manifest, k, d)) for k, (d, _) in _INT_SETTINGS.items()}
+    if workers is not None:
+        settings["workers"] = workers
+    for key, (_, smallest) in _INT_SETTINGS.items():
+        if settings[key] < smallest:
+            raise ValueError(f"{key} must be >= {smallest}, got {settings[key]}")
+    k, pool_size, segment_length, n_components, workers = settings.values()
 
     tasks = [t.lower() for t in manifest["tasks"]]
     for task in tasks:

@@ -21,10 +21,11 @@ from eigu.classifiers import (
     plane_distances,
     plane_problems,
     predict,
+    span_factor,
     train,
     train_with_blocks,
 )
-from eigu.dataio import LabeledDataset, make_folds
+from eigu.dataio import LabeledDataset, make_folds, subset_universum
 from eigu.eigsolve import SingularDenominatorError
 from eigu.evaluation import DECADE_GRID, FoldTrainingError, run_cv
 from eigu import classifiers, kernels
@@ -461,6 +462,59 @@ def test_a_data_driven_sigma_computes_the_distances_once(planes_dataset, monkeyp
     assert calls == [(m, m)]  # shared by the bandwidth rule and the Gram block
     monkeypatch.undo()
     assert blocks.kernel.sigma == default_sigma(blocks.Z)
+
+
+def _assert_close(got, want, message=""):
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12, err_msg=message)
+
+
+def _assert_same_blocks(sliced, alone, message):
+    for name in ("G", "H", "P"):
+        _assert_close(getattr(sliced.matrices, name), getattr(alone.matrices, name), message)
+
+
+@pytest.mark.parametrize("n", [40, 12])  # wide at every Universum size; wide only below u = 3
+def test_a_prefix_of_one_basis_serves_every_universum_size(n):
+    """Slicing the largest Universum's basis matches building each size alone."""
+    rng = np.random.default_rng(n)
+    pool = LabeledDataset(
+        X1=rng.standard_normal((5, n)),
+        X2=rng.standard_normal((5, n)) + 0.5,
+        U=rng.standard_normal((8, n)) + 0.25,
+    )
+    queries = rng.standard_normal((7, n))
+    largest = subset_universum(pool, pool.p, seed=3)
+    table, span = kernel_table(largest, queries), span_factor(largest)
+    projection = span.project(queries)
+    rbf = TrainSpec(classifier="iugepsvm", delta=1e-5, kernel=KernelSpec(family="rbf"))
+    linear = LINEAR_SPECS["iugepsvm"]
+    wide_sizes = []
+    for u in range(pool.p + 1):
+        data = subset_universum(pool, u, seed=3)
+        m = data.m1 + data.m2 + u
+        alone_table = kernel_table(data, queries)
+        sliced, alone = build_blocks(data, rbf.kernel, table.prefix(m)), build_blocks(data, rbf.kernel)
+        _assert_same_blocks(sliced, alone, f"rbf, u = {u}")
+        assert sliced.kernel.sigma == pytest.approx(alone.kernel.sigma, rel=1e-10)
+        _assert_close(table.prefix(m).D_test, alone_table.D_test, f"u = {u}")
+        assert np.array_equal(
+            predict(train_with_blocks(sliced, rbf), queries, table.prefix(m).D_test),
+            predict(train_with_blocks(alone, rbf), queries, alone_table.D_test),
+        ), f"rbf, u = {u}"
+        if n + 1 <= m:
+            continue  # narrow: linear blocks read no basis
+        wide_sizes.append(u)
+        sliced, alone = build_blocks(data, None, span.prefix(m)), build_blocks(data, None)
+        _assert_same_blocks(sliced, alone, f"linear, u = {u}")
+        _assert_close(projection[:, :m], alone.span.project(queries), f"u = {u}")
+        z = rng.standard_normal(m)
+        _assert_close(sliced.span.lift(z), alone.span.lift(z), f"u = {u}")
+        assert sliced.span.weight_norm(z) == pytest.approx(alone.span.weight_norm(z), rel=1e-10)
+        assert np.array_equal(
+            predict(train_with_blocks(sliced, linear), queries, projection[:, :m]),
+            predict(train_with_blocks(alone, linear), queries, alone.span.project(queries)),
+        ), f"linear, u = {u}"
+    assert wide_sizes == (list(range(pool.p + 1)) if n == 40 else [0, 1, 2])
 
 
 def test_a_kernel_table_must_come_from_the_dataset(planes_dataset):

@@ -288,7 +288,7 @@ def test_bench_runs_a_manifest_and_summarizes(bonn_tree, tmp_path, capsys):
     assert runinfo["counters"] == {
         "feature_fits": 0,
         "kernel_tables": 0,  # a linear grid needs no distance table
-        "span_projections": 4,  # wavelet rows are wide: one per block
+        "span_factors": 2,  # wavelet rows are wide: one per fold, sliced per block
         "block_builds": 4,
         "block_hits": 0,
     }

@@ -161,10 +161,10 @@ def test_subset_universum_is_a_seeded_prefix():
         X2=rng.standard_normal((4, 3)),
         U=rng.standard_normal((10, 3)),
     )
-    small = subset_universum(dataset, 3, seed=9)
-    large = subset_universum(dataset, 7, seed=9)
-    np.testing.assert_array_equal(small.U, large.U[:3])
-    assert subset_universum(dataset, 10, seed=9) is dataset
+    whole = subset_universum(dataset, 10, seed=9)
+    assert sorted(map(tuple, whole.U)) == sorted(map(tuple, dataset.U))
+    for u in range(11):  # every draw, the whole pool's included, is a prefix of it
+        np.testing.assert_array_equal(subset_universum(dataset, u, seed=9).U, whole.U[:u])
     with pytest.raises(ValueError):
         subset_universum(dataset, 11, seed=9)
     with pytest.raises(ValueError, match=">= 0"):

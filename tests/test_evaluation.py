@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +18,7 @@ from eigu.classifiers import (
     train_with_blocks,
 )
 from eigu import evaluation
+from eigu.cli import main
 from eigu.dataio import LabeledDataset, assemble_task, make_folds, subset_universum
 from eigu.evaluation import (
     GRID_AXES,
@@ -105,7 +107,7 @@ def test_every_bandwidth_shares_one_kernel_table(planes_dataset, monkeypatch):
     test1, test2 = folds.class1_folds == fold, folds.class2_folds == fold
     fold_data = LabeledDataset(X1=dataset.X1[~test1], X2=dataset.X2[~test2], U=dataset.U)
     test_rows = np.vstack([dataset.X1[test1], dataset.X2[test2]])
-    table = cache[(fold, dataset.p)]
+    table = cache[fold].table
     # run_cv visits every fold of a spec before the next spec
     for spec, (model, labels) in zip(specs, predictions[fold :: folds.k]):
         blocks = cache[(fold, dataset.p, spec.kernel)]
@@ -157,7 +159,7 @@ def test_wide_folds_predict_from_one_projection_per_universum_size(monkeypatch):
     grid = GridSpec(delta=(1e-4, 1e-2), universum_size=(2, 6))
     grid_search(dataset, folds, "ugepsvm", grid, cache=cache)
     assert cache["counts"]["block_builds"] == 2 * folds.k
-    assert cache["counts"]["span_projections"] == 2 * folds.k  # one per (fold, u)
+    assert cache["counts"]["span_factors"] == folds.k  # one per fold, sliced per u
     assert len(calls) == grid.cardinality() * folds.k
     for model, queries, precomputed, labels in calls:
         assert model.span is not None and precomputed is not None
@@ -396,7 +398,10 @@ def test_run_benchmark_records_cell_errors_without_aborting(bonn_tree):
     assert "average_ranks" not in entry
 
 
-def test_run_benchmark_validates_the_manifest(bonn_tree, tmp_path):
+def test_run_benchmark_validates_the_manifest(bonn_tree, tmp_path, monkeypatch):
+    loaded = []
+    original = evaluation.load_sets
+    monkeypatch.setattr(evaluation, "load_sets", lambda *a: loaded.append(a) or original(*a))
     with pytest.raises(ValueError, match="missing 'grids'"):
         run_benchmark({k: v for k, v in _toy_manifest(bonn_tree).items() if k != "grids"})
     with pytest.raises(ValueError, match="unknown task"):
@@ -409,6 +414,19 @@ def test_run_benchmark_validates_the_manifest(bonn_tree, tmp_path):
             run_benchmark(manifest)
     with pytest.raises(FileNotFoundError):
         run_benchmark(_toy_manifest(bonn_tree, data_root=str(tmp_path / "missing")))
+    for key, value, smallest in (
+        ("n_components", 0, 1),
+        ("segment_length", 0, 1),
+        ("folds", 1, 2),
+        ("universum_pool", -1, 0),
+        ("workers", 0, 1),
+        ("workers", -4, 1),
+    ):
+        with pytest.raises(ValueError, match=f"{key} must be >= {smallest}, got {value}"):
+            run_benchmark(_toy_manifest(bonn_tree, **{key: value}))
+    with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
+        run_benchmark(_toy_manifest(bonn_tree, workers=2), workers=0)
+    assert loaded == []  # every check above came before any recording was read
 
 
 def test_results_csv_parses_back_with_a_stock_reader(bonn_tree):
@@ -490,45 +508,50 @@ def test_sharing_a_pair_store_changes_no_result(bonn_tree, workers):
     assert failed == {("dwt_db2", "ugepsvm"), ("pca", "ugepsvm")}
 
 
-def test_each_cell_leaves_only_blocks_a_later_cell_can_reach(bonn_tree, monkeypatch):
+def test_blocks_live_one_cell_and_each_fold_builds_one_basis(bonn_tree, tmp_path, monkeypatch):
     original = evaluation.grid_search
-    entries = []
+    stores = []
 
     def spy(dataset, folds, classifier, grid, **kwargs):
-        entries.append((classifier, set(kwargs["cache"]), kwargs["cache"]))
+        store = kwargs["cache"]
+        # between cells a pair's store holds its fold records and nothing else
+        assert {key for key in store if not isinstance(key, int)} == {"counts"}, classifier
+        stores.append(store)
         return original(dataset, folds, classifier, grid, **kwargs)
 
     monkeypatch.setattr(evaluation, "grid_search", spy)
     manifest = _sharing_manifest(bonn_tree)
-    run_benchmark(manifest)
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    out = tmp_path / "out"
+    assert main(["bench", "--manifest", str(path), "--output-dir", str(out)]) == 0
 
-    rbf = KernelSpec("rbf", sigma=4.0)
-    # (Universum size, kernel) blocks of this cell and every later one,
-    # (Universum size,) kernel tables of a later cell with an rbf sigma, and
-    # (Universum size, "span") test-row projections of a later linear block
-    reachable_from = {
-        "gepsvm": {(0, rbf), (3, None), (50, None), (0,), (3, "span"), (50, "span")},
-        "ugepsvm": {(0, rbf), (3, None), (50, None), (0,), (3, "span"), (50, "span")},
-        "igepsvm": {(0, rbf), (3, None), (0,), (3, "span")},
-        "iugepsvm": {(3, None), (3, "span")},
+    k = manifest["folds"]
+    cells = len(SHARING_GRIDS)
+    assert len(stores) == 2 * cells
+    pairs = {"dwt_db2": stores[0], "pca": stores[cells]}
+    assert all(store is pairs["dwt_db2"] for store in stores[:cells])
+    assert all(store is pairs["pca"] for store in stores[cells:])
+    for feature, store in pairs.items():
+        assert set(store) == set(range(k)) | {"counts"}  # the last cell's blocks are gone too
+        for fold in range(k):
+            record = store[fold]
+            # ugepsvm asks for 50 Universum rows; the pool of 6 caps the record
+            rows = record.train.m1 + record.train.m2 + manifest["universum_pool"]
+            assert record.train.p == manifest["universum_pool"]
+            assert record.table.Z.shape[0] == rows  # rbf cells run at u = 0, a prefix
+            if feature == "pca":  # 4 components: no linear block is wide
+                assert record.span is None
+            else:
+                assert record.span.tau.size == rows  # linear cells run at u = 3, a prefix
+    counters = json.loads((out / "runinfo.json").read_text())["counters"]
+    assert counters == {
+        "feature_fits": k,  # pca, once per fold
+        "span_factors": k,  # dwt_db2, once per fold for u = 3 and the pool
+        "kernel_tables": 2 * k,  # once per fold and pair, though the pair draws u = 0 and 6
+        "block_builds": 2 * 4 * k,  # every cell builds its own: no block outlives its cell
+        "block_hits": 0,  # every grid here has one point per (Universum size, kernel)
     }
-    tables_at_entry = {"gepsvm": set(), "ugepsvm": {0}, "igepsvm": {0}, "iugepsvm": set()}
-    assert [c for c, _, _ in entries] == list(SHARING_GRIDS) * 2
-    folds = set(range(manifest["folds"]))
-    for classifier, keys, _ in entries:
-        stored = {key for key in keys if isinstance(key, tuple)}
-        assert keys - stored <= folds | {"counts"}
-        assert {key[1:] for key in stored} <= reachable_from[classifier], classifier
-        tables = {key for key in stored if len(key) == 2}
-        assert tables == {(f, u) for f in folds for u in tables_at_entry[classifier]}
-    kept = {key for key in entries[-1][1] if isinstance(key, tuple)}
-    assert kept == {(fold, 3, None) for fold in folds}  # ugepsvm's u = 3 blocks, reused
-    # dwt_db2 rows are wide, so those blocks' test-row projections are kept with them
-    dwt_iugepsvm = entries[len(SHARING_GRIDS) - 1][1]
-    projections = {key for key in dwt_iugepsvm if isinstance(key, tuple) and "span" in key}
-    assert projections == {(fold, 3, "span") for fold in folds}
-    for _, _, store in entries:
-        assert not any(isinstance(key, tuple) for key in store)  # all dropped at the end
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -545,17 +568,17 @@ def test_run_benchmark_counts_fits_builds_and_hits(bonn_tree, workers):
     assert pca.counters == {
         "feature_fits": k,  # once per fold, not once per classifier
         "kernel_tables": 0,  # linear grids need no distance table
-        "span_projections": 0,  # 4 pca components: no row-span factor
-        "block_builds": 2 * k,  # once per (fold, Universum size)
-        "block_hits": lookups - 2 * k,
+        "span_factors": 0,  # 4 pca components: no row-span factor
+        "block_builds": 2 * 2 * k,  # once per (cell, fold, Universum size)
+        "block_hits": lookups - 2 * 2 * k,
     }
     both = run_benchmark({**manifest, "features": ["pca", "dwt_db2"]}, workers=workers)
     assert both.counters == {
         "feature_fits": k,  # a wavelet fits nothing
         "kernel_tables": 0,
-        "span_projections": 2 * k,  # wide wavelet rows: one per dwt block
-        "block_builds": 4 * k,
-        "block_hits": 2 * (lookups - 2 * k),
+        "span_factors": k,  # wide wavelet rows: one per fold, sliced for both sizes
+        "block_builds": 2 * 2 * 2 * k,
+        "block_hits": 2 * (lookups - 2 * 2 * k),
     }
     rbf_grids = {"gepsvm": {"delta": [1e-4, 1e-2], "sigma": [4.0, 64.0]}}
     rbf = run_benchmark(
@@ -565,8 +588,8 @@ def test_run_benchmark_counts_fits_builds_and_hits(bonn_tree, workers):
     assert all(r.error is None for r in rbf.rows)
     assert rbf.counters == {
         "feature_fits": k,
-        "kernel_tables": k,  # one per (fold, Universum size), shared by both sigmas
-        "span_projections": 0,
+        "kernel_tables": k,  # one per fold, shared by both sigmas
+        "span_factors": 0,
         "block_builds": 2 * k,  # one per (fold, sigma)
         "block_hits": 4 * k - 2 * k,
     }
