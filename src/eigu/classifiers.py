@@ -237,8 +237,8 @@ class SpanFactor:
 
     def project(self, rows: np.ndarray) -> np.ndarray:
         """Span coordinates of the bias-augmented ``rows``: (Q'[x; 1])[:q], one row per row."""
-        columns = _augmented(rows).T
-        return _apply_reflectors(self.reflectors, self.tau, columns, "T")[: self.tau.size].T
+        rotated = _apply_reflectors(self.reflectors, self.tau, _augmented(rows).T, "T")
+        return rotated[: self.tau.size].T.copy()  # a view would pin all of the feature-sized array
 
     def lift(self, z: np.ndarray) -> np.ndarray:
         """The feature-space vector Q z of span coordinates ``z``."""
@@ -590,17 +590,13 @@ def train(dataset: LabeledDataset, spec: TrainSpec) -> HyperplanePair:
     return train_with_blocks(build_blocks(dataset, spec.kernel), spec).lifted()
 
 
-def _validated_queries(model: HyperplanePair, queries: np.ndarray) -> np.ndarray:
-    queries = np.asarray(queries, dtype=float)
-    if queries.ndim != 2:
-        raise ValueError(f"queries must be 2-d, got shape {queries.shape}")
-    if queries.shape[1] != model.n_features:
-        raise ValueError(
-            f"queries have {queries.shape[1]} features, model expects {model.n_features}"
-        )
-    if not np.all(np.isfinite(queries)):
-        raise ValueError("queries contain non-finite values")
-    return queries
+def _checked_rows(rows: np.ndarray, width: int, name: str) -> np.ndarray:
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != width:
+        raise ValueError(f"{name} must be 2-d with the model's {width} columns, got {rows.shape}")
+    if not np.all(np.isfinite(rows)):
+        raise ValueError(f"{name} contain non-finite values")
+    return rows
 
 
 def plane_distances(
@@ -608,14 +604,21 @@ def plane_distances(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Point-to-plane distances to plane 1 and plane 2 for each query row.
 
-    ``precomputed`` is per-query work a fold store did once: a kernel
+    ``precomputed`` is per-query work a fold record did once: a kernel
     model's ``squared_distances(queries, model.Z)`` (a ``KernelTable``'s
-    ``D_test``), or a span model's ``model.span.project(queries)``.  A span
-    model without it is lifted first; a dense linear model ignores it.
+    ``D_test``), or a span model's ``model.span.project(queries)``, which
+    is then checked instead of the queries.  A span model without it is
+    lifted first; a dense linear model ignores it.
     """
-    queries = _validated_queries(model, queries)
     if model.span is not None and precomputed is None:
         model = model.lifted()
+    if precomputed is None or (model.mode == "linear" and model.span is None):
+        queries = _checked_rows(queries, model.n_features, "queries")
+    else:
+        width = model.z1.size if model.span is not None else model.Z.shape[0]
+        precomputed = _checked_rows(precomputed, width, "precomputed rows")
+        if len(precomputed) != len(queries):
+            raise ValueError(f"{len(precomputed)} precomputed rows for {len(queries)} queries")
     if model.span is not None:
         score1, score2 = precomputed @ model.z1, precomputed @ model.z2
     elif model.mode == "linear":

@@ -48,7 +48,7 @@ class SingularDenominatorError(RuntimeError):
 
 
 def _validated_symmetric(M: np.ndarray, name: str) -> np.ndarray:
-    """Validate a square symmetric matrix and return its symmetrized copy."""
+    """Validate a square symmetric matrix; return it, symmetrized unless exactly symmetric."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {M.shape}")
@@ -56,8 +56,10 @@ def _validated_symmetric(M: np.ndarray, name: str) -> np.ndarray:
         raise ValueError(f"{name} must be non-empty")
     if not np.all(np.isfinite(M)):
         raise ValueError(f"{name} contains non-finite entries")
-    scale = float(np.abs(M).max())
     asym = float(np.abs(M - M.T).max())
+    if asym == 0.0:
+        return M  # exactly symmetric: the average would be M again
+    scale = float(np.abs(M).max())
     if asym > SYMMETRY_RTOL * max(scale, 1.0):
         raise ValueError(
             f"{name} is not symmetric: max asymmetry {asym:.3e} "

@@ -3,18 +3,17 @@
 Accuracy is reported as the plain mean over stratified folds (one value in
 [0, 100] per fold), with prediction wall-clock tracked separately so result
 files stay byte-reproducible.  Feature transforms that require fitting
-(PCA/ICA) are refit on each fold's training rows only.  ``grid_search`` is
-the one grid engine: it runs ``run_cv`` once per grid point, all through
-one per-fold store (see ``run_cv``) that keeps each fold's fitted rows, one
-basis of them for every Universum size, and its hyperparameter-free
-blocks, so no grid point does feature-sized work and the number of CV runs
-still equals the grid's size.
+(PCA/ICA) are refit on each fold's training rows only.
 
-``run_benchmark`` runs one job per (task, feature) pair: the job featurizes
-the task's rows, makes the folds and runs the pair's classifier cells in
-manifest order, all through one such store.  So each fold's extractor is
-fit once and its basis built once per pair.  ``--workers`` > 1 runs pairs
-in parallel.
+There is one grid engine, ``_run_cells``.  It runs cells -- a classifier's
+grid points each -- fold by fold: it builds a fold's record (extractor fit,
+training and test rows, and on first use the Householder ``SpanFactor`` or
+rbf ``KernelTable`` whose prefixes serve every Universum size), runs every
+cell's points on it and drops it before the next fold.  So each fold's
+extractor is fit and basis built once, and one fold is alive at a time.
+``grid_search`` is the engine on one cell, ``run_cv`` on one point, and
+``run_benchmark`` runs it once per (task, feature) pair, on all the pair's
+cells in manifest order; ``--workers`` > 1 runs pairs in parallel.
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ import itertools
 import json
 import numbers
 import time
+import traceback
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -172,16 +172,18 @@ def fit_labeled(
 
 @dataclass
 class _FoldRecord:
-    """One fold's entry in a ``run_cv`` store; see there."""
+    """One fold of a grid engine run: its rows, and their bases built on first use."""
 
+    fold: int
     train: LabeledDataset
     test_rows: np.ndarray
     test_labels: np.ndarray
+    counts: Counter  # the run's work counts
     span: SpanFactor | None = None
     projection: np.ndarray | None = None
     table: KernelTable | None = None
 
-    def basis(self, train: LabeledDataset, rbf: bool, counts: Counter):
+    def basis(self, train: LabeledDataset, rbf: bool):
         """The basis of ``train``, a prefix of this record's rows; built on first use."""
         rows = train.m1 + train.m2 + train.p
         if rbf:
@@ -189,35 +191,121 @@ class _FoldRecord:
                 self.table = kernel_table(self.train, self.test_rows)
                 Z, m1, m2 = self.table.Z, self.train.m1, self.train.m1 + self.train.m2
                 self.train = LabeledDataset(X1=Z[:m1], X2=Z[m1:m2], U=Z[m2:])  # rows held once
-                counts["kernel_tables"] += 1
+                self.counts["kernel_tables"] += 1
             return self.table.prefix(rows)
         if train.n + 1 <= rows:
             return None  # narrow linear blocks read the rows themselves
         if self.span is None:
             self.span = span_factor(self.train)
             self.projection = self.span.project(self.test_rows)
-            counts["span_factors"] += 1
+            self.counts["span_factors"] += 1
         return self.span.prefix(rows)
 
 
-def _fold_records(store: dict, dataset: LabeledDataset, folds: FoldPlan, extractor) -> int:
-    """Record every fold ``store`` lacks, over ``dataset``; return the extractor fits made."""
-    counts = store.setdefault("counts", Counter())
-    fits = counts["feature_fits"]
-    for fold in [fold for fold in range(folds.k) if fold not in store]:
-        test1, test2 = folds.class1_folds == fold, folds.class2_folds == fold
-        train = LabeledDataset(X1=dataset.X1[~test1], X2=dataset.X2[~test2], U=dataset.U)
-        test_rows = np.vstack([dataset.X1[test1], dataset.X2[test2]])
+def _fold_record(dataset: LabeledDataset, folds: FoldPlan, fold: int, extractor, counts):
+    """Fold ``fold`` of ``dataset``, through an extractor fit on its training rows."""
+    test1, test2 = folds.class1_folds == fold, folds.class2_folds == fold
+    train = LabeledDataset(X1=dataset.X1[~test1], X2=dataset.X2[~test2], U=dataset.U)
+    test_rows = np.vstack([dataset.X1[test1], dataset.X2[test2]])
+    try:
         if extractor is not None:
-            try:
-                fitted, train = fit_labeled(extractor, train)
-                test_rows = fitted.transform(test_rows)
-            except _FOLD_FAILURES as exc:
-                raise FoldTrainingError(f"fold {fold}: {exc}") from exc
+            fitted, train = fit_labeled(extractor, train)
+            test_rows = fitted.transform(test_rows)
             counts["feature_fits"] += 1
-        labels = np.repeat([1, -1], [np.count_nonzero(test1), np.count_nonzero(test2)])
-        store[fold] = _FoldRecord(train, test_rows, labels)
-    return counts["feature_fits"] - fits
+        if not np.all(np.isfinite(test_rows)):  # checked once, not by every predict
+            raise ValueError("test rows contain non-finite values")
+    except _FOLD_FAILURES as exc:
+        raise FoldTrainingError(f"fold {fold}: {exc}") from exc
+    labels = np.repeat([1, -1], [np.count_nonzero(test1), np.count_nonzero(test2)])
+    return _FoldRecord(fold, train, test_rows, labels, counts)
+
+
+def _fold_score(spec: TrainSpec, record: _FoldRecord, u: int, blocks: dict) -> tuple:
+    """One fold's accuracy, predict seconds and rbf bandwidth for ``spec`` at Universum size u."""
+    rbf = spec.kernel is not None and spec.kernel.family == "rbf"
+    rows = record.train.m1 + record.train.m2 + u
+    key = (u, spec.kernel)
+    try:
+        if key in blocks:
+            record.counts["block_hits"] += 1
+        else:
+            train = replace(record.train, U=record.train.U[:u])
+            blocks[key] = build_blocks(train, spec.kernel, record.basis(train, rbf))
+            record.counts["block_builds"] += 1
+        model = train_with_blocks(blocks[key], spec)
+        if rbf:
+            precomputed = record.table.D_test[:, :rows]
+        else:
+            precomputed = None if blocks[key].span is None else record.projection[:, :rows]
+        start = time.perf_counter()
+        labels = predict(model, record.test_rows, precomputed)
+        seconds = time.perf_counter() - start
+    except _FOLD_FAILURES as exc:
+        raise FoldTrainingError(f"fold {record.fold}: {exc}") from exc
+    sigma = model.hyperparameters["sigma"] if rbf else None
+    return 100.0 * float(np.mean(labels == record.test_labels)), seconds, sigma
+
+
+@dataclass
+class _Cell:
+    """A classifier's points in visit order, each ``(spec, u, report params, fold scores)``."""
+
+    classifier: str
+    points: list
+    failure: tuple | None = None  # (index, error) of the first failing point
+
+    def run_fold(self, record: _FoldRecord) -> None:
+        """Score, in visit order, every point before the first failing one on one fold."""
+        blocks: dict = {}  # the hyperparameter-free blocks per (u, kernel) of this fold
+        live = len(self.points) if self.failure is None else self.failure[0]
+        for index, (spec, u, _, scores) in enumerate(self.points[:live]):
+            try:
+                scores.append(run_cv(None, None, spec, _fold=(record, u, blocks)))
+            except FoldTrainingError as exc:
+                for error in (exc, exc.__cause__):
+                    traceback.clear_frames(error.__traceback__)  # so it holds no fold alive
+                self.failure = (index, exc)
+                return
+
+    def result(self, folds: FoldPlan, task: str, feature_id: str) -> GridSearchResult:
+        """The search's result after the last fold; raises the error that fails it."""
+        if self.failure is not None:
+            raise self.failure[1]
+        reports = []
+        for spec, _, extra, scores in self.points:
+            accuracies, seconds, sigmas = zip(*scores)
+            params = spec.hyperparameters()
+            if spec.kernel and spec.kernel.family == "rbf" and spec.kernel.sigma is None:
+                params["fold_sigmas"] = list(sigmas)  # each fold's data-driven bandwidth
+            mean = float(np.mean(accuracies))
+            reports.append(CVReport(spec.classifier, folds.k, accuracies, mean, sum(seconds),
+                                    {**params, **extra}, folds.seed, task, feature_id))
+        # the first best point wins: a later one must be strictly better
+        best = max(range(len(reports)), key=lambda index: reports[index].mean_accuracy)
+        return GridSearchResult(self.points[best][0], reports[best], tuple(reports))
+
+
+def _run_cells(dataset: LabeledDataset, folds: FoldPlan, extractor, cells: list) -> Counter:
+    """The grid engine (see the module docstring); returns its work counts.
+
+    ``dataset`` carries the largest Universum any cell draws; a point
+    trains on its first ``u`` rows, as every draw is a seeded prefix of one
+    pool (``subset_universum``).  A cell's fold runs through ``grid_search``
+    and a point's through ``run_cv``, handed the fold as ``_fold``, so the
+    perfbench spans around those two bindings keep timing that work.
+    """
+    counts: Counter = Counter()
+    for fold in range(folds.k):
+        try:
+            record = _fold_record(dataset, folds, fold, extractor, counts)
+        except FoldTrainingError as exc:
+            for cell in cells:
+                cell.failure = (0, exc)
+            break
+        for cell in cells:
+            grid_search(None, None, cell.classifier, None, _fold=(record, cell))
+        del record  # freed, with its blocks, before the next fold's record is built
+    return counts
 
 
 def run_cv(
@@ -227,89 +315,25 @@ def run_cv(
     extractor: FeatureConfig | None = None,
     task: str = "",
     feature_id: str = "",
-    cache: dict | None = None,
+    *,
+    _fold: tuple | None = None,
 ) -> CVReport:
     """Stratified k-fold evaluation of one hyperparameter setting.
 
     When ``extractor`` is given the dataset rows are treated as raw inputs:
     the transform is fit per fold on that fold's labeled training rows only
     and applied to training, Universum, and test rows alike.  Universum
-    rows join every training split and no test split.
-
-    ``cache`` is the per-fold store ``grid_search`` shares across its grid
-    points.  Besides a ``"counts"`` tally of feature fits, kernel tables,
-    span factors, block builds and block hits, it holds two kinds of entry:
-
-    * key ``fold``, the fold's record, which lives as long as the store.
-      It holds the fold's training rows (transformed when an extractor
-      runs) with the Universum of the run that made it, its test rows and
-      labels, and two bases of the training rows, each built on first use:
-      a ``SpanFactor`` plus the test rows projected into it (wide linear
-      blocks) and a ``KernelTable`` (rbf blocks).
-    * key ``(fold, dataset.p, spec.kernel)``, the hyperparameter-free
-      blocks over the record's first ``dataset.p`` Universum rows, built
-      from the ``prefix`` of its basis.  ``run_benchmark`` drops them after
-      each cell.
-
-    A record serves every smaller Universum as a prefix, and the size names
-    the Universum, because every run sharing a store has the same labeled
-    rows, ``FoldPlan``, seed and pool, and draws each Universum as that
-    seeded prefix of the pool (``subset_universum``, the whole pool too).
-    A store may outlive one grid search, as it does across a (task,
-    feature) pair's cells, but never those.  ``feature_refits`` reports the
-    extractor fits this call made.  An rbf spec with an unset sigma reports
-    each fold's resolved bandwidth as ``params["fold_sigmas"]``.
+    rows join every training split and no test split.  This is the grid
+    engine on one point; ``feature_refits`` reports its extractor fits.
+    An rbf spec with an unset sigma reports each fold's resolved bandwidth
+    as ``params["fold_sigmas"]``.  The engine's ``_fold`` scores one fold.
     """
-    accuracies = []
-    fold_sigmas = []
-    predict_seconds = 0.0
-    rbf = spec.kernel is not None and spec.kernel.family == "rbf"
-    u = dataset.p
-    store = {} if cache is None else cache
-    counts = store.setdefault("counts", Counter())
-    refits = _fold_records(store, dataset, folds, extractor)
-    if store[0].train.p < u:
-        raise RuntimeError(f"the store's folds hold {store[0].train.p} Universum rows, not {u}")
-    for fold in range(folds.k):
-        record = store[fold]
-        rows = record.train.m1 + record.train.m2 + u
-        key = (fold, u, spec.kernel)
-        try:
-            if key in store:
-                counts["block_hits"] += 1
-            else:
-                train = replace(record.train, U=record.train.U[:u])
-                store[key] = build_blocks(train, spec.kernel, record.basis(train, rbf, counts))
-                counts["block_builds"] += 1
-            blocks = store[key]
-            model = train_with_blocks(blocks, spec)
-            if rbf:
-                fold_sigmas.append(model.hyperparameters["sigma"])
-                precomputed = record.table.D_test[:, :rows]
-            else:
-                precomputed = None if blocks.span is None else record.projection[:, :rows]
-
-            start = time.perf_counter()
-            labels = predict(model, record.test_rows, precomputed)
-            predict_seconds += time.perf_counter() - start
-        except _FOLD_FAILURES as exc:
-            raise FoldTrainingError(f"fold {fold}: {exc}") from exc
-        accuracies.append(100.0 * float(np.mean(labels == record.test_labels)))
-    params = spec.hyperparameters()
-    if rbf and spec.kernel.sigma is None:
-        params["fold_sigmas"] = fold_sigmas  # each fold's data-driven bandwidth
-    return CVReport(
-        classifier=spec.classifier,
-        k=folds.k,
-        fold_accuracies=tuple(accuracies),
-        mean_accuracy=float(np.mean(accuracies)),
-        test_time_seconds=predict_seconds,
-        params=params,
-        seed=folds.seed,
-        task=task,
-        feature_id=feature_id,
-        feature_refits=refits,
-    )
+    if _fold is not None:
+        return _fold_score(spec, *_fold)
+    cell = _Cell(spec.classifier, [(spec, dataset.p, {}, [])])
+    counts = _run_cells(dataset, folds, extractor, [cell])
+    best = cell.result(folds, task, feature_id).best_report
+    return replace(best, feature_refits=counts["feature_fits"])
 
 
 @dataclass(frozen=True)
@@ -386,6 +410,28 @@ class GridSearchResult:
         return len(self.reports)
 
 
+def _grid_cell(classifier: str, grid: GridSpec, pool: int) -> _Cell:
+    """``grid`` as an engine cell; a point with no ``universum_size`` draws the whole ``pool``."""
+    axes = [sorted(getattr(grid, name) or [None]) for name in GRID_AXES]
+    cell = _Cell(classifier, [])
+    for point in itertools.product(*axes):
+        value = dict(zip(GRID_AXES, point))
+        u, sigma = value["universum_size"], value["sigma"]
+        weights = {"nu": value["nu"], "gamma1": value["gamma"], "psi1": value["psi"]}
+        weights = {name: w for name, w in weights.items() if w is not None}
+        try:
+            kernel = None if sigma is None else KernelSpec(family="rbf", sigma=float(sigma))
+            spec = TrainSpec(classifier=classifier, delta=value["delta"], kernel=kernel, **weights)
+            if u is not None and u > pool:  # the draw subset_universum refuses
+                raise ValueError(f"universum_size {u} exceeds the {pool} pooled rows")
+        except ValueError as exc:
+            cell.failure = (len(cell.points), exc)  # no later point can matter
+            return cell
+        extra = {} if u is None else {"universum_size": u}
+        cell.points.append((spec, pool if u is None else u, extra, []))
+    return cell
+
+
 def grid_search(
     dataset: LabeledDataset,
     folds: FoldPlan,
@@ -394,71 +440,32 @@ def grid_search(
     extractor: FeatureConfig | None = None,
     task: str = "",
     feature_id: str = "",
-    cache: dict | None = None,
+    *,
+    _fold: tuple | None = None,
 ) -> GridSearchResult:
     """Exhaustive sweep over the grid's Cartesian product.
 
     Points are visited in ascending ``GRID_AXES`` order and a point must
     be strictly better to displace the incumbent, so ties resolve to the
-    lexicographically smallest tuple.  When a
-    ``universum_size`` axis is present, each u re-draws that many rows
-    from the dataset's Universum pool (seeded by the fold plan's seed) and
-    the point's report records it as ``params["universum_size"]``.  Every
-    point runs ``run_cv`` once, all of them sharing one per-fold store, so
-    the number of CV runs performed equals the grid cardinality exactly.
-    A store without fold records gets them over the largest Universum
-    the grid draws (capped at the pool) before the first point.  ``cache``
-    passes in that store (see ``run_cv`` for its entries and what may
-    share one); by default the search gets a fresh one.
+    lexicographically smallest tuple.  When a ``universum_size`` axis is
+    present, each u re-draws that many rows from the dataset's Universum
+    pool (seeded by the fold plan's seed) and the point's report records
+    it as ``params["universum_size"]``.  This is the grid engine on one
+    cell, so the number of CV runs equals the grid cardinality exactly.
+    It raises the error of its first failing point in visit order, at
+    that point's lowest failing fold; an extractor failure comes first.
+    The engine's ``_fold`` runs the cell on one fold.
     """
+    if _fold is not None:
+        record, cell = _fold
+        return cell.run_fold(record)
     _validate_grid(grid, classifier)
-    axes = [
-        [None] if getattr(grid, name) is None else sorted(getattr(grid, name))
-        for name in GRID_AXES
-    ]
-    subsets: dict = {}
-    cache = {} if cache is None else cache
     largest = dataset
     if grid.universum_size is not None:
         largest = subset_universum(dataset, min(max(grid.universum_size), dataset.p), folds.seed)
-    _fold_records(cache, largest, folds, extractor)
-    specs: list[TrainSpec] = []
-    reports: list[CVReport] = []
-    best = None
-    for point in itertools.product(*axes):
-        value = dict(zip(GRID_AXES, point))
-        u, sigma = value["universum_size"], value["sigma"]
-        weights = {"nu": value["nu"], "gamma1": value["gamma"], "psi1": value["psi"]}
-        spec = TrainSpec(
-            classifier=classifier,
-            delta=value["delta"],
-            kernel=None if sigma is None else KernelSpec(family="rbf", sigma=float(sigma)),
-            **{name: w for name, w in weights.items() if w is not None},
-        )
-        if u is None:
-            trial_data = dataset
-        else:
-            if u not in subsets:
-                subsets[u] = subset_universum(dataset, u, folds.seed)
-            trial_data = subsets[u]
-        report = run_cv(
-            trial_data,
-            folds,
-            spec,
-            extractor=extractor,
-            task=task,
-            feature_id=feature_id,
-            cache=cache,
-        )
-        if u is not None:
-            report = replace(report, params={**report.params, "universum_size": u})
-        if best is None or report.mean_accuracy > reports[best].mean_accuracy:
-            best = len(reports)
-        specs.append(spec)
-        reports.append(report)
-    return GridSearchResult(
-        best_spec=specs[best], best_report=reports[best], reports=tuple(reports)
-    )
+    cell = _grid_cell(classifier, grid, dataset.p)
+    _run_cells(largest, folds, extractor, [cell])
+    return cell.result(folds, task, feature_id)
 
 
 @dataclass(frozen=True)
@@ -475,13 +482,7 @@ class BenchRow:
 
 
 #: The per-pair work counts ``run_benchmark`` reports, summed over pairs.
-_COUNTER_NAMES = (
-    "feature_fits",
-    "kernel_tables",
-    "span_factors",
-    "block_builds",
-    "block_hits",
-)
+_COUNTER_NAMES = ("feature_fits", "kernel_tables", "span_factors", "block_builds", "block_hits")
 
 
 @dataclass(frozen=True)
@@ -505,40 +506,31 @@ class _PairJob:
 
 
 def _run_pair(job: _PairJob) -> tuple[list[BenchRow], Counter]:
-    """Run a pair's cells through one store; also return its work counts.
+    """Run a pair's cells together through the grid engine; also return its work counts.
 
-    The fold records are built over the largest Universum any cell draws
-    (capped at the pool); every block is dropped after its cell.
+    The fold records carry the largest Universum any cell draws (capped
+    at the pool).  A classifier that consumes no Universum trains without
+    one.
     """
     dataset, extractor = featurize(job.raw, job.config)
     folds = make_folds(dataset, job.k, job.seed)
-    sizes = [
-        max(grid.universum_size or (dataset.p,)) if "universum_size" in CLASSIFIER_AXES[c] else 0
-        for c, grid in job.cells
-    ]
-    largest = subset_universum(dataset, min(max(sizes), dataset.p), job.seed)
-    store: dict = {"counts": Counter()}
+    pools = [dataset.p if "universum_size" in CLASSIFIER_AXES[c] else 0 for c, _ in job.cells]
+    cells = [_grid_cell(c, grid, pool) for (c, grid), pool in zip(job.cells, pools)]
+    size = max(max(grid.universum_size or (pool,)) for (_, grid), pool in zip(job.cells, pools))
+    largest = subset_universum(dataset, min(size, dataset.p), job.seed)
+    counts = _run_cells(largest, folds, extractor, cells)
     rows = []
-    for classifier, grid in job.cells:
-        cell_data = dataset
-        if "universum_size" not in CLASSIFIER_AXES[classifier]:
-            cell_data = subset_universum(dataset, 0, job.seed)
-        cell = (job.task, job.feature, classifier)
+    for cell in cells:
+        key = (job.task, job.feature, cell.classifier)
         try:
-            _fold_records(store, largest, folds, extractor)
-            result = grid_search(
-                cell_data, folds, classifier, grid,
-                extractor=extractor, task=job.task, feature_id=job.feature, cache=store,
-            )
+            best = cell.result(folds, job.task, job.feature)
         except (FoldTrainingError, ValueError) as exc:
-            rows.append(BenchRow(*cell, None, (), {}, 0.0, error=f"{type(exc).__name__}: {exc}"))
+            rows.append(BenchRow(*key, None, (), {}, 0.0, error=f"{type(exc).__name__}: {exc}"))
         else:
-            best = result.best_report
-            scores = (best.mean_accuracy, best.fold_accuracies, best.params, best.test_time_seconds)
-            rows.append(BenchRow(*cell, *scores, n_runs=result.n_runs))
-        for key in [key for key in store if isinstance(key, tuple)]:
-            del store[key]  # a block lives one cell
-    return rows, store["counts"]
+            report = best.best_report
+            scores = (report.mean_accuracy, report.fold_accuracies, report.params)
+            rows.append(BenchRow(*key, *scores, report.test_time_seconds, n_runs=best.n_runs))
+    return rows, counts
 
 
 def _manifest_value(manifest: dict, key: str, default):

@@ -283,6 +283,7 @@ def test_span_coordinates_give_the_lifted_distances(kind):
     queries = np.random.default_rng(13).standard_normal((9, dataset.n))
     coords = blocks.span.project(queries)
     assert coords.shape == (9, blocks.matrices.G.shape[0])
+    assert coords.flags.owndata  # not a view that pins the feature-sized dormqr output
     for name, spec in LINEAR_SPECS.items():
         model = train_with_blocks(blocks, spec)
         lifted = model.lifted()
@@ -292,6 +293,25 @@ def test_span_coordinates_give_the_lifted_distances(kind):
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12, err_msg=name)
         # without coordinates a span model lifts itself first
         assert np.array_equal(predict(model, queries), predict(lifted, queries)), name
+
+
+def test_predict_checks_the_rows_it_reads():
+    dataset = _wide_dataset(WIDE_KINDS[0])
+    blocks = build_blocks(dataset, None)
+    model = train_with_blocks(blocks, LINEAR_SPECS["gepsvm"])
+    queries = np.random.default_rng(13).standard_normal((9, dataset.n))
+    coords = blocks.span.project(queries)
+    unread = np.full_like(queries, np.nan)
+    # with coordinates a span model reads them alone, so only they are checked
+    assert np.array_equal(predict(model, unread, coords), predict(model.lifted(), queries))
+    with pytest.raises(ValueError, match="precomputed rows contain non-finite values"):
+        predict(model, queries, np.full_like(coords, np.nan))
+    with pytest.raises(ValueError, match="precomputed rows must be 2-d with the model's"):
+        predict(model, queries, coords[:, :-1])
+    with pytest.raises(ValueError, match="8 precomputed rows for 9 queries"):
+        predict(model, queries, coords[:-1])
+    with pytest.raises(ValueError, match="queries contain non-finite values"):
+        predict(model, unread)
 
 
 def test_a_wide_all_bias_plane_raises_through_train_and_run_cv():

@@ -7,6 +7,8 @@ import pytest
 
 from eigu.eigsolve import (
     RESIDUAL_RTOL,
+    SYMMETRY_RTOL,
+    _validated_symmetric,
     SingularDenominatorError,
     smallest_eigpair_generalized,
     smallest_eigpair_standard,
@@ -160,3 +162,19 @@ def test_nonsymmetric_input_rejected():
     A = np.array([[1.0, 2.0], [0.0, 1.0]])
     with pytest.raises(ValueError):
         smallest_eigpair_standard(A)
+
+
+def test_validated_symmetric_keeps_exact_operands_and_symmetrizes_the_rest():
+    X = np.random.default_rng(5).standard_normal((6, 6))
+    exact = X + X.T  # exactly symmetric
+    assert _validated_symmetric(exact, "M") is exact  # its bits, not a copy
+    scale = float(np.abs(exact).max())
+    near = exact.copy()
+    near[0, 1] += 0.5 * SYMMETRY_RTOL * scale
+    symmetrized = _validated_symmetric(near, "M")
+    assert np.array_equal(symmetrized, 0.5 * (near + near.T))
+    assert np.array_equal(symmetrized, symmetrized.T)
+    far = exact.copy()
+    far[0, 1] += 10.0 * SYMMETRY_RTOL * scale
+    with pytest.raises(ValueError, match="M is not symmetric"):
+        _validated_symmetric(far, "M")

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import json
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -50,17 +52,31 @@ def test_run_cv_is_perfect_on_separable_data(planes_dataset):
     assert report.params == {"delta": 1e-4}
 
 
-def test_run_cv_is_deterministic_with_and_without_a_cache(planes_dataset):
+def test_run_cv_is_deterministic_alone_and_in_a_grid(planes_dataset):
     folds = make_folds(planes_dataset, 4, seed=9)
     spec = TrainSpec(classifier="iugepsvm", delta=1e-5, gamma1=0.1, psi1=0.01)
     first = run_cv(planes_dataset, folds, spec)
     second = run_cv(planes_dataset, folds, spec)
-    cached = run_cv(planes_dataset, folds, spec, cache={})
-    assert first.fold_accuracies == second.fold_accuracies == cached.fold_accuracies
-    assert first.mean_accuracy == second.mean_accuracy == cached.mean_accuracy
+    grid = GridSpec(delta=(1e-5,), gamma=(0.1,), psi=(0.01,))
+    in_grid = grid_search(planes_dataset, folds, "iugepsvm", grid).best_report
+    assert first.fold_accuracies == second.fold_accuracies == in_grid.fold_accuracies
+    assert first.mean_accuracy == second.mean_accuracy == in_grid.mean_accuracy
 
 
-def test_run_cv_refits_the_extractor_once_per_fold():
+def _counting(monkeypatch, name):
+    """Count the calls made through ``evaluation.<name>``; return the list of their results."""
+    original = getattr(evaluation, name)
+    results = []
+
+    def spy(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(evaluation, name, spy)
+    return results
+
+
+def test_run_cv_refits_the_extractor_once_per_fold(monkeypatch):
     rng = np.random.default_rng(8)
     X1 = rng.standard_normal((10, 16))
     X2 = rng.standard_normal((10, 16))
@@ -72,16 +88,16 @@ def test_run_cv_refits_the_extractor_once_per_fold():
     report = run_cv(dataset, folds, spec, extractor=config)
     assert report.feature_refits == folds.k
 
-    cache = {}
-    warm = run_cv(dataset, folds, spec, extractor=config, cache=cache)
-    reused = run_cv(dataset, folds, spec, extractor=config, cache=cache)
-    assert warm.fold_accuracies == reused.fold_accuracies == report.fold_accuracies
-    assert warm.feature_refits == folds.k  # one fit per fold per cache
-    assert reused.feature_refits == 0  # every fold's fit came from the cache
-    assert cache["counts"]["feature_fits"] == folds.k
+    fits = _counting(monkeypatch, "fit_features")
+    result = grid_search(dataset, folds, "gepsvm", GridSpec(delta=(1e-4, 1e-2)), extractor=config)
+    assert len(fits) == folds.k  # one fit per fold, shared by both points
+    assert result.reports[0].fold_accuracies == report.fold_accuracies
+    assert [r.feature_refits for r in result.reports] == [0, 0]  # no point fit on its own
 
 
 def test_every_bandwidth_shares_one_kernel_table(planes_dataset, monkeypatch):
+    tables = _counting(monkeypatch, "kernel_table")
+    built = _counting(monkeypatch, "build_blocks")
     original = evaluation.predict
     predictions = []
 
@@ -92,25 +108,21 @@ def test_every_bandwidth_shares_one_kernel_table(planes_dataset, monkeypatch):
 
     monkeypatch.setattr(evaluation, "predict", spy)
     dataset, folds = planes_dataset, make_folds(planes_dataset, 2, seed=0)
-    kernels = [KernelSpec("rbf", sigma=0.5), KernelSpec("rbf", sigma=4.0)]
-    specs = [
-        TrainSpec(classifier="iugepsvm", delta=1e-5, gamma1=0.1, psi1=0.01, kernel=kernel)
-        for kernel in kernels
-    ]
-    cache = {}
-    for spec in specs:
-        run_cv(dataset, folds, spec, cache=cache)
-    assert cache["counts"]["kernel_tables"] == folds.k
-    assert cache["counts"]["block_builds"] == len(kernels) * folds.k
+    grid = GridSpec(delta=(1e-5,), gamma=(0.1,), psi=(0.01,), sigma=(0.5, 4.0))
+    grid_search(dataset, folds, "iugepsvm", grid)
+    assert len(tables) == folds.k
+    assert len(built) == 2 * folds.k
 
     fold = 0
     test1, test2 = folds.class1_folds == fold, folds.class2_folds == fold
     fold_data = LabeledDataset(X1=dataset.X1[~test1], X2=dataset.X2[~test2], U=dataset.U)
     test_rows = np.vstack([dataset.X1[test1], dataset.X2[test2]])
-    table = cache[fold].table
-    # run_cv visits every fold of a spec before the next spec
-    for spec, (model, labels) in zip(specs, predictions[fold :: folds.k]):
-        blocks = cache[(fold, dataset.p, spec.kernel)]
+    table = tables[fold]
+    # the engine runs every point of a fold before the next fold
+    for sigma, blocks, (model, labels) in zip(grid.sigma, built, predictions):
+        spec = TrainSpec(
+            classifier="iugepsvm", delta=1e-5, gamma1=0.1, psi1=0.01, kernel=KernelSpec("rbf", sigma)
+        )
         assert blocks.Z is table.Z and model.Z is table.Z
         fresh_blocks = build_blocks(fold_data, spec.kernel)
         fresh_model = train_with_blocks(fresh_blocks, spec)
@@ -155,11 +167,12 @@ def test_wide_folds_predict_from_one_projection_per_universum_size(monkeypatch):
         return labels
 
     monkeypatch.setattr(evaluation, "predict", spy)
-    cache: dict = {}
+    factors = _counting(monkeypatch, "span_factor")
+    built = _counting(monkeypatch, "build_blocks")
     grid = GridSpec(delta=(1e-4, 1e-2), universum_size=(2, 6))
-    grid_search(dataset, folds, "ugepsvm", grid, cache=cache)
-    assert cache["counts"]["block_builds"] == 2 * folds.k
-    assert cache["counts"]["span_factors"] == folds.k  # one per fold, sliced per u
+    grid_search(dataset, folds, "ugepsvm", grid)
+    assert len(built) == 2 * folds.k  # one per (fold, u), shared by both deltas
+    assert len(factors) == folds.k  # one per fold, sliced per u
     assert len(calls) == grid.cardinality() * folds.k
     for model, queries, precomputed, labels in calls:
         assert model.span is not None and precomputed is not None
@@ -509,17 +522,9 @@ def test_sharing_a_pair_store_changes_no_result(bonn_tree, workers):
 
 
 def test_blocks_live_one_cell_and_each_fold_builds_one_basis(bonn_tree, tmp_path, monkeypatch):
-    original = evaluation.grid_search
-    stores = []
-
-    def spy(dataset, folds, classifier, grid, **kwargs):
-        store = kwargs["cache"]
-        # between cells a pair's store holds its fold records and nothing else
-        assert {key for key in store if not isinstance(key, int)} == {"counts"}, classifier
-        stores.append(store)
-        return original(dataset, folds, classifier, grid, **kwargs)
-
-    monkeypatch.setattr(evaluation, "grid_search", spy)
+    factors = _counting(monkeypatch, "span_factor")
+    tables = _counting(monkeypatch, "kernel_table")
+    records = _counting(monkeypatch, "_fold_record")
     manifest = _sharing_manifest(bonn_tree)
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps(manifest))
@@ -527,23 +532,17 @@ def test_blocks_live_one_cell_and_each_fold_builds_one_basis(bonn_tree, tmp_path
     assert main(["bench", "--manifest", str(path), "--output-dir", str(out)]) == 0
 
     k = manifest["folds"]
-    cells = len(SHARING_GRIDS)
-    assert len(stores) == 2 * cells
-    pairs = {"dwt_db2": stores[0], "pca": stores[cells]}
-    assert all(store is pairs["dwt_db2"] for store in stores[:cells])
-    assert all(store is pairs["pca"] for store in stores[cells:])
-    for feature, store in pairs.items():
-        assert set(store) == set(range(k)) | {"counts"}  # the last cell's blocks are gone too
-        for fold in range(k):
-            record = store[fold]
-            # ugepsvm asks for 50 Universum rows; the pool of 6 caps the record
-            rows = record.train.m1 + record.train.m2 + manifest["universum_pool"]
-            assert record.train.p == manifest["universum_pool"]
-            assert record.table.Z.shape[0] == rows  # rbf cells run at u = 0, a prefix
-            if feature == "pca":  # 4 components: no linear block is wide
-                assert record.span is None
-            else:
-                assert record.span.tau.size == rows  # linear cells run at u = 3, a prefix
+    assert len(records) == 2 * k  # one record per fold and pair, in fold order
+    assert [record.fold for record in records] == [*range(k), *range(k)]
+    for record in records:
+        # ugepsvm asks for 50 Universum rows; the pool of 6 caps the record
+        assert record.train.p == manifest["universum_pool"]
+        rows = record.train.m1 + record.train.m2 + record.train.p
+        assert record.table.Z.shape[0] == rows  # rbf cells run at u = 0, a prefix
+    assert [factor.tau.size for factor in factors] == [
+        record.train.m1 + record.train.m2 + manifest["universum_pool"] for record in records[:k]
+    ]  # dwt_db2 only (4 pca components are narrow); linear cells run at u = 3, a prefix
+    assert len(tables) == 2 * k
     counters = json.loads((out / "runinfo.json").read_text())["counters"]
     assert counters == {
         "feature_fits": k,  # pca, once per fold
@@ -551,6 +550,77 @@ def test_blocks_live_one_cell_and_each_fold_builds_one_basis(bonn_tree, tmp_path
         "kernel_tables": 2 * k,  # once per fold and pair, though the pair draws u = 0 and 6
         "block_builds": 2 * 4 * k,  # every cell builds its own: no block outlives its cell
         "block_hits": 0,  # every grid here has one point per (Universum size, kernel)
+    }
+
+
+def test_each_fold_is_freed_before_the_next_fold_builds_its_basis(bonn_tree, monkeypatch):
+    alive = {"span_factor": [], "kernel_table": [], "_fold_record": []}
+
+    def spying(name):
+        original = getattr(evaluation, name)
+
+        def spy(*args):
+            gc.collect()
+            assert all(ref() is None for ref in alive[name])  # the last fold's is gone
+            made = original(*args)
+            alive[name].append(weakref.ref(made))
+            return made
+
+        monkeypatch.setattr(evaluation, name, spy)
+
+    for name in alive:  # a fold's record, rows and all, too
+        spying(name)
+    manifest = _sharing_manifest(bonn_tree)
+    assert len(run_benchmark(manifest).rows) == 2 * len(SHARING_GRIDS)
+    k = manifest["folds"]
+    assert len(alive["span_factor"]) == k and len(alive["kernel_table"]) == 2 * k
+    assert len(alive["_fold_record"]) == 2 * k
+
+
+#: Planted failures: (classifier, delta) -> the folds its training fails on.
+PLANTED = {("gepsvm", 1e-4): {1}, ("gepsvm", 1e-3): {0}}
+
+
+def test_errors_name_the_failure_each_cell_names_alone(bonn_tree, monkeypatch):
+    current = {}
+    record = evaluation._fold_record
+
+    def recording(dataset, folds, fold, *args):
+        current["fold"] = fold
+        return record(dataset, folds, fold, *args)
+
+    fit, train = evaluation.fit_labeled, evaluation.train_with_blocks
+
+    def fitting(config, dataset):
+        if current["fold"] == 2:
+            raise ValueError("planted fit failure")
+        return fit(config, dataset)
+
+    def training(blocks, spec):
+        if current["fold"] in PLANTED.get((spec.classifier, spec.delta), ()):
+            raise np.linalg.LinAlgError(f"planted at delta {spec.delta}")
+        return train(blocks, spec)
+
+    monkeypatch.setattr(evaluation, "_fold_record", recording)
+    monkeypatch.setattr(evaluation, "fit_labeled", fitting)
+    monkeypatch.setattr(evaluation, "train_with_blocks", training)
+    grids = {"gepsvm": {"delta": [1e-4, 1e-3]}, "igepsvm": {"delta": [1e-5], "nu": [0.1]}}
+    manifest = _toy_manifest(
+        bonn_tree, features=["dwt_db2", "pca"], classifiers=list(grids), grids=grids, folds=3
+    )
+    result = run_benchmark(manifest)
+    got = [
+        (r.feature, r.classifier, r.fold_accs, r.params, r.n_runs, r.error) for r in result.rows
+    ]
+    assert got == _fresh_rows(bonn_tree, manifest)
+    errors = {(r.feature, r.classifier): r.error for r in result.rows}
+    assert errors == {
+        # point 0 fails on fold 1 only, point 1 on fold 0: the first point in visit order wins
+        ("dwt_db2", "gepsvm"): "FoldTrainingError: fold 1: planted at delta 0.0001",
+        ("dwt_db2", "igepsvm"): None,
+        # the fit failing on fold 2 wins over the training failure on fold 0
+        ("pca", "gepsvm"): "FoldTrainingError: fold 2: planted fit failure",
+        ("pca", "igepsvm"): "FoldTrainingError: fold 2: planted fit failure",
     }
 
 
