@@ -34,11 +34,7 @@ import numpy as np
 from scipy.linalg.lapack import dormqr
 
 from .dataio import LabeledDataset
-from .eigsolve import (
-    EigenSolution,
-    smallest_eigpair_generalized,
-    smallest_eigpair_standard,
-)
+from .eigsolve import smallest_eigpair_generalized, smallest_eigpair_standard
 from .kernels import KernelSpec, default_sigma, gram, squared_distances
 
 __all__ = [
@@ -183,20 +179,15 @@ def _augmented(rows: np.ndarray) -> np.ndarray:
     return np.hstack([rows, np.ones((rows.shape[0], 1))])
 
 
-def _aug_gram(rows: np.ndarray, q: int) -> np.ndarray:
-    if rows.shape[0] == 0:
-        return np.zeros((q, q))
+def _aug_gram(rows: np.ndarray) -> np.ndarray:
     aug = _augmented(rows)
-    return aug.T @ aug
+    return aug.T @ aug  # an empty Universum gives the zero block
 
 
 def class_matrices(dataset: LabeledDataset) -> AugmentedClassMatrices:
     """Augmented Gram blocks of a dataset in primal (linear) coordinates."""
-    q = dataset.n + 1
     return AugmentedClassMatrices(
-        G=_aug_gram(dataset.X1, q),
-        H=_aug_gram(dataset.X2, q),
-        P=_aug_gram(dataset.U, q),
+        G=_aug_gram(dataset.X1), H=_aug_gram(dataset.X2), P=_aug_gram(dataset.U)
     )
 
 
@@ -380,9 +371,8 @@ def build_blocks(
     if kernel.sigma is None:
         kernel = KernelSpec(family="rbf", sigma=default_sigma(Z, table.D_ZZ))
     K_ZZ = gram(Z, Z, kernel, table.D_ZZ)
-    q = m + 1
     K1, K2, KU = K_ZZ[:m1], K_ZZ[m1 : m1 + m2], K_ZZ[m1 + m2 :]
-    matrices = AugmentedClassMatrices(G=_aug_gram(K1, q), H=_aug_gram(K2, q), P=_aug_gram(KU, q))
+    matrices = AugmentedClassMatrices(G=_aug_gram(K1), H=_aug_gram(K2), P=_aug_gram(KU))
     return ProblemBlocks(mode="kernel", matrices=matrices, kernel=kernel, Z=Z, K_ZZ=K_ZZ)
 
 
@@ -395,6 +385,19 @@ class PlaneProblem:
     context: str = ""
 
 
+def _ridged(own: np.ndarray, delta: float, *terms: tuple[float, np.ndarray]) -> np.ndarray:
+    """``own + delta * I - w1 * M1 - ...`` over ``terms`` (w1, M1), ..., in one new buffer.
+
+    Bit for bit the sum with an explicit ``delta * eye(q)``: ``+ 0.0`` turns
+    each ``-0.0`` entry into ``+0.0``, as adding the ridge's zeros does.
+    """
+    A = own + 0.0
+    A.flat[:: A.shape[0] + 1] += delta
+    for weight, M in terms:
+        A -= weight * M
+    return A
+
+
 def plane_problems(blocks: ProblemBlocks, spec: TrainSpec) -> tuple[PlaneProblem, PlaneProblem]:
     """The two eigenproblems ``spec`` poses over ``blocks``.
 
@@ -402,32 +405,22 @@ def plane_problems(blocks: ProblemBlocks, spec: TrainSpec) -> tuple[PlaneProblem
     counter-class block is G (the Universum block is shared).
     """
     G, H, P = blocks.matrices.G, blocks.matrices.H, blocks.matrices.P
-    ridge = spec.delta * np.eye(G.shape[0])
-    kind = spec.classifier
-    tag = f"{kind} ({blocks.mode})"
+    kind, delta = spec.classifier, spec.delta
     if kind == "gepsvm":
-        return (
-            PlaneProblem(A=G + ridge, B=H, context=f"{tag} plane 1"),
-            PlaneProblem(A=H + ridge, B=G, context=f"{tag} plane 2"),
+        operands = ((_ridged(G, delta), H), (_ridged(H, delta), G))
+    elif kind == "ugepsvm":
+        operands = ((_ridged(G, delta), H + P), (_ridged(H, delta), G + P))
+    elif kind == "igepsvm":
+        operands = ((_ridged(G, delta, (spec.nu, H)), None),
+                    (_ridged(H, delta, (spec.nu, G)), None))
+    else:
+        operands = (
+            (_ridged(G, delta, (spec.gamma1, H), (spec.psi1, P)), None),
+            (_ridged(H, delta, (spec.effective_gamma2, G), (spec.effective_psi2, P)), None),
         )
-    if kind == "ugepsvm":
-        return (
-            PlaneProblem(A=G + ridge, B=H + P, context=f"{tag} plane 1"),
-            PlaneProblem(A=H + ridge, B=G + P, context=f"{tag} plane 2"),
-        )
-    if kind == "igepsvm":
-        return (
-            PlaneProblem(A=G + ridge - spec.nu * H, context=f"{tag} plane 1"),
-            PlaneProblem(A=H + ridge - spec.nu * G, context=f"{tag} plane 2"),
-        )
-    return (
-        PlaneProblem(
-            A=G + ridge - spec.gamma1 * H - spec.psi1 * P, context=f"{tag} plane 1"
-        ),
-        PlaneProblem(
-            A=H + ridge - spec.effective_gamma2 * G - spec.effective_psi2 * P,
-            context=f"{tag} plane 2",
-        ),
+    return tuple(
+        PlaneProblem(A=A, B=B, context=f"{kind} ({blocks.mode}) plane {index}")
+        for index, (A, B) in enumerate(operands, start=1)
     )
 
 
@@ -486,12 +479,6 @@ class HyperplanePair:
         )
 
 
-def _solve_plane(problem: PlaneProblem) -> EigenSolution:
-    if problem.B is None:
-        return smallest_eigpair_standard(problem.A)
-    return smallest_eigpair_generalized(problem.A, problem.B, context=problem.context)
-
-
 def _checked_weight_norm(norm: float, context: str) -> float:
     if norm < DEGENERATE_NORM:
         raise DegeneratePlaneError(
@@ -523,7 +510,11 @@ def train_with_blocks(blocks: ProblemBlocks, spec: TrainSpec) -> HyperplanePair:
     :class:`HyperplanePair`); nothing here is feature-sized.
     """
     problems = plane_problems(blocks, spec)
-    solutions = tuple(_solve_plane(p) for p in problems)
+    solutions = tuple(
+        smallest_eigpair_standard(p.A) if p.B is None
+        else smallest_eigpair_generalized(p.A, p.B, context=p.context)
+        for p in problems
+    )
     hyper = spec.hyperparameters()
     eigenvalues = (solutions[0].eigenvalue, solutions[1].eigenvalue)
 
@@ -561,26 +552,22 @@ def train_with_blocks(blocks: ProblemBlocks, spec: TrainSpec) -> HyperplanePair:
         )
 
     hyper["sigma"] = float(blocks.kernel.sigma)  # resolved value, possibly data-driven
-    alphas = []
-    biases = []
-    norms = []
-    for solution, problem in zip(solutions, problems):
-        vector = solution.eigenvector
-        alpha, bias = vector[:-1], float(vector[-1])
-        norms.append(_kernel_norm(alpha, blocks.K_ZZ, problem.context))
-        alphas.append(alpha)
-        biases.append(bias)
+    (alpha1, b1), (alpha2, b2) = ((s.eigenvector[:-1], float(s.eigenvector[-1])) for s in solutions)
+    norms = tuple(
+        _kernel_norm(alpha, blocks.K_ZZ, problem.context)
+        for alpha, problem in zip((alpha1, alpha2), problems)
+    )
     return HyperplanePair(
         mode="kernel",
         trained_by=spec.classifier,
         hyperparameters=hyper,
-        alpha1=alphas[0],
-        b1=biases[0],
-        alpha2=alphas[1],
-        b2=biases[1],
+        alpha1=alpha1,
+        b1=b1,
+        alpha2=alpha2,
+        b2=b2,
         Z=blocks.Z,
         kernel=blocks.kernel,
-        plane_norms=(norms[0], norms[1]),
+        plane_norms=norms,
         eigenvalues=eigenvalues,
     )
 

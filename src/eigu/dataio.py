@@ -76,24 +76,20 @@ class Recording:
 def load_recording(path: str | Path, set_label: str) -> Recording:
     """Parse one ASCII recording (one integer amplitude per line).
 
-    The file is read, split into lines and converted to integers in one
-    pass.  Whatever that pass rejects (a blank line included) is parsed
-    again line by line, which accepts blank lines and names the first bad
-    line in its error.
+    numpy converts the file's lines to int64 in one call, which accepts
+    the file only when every line holds exactly one integer.  Whatever that
+    rejects (a blank line, two tokens on a line, a value beyond int64, a
+    non-ASCII byte) is parsed again line by line, which skips blank lines
+    and names the first bad line in its error.
     """
     path = Path(path)
     try:
-        lines = path.read_text(encoding="ascii").split("\n")
-        if lines[-1] == "":
-            lines.pop()  # the newline that ends the last line
-        values = np.fromiter(map(int, lines), dtype=float, count=len(lines))
+        values = np.array(path.read_bytes().splitlines(), dtype=np.int64)
     except (ValueError, OverflowError):
         values = _parse_lines(path)
     if len(values) == 0:
         raise ValueError(f"{path.name}: no samples found")
-    return Recording(
-        set_label=set_label, samples=np.asarray(values), source_id=path.stem
-    )
+    return Recording(set_label=set_label, samples=values, source_id=path.stem)
 
 
 def _parse_lines(path: Path) -> list[float]:

@@ -48,7 +48,11 @@ class SingularDenominatorError(RuntimeError):
 
 
 def _validated_symmetric(M: np.ndarray, name: str) -> np.ndarray:
-    """Validate a square symmetric matrix; return it, symmetrized unless exactly symmetric."""
+    """Validate a square symmetric matrix; return it, symmetrized unless exactly symmetric.
+
+    A finite M equal to M' returns as is; only an unequal one is measured
+    against the asymmetry bound.  ``eigh`` need not scan it for finiteness.
+    """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {M.shape}")
@@ -56,9 +60,9 @@ def _validated_symmetric(M: np.ndarray, name: str) -> np.ndarray:
         raise ValueError(f"{name} must be non-empty")
     if not np.all(np.isfinite(M)):
         raise ValueError(f"{name} contains non-finite entries")
-    asym = float(np.abs(M - M.T).max())
-    if asym == 0.0:
+    if np.array_equal(M, M.T):
         return M  # exactly symmetric: the average would be M again
+    asym = float(np.abs(M - M.T).max())
     scale = float(np.abs(M).max())
     if asym > SYMMETRY_RTOL * max(scale, 1.0):
         raise ValueError(
@@ -117,7 +121,7 @@ def _checked_pair(
 def smallest_eigpair_standard(A: np.ndarray) -> EigenSolution:
     """Smallest eigenpair of the standard problem ``A z = lambda z``."""
     A = _validated_symmetric(A, "A")
-    eigenvalues, vectors = scipy.linalg.eigh(A, subset_by_index=[0, 0])
+    eigenvalues, vectors = scipy.linalg.eigh(A, subset_by_index=[0, 0], check_finite=False)
     return _checked_pair(A, None, float(eigenvalues[0]), vectors[:, 0], "standard eigensolve")
 
 
@@ -139,7 +143,9 @@ def smallest_eigpair_generalized(
         raise ValueError(f"operand shapes differ: A {A_sym.shape}, B {B_sym.shape}")
     q = A_sym.shape[0]
     try:
-        mu, vectors = scipy.linalg.eigh(B_sym, A_sym, subset_by_index=[q - 1, q - 1])
+        mu, vectors = scipy.linalg.eigh(
+            B_sym, A_sym, subset_by_index=[q - 1, q - 1], check_finite=False
+        )
     except scipy.linalg.LinAlgError as exc:
         if "positive definite" not in str(exc):
             raise

@@ -25,7 +25,7 @@ import time
 import traceback
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -172,7 +172,7 @@ def fit_labeled(
 
 @dataclass
 class _FoldRecord:
-    """One fold of a grid engine run: its rows, and their bases built on first use."""
+    """One fold of a grid engine run: its rows, and what is built from them on first use."""
 
     fold: int
     train: LabeledDataset
@@ -182,18 +182,26 @@ class _FoldRecord:
     span: SpanFactor | None = None
     projection: np.ndarray | None = None
     table: KernelTable | None = None
+    prefixes: dict = field(default_factory=dict)  # u -> training set with U[:u]
 
-    def basis(self, train: LabeledDataset, rbf: bool):
-        """The basis of ``train``, a prefix of this record's rows; built on first use."""
-        rows = train.m1 + train.m2 + train.p
+    def prefix(self, u: int) -> LabeledDataset:
+        """The training set with the Universum's first ``u`` rows, built once per u."""
+        if u not in self.prefixes:
+            self.prefixes[u] = replace(self.train, U=self.train.U[:u])
+        return self.prefixes[u]
+
+    def basis(self, u: int, rbf: bool):
+        """The basis of ``prefix(u)``, a prefix of this record's; built on first use."""
+        rows = self.train.m1 + self.train.m2 + u
         if rbf:
             if self.table is None:
                 self.table = kernel_table(self.train, self.test_rows)
                 Z, m1, m2 = self.table.Z, self.train.m1, self.train.m1 + self.train.m2
                 self.train = LabeledDataset(X1=Z[:m1], X2=Z[m1:m2], U=Z[m2:])  # rows held once
+                self.prefixes.clear()  # they hold the rows just replaced
                 self.counts["kernel_tables"] += 1
             return self.table.prefix(rows)
-        if train.n + 1 <= rows:
+        if self.train.n + 1 <= rows:
             return None  # narrow linear blocks read the rows themselves
         if self.span is None:
             self.span = span_factor(self.train)
@@ -229,8 +237,8 @@ def _fold_score(spec: TrainSpec, record: _FoldRecord, u: int, blocks: dict) -> t
         if key in blocks:
             record.counts["block_hits"] += 1
         else:
-            train = replace(record.train, U=record.train.U[:u])
-            blocks[key] = build_blocks(train, spec.kernel, record.basis(train, rbf))
+            basis = record.basis(u, rbf)  # first: building a kernel table re-homes the rows
+            blocks[key] = build_blocks(record.prefix(u), spec.kernel, basis)
             record.counts["block_builds"] += 1
         model = train_with_blocks(blocks[key], spec)
         if rbf:

@@ -1,4 +1,4 @@
-"""Feature extraction: wavelet energies, PCA, ICA, and discriminability ranking.
+"""Feature extraction: wavelet coefficients, PCA, ICA, and discriminability ranking.
 
 The wavelet path is a fully orthonormal Daubechies transform with periodic
 (circular) boundary extension, so signal energy is conserved exactly and

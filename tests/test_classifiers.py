@@ -127,6 +127,57 @@ def test_zero_psi_matched_gamma_reduces_to_the_difference_model():
             assert a.B is None and b.B is None
 
 
+@pytest.mark.parametrize("wide", [False, True], ids=["signed_zeros", "span"])
+def test_plane_operands_equal_the_explicit_ridge_sum_bit_for_bit(wide):
+    """Each operand matches ``own + delta * eye(q) - w1 * M1 - w2 * M2``, bytes included.
+
+    Adding the ridge matrix turns every ``-0.0`` entry into ``+0.0``.  The
+    planted blocks hold such entries, so an operand that kept one would
+    differ in its bytes; span blocks hold exact zero rows past m1 (or
+    m1 + m2), whose sign the BLAS decides.
+    """
+    rng = np.random.default_rng(9)
+    if wide:  # span G/H/P: the rows past m1 (or m1 + m2) are exact zeros
+        dataset = LabeledDataset(
+            X1=rng.standard_normal((5, 30)), X2=rng.standard_normal((6, 30)) - 0.5,
+            U=rng.standard_normal((4, 30)),
+        )
+        blocks = build_blocks(dataset, None)
+    else:
+        G, H, P = (M + M.T for M in rng.standard_normal((3, 7, 7)))
+        for M in (G, H, P):
+            M[np.abs(M) < 0.5] = -0.0
+        blocks = ProblemBlocks(mode="linear", matrices=AugmentedClassMatrices(G=G, H=H, P=P))
+    G, H, P = blocks.matrices.G, blocks.matrices.H, blocks.matrices.P
+    zeros = G[G == 0]
+    assert zeros.size and (wide or np.signbit(zeros).all())
+    delta = 1e-3
+    ridge = delta * np.eye(G.shape[0])
+    expected = {
+        "gepsvm": ((G + ridge, H), (H + ridge, G)),
+        "ugepsvm": ((G + ridge, H + P), (H + ridge, G + P)),
+        "igepsvm": ((G + ridge - 0.3 * H, None), (H + ridge - 0.3 * G, None)),
+        "iugepsvm": (
+            (G + ridge - 0.2 * H - 0.05 * P, None),
+            (H + ridge - 0.4 * G - 0.07 * P, None),
+        ),
+    }
+    specs = {
+        "gepsvm": TrainSpec(classifier="gepsvm", delta=delta),
+        "ugepsvm": TrainSpec(classifier="ugepsvm", delta=delta),
+        "igepsvm": TrainSpec(classifier="igepsvm", delta=delta, nu=0.3),
+        "iugepsvm": TrainSpec(
+            classifier="iugepsvm", delta=delta, gamma1=0.2, psi1=0.05, gamma2=0.4, psi2=0.07
+        ),
+    }
+    for kind, spec in specs.items():
+        for problem, (A, B) in zip(plane_problems(blocks, spec), expected[kind]):
+            assert problem.A.tobytes() == A.tobytes(), kind
+            assert (problem.B is None) == (B is None), kind
+            if B is not None:
+                assert problem.B.tobytes() == B.tobytes(), kind
+
+
 def test_linear_kernel_reproduces_linear_labels():
     """A linear kernel spec trains the linear model itself."""
     rng = np.random.default_rng(3)

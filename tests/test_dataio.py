@@ -55,6 +55,7 @@ def test_load_recording_error_names_file_and_line(tmp_path):
         ("1_000\n", [1000]),  # int() syntax, as before
         ("9007199254740993\n", [9007199254740992.0]),  # rounded like float(int)
         ("\f5\x1c\n", [5]),  # whitespace str.strip removes but int() keeps
+        ("99999999999999999999\n", [1e20]),  # beyond int64: the line loop reads it
     ],
 )
 def test_load_recording_accepts_what_the_line_loop_accepts(tmp_path, text, values):
@@ -68,6 +69,13 @@ def test_load_recording_accepts_what_the_line_loop_accepts(tmp_path, text, value
     "text, message",
     [
         ("1 2\n", "N007.txt: line 1: expected an integer amplitude, got '1 2'"),
+        ("1 2", "N007.txt: line 1: expected an integer amplitude, got '1 2'"),
+        # as many tokens as lines, but not one per line
+        ("1 2\n\n", "N007.txt: line 1: expected an integer amplitude, got '1 2'"),
+        ("1\t2", "N007.txt: line 1: expected an integer amplitude, got '1\\t2'"),
+        ("1,2", "N007.txt: line 1: expected an integer amplitude, got '1,2'"),
+        ("0x10", "N007.txt: line 1: expected an integer amplitude, got '0x10'"),
+        ("1e3", "N007.txt: line 1: expected an integer amplitude, got '1e3'"),
         ("5\n\n3.5\n", "N007.txt: line 3: expected an integer amplitude, got '3.5'"),
         ("1\x0b2\n", "N007.txt: line 1: expected an integer amplitude, got '1\\x0b2'"),
         ("", "N007.txt: no samples found"),

@@ -38,6 +38,7 @@ from eigu.evaluation import (
 )
 from eigu.features import FeatureConfig, feature_config_from_id
 from eigu.kernels import KernelSpec, default_sigma
+from eigu.synth import cross_planes, mid_band_universum
 
 from conftest import INVALID_GRIDS, TOY_SEGMENT, random_dataset
 
@@ -270,6 +271,53 @@ def test_the_grid_cache_changes_no_result_with_an_extractor():
     grid = GridSpec(delta=(1e-4,), sigma=(0.5, 4.0), universum_size=(3, 6))
     config = FeatureConfig(method="pca", n_components=3)
     _assert_the_cache_changes_no_result(dataset, folds, "ugepsvm", grid, extractor=config)
+
+
+def _margin_dataset(n: int) -> LabeledDataset:
+    """Crossing class lines embedded in ``n`` columns, with three confidently wrong labels.
+
+    The lines stay clear of their crossing, so no test row sits near a tie:
+    over every fold and classifier below, the smallest relative gap
+    |d1 - d2| / (d1 + d2) between a test row's plane distances is 1.9e-4,
+    far above rounding.
+    """
+    rng = np.random.default_rng(11)
+    X1, X2 = cross_planes(n_per_class=30, seed=11)
+    X1 = np.vstack([X1, X2[:3]])  # rows on the -1 line labeled +1: folds score below 100
+
+    def embed(rows):
+        return np.hstack([rows, 0.01 * rng.standard_normal((len(rows), n - 2))])
+
+    return LabeledDataset(X1=embed(X1), X2=embed(X2), U=embed(mid_band_universum(12, seed=12)))
+
+
+@pytest.mark.parametrize(
+    "kernel", [None, KernelSpec(family="rbf", sigma=0.5)], ids=["linear", "rbf"]
+)
+@pytest.mark.parametrize("n", [4, 120], ids=["narrow", "wide"])
+def test_fold_accuracies_survive_an_orthogonal_map_of_the_features(n, kernel):
+    """Every classifier is invariant under an orthogonal change of coordinates.
+
+    Linear planes rotate with the features and rbf reads only distances,
+    so the folds must score the same; the wide case trains through the
+    span factor (121 columns, at most 70 training rows).
+    """
+    dataset = _margin_dataset(n)
+    Q = np.linalg.qr(np.random.default_rng(5).standard_normal((n, n)))[0]
+    rotated = LabeledDataset(X1=dataset.X1 @ Q, X2=dataset.X2 @ Q, U=dataset.U @ Q)
+    folds = make_folds(dataset, 5, seed=3)
+    specs = (
+        TrainSpec(classifier="gepsvm", delta=1e-4, kernel=kernel),
+        TrainSpec(classifier="igepsvm", delta=1e-4, nu=0.1, kernel=kernel),
+        TrainSpec(classifier="ugepsvm", delta=1e-4, kernel=kernel),
+        TrainSpec(classifier="iugepsvm", delta=1e-5, gamma1=0.1, psi1=0.01, kernel=kernel),
+    )
+    below_100 = 0
+    for spec in specs:
+        plain = run_cv(dataset, folds, spec).fold_accuracies
+        assert run_cv(rotated, folds, spec).fold_accuracies == plain, spec.classifier
+        below_100 += min(plain) < 100.0
+    assert below_100 == len(specs)  # each classifier misses some rows, so a flip would show
 
 
 def test_grid_axis_validation(planes_dataset):
@@ -551,6 +599,31 @@ def test_blocks_live_one_cell_and_each_fold_builds_one_basis(bonn_tree, tmp_path
         "block_builds": 2 * 4 * k,  # every cell builds its own: no block outlives its cell
         "block_hits": 0,  # every grid here has one point per (Universum size, kernel)
     }
+
+
+def test_a_fold_builds_each_training_set_once_and_none_outlives_its_rows(bonn_tree, monkeypatch):
+    grids = {
+        "iugepsvm": SHARING_GRIDS["iugepsvm"],  # linear at u = 3, before any kernel table
+        "ugepsvm": {"delta": [1e-4], "universum_size": [3]},
+        "gepsvm": SHARING_GRIDS["gepsvm"],  # rbf at u = 0: builds the fold's table
+    }
+    manifest = _toy_manifest(bonn_tree, features=["pca"], classifiers=list(grids), grids=grids)
+    records = _counting(monkeypatch, "_fold_record")
+    trained_on = []
+    build = evaluation.build_blocks
+
+    def spy(dataset, *args):
+        trained_on.append(dataset)
+        return build(dataset, *args)
+
+    monkeypatch.setattr(evaluation, "build_blocks", spy)
+    assert all(row.error is None for row in run_benchmark(manifest).rows)
+    assert len(trained_on) == len(grids) * manifest["folds"]
+    for index, record in enumerate(records):
+        iugepsvm, ugepsvm, gepsvm = trained_on[len(grids) * index : len(grids) * (index + 1)]
+        assert ugepsvm is iugepsvm  # one training set per (fold, u), whatever the cell
+        assert gepsvm.p == 0 and np.shares_memory(gepsvm.X1, record.table.Z)
+        assert list(record.prefixes) == [0]  # the u = 3 set went with the rows it held
 
 
 def test_each_fold_is_freed_before_the_next_fold_builds_its_basis(bonn_tree, monkeypatch):
