@@ -17,12 +17,11 @@ Kernel mode replaces the data rows by kernel evaluations against the
 expansion Z = [X1; X2; U] and solves the same problems in coefficient
 space.  Only the rbf family trains there: a linear kernel spec trains the
 linear model itself, since the dot-product kernel spans nothing the primal
-coordinates do not.  What kernel mode needs before a bandwidth enters --
-Z, its squared distances and those of the test rows to Z -- is one
-``KernelTable``; a grid passes the same table to every bandwidth it
-visits, and the blocks and models built from it share its Z.  On wide
-linear data the counterpart is a ``SpanFactor``.  Either also serves every
-training set made of its first rows, as a ``prefix``.
+coordinates do not.  Blocks carry the basis they were built on: a
+``KernelTable`` (Z and its squared distances, shared by every bandwidth)
+or, on wide linear data, a ``SpanFactor``.  Either holds the test rows'
+side of ``predict`` as ``precomputed`` and serves every training set made
+of its first rows as ``prefix(m)``.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from .eigsolve import smallest_eigpair_generalized, smallest_eigpair_standard
 from .kernels import KernelSpec, default_sigma, gram, squared_distances
 
 __all__ = [
-    "AugmentedClassMatrices",
     "CLASSIFIER_AXES",
     "CLASSIFIER_NAMES",
     "DegeneratePlaneError",
@@ -162,19 +160,6 @@ class TrainSpec:
         return out
 
 
-@dataclass(frozen=True)
-class AugmentedClassMatrices:
-    """Gram blocks of the bias-augmented rows: G = [X1 e]'[X1 e], etc.
-
-    ``P`` is a zero block when the dataset carries no Universum rows.  The
-    delta ridge is applied at solve time, never stored here.
-    """
-
-    G: np.ndarray = field(repr=False)
-    H: np.ndarray = field(repr=False)
-    P: np.ndarray = field(repr=False)
-
-
 def _augmented(rows: np.ndarray) -> np.ndarray:
     return np.hstack([rows, np.ones((rows.shape[0], 1))])
 
@@ -184,11 +169,9 @@ def _aug_gram(rows: np.ndarray) -> np.ndarray:
     return aug.T @ aug  # an empty Universum gives the zero block
 
 
-def class_matrices(dataset: LabeledDataset) -> AugmentedClassMatrices:
-    """Augmented Gram blocks of a dataset in primal (linear) coordinates."""
-    return AugmentedClassMatrices(
-        G=_aug_gram(dataset.X1), H=_aug_gram(dataset.X2), P=_aug_gram(dataset.U)
-    )
+def class_matrices(dataset: LabeledDataset) -> ProblemBlocks:
+    """Linear blocks of a dataset in primal coordinates: G = [X1 e]'[X1 e], etc."""
+    return ProblemBlocks(G=_aug_gram(dataset.X1), H=_aug_gram(dataset.X2), P=_aug_gram(dataset.U))
 
 
 @dataclass(frozen=True)
@@ -202,15 +185,17 @@ class SpanFactor:
     (``dormqr``) and never formed.  ``bias_coords`` are the first q entries
     of Q'e_n, where e_n is the bias axis, and ``bias_residual`` is the norm
     of the rest; together they give a plane's weight norm without lifting
-    it.  The first k reflectors depend only on the first k rows of F
-    (Golub & Van Loan, *Matrix Computations*, 5.2), so one factor holds
-    the factor of every leading block of rows (:meth:`prefix`).
+    it.  ``precomputed`` is ``project(test_rows)``, if given.  The first k
+    reflectors depend only on the first k rows of F (Golub & Van Loan,
+    *Matrix Computations*, 5.2), so one factor holds the factor of every
+    leading block of rows (:meth:`prefix`).
     """
 
     reflectors: np.ndarray = field(repr=False)
     tau: np.ndarray = field(repr=False)
     bias_coords: np.ndarray = field(repr=False)
     bias_residual: float
+    precomputed: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
     def from_reflectors(cls, reflectors: np.ndarray, tau: np.ndarray) -> SpanFactor:
@@ -224,7 +209,9 @@ class SpanFactor:
         """The factor of the first ``m`` stacked rows: the first m reflectors."""
         if m >= self.tau.size:
             return self
-        return SpanFactor.from_reflectors(self.reflectors[:, :m], self.tau[:m])
+        factor = SpanFactor.from_reflectors(self.reflectors[:, :m], self.tau[:m])
+        precomputed = None if self.precomputed is None else self.precomputed[:, :m]
+        return replace(factor, precomputed=precomputed)
 
     def project(self, rows: np.ndarray) -> np.ndarray:
         """Span coordinates of the bias-augmented ``rows``: (Q'[x; 1])[:q], one row per row."""
@@ -265,41 +252,43 @@ def _apply_reflectors(
 class ProblemBlocks:
     """Solve-ready Gram blocks, independent of delta/nu/gamma/psi.
 
-    ``mode`` is ``linear`` (primal coordinates, also used for a linear
-    kernel spec) or ``kernel`` (coefficient coordinates over the rbf
-    expansion Z, with its Gram matrix K_ZZ; Z is the ``KernelTable``'s,
-    not a copy).  Every hyperparameter enters later as a scalar
-    combination of G/H/P.
+    G, H and P are the augmented Gram blocks of class +1, class -1 and the
+    Universum (P is zero without Universum rows).  With ``kernel`` None
+    they are linear (primal coordinates, also for a linear kernel spec);
+    otherwise they are in coefficient coordinates over the rbf expansion
+    Z = ``basis.Z``, a ``KernelTable``'s, with its Gram matrix K_ZZ.
 
     When the feature dimension exceeds the training row count (wide data),
-    ``span`` holds the Householder reflectors of an orthonormal basis Q of
-    the span of the bias-augmented training rows and G/H/P are expressed
-    in that basis.  Models trained here keep their planes in span
+    a linear block's ``basis`` is the ``SpanFactor`` of an orthonormal
+    basis Q of the span of the bias-augmented training rows and G/H/P are
+    expressed in Q.  Models trained here keep their planes in span
     coordinates, predict from test rows projected through Q'
     (``SpanFactor.project``), and lift a plane back to w = Q z only when
-    its weights are asked for (``HyperplanePair.lifted``).  Minimizers provably live in that span --
-    the delta term penalizes any out-of-span component of a ratio
-    objective, and a difference objective is constant (= delta) on the
-    orthogonal complement, which never beats an in-span direction once any
-    counter term carries weight -- so the projected solve is exact while
-    the eigenproblem shrinks from feature-sized to row-count-sized.
+    its weights are asked for (``HyperplanePair.lifted``).  Minimizers
+    provably live in that span -- the delta term penalizes any out-of-span
+    component of a ratio objective, and a difference objective is constant
+    (= delta) on the orthogonal complement, which never beats an in-span
+    direction once any counter term carries weight -- so the projected
+    solve is exact while the eigenproblem shrinks from feature-sized to
+    row-count-sized.
     """
 
-    mode: str
-    matrices: AugmentedClassMatrices
+    G: np.ndarray = field(repr=False)
+    H: np.ndarray = field(repr=False)
+    P: np.ndarray = field(repr=False)
+    basis: SpanFactor | KernelTable | None = field(default=None, repr=False)
     kernel: KernelSpec | None = None
-    Z: np.ndarray | None = field(default=None, repr=False)
     K_ZZ: np.ndarray | None = field(default=None, repr=False)
-    span: SpanFactor | None = field(default=None, repr=False)
 
 
-def span_factor(dataset: LabeledDataset) -> SpanFactor:
-    """The Householder factor of ``dataset``'s stacked augmented rows [X1; X2; U]."""
+def span_factor(dataset: LabeledDataset, test_rows: np.ndarray | None = None) -> SpanFactor:
+    """The Householder factor of ``dataset``'s augmented rows [X1; X2; U], test rows projected."""
     F = np.vstack(
         [_augmented(dataset.X1), _augmented(dataset.X2), _augmented(dataset.U)]
     )
     h, tau = np.linalg.qr(F.T, mode="raw")  # F' = Q R, Q left as reflectors
-    return SpanFactor.from_reflectors(h.T[:, : tau.size], tau)
+    factor = SpanFactor.from_reflectors(h.T[:, : tau.size], tau)
+    return factor if test_rows is None else replace(factor, precomputed=factor.project(test_rows))
 
 
 @dataclass(frozen=True)
@@ -307,22 +296,23 @@ class KernelTable:
     """The bandwidth-free part of kernel mode for one training set.
 
     ``Z`` is the expansion [X1; X2; U], ``D_ZZ`` is
-    ``squared_distances(Z, Z)`` and ``D_test`` is
-    ``squared_distances(test_rows, Z)`` (None without test rows).  Every
-    rbf bandwidth at this training set builds its blocks and predicts from
-    one table, so no bandwidth copies Z or recomputes a distance.
+    ``squared_distances(Z, Z)`` and ``precomputed`` is
+    ``squared_distances(test_rows, Z)`` (None without test rows), what
+    ``predict`` reads of them.  Every rbf bandwidth at this training set
+    builds its blocks and predicts from one table, so no bandwidth copies
+    Z or recomputes a distance.
     """
 
     Z: np.ndarray = field(repr=False)
     D_ZZ: np.ndarray = field(repr=False)
-    D_test: np.ndarray | None = field(default=None, repr=False)
+    precomputed: np.ndarray | None = field(default=None, repr=False)
 
     def prefix(self, m: int) -> KernelTable:
         """The table of the expansion's first ``m`` rows, as views of this one."""
         if m >= self.Z.shape[0]:
             return self
-        D_test = None if self.D_test is None else self.D_test[:, :m]
-        return KernelTable(Z=self.Z[:m], D_ZZ=self.D_ZZ[:m, :m], D_test=D_test)
+        precomputed = None if self.precomputed is None else self.precomputed[:, :m]
+        return KernelTable(Z=self.Z[:m], D_ZZ=self.D_ZZ[:m, :m], precomputed=precomputed)
 
 
 def kernel_table(dataset: LabeledDataset, test_rows: np.ndarray | None = None) -> KernelTable:
@@ -333,8 +323,8 @@ def kernel_table(dataset: LabeledDataset, test_rows: np.ndarray | None = None) -
     Z = np.vstack([dataset.X1, dataset.X2, dataset.U])
     if Z.shape[0] + 1 > GRAM_CAP:
         raise ValueError(f"kernel expansion size {Z.shape[0] + 1} exceeds the cap {GRAM_CAP}")
-    D_test = None if test_rows is None else squared_distances(test_rows, Z)
-    return KernelTable(Z=Z, D_ZZ=squared_distances(Z, Z), D_test=D_test)
+    precomputed = None if test_rows is None else squared_distances(test_rows, Z)
+    return KernelTable(Z=Z, D_ZZ=squared_distances(Z, Z), precomputed=precomputed)
 
 
 def build_blocks(
@@ -349,21 +339,20 @@ def build_blocks(
     rows (labeled plus Universum).  ``basis`` is the work several blocks
     over ``dataset`` share: its ``span_factor`` for wide linear blocks, its
     ``kernel_table`` for rbf ones (a larger training set's ``prefix``
-    serves too).  Narrow linear blocks read none; without one, the others
-    compute their own.
+    serves too).  Narrow linear blocks read none; the others compute their
+    own when none is given, and carry it as ``basis``.
     """
     m1, m2 = dataset.m1, dataset.m2
     m = m1 + m2 + dataset.p
     if kernel is None or kernel.family == "linear":
         if dataset.n + 1 <= m:
-            return ProblemBlocks(mode="linear", matrices=class_matrices(dataset))
+            return class_matrices(dataset)
         span = span_factor(dataset) if basis is None else basis
         if span.tau.size != m:
             raise ValueError(f"span factor has {span.tau.size} reflectors, dataset has {m} rows")
         R = np.triu(span.reflectors[:m])  # the R that mode="reduced" returns
         R1, R2, RU = R[:, :m1], R[:, m1 : m1 + m2], R[:, m1 + m2 :]
-        matrices = AugmentedClassMatrices(G=R1 @ R1.T, H=R2 @ R2.T, P=RU @ RU.T)
-        return ProblemBlocks(mode="linear", matrices=matrices, span=span)
+        return ProblemBlocks(G=R1 @ R1.T, H=R2 @ R2.T, P=RU @ RU.T, basis=span)
     table = kernel_table(dataset) if basis is None else basis
     Z = table.Z
     if Z.shape[0] != m:
@@ -372,8 +361,8 @@ def build_blocks(
         kernel = KernelSpec(family="rbf", sigma=default_sigma(Z, table.D_ZZ))
     K_ZZ = gram(Z, Z, kernel, table.D_ZZ)
     K1, K2, KU = K_ZZ[:m1], K_ZZ[m1 : m1 + m2], K_ZZ[m1 + m2 :]
-    matrices = AugmentedClassMatrices(G=_aug_gram(K1), H=_aug_gram(K2), P=_aug_gram(KU))
-    return ProblemBlocks(mode="kernel", matrices=matrices, kernel=kernel, Z=Z, K_ZZ=K_ZZ)
+    G, H, P = _aug_gram(K1), _aug_gram(K2), _aug_gram(KU)
+    return ProblemBlocks(G=G, H=H, P=P, basis=table, kernel=kernel, K_ZZ=K_ZZ)
 
 
 @dataclass(frozen=True)
@@ -404,7 +393,7 @@ def plane_problems(blocks: ProblemBlocks, spec: TrainSpec) -> tuple[PlaneProblem
     Plane 2 swaps the class roles: its own-class block is H and its
     counter-class block is G (the Universum block is shared).
     """
-    G, H, P = blocks.matrices.G, blocks.matrices.H, blocks.matrices.P
+    G, H, P = blocks.G, blocks.H, blocks.P
     kind, delta = spec.classifier, spec.delta
     if kind == "gepsvm":
         operands = ((_ridged(G, delta), H), (_ridged(H, delta), G))
@@ -418,8 +407,9 @@ def plane_problems(blocks: ProblemBlocks, spec: TrainSpec) -> tuple[PlaneProblem
             (_ridged(G, delta, (spec.gamma1, H), (spec.psi1, P)), None),
             (_ridged(H, delta, (spec.effective_gamma2, G), (spec.effective_psi2, P)), None),
         )
+    mode = "linear" if blocks.kernel is None else "kernel"
     return tuple(
-        PlaneProblem(A=A, B=B, context=f"{kind} ({blocks.mode}) plane {index}")
+        PlaneProblem(A=A, B=B, context=f"{kind} ({mode}) plane {index}")
         for index, (A, B) in enumerate(operands, start=1)
     )
 
@@ -433,10 +423,10 @@ class HyperplanePair:
     the expansion rows Z and the kernel (rbf when trained here; model files
     may also carry a linear kernel).  A linear model trained over wide
     blocks keeps its planes as span coordinates (z1, z2) together with the
-    blocks' ``span``, with w1/w2 unset and b1/b2 the planes' bias terms:
-    it predicts from projected queries, and :meth:`lifted` gives the same
-    model with explicit weights.  ``plane_norms`` caches the denominators
-    of the point-to-plane distances.
+    blocks' ``basis`` as ``span``, with w1/w2 unset and b1/b2 the planes'
+    bias terms: it predicts from projected queries, and :meth:`lifted`
+    gives the same model with explicit weights.  ``plane_norms`` caches
+    the denominators of the point-to-plane distances.
     """
 
     mode: str
@@ -518,25 +508,25 @@ def train_with_blocks(blocks: ProblemBlocks, spec: TrainSpec) -> HyperplanePair:
     hyper = spec.hyperparameters()
     eigenvalues = (solutions[0].eigenvalue, solutions[1].eigenvalue)
 
-    if blocks.span is not None:
+    if blocks.kernel is None and blocks.basis is not None:
         z1, z2 = (solution.eigenvector for solution in solutions)
         return HyperplanePair(
             mode="linear",
             trained_by=spec.classifier,
             hyperparameters=hyper,
-            b1=float(blocks.span.bias_coords @ z1),
-            b2=float(blocks.span.bias_coords @ z2),
+            b1=float(blocks.basis.bias_coords @ z1),
+            b2=float(blocks.basis.bias_coords @ z2),
             plane_norms=tuple(
-                _checked_weight_norm(blocks.span.weight_norm(z), problem.context)
+                _checked_weight_norm(blocks.basis.weight_norm(z), problem.context)
                 for z, problem in zip((z1, z2), problems)
             ),
             eigenvalues=eigenvalues,
-            span=blocks.span,
+            span=blocks.basis,
             z1=z1,
             z2=z2,
         )
 
-    if blocks.mode == "linear":
+    if blocks.kernel is None:
         w1, b1, n1 = _split_plane(solutions[0].eigenvector, problems[0].context)
         w2, b2, n2 = _split_plane(solutions[1].eigenvector, problems[1].context)
         return HyperplanePair(
@@ -565,7 +555,7 @@ def train_with_blocks(blocks: ProblemBlocks, spec: TrainSpec) -> HyperplanePair:
         b1=b1,
         alpha2=alpha2,
         b2=b2,
-        Z=blocks.Z,
+        Z=blocks.basis.Z,
         kernel=blocks.kernel,
         plane_norms=norms,
         eigenvalues=eigenvalues,
@@ -591,9 +581,9 @@ def plane_distances(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Point-to-plane distances to plane 1 and plane 2 for each query row.
 
-    ``precomputed`` is per-query work a fold record did once: a kernel
-    model's ``squared_distances(queries, model.Z)`` (a ``KernelTable``'s
-    ``D_test``), or a span model's ``model.span.project(queries)``, which
+    ``precomputed`` is per-query work a basis did once, its
+    ``precomputed``: a kernel model's ``squared_distances(queries,
+    model.Z)``, or a span model's ``model.span.project(queries)``, which
     is then checked instead of the queries.  A span model without it is
     lifted first; a dense linear model ignores it.
     """

@@ -88,7 +88,7 @@ def _write_runinfo(
     """Host and timestamp details, quarantined away from the result files.
 
     ``counters`` (``bench`` only) are the run's feature fits, kernel
-    tables, span factors, block builds and block-store hits.
+    tables, span factors, block builds and block hits.
     """
     finished = time.time()
     info = {
@@ -108,9 +108,7 @@ def _write_runinfo(
     }
     if counters is not None:
         info["counters"] = counters
-    with open(directory / "runinfo.json", "w", encoding="utf-8") as handle:
-        json.dump(info, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    _emit_json(info, str(directory / "runinfo.json"))
 
 
 def _jsonable(obj):
@@ -358,10 +356,7 @@ def cmd_bench(args) -> int:
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "results.csv").write_text(results_csv(result.rows), encoding="utf-8")
-    (out / "summary.json").write_text(
-        json.dumps(_jsonable(result.summary), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    _emit_json(result.summary, str(out / "summary.json"))
     _write_runinfo(out, "bench", args.raw_argv, started, counters=result.counters)
     n_errors = sum(1 for row in result.rows if row.error)
     print(f"{len(result.rows)} cells, {n_errors} with errors -> {out / 'results.csv'}")

@@ -46,9 +46,9 @@ TASKS = {"o_vs_s": ("O", "S"), "z_vs_s": ("Z", "S")}
 
 UNIVERSUM_SET = "N"
 
-#: Raw segments carry 4097 samples; the trailing one is dropped so the
-#: length is an exact power of two for the wavelet transform.
-RAW_LENGTH = 4097
+#: Segment length: raw segments carry 4097 samples, and the trailing one
+#: is dropped so the length is an exact power of two for the wavelet
+#: transform.
 SEGMENT_LENGTH = 4096
 
 

@@ -6,9 +6,10 @@ files stay byte-reproducible.  Feature transforms that require fitting
 (PCA/ICA) are refit on each fold's training rows only.
 
 There is one grid engine, ``_run_cells``.  It runs cells -- a classifier's
-grid points each -- fold by fold: it builds a fold's record (extractor fit,
-training and test rows, and on first use the Householder ``SpanFactor`` or
-rbf ``KernelTable`` whose prefixes serve every Universum size), runs every
+grid points each -- fold by fold: it builds a fold's record (extractor
+fit, training and test rows, and on first use a basis whose prefixes serve
+every Universum size: a span factor for wide linear data, a kernel table
+for rbf, each holding what ``predict`` reads of the test rows), runs every
 cell's points on it and drops it before the next fold.  So each fold's
 extractor is fit and basis built once, and one fold is alive at a time.
 ``grid_search`` is the engine on one cell, ``run_cv`` on one point, and
@@ -33,8 +34,6 @@ import numpy as np
 from .classifiers import (
     CLASSIFIER_AXES,
     DegeneratePlaneError,
-    KernelTable,
-    SpanFactor,
     TrainSpec,
     build_blocks,
     kernel_table,
@@ -179,9 +178,7 @@ class _FoldRecord:
     test_rows: np.ndarray
     test_labels: np.ndarray
     counts: Counter  # the run's work counts
-    span: SpanFactor | None = None
-    projection: np.ndarray | None = None
-    table: KernelTable | None = None
+    bases: dict = field(default_factory=dict)  # rbf? -> the kernel table or span factor
     prefixes: dict = field(default_factory=dict)  # u -> training set with U[:u]
 
     def prefix(self, u: int) -> LabeledDataset:
@@ -193,21 +190,16 @@ class _FoldRecord:
     def basis(self, u: int, rbf: bool):
         """The basis of ``prefix(u)``, a prefix of this record's; built on first use."""
         rows = self.train.m1 + self.train.m2 + u
-        if rbf:
-            if self.table is None:
-                self.table = kernel_table(self.train, self.test_rows)
-                Z, m1, m2 = self.table.Z, self.train.m1, self.train.m1 + self.train.m2
+        if not rbf and self.train.n + 1 <= rows:
+            return None  # narrow linear blocks read the rows themselves
+        if rbf not in self.bases:
+            self.bases[rbf] = (kernel_table if rbf else span_factor)(self.train, self.test_rows)
+            self.counts["kernel_tables" if rbf else "span_factors"] += 1
+            if rbf:
+                Z, m1, m2 = self.bases[rbf].Z, self.train.m1, self.train.m1 + self.train.m2
                 self.train = LabeledDataset(X1=Z[:m1], X2=Z[m1:m2], U=Z[m2:])  # rows held once
                 self.prefixes.clear()  # they hold the rows just replaced
-                self.counts["kernel_tables"] += 1
-            return self.table.prefix(rows)
-        if self.train.n + 1 <= rows:
-            return None  # narrow linear blocks read the rows themselves
-        if self.span is None:
-            self.span = span_factor(self.train)
-            self.projection = self.span.project(self.test_rows)
-            self.counts["span_factors"] += 1
-        return self.span.prefix(rows)
+        return self.bases[rbf].prefix(rows)
 
 
 def _fold_record(dataset: LabeledDataset, folds: FoldPlan, fold: int, extractor, counts):
@@ -231,7 +223,6 @@ def _fold_record(dataset: LabeledDataset, folds: FoldPlan, fold: int, extractor,
 def _fold_score(spec: TrainSpec, record: _FoldRecord, u: int, blocks: dict) -> tuple:
     """One fold's accuracy, predict seconds and rbf bandwidth for ``spec`` at Universum size u."""
     rbf = spec.kernel is not None and spec.kernel.family == "rbf"
-    rows = record.train.m1 + record.train.m2 + u
     key = (u, spec.kernel)
     try:
         if key in blocks:
@@ -241,12 +232,9 @@ def _fold_score(spec: TrainSpec, record: _FoldRecord, u: int, blocks: dict) -> t
             blocks[key] = build_blocks(record.prefix(u), spec.kernel, basis)
             record.counts["block_builds"] += 1
         model = train_with_blocks(blocks[key], spec)
-        if rbf:
-            precomputed = record.table.D_test[:, :rows]
-        else:
-            precomputed = None if blocks[key].span is None else record.projection[:, :rows]
+        basis = blocks[key].basis
         start = time.perf_counter()
-        labels = predict(model, record.test_rows, precomputed)
+        labels = predict(model, record.test_rows, None if basis is None else basis.precomputed)
         seconds = time.perf_counter() - start
     except _FOLD_FAILURES as exc:
         raise FoldTrainingError(f"fold {record.fold}: {exc}") from exc

@@ -49,6 +49,10 @@ _MOMENTS = {"haar": 1, "db1": 1, "db2": 2, "db4": 4, "db6": 6}
 #: Decomposition depth used when none is requested.
 DEFAULT_LEVELS = {"haar": 3, "db1": 2, "db2": 3, "db4": 3, "db6": 2}
 
+#: ICA's iteration budget and convergence bound, per unmixing direction.
+ICA_MAX_ITERATIONS = 500
+ICA_TOLERANCE = 1e-6
+
 _FILTER_CACHE: dict[int, np.ndarray] = {}
 
 
@@ -259,23 +263,15 @@ class ICABasis:
         return self.unmixing.shape[0]
 
 
-def ica_fit(
-    rows: np.ndarray,
-    n_components: int = 32,
-    seed: int = 0,
-    max_iterations: int = 500,
-    tolerance: float = 1e-6,
-) -> ICABasis:
+def ica_fit(rows: np.ndarray, n_components: int = 32, seed: int = 0) -> ICABasis:
     """Deflationary fixed-point ICA with the tanh contrast function.
 
     Rows are whitened through PCA first; each unmixing direction is then
-    iterated until its change drops below ``tolerance`` or the iteration
-    budget runs out, in which case the basis is returned with
-    ``converged=False`` and a warning.  Initial directions are drawn from a
-    seeded generator, so fits are reproducible.
+    iterated until its change drops below ``ICA_TOLERANCE`` or
+    ``ICA_MAX_ITERATIONS`` run out, in which case the basis is returned
+    with ``converged=False`` and a warning.  Initial directions are drawn
+    from a seeded generator, so fits are reproducible.
     """
-    if max_iterations < 1:
-        raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
     pca = pca_fit(rows, n_components=n_components)
     kept = pca.n_components
     scale = np.sqrt(np.maximum(pca.explained_variance, np.finfo(float).tiny))
@@ -292,7 +288,7 @@ def ica_fit(
         w = rng.normal(size=kept)
         w /= np.linalg.norm(w)
         ok = False
-        for iteration in range(1, max_iterations + 1):
+        for iteration in range(1, ICA_MAX_ITERATIONS + 1):
             projections = white @ w
             g = np.tanh(projections)
             g_prime = 1.0 - g * g
@@ -304,7 +300,7 @@ def ica_fit(
             w_new /= norm
             delta = abs(abs(float(w_new @ w)) - 1.0)
             w = w_new
-            if delta < tolerance:
+            if delta < ICA_TOLERANCE:
                 ok = True
                 break
         worst_iterations = max(worst_iterations, iteration)
@@ -313,7 +309,7 @@ def ica_fit(
         W[i] = w
     if not converged:
         warnings.warn(
-            f"ICA did not converge within {max_iterations} iterations", stacklevel=2
+            f"ICA did not converge within {ICA_MAX_ITERATIONS} iterations", stacklevel=2
         )
     return ICABasis(
         mean=pca.mean,

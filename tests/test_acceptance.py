@@ -20,7 +20,6 @@ import numpy as np
 import pytest
 
 from eigu.classifiers import (
-    ProblemBlocks,
     TrainSpec,
     build_blocks,
     class_matrices,
@@ -190,7 +189,7 @@ def test_criterion_4_trained_planes_are_eigen_optimal():
     for dataset in _random_suite():
         probes = rng.standard_normal((10_000, dataset.n + 1))
         probes /= np.linalg.norm(probes, axis=1, keepdims=True)
-        dense_blocks = ProblemBlocks(mode="linear", matrices=class_matrices(dataset))
+        dense_blocks = class_matrices(dataset)
         for spec in LINEAR_SPECS:
             blocks = build_blocks(dataset, None)
             problems = plane_problems(blocks, spec)

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from eigu.classifiers import (
-    AugmentedClassMatrices,
     DegeneratePlaneError,
     HyperplanePair,
     ProblemBlocks,
@@ -147,8 +146,8 @@ def test_plane_operands_equal_the_explicit_ridge_sum_bit_for_bit(wide):
         G, H, P = (M + M.T for M in rng.standard_normal((3, 7, 7)))
         for M in (G, H, P):
             M[np.abs(M) < 0.5] = -0.0
-        blocks = ProblemBlocks(mode="linear", matrices=AugmentedClassMatrices(G=G, H=H, P=P))
-    G, H, P = blocks.matrices.G, blocks.matrices.H, blocks.matrices.P
+        blocks = ProblemBlocks(G=G, H=H, P=P)
+    G, H, P = blocks.G, blocks.H, blocks.P
     zeros = G[G == 0]
     assert zeros.size and (wide or np.signbit(zeros).all())
     delta = 1e-3
@@ -252,7 +251,7 @@ def test_wide_data_projection_matches_the_dense_solve():
         X2=rng.standard_normal((3, 8)) + 0.4,
         U=rng.standard_normal((2, 8)),
     )
-    dense_blocks = ProblemBlocks(mode="linear", matrices=class_matrices(dataset))
+    dense_blocks = class_matrices(dataset)
     for name, spec in LINEAR_SPECS.items():
         projected = train(dataset, spec)
         dense = train_with_blocks(dense_blocks, spec)
@@ -297,13 +296,13 @@ def test_span_factor_blocks_equal_the_explicit_qr_blocks(kind):
     """Keeping Q as reflectors leaves R, and so G/H/P, bit for bit."""
     dataset = _wide_dataset(kind)
     blocks = build_blocks(dataset, None)
-    assert blocks.span is not None
+    assert blocks.basis is not None
     _, R = _explicit_qr(dataset)
     m1, m2 = dataset.m1, dataset.m2
     R1, R2, RU = R[:, :m1], R[:, m1 : m1 + m2], R[:, m1 + m2 :]
-    assert np.array_equal(blocks.matrices.G, R1 @ R1.T)
-    assert np.array_equal(blocks.matrices.H, R2 @ R2.T)
-    assert np.array_equal(blocks.matrices.P, RU @ RU.T)
+    assert np.array_equal(blocks.G, R1 @ R1.T)
+    assert np.array_equal(blocks.H, R2 @ R2.T)
+    assert np.array_equal(blocks.P, RU @ RU.T)
 
 
 @pytest.mark.parametrize("kind", WIDE_KINDS)
@@ -313,7 +312,7 @@ def test_lazily_lifted_planes_match_the_explicit_q_lift(kind):
     Q, _ = _explicit_qr(dataset)
     for name, spec in LINEAR_SPECS.items():
         model = train_with_blocks(blocks, spec)
-        assert model.w1 is None and model.span is blocks.span, name
+        assert model.w1 is None and model.span is blocks.basis, name
         lifted = model.lifted()
         for z, w, b in ((model.z1, lifted.w1, lifted.b1), (model.z2, lifted.w2, lifted.b2)):
             explicit = Q @ z
@@ -332,8 +331,8 @@ def test_span_coordinates_give_the_lifted_distances(kind):
     dataset = _wide_dataset(kind)
     blocks = build_blocks(dataset, None)
     queries = np.random.default_rng(13).standard_normal((9, dataset.n))
-    coords = blocks.span.project(queries)
-    assert coords.shape == (9, blocks.matrices.G.shape[0])
+    coords = blocks.basis.project(queries)
+    assert coords.shape == (9, blocks.G.shape[0])
     assert coords.flags.owndata  # not a view that pins the feature-sized dormqr output
     for name, spec in LINEAR_SPECS.items():
         model = train_with_blocks(blocks, spec)
@@ -351,7 +350,7 @@ def test_predict_checks_the_rows_it_reads():
     blocks = build_blocks(dataset, None)
     model = train_with_blocks(blocks, LINEAR_SPECS["gepsvm"])
     queries = np.random.default_rng(13).standard_normal((9, dataset.n))
-    coords = blocks.span.project(queries)
+    coords = blocks.basis.project(queries)
     unread = np.full_like(queries, np.nan)
     # with coordinates a span model reads them alone, so only they are checked
     assert np.array_equal(predict(model, unread, coords), predict(model.lifted(), queries))
@@ -369,7 +368,7 @@ def test_a_wide_all_bias_plane_raises_through_train_and_run_cv():
     """All-zero rows put e_n in the row span: the plane is all bias."""
     zeros = LabeledDataset(X1=np.zeros((4, 8)), X2=np.zeros((4, 8)), U=np.zeros((0, 8)))
     spec = TrainSpec(classifier="gepsvm", delta=1e-4)
-    assert build_blocks(zeros, None).span is not None
+    assert build_blocks(zeros, None).basis is not None
     with pytest.raises(DegeneratePlaneError):
         train(zeros, spec)
     with pytest.raises(FoldTrainingError) as excinfo:
@@ -417,10 +416,7 @@ def test_coincident_degenerate_classes_raise():
 def test_an_indefinite_ratio_numerator_names_the_plane():
     """G + delta*I must be positive-definite; the error names the plane."""
     eye = np.eye(3)
-    blocks = ProblemBlocks(
-        mode="linear",
-        matrices=AugmentedClassMatrices(G=-eye, H=eye, P=np.zeros((3, 3))),
-    )
+    blocks = ProblemBlocks(G=-eye, H=eye, P=np.zeros((3, 3)))
     with pytest.raises(SingularDenominatorError) as excinfo:
         train_with_blocks(blocks, TrainSpec(classifier="gepsvm", delta=1e-4))
     message = str(excinfo.value)
@@ -532,7 +528,7 @@ def test_a_data_driven_sigma_computes_the_distances_once(planes_dataset, monkeyp
     m = planes_dataset.m1 + planes_dataset.m2 + planes_dataset.p
     assert calls == [(m, m)]  # shared by the bandwidth rule and the Gram block
     monkeypatch.undo()
-    assert blocks.kernel.sigma == default_sigma(blocks.Z)
+    assert blocks.kernel.sigma == default_sigma(blocks.basis.Z)
 
 
 def _assert_close(got, want, message=""):
@@ -541,7 +537,7 @@ def _assert_close(got, want, message=""):
 
 def _assert_same_blocks(sliced, alone, message):
     for name in ("G", "H", "P"):
-        _assert_close(getattr(sliced.matrices, name), getattr(alone.matrices, name), message)
+        _assert_close(getattr(sliced, name), getattr(alone, name), message)
 
 
 @pytest.mark.parametrize("n", [40, 12])  # wide at every Universum size; wide only below u = 3
@@ -555,8 +551,8 @@ def test_a_prefix_of_one_basis_serves_every_universum_size(n):
     )
     queries = rng.standard_normal((7, n))
     largest = subset_universum(pool, pool.p, seed=3)
-    table, span = kernel_table(largest, queries), span_factor(largest)
-    projection = span.project(queries)
+    table, span = kernel_table(largest, queries), span_factor(largest, queries)
+    bare = span_factor(largest)  # no test rows
     rbf = TrainSpec(classifier="iugepsvm", delta=1e-5, kernel=KernelSpec(family="rbf"))
     linear = LINEAR_SPECS["iugepsvm"]
     wide_sizes = []
@@ -567,23 +563,25 @@ def test_a_prefix_of_one_basis_serves_every_universum_size(n):
         sliced, alone = build_blocks(data, rbf.kernel, table.prefix(m)), build_blocks(data, rbf.kernel)
         _assert_same_blocks(sliced, alone, f"rbf, u = {u}")
         assert sliced.kernel.sigma == pytest.approx(alone.kernel.sigma, rel=1e-10)
-        _assert_close(table.prefix(m).D_test, alone_table.D_test, f"u = {u}")
+        _assert_close(table.prefix(m).precomputed, alone_table.precomputed, f"u = {u}")
         assert np.array_equal(
-            predict(train_with_blocks(sliced, rbf), queries, table.prefix(m).D_test),
-            predict(train_with_blocks(alone, rbf), queries, alone_table.D_test),
+            predict(train_with_blocks(sliced, rbf), queries, table.prefix(m).precomputed),
+            predict(train_with_blocks(alone, rbf), queries, alone_table.precomputed),
         ), f"rbf, u = {u}"
         if n + 1 <= m:
             continue  # narrow: linear blocks read no basis
         wide_sizes.append(u)
         sliced, alone = build_blocks(data, None, span.prefix(m)), build_blocks(data, None)
         _assert_same_blocks(sliced, alone, f"linear, u = {u}")
-        _assert_close(projection[:, :m], alone.span.project(queries), f"u = {u}")
+        precomputed = span.prefix(m).precomputed
+        assert np.array_equal(precomputed, bare.project(queries)[:, :m]), f"u = {u}"
+        _assert_close(precomputed, alone.basis.project(queries), f"u = {u}")
         z = rng.standard_normal(m)
-        _assert_close(sliced.span.lift(z), alone.span.lift(z), f"u = {u}")
-        assert sliced.span.weight_norm(z) == pytest.approx(alone.span.weight_norm(z), rel=1e-10)
+        _assert_close(sliced.basis.lift(z), alone.basis.lift(z), f"u = {u}")
+        assert sliced.basis.weight_norm(z) == pytest.approx(alone.basis.weight_norm(z), rel=1e-10)
         assert np.array_equal(
-            predict(train_with_blocks(sliced, linear), queries, projection[:, :m]),
-            predict(train_with_blocks(alone, linear), queries, alone.span.project(queries)),
+            predict(train_with_blocks(sliced, linear), queries, precomputed),
+            predict(train_with_blocks(alone, linear), queries, alone.basis.project(queries)),
         ), f"linear, u = {u}"
     assert wide_sizes == (list(range(pool.p + 1)) if n == 40 else [0, 1, 2])
 

@@ -58,7 +58,7 @@ def _toy_manifest_payload(bonn_tree):
     }
 
 
-def test_help_lists_commands_but_hides_the_selftest(capsys):
+def test_help_lists_every_command(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["--help"])
     assert excinfo.value.code == 0

@@ -124,12 +124,12 @@ def test_every_bandwidth_shares_one_kernel_table(planes_dataset, monkeypatch):
         spec = TrainSpec(
             classifier="iugepsvm", delta=1e-5, gamma1=0.1, psi1=0.01, kernel=KernelSpec("rbf", sigma)
         )
-        assert blocks.Z is table.Z and model.Z is table.Z
+        assert blocks.basis.Z is table.Z and model.Z is table.Z
         fresh_blocks = build_blocks(fold_data, spec.kernel)
         fresh_model = train_with_blocks(fresh_blocks, spec)
-        assert fresh_blocks.Z is not table.Z
+        assert fresh_blocks.basis.Z is not table.Z
         assert np.array_equal(blocks.K_ZZ, fresh_blocks.K_ZZ)
-        shared = plane_distances(model, test_rows, table.D_test)
+        shared = plane_distances(model, test_rows, table.precomputed)
         unshared = plane_distances(fresh_model, test_rows)
         assert all(np.array_equal(a, b) for a, b in zip(shared, unshared))
         assert np.array_equal(labels, original(fresh_model, test_rows))
@@ -586,7 +586,7 @@ def test_blocks_live_one_cell_and_each_fold_builds_one_basis(bonn_tree, tmp_path
         # ugepsvm asks for 50 Universum rows; the pool of 6 caps the record
         assert record.train.p == manifest["universum_pool"]
         rows = record.train.m1 + record.train.m2 + record.train.p
-        assert record.table.Z.shape[0] == rows  # rbf cells run at u = 0, a prefix
+        assert record.bases[True].Z.shape[0] == rows  # rbf cells run at u = 0, a prefix
     assert [factor.tau.size for factor in factors] == [
         record.train.m1 + record.train.m2 + manifest["universum_pool"] for record in records[:k]
     ]  # dwt_db2 only (4 pca components are narrow); linear cells run at u = 3, a prefix
@@ -622,7 +622,7 @@ def test_a_fold_builds_each_training_set_once_and_none_outlives_its_rows(bonn_tr
     for index, record in enumerate(records):
         iugepsvm, ugepsvm, gepsvm = trained_on[len(grids) * index : len(grids) * (index + 1)]
         assert ugepsvm is iugepsvm  # one training set per (fold, u), whatever the cell
-        assert gepsvm.p == 0 and np.shares_memory(gepsvm.X1, record.table.Z)
+        assert gepsvm.p == 0 and np.shares_memory(gepsvm.X1, record.bases[True].Z)
         assert list(record.prefixes) == [0]  # the u = 3 set went with the rows it held
 
 
