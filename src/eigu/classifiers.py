@@ -261,16 +261,13 @@ class ProblemBlocks:
     When the feature dimension exceeds the training row count (wide data),
     a linear block's ``basis`` is the ``SpanFactor`` of an orthonormal
     basis Q of the span of the bias-augmented training rows and G/H/P are
-    expressed in Q.  Models trained here keep their planes in span
-    coordinates, predict from test rows projected through Q'
-    (``SpanFactor.project``), and lift a plane back to w = Q z only when
-    its weights are asked for (``HyperplanePair.lifted``).  Minimizers
-    provably live in that span -- the delta term penalizes any out-of-span
-    component of a ratio objective, and a difference objective is constant
-    (= delta) on the orthogonal complement, which never beats an in-span
-    direction once any counter term carries weight -- so the projected
-    solve is exact while the eigenproblem shrinks from feature-sized to
-    row-count-sized.
+    expressed in Q; models trained on them keep their planes in span
+    coordinates (see ``HyperplanePair``).  Minimizers provably live in
+    that span -- the delta term penalizes any out-of-span component of a
+    ratio objective, and a difference objective is constant (= delta) on
+    the orthogonal complement, which never beats an in-span direction once
+    any counter term carries weight -- so the projected solve is exact
+    while the eigenproblem shrinks from feature-sized to row-count-sized.
     """
 
     G: np.ndarray = field(repr=False)
@@ -418,86 +415,84 @@ def plane_problems(blocks: ProblemBlocks, spec: TrainSpec) -> tuple[PlaneProblem
 class HyperplanePair:
     """A trained model: two planes plus everything prediction needs.
 
-    Linear mode stores weight vectors (w1, b1) / (w2, b2); kernel mode
-    stores expansion coefficients (alpha1, b1) / (alpha2, b2) together with
-    the expansion rows Z and the kernel (rbf when trained here; model files
-    may also carry a linear kernel).  A linear model trained over wide
-    blocks keeps its planes as span coordinates (z1, z2) together with the
-    blocks' ``basis`` as ``span``, with w1/w2 unset and b1/b2 the planes'
-    bias terms: it predicts from projected queries, and :meth:`lifted`
-    gives the same model with explicit weights.  ``plane_norms`` caches
-    the denominators of the point-to-plane distances.
+    Each plane is a coefficient vector and a bias, (coef1, b1) and
+    (coef2, b2), and a query x scores ``coords @ coef + b`` over its
+    coordinates in the basis the planes were solved in: x itself for a
+    linear model (coef is w); the kernel row k(x, Z) for a kernel model,
+    which keeps the expansion rows ``Z`` (coef is alpha; rbf when trained
+    here, model files may also carry a linear kernel); ``span.project(x)``
+    for a linear model trained over wide blocks, which keeps their basis
+    as ``span`` and the bias folded into coef (b = 0.0).  :meth:`lifted`
+    gives a span model's explicit weights.  ``plane_norms`` caches each
+    plane's weight norm, the denominator of its point-to-plane distances.
     """
 
-    mode: str
     trained_by: str
     hyperparameters: dict
+    coef1: np.ndarray = field(repr=False)
     b1: float
+    coef2: np.ndarray = field(repr=False)
     b2: float
-    w1: np.ndarray | None = field(default=None, repr=False)
-    w2: np.ndarray | None = field(default=None, repr=False)
-    alpha1: np.ndarray | None = field(default=None, repr=False)
-    alpha2: np.ndarray | None = field(default=None, repr=False)
-    Z: np.ndarray | None = field(default=None, repr=False)
     kernel: KernelSpec | None = None
+    Z: np.ndarray | None = field(default=None, repr=False)
+    span: SpanFactor | None = field(default=None, repr=False)
     plane_norms: tuple[float, float] = (1.0, 1.0)
     eigenvalues: tuple[float, float] = (0.0, 0.0)
-    span: SpanFactor | None = field(default=None, repr=False)
-    z1: np.ndarray | None = field(default=None, repr=False)
-    z2: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def mode(self) -> str:
+        return "linear" if self.kernel is None else "kernel"
 
     @property
     def n_features(self) -> int:
         if self.span is not None:
             return int(self.span.reflectors.shape[0] - 1)
-        if self.mode == "linear":
-            return int(self.w1.size)
-        return int(self.Z.shape[1])
+        return int(self.coef1.size if self.Z is None else self.Z.shape[1])
 
     def lifted(self) -> HyperplanePair:
         """This model with explicit weights: each span plane lifted to Q z."""
         if self.span is None:
             return self
-        planes = []
-        for index, z in ((1, self.z1), (2, self.z2)):
-            vector = self.span.lift(z)
-            context = f"{self.trained_by} ({self.mode}) plane {index}"
-            planes.append(_split_plane(vector / np.linalg.norm(vector), context))
-        (w1, b1, n1), (w2, b2, n2) = planes
+        (coef1, b1, n1), (coef2, b2, n2) = (
+            _plane(v / np.linalg.norm(v), f"{self.trained_by} ({self.mode}) plane {i}")
+            for i, v in ((1, self.span.lift(self.coef1)), (2, self.span.lift(self.coef2)))
+        )
         return replace(
-            self, w1=w1, b1=b1, w2=w2, b2=b2, plane_norms=(n1, n2), span=None, z1=None, z2=None
+            self, coef1=coef1, b1=b1, coef2=coef2, b2=b2, plane_norms=(n1, n2), span=None
         )
 
 
-def _checked_weight_norm(norm: float, context: str) -> float:
+def _plane(
+    z: np.ndarray, context: str, span: SpanFactor | None = None, K_ZZ: np.ndarray | None = None
+) -> tuple[np.ndarray, float, float]:
+    """(coef, b, weight norm) of a plane ``z`` solved in a basis's coordinates, norm checked.
+
+    In ``span`` coordinates the bias stays folded into coef (b = 0.0) and
+    the span gives the weight norm; otherwise z's last entry is the bias and
+    the norm is ||w||, or sqrt(alpha' K_ZZ alpha) over a kernel expansion.
+    """
+    coef, bias = (z, 0.0) if span is not None else (z[:-1], float(z[-1]))
+    if span is not None:
+        norm = span.weight_norm(z)
+    elif K_ZZ is None:
+        norm = float(np.linalg.norm(coef))
+    else:
+        norm = float(np.sqrt(max(float(coef @ (K_ZZ @ coef)), 0.0)))
     if norm < DEGENERATE_NORM:
         raise DegeneratePlaneError(
             f"{context}: plane weight norm {norm:.3e} is below {DEGENERATE_NORM:.0e} "
             "(all weight on the bias term)"
         )
-    return norm
-
-
-def _split_plane(vector: np.ndarray, context: str) -> tuple[np.ndarray, float, float]:
-    weights, bias = vector[:-1], float(vector[-1])
-    return weights, bias, _checked_weight_norm(float(np.linalg.norm(weights)), context)
-
-
-def _kernel_norm(alpha: np.ndarray, K_ZZ: np.ndarray, context: str) -> float:
-    norm_sq = float(alpha @ (K_ZZ @ alpha))
-    norm = float(np.sqrt(max(norm_sq, 0.0)))
-    if norm < DEGENERATE_NORM:
-        raise DegeneratePlaneError(
-            f"{context}: kernel plane norm {norm:.3e} is below {DEGENERATE_NORM:.0e}"
-        )
-    return norm
+    return coef, bias, norm
 
 
 def train_with_blocks(blocks: ProblemBlocks, spec: TrainSpec) -> HyperplanePair:
     """Solve both plane problems over prepared blocks and package the model.
 
-    Over wide blocks the model keeps its planes in span coordinates (see
-    :class:`HyperplanePair`); nothing here is feature-sized.
+    The planes stay in the coordinates of the blocks' basis (see
+    :class:`HyperplanePair`): over wide blocks they are span coordinates,
+    the blocks' basis is the model's ``span``, and nothing here is
+    feature-sized.
     """
     problems = plane_problems(blocks, spec)
     solutions = tuple(
@@ -506,59 +501,24 @@ def train_with_blocks(blocks: ProblemBlocks, spec: TrainSpec) -> HyperplanePair:
         for p in problems
     )
     hyper = spec.hyperparameters()
-    eigenvalues = (solutions[0].eigenvalue, solutions[1].eigenvalue)
-
-    if blocks.kernel is None and blocks.basis is not None:
-        z1, z2 = (solution.eigenvector for solution in solutions)
-        return HyperplanePair(
-            mode="linear",
-            trained_by=spec.classifier,
-            hyperparameters=hyper,
-            b1=float(blocks.basis.bias_coords @ z1),
-            b2=float(blocks.basis.bias_coords @ z2),
-            plane_norms=tuple(
-                _checked_weight_norm(blocks.basis.weight_norm(z), problem.context)
-                for z, problem in zip((z1, z2), problems)
-            ),
-            eigenvalues=eigenvalues,
-            span=blocks.basis,
-            z1=z1,
-            z2=z2,
-        )
-
-    if blocks.kernel is None:
-        w1, b1, n1 = _split_plane(solutions[0].eigenvector, problems[0].context)
-        w2, b2, n2 = _split_plane(solutions[1].eigenvector, problems[1].context)
-        return HyperplanePair(
-            mode="linear",
-            trained_by=spec.classifier,
-            hyperparameters=hyper,
-            w1=w1,
-            b1=b1,
-            w2=w2,
-            b2=b2,
-            plane_norms=(n1, n2),
-            eigenvalues=eigenvalues,
-        )
-
-    hyper["sigma"] = float(blocks.kernel.sigma)  # resolved value, possibly data-driven
-    (alpha1, b1), (alpha2, b2) = ((s.eigenvector[:-1], float(s.eigenvector[-1])) for s in solutions)
-    norms = tuple(
-        _kernel_norm(alpha, blocks.K_ZZ, problem.context)
-        for alpha, problem in zip((alpha1, alpha2), problems)
+    if blocks.kernel is not None:
+        hyper["sigma"] = float(blocks.kernel.sigma)  # resolved value, possibly data-driven
+    span = blocks.basis if blocks.kernel is None else None
+    (coef1, b1, n1), (coef2, b2, n2) = (
+        _plane(s.eigenvector, p.context, span, blocks.K_ZZ) for s, p in zip(solutions, problems)
     )
     return HyperplanePair(
-        mode="kernel",
         trained_by=spec.classifier,
         hyperparameters=hyper,
-        alpha1=alpha1,
+        coef1=coef1,
         b1=b1,
-        alpha2=alpha2,
+        coef2=coef2,
         b2=b2,
-        Z=blocks.basis.Z,
         kernel=blocks.kernel,
-        plane_norms=norms,
-        eigenvalues=eigenvalues,
+        Z=None if blocks.kernel is None else blocks.basis.Z,
+        span=span,
+        plane_norms=(n1, n2),
+        eigenvalues=(solutions[0].eigenvalue, solutions[1].eigenvalue),
     )
 
 
@@ -581,29 +541,28 @@ def plane_distances(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Point-to-plane distances to plane 1 and plane 2 for each query row.
 
+    Each is ``|coords @ coef + b| / plane_norm`` over the queries'
+    coordinates in the model's basis (see :class:`HyperplanePair`).
     ``precomputed`` is per-query work a basis did once, its
     ``precomputed``: a kernel model's ``squared_distances(queries,
     model.Z)``, or a span model's ``model.span.project(queries)``, which
-    is then checked instead of the queries.  A span model without it is
-    lifted first; a dense linear model ignores it.
+    is then checked instead of the queries.  A span model without it
+    projects the queries itself; a dense linear model ignores it.
     """
-    if model.span is not None and precomputed is None:
-        model = model.lifted()
-    if precomputed is None or (model.mode == "linear" and model.span is None):
+    if precomputed is None or (model.kernel is None and model.span is None):
         queries = _checked_rows(queries, model.n_features, "queries")
+        if model.span is not None:
+            precomputed = model.span.project(queries)
     else:
-        width = model.z1.size if model.span is not None else model.Z.shape[0]
-        precomputed = _checked_rows(precomputed, width, "precomputed rows")
+        precomputed = _checked_rows(precomputed, model.coef1.size, "precomputed rows")
         if len(precomputed) != len(queries):
             raise ValueError(f"{len(precomputed)} precomputed rows for {len(queries)} queries")
-    if model.span is not None:
-        score1, score2 = precomputed @ model.z1, precomputed @ model.z2
-    elif model.mode == "linear":
-        score1, score2 = queries @ model.w1 + model.b1, queries @ model.w2 + model.b2
+    if model.kernel is not None:
+        coords = gram(queries, model.Z, model.kernel, precomputed)
     else:
-        K = gram(queries, model.Z, model.kernel, precomputed)
-        score1, score2 = K @ model.alpha1 + model.b1, K @ model.alpha2 + model.b2
-    return np.abs(score1) / model.plane_norms[0], np.abs(score2) / model.plane_norms[1]
+        coords = queries if model.span is None else precomputed
+    planes = zip((model.coef1, model.coef2), (model.b1, model.b2), model.plane_norms)
+    return tuple(np.abs(coords @ coef + b) / norm for coef, b, norm in planes)
 
 
 def predict(
@@ -617,16 +576,16 @@ def predict(
     return np.where(dist1 <= dist2, 1, -1)
 
 
-def _array_payload(values: np.ndarray | None):
-    return None if values is None else [float(v) for v in np.ravel(values)]
-
-
 def model_to_json(model: HyperplanePair) -> str:
     """Serialize a model to JSON (floats keep full round-trip precision).
 
-    A span model is lifted first, so the file always holds explicit weights.
+    A span model is lifted first, so the file always holds explicit weights:
+    a linear model's coefficients as ``w1``/``w2``, a kernel model's as
+    ``alpha1``/``alpha2``.
     """
     model = model.lifted()
+    coefs = ([float(v) for v in model.coef1], [float(v) for v in model.coef2])
+    weights, alphas = (coefs, (None, None)) if model.kernel is None else ((None, None), coefs)
     payload = {
         "format_version": MODEL_FORMAT_VERSION,
         "mode": model.mode,
@@ -636,10 +595,10 @@ def model_to_json(model: HyperplanePair) -> str:
         "b2": model.b2,
         "plane_norms": list(model.plane_norms),
         "eigenvalues": list(model.eigenvalues),
-        "w1": _array_payload(model.w1),
-        "w2": _array_payload(model.w2),
-        "alpha1": _array_payload(model.alpha1),
-        "alpha2": _array_payload(model.alpha2),
+        "w1": weights[0],
+        "w2": weights[1],
+        "alpha1": alphas[0],
+        "alpha2": alphas[1],
         "kernel": None
         if model.kernel is None
         else {"family": model.kernel.family, "sigma": model.kernel.sigma},
@@ -658,18 +617,18 @@ def model_from_json(text: str) -> HyperplanePair:
         )
     arr = lambda key: None if payload[key] is None else np.asarray(payload[key], dtype=float)
     kernel = payload["kernel"]
-    return HyperplanePair(
-        mode=payload["mode"],
+    model = HyperplanePair(
         trained_by=payload["trained_by"],
         hyperparameters=payload["hyperparameters"],
+        coef1=arr("w1" if kernel is None else "alpha1"),
         b1=float(payload["b1"]),
+        coef2=arr("w2" if kernel is None else "alpha2"),
         b2=float(payload["b2"]),
-        w1=arr("w1"),
-        w2=arr("w2"),
-        alpha1=arr("alpha1"),
-        alpha2=arr("alpha2"),
-        Z=arr("Z"),
         kernel=None if kernel is None else KernelSpec(family=kernel["family"], sigma=kernel["sigma"]),
+        Z=arr("Z"),
         plane_norms=tuple(float(v) for v in payload["plane_norms"]),
         eigenvalues=tuple(float(v) for v in payload["eigenvalues"]),
     )
+    if payload["mode"] != model.mode:
+        raise ValueError(f"model mode {payload['mode']!r} contradicts its kernel {kernel!r}")
+    return model

@@ -50,8 +50,8 @@ from .evaluation import (
     run_benchmark,
     run_cv,
 )
-from .features import DEFAULT_LEVELS, feature_config_from_id
-from .kernels import KernelSpec
+from .features import DEFAULT_LEVELS, SUPPORTED_WAVELETS, feature_config_from_id
+from .kernels import KERNEL_FAMILIES, KernelSpec
 from .stats import build_stat_report, load_published_tables
 
 log = logging.getLogger(__name__)
@@ -60,8 +60,7 @@ EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
-FEATURE_IDS = ("dwt_haar", "dwt_db1", "dwt_db2", "dwt_db4", "dwt_db6", "pca", "ica")
-KERNEL_CHOICES = ("linear", "rbf")
+FEATURE_IDS = tuple(f"dwt_{wavelet}" for wavelet in SUPPORTED_WAVELETS) + ("pca", "ica")
 
 
 class UsageError(Exception):
@@ -153,13 +152,18 @@ def _assemble_from_root(
     return assemble_task(task, rows_by_set, universum_size, seed)
 
 
+def _read_bundle(path: str) -> tuple[LabeledDataset, dict]:
+    """``read_bundle(path)``, a bundle it cannot read raised as a usage error."""
+    try:
+        return read_bundle(path)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read bundle {path}: {exc}") from exc
+
+
 def _load_dataset(args) -> tuple[LabeledDataset, str]:
     """Dataset plus task name, from --bundle or from --task/--data-root."""
     if args.bundle:
-        try:
-            dataset, manifest = read_bundle(args.bundle)
-        except (OSError, ValueError) as exc:
-            raise UsageError(f"cannot read bundle {args.bundle}: {exc}") from exc
+        dataset, manifest = _read_bundle(args.bundle)
         task = str(manifest.get("task", ""))
     else:
         root = _resolve_data_root(args.data_root)
@@ -257,10 +261,7 @@ def cmd_ingest(args) -> int:
 
 def cmd_features(args) -> int:
     started = time.time()
-    try:
-        dataset, manifest = read_bundle(args.bundle)
-    except (OSError, ValueError) as exc:
-        raise UsageError(f"cannot read bundle {args.bundle}: {exc}") from exc
+    dataset, manifest = _read_bundle(args.bundle)
     overrides: dict = {"n_components": args.n_components, "seed": args.seed}
     if args.top_k is not None:
         overrides["top_k"] = args.top_k
@@ -617,7 +618,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--kernel",
-        choices=KERNEL_CHOICES,
+        choices=KERNEL_FAMILIES,
         default=None,
         help="kernel mode (default: linear primal)",
     )
@@ -708,7 +709,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="comma-separated psi values (default: the 1e-5..1e5 decades)",
     )
-    p.add_argument("--kernel", choices=KERNEL_CHOICES, default=None, help="kernel mode")
+    p.add_argument("--kernel", choices=KERNEL_FAMILIES, default=None, help="kernel mode")
     p.add_argument("--sigma", type=float, default=None, help="rbf bandwidth, required by --kernel rbf")
     p.add_argument("--output-dir", required=True, help="sweep CSV destination")
     p.set_defaults(func=cmd_sweep)

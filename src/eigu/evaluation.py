@@ -587,6 +587,10 @@ def run_benchmark(manifest: dict, workers: int | None = None) -> BenchmarkResult
         if name not in grids:
             raise ValueError(f"manifest grids are missing classifier {name!r}")
         _validate_grid(grids[name], name)
+    features = [
+        (feature, feature_config_from_id(feature, n_components=n_components, seed=seed))
+        for feature in manifest["features"]
+    ]
 
     needed_sets = {UNIVERSUM_SET}.union(*(TASKS[task] for task in tasks))
     raw_rows = load_sets(data_root, needed_sets, segment_length)
@@ -595,8 +599,7 @@ def run_benchmark(manifest: dict, workers: int | None = None) -> BenchmarkResult
     jobs = []
     for task in tasks:
         raw_task = assemble_task(task, raw_rows, pool, seed)
-        for feature in manifest["features"]:
-            config = feature_config_from_id(feature, n_components=n_components, seed=seed)
+        for feature, config in features:
             jobs.append(_PairJob(task, feature, raw_task, config, k, seed, cells))
 
     if workers > 1:

@@ -195,8 +195,8 @@ def test_criterion_4_trained_planes_are_eigen_optimal():
             problems = plane_problems(blocks, spec)
             model = train_with_blocks(blocks, spec)
             planes = (
-                np.append(model.w1, model.b1),
-                np.append(model.w2, model.b2),
+                np.append(model.coef1, model.b1),
+                np.append(model.coef2, model.b2),
             )
 
             # residual bound, re-solving the exact problems the trainer saw

@@ -57,23 +57,23 @@ def test_cross_planes_geometry_and_training_accuracy(planes_dataset):
     truth = np.concatenate([np.ones(planes_dataset.m1), -np.ones(planes_dataset.m2)])
     for name, spec in LINEAR_SPECS.items():
         model = train(planes_dataset, spec)
-        assert _angle_to(model.w1, np.array([1.0, -1.0])) <= 5.0, name
-        assert _angle_to(model.w2, np.array([1.0, 1.0])) <= 5.0, name
+        assert _angle_to(model.coef1, np.array([1.0, -1.0])) <= 5.0, name
+        assert _angle_to(model.coef2, np.array([1.0, 1.0])) <= 5.0, name
         accuracy = float(np.mean(predict(model, queries) == truth)) * 100.0
         assert accuracy == 100.0, name
 
 
 def test_prediction_tie_goes_to_the_positive_class():
     model = HyperplanePair(
-        mode="linear",
         trained_by="gepsvm",
         hyperparameters={},
+        coef1=np.array([1.0, 0.0]),
         b1=0.0,
+        coef2=np.array([0.0, 1.0]),
         b2=0.0,
-        w1=np.array([1.0, 0.0]),
-        w2=np.array([0.0, 1.0]),
         plane_norms=(1.0, 1.0),
     )
+    assert model.mode == "linear"
     labels = predict(model, np.array([[1.0, 1.0], [0.5, 1.0], [1.0, 0.5]]))
     np.testing.assert_array_equal(labels, [1.0, 1.0, -1.0])
 
@@ -87,8 +87,8 @@ def test_label_swap_exchanges_the_planes(planes_dataset):
     for name, spec in LINEAR_SPECS.items():
         model = train(planes_dataset, spec)
         mirror = train(swapped, spec)
-        np.testing.assert_allclose(mirror.w1, model.w2, atol=1e-10, err_msg=name)
-        np.testing.assert_allclose(mirror.w2, model.w1, atol=1e-10, err_msg=name)
+        np.testing.assert_allclose(mirror.coef1, model.coef2, atol=1e-10, err_msg=name)
+        np.testing.assert_allclose(mirror.coef2, model.coef1, atol=1e-10, err_msg=name)
         assert mirror.b1 == pytest.approx(model.b2, abs=1e-10)
         assert mirror.b2 == pytest.approx(model.b1, abs=1e-10)
         d1, d2 = plane_distances(model, queries)
@@ -200,8 +200,8 @@ def test_linear_kernel_reproduces_linear_labels():
             assert kernelized.mode == "linear", name
             assert kernelized.hyperparameters["kernel"] == "linear", name
             assert kernelized.b1 == linear.b1 and kernelized.b2 == linear.b2, name
-            np.testing.assert_array_equal(kernelized.w1, linear.w1, err_msg=name)
-            np.testing.assert_array_equal(kernelized.w2, linear.w2, err_msg=name)
+            np.testing.assert_array_equal(kernelized.coef1, linear.coef1, err_msg=name)
+            np.testing.assert_array_equal(kernelized.coef2, linear.coef2, err_msg=name)
             np.testing.assert_array_equal(
                 predict(kernelized, queries), predict(linear, queries), err_msg=name
             )
@@ -215,7 +215,7 @@ def test_saved_linear_kernel_models_still_predict(planes_dataset):
     """
     linear = train(planes_dataset, LINEAR_SPECS["iugepsvm"])
     Z = np.vstack([planes_dataset.X1, planes_dataset.X2, planes_dataset.U])
-    alphas = [np.linalg.lstsq(Z.T, w, rcond=None)[0] for w in (linear.w1, linear.w2)]
+    alphas = [np.linalg.lstsq(Z.T, w, rcond=None)[0] for w in (linear.coef1, linear.coef2)]
     payload = {
         "format_version": 1,
         "mode": "kernel",
@@ -256,8 +256,8 @@ def test_wide_data_projection_matches_the_dense_solve():
         projected = train(dataset, spec)
         dense = train_with_blocks(dense_blocks, spec)
         for w_p, b_p, w_d, b_d in (
-            (projected.w1, projected.b1, dense.w1, dense.b1),
-            (projected.w2, projected.b2, dense.w2, dense.b2),
+            (projected.coef1, projected.b1, dense.coef1, dense.b1),
+            (projected.coef2, projected.b2, dense.coef2, dense.b2),
         ):
             z_p = np.append(w_p, b_p)
             z_d = np.append(w_d, b_d)
@@ -312,9 +312,13 @@ def test_lazily_lifted_planes_match_the_explicit_q_lift(kind):
     Q, _ = _explicit_qr(dataset)
     for name, spec in LINEAR_SPECS.items():
         model = train_with_blocks(blocks, spec)
-        assert model.w1 is None and model.span is blocks.basis, name
+        # span coordinates carry the bias axis, so the bias is folded into coef
+        assert model.span is blocks.basis and model.b1 == model.b2 == 0.0, name
+        assert model.coef1.size == blocks.G.shape[0], name
         lifted = model.lifted()
-        for z, w, b in ((model.z1, lifted.w1, lifted.b1), (model.z2, lifted.w2, lifted.b2)):
+        assert lifted.span is None and lifted.coef1.size == dataset.n, name
+        planes = ((model.coef1, lifted.coef1, lifted.b1), (model.coef2, lifted.coef2, lifted.b2))
+        for z, w, b in planes:
             explicit = Q @ z
             explicit /= np.linalg.norm(explicit)
             np.testing.assert_allclose(
@@ -323,7 +327,8 @@ def test_lazily_lifted_planes_match_the_explicit_q_lift(kind):
         np.testing.assert_allclose(model.plane_norms, lifted.plane_norms, rtol=0, atol=1e-12)
         trained = train(dataset, spec)
         assert trained.span is None
-        assert np.array_equal(trained.w1, lifted.w1) and np.array_equal(trained.w2, lifted.w2)
+        assert np.array_equal(trained.coef1, lifted.coef1)
+        assert np.array_equal(trained.coef2, lifted.coef2)
 
 
 @pytest.mark.parametrize("kind", WIDE_KINDS)
@@ -341,7 +346,7 @@ def test_span_coordinates_give_the_lifted_distances(kind):
             plane_distances(model, queries, coords), plane_distances(lifted, queries)
         ):
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12, err_msg=name)
-        # without coordinates a span model lifts itself first
+        # without coordinates a span model projects the queries itself
         assert np.array_equal(predict(model, queries), predict(lifted, queries)), name
 
 
@@ -394,11 +399,11 @@ def test_wide_ratio_planes_barely_move_along_the_delta_axis():
     planes, ratios = [], []
     for delta in DECADE_GRID:
         model = train(dataset, TrainSpec(classifier="ugepsvm", delta=delta))
-        plane = np.append(model.w1, model.b1)
+        plane = np.append(model.coef1, model.b1)
         planes.append(plane / np.linalg.norm(plane))
         ratios.append(model.eigenvalues[0] / delta)
-        own = np.abs(dataset.X1 @ model.w1 + model.b1) / model.plane_norms[0]
-        other = np.abs(dataset.X2 @ model.w1 + model.b1) / model.plane_norms[0]
+        own = np.abs(dataset.X1 @ model.coef1 + model.b1) / model.plane_norms[0]
+        other = np.abs(dataset.X2 @ model.coef1 + model.b1) / model.plane_norms[0]
         assert own.max() < 1e-3 * other.min(), delta  # through every class-1 row
     overlaps = np.abs(np.array(planes) @ planes[0])
     assert overlaps.min() > 1.0 - 1e-6
@@ -448,7 +453,7 @@ def test_vanishing_nu_approaches_the_pure_own_class_solution():
     G = class_matrices(dataset).G
     values, vectors = np.linalg.eigh(G + delta * np.eye(6))
     reference = vectors[:, 0]
-    z = np.append(model.w1, model.b1)
+    z = np.append(model.coef1, model.b1)
     z = z / np.linalg.norm(z)
     assert abs(float(z @ reference)) == pytest.approx(1.0, abs=1e-6)
 
@@ -491,6 +496,37 @@ def test_serialization_round_trip(planes_dataset):
         np.testing.assert_array_equal(predict(clone, queries), predict(model, queries))
     with pytest.raises(ValueError):
         model_from_json(model_to_json(linear).replace('"format_version": 1', '"format_version": 99'))
+    with pytest.raises(ValueError, match="model mode 'kernel' contradicts its kernel None"):
+        model_from_json(model_to_json(linear).replace('"mode": "linear"', '"mode": "kernel"'))
+
+
+def test_model_files_round_trip_byte_for_byte(planes_dataset):
+    """Saving a loaded model file writes the file it was loaded from.
+
+    A wide model is saved lifted, so its file holds explicit weights as
+    ``w1``/``w2`` and reloads as a dense linear model; an rbf model's file
+    holds ``alpha1``/``alpha2`` over ``Z``.
+    """
+    wide = _wide_dataset("generic")
+    span_model = train_with_blocks(build_blocks(wide, None), LINEAR_SPECS["ugepsvm"])
+    assert span_model.span is not None
+    rbf = TrainSpec(classifier="iugepsvm", delta=1e-5, kernel=KernelSpec(family="rbf"))
+    models = {
+        "narrow linear": (train(planes_dataset, LINEAR_SPECS["iugepsvm"]), ("w1", "w2")),
+        "wide": (span_model, ("w1", "w2")),
+        "rbf": (train(planes_dataset, rbf), ("alpha1", "alpha2", "Z")),
+    }
+    for name, (model, filled) in models.items():
+        text = model_to_json(model)
+        loaded = model_from_json(text)
+        assert model_to_json(loaded) == text, name
+        assert loaded.span is None and loaded.mode == model.mode, name
+        payload = json.loads(text)
+        for key in ("w1", "w2", "alpha1", "alpha2", "Z"):
+            assert (payload[key] is not None) == (key in filled), (name, key)
+    queries = np.random.default_rng(14).standard_normal((20, wide.n))
+    loaded = model_from_json(model_to_json(span_model))
+    np.testing.assert_array_equal(predict(loaded, queries), predict(span_model, queries))
 
 
 def test_rbf_solves_the_circles_problem_where_linear_cannot():

@@ -487,6 +487,10 @@ def test_run_benchmark_validates_the_manifest(bonn_tree, tmp_path, monkeypatch):
             run_benchmark(_toy_manifest(bonn_tree, **{key: value}))
     with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
         run_benchmark(_toy_manifest(bonn_tree, workers=2), workers=0)
+    with pytest.raises(ValueError, match="dwt needs a wavelet from"):
+        run_benchmark(_toy_manifest(bonn_tree, features=["dwt_db3"]))
+    with pytest.raises(ValueError, match="unknown feature id 'wpt'"):
+        run_benchmark(_toy_manifest(bonn_tree, features=["wpt"]))
     assert loaded == []  # every check above came before any recording was read
 
 
