@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg.lapack import dormqr
@@ -277,6 +278,14 @@ class ProblemBlocks:
     kernel: KernelSpec | None = None
     K_ZZ: np.ndarray | None = field(default=None, repr=False)
 
+    @cached_property
+    def denominators(self) -> tuple[np.ndarray, np.ndarray]:
+        """ugepsvm's denominators ``(H + P, G + P)``, formed once for every delta; read-only."""
+        sums = (self.H + self.P, self.G + self.P)
+        for M in sums:
+            M.setflags(write=False)
+        return sums
+
 
 def span_factor(dataset: LabeledDataset, test_rows: np.ndarray | None = None) -> SpanFactor:
     """The Householder factor of ``dataset``'s augmented rows [X1; X2; U], test rows projected."""
@@ -395,7 +404,8 @@ def plane_problems(blocks: ProblemBlocks, spec: TrainSpec) -> tuple[PlaneProblem
     if kind == "gepsvm":
         operands = ((_ridged(G, delta), H), (_ridged(H, delta), G))
     elif kind == "ugepsvm":
-        operands = ((_ridged(G, delta), H + P), (_ridged(H, delta), G + P))
+        HP, GP = blocks.denominators
+        operands = ((_ridged(G, delta), HP), (_ridged(H, delta), GP))
     elif kind == "igepsvm":
         operands = ((_ridged(G, delta, (spec.nu, H)), None),
                     (_ridged(H, delta, (spec.nu, G)), None))
@@ -607,28 +617,65 @@ def model_to_json(model: HyperplanePair) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
+def _loaded_array(payload: dict, key: str, ndim: int) -> np.ndarray:
+    """``payload[key]`` as a finite, non-empty ``ndim``-d float array; a ValueError names it."""
+    value = payload.get(key)
+    if value is None:
+        raise ValueError(f"model field {key!r} is missing")
+    try:
+        array = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"model field {key!r} is not a numeric array: {exc}") from exc
+    if array.ndim != ndim or array.size == 0:
+        raise ValueError(
+            f"model field {key!r} must be a non-empty {ndim}-d array, got shape {array.shape}"
+        )
+    if not np.all(np.isfinite(array)):
+        raise ValueError(f"model field {key!r} contains non-finite values")
+    return array
+
+
 def model_from_json(text: str) -> HyperplanePair:
-    """Rebuild a model serialized by :func:`model_to_json`."""
+    """Rebuild a model serialized by :func:`model_to_json`.
+
+    The plane arrays are checked here, so a faulty file fails at load with
+    a ``ValueError`` that names its field: the coefficients (``w1``/``w2``,
+    or ``alpha1``/``alpha2`` and ``Z`` with one row per alpha) must be
+    present, finite and of one length, and ``plane_norms`` finite and
+    positive.
+    """
     payload = json.loads(text)
     version = payload.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise ValueError(
             f"unsupported model format version {version!r}, expected {MODEL_FORMAT_VERSION}"
         )
-    arr = lambda key: None if payload[key] is None else np.asarray(payload[key], dtype=float)
     kernel = payload["kernel"]
-    model = HyperplanePair(
+    mode = "linear" if kernel is None else "kernel"
+    if payload["mode"] != mode:
+        raise ValueError(f"model mode {payload['mode']!r} contradicts its kernel {kernel!r}")
+    names = ("w1", "w2") if kernel is None else ("alpha1", "alpha2")
+    coef1, coef2 = (_loaded_array(payload, name, 1) for name in names)
+    if coef1.size != coef2.size:
+        raise ValueError(f"model fields {names[0]!r} and {names[1]!r} differ in length: "
+                         f"{coef1.size} and {coef2.size}")
+    Z = None
+    if kernel is not None:
+        Z = _loaded_array(payload, "Z", 2)
+        if Z.shape[0] != coef1.size:
+            raise ValueError(f"model field 'Z' has {Z.shape[0]} rows for {coef1.size} alphas")
+    norms = _loaded_array(payload, "plane_norms", 1)
+    if norms.size != 2 or not np.all(norms > 0):
+        raise ValueError(f"model field 'plane_norms' must be two values > 0, got {norms.tolist()}")
+    return HyperplanePair(
         trained_by=payload["trained_by"],
         hyperparameters=payload["hyperparameters"],
-        coef1=arr("w1" if kernel is None else "alpha1"),
+        coef1=coef1,
         b1=float(payload["b1"]),
-        coef2=arr("w2" if kernel is None else "alpha2"),
+        coef2=coef2,
         b2=float(payload["b2"]),
         kernel=None if kernel is None else KernelSpec(family=kernel["family"], sigma=kernel["sigma"]),
-        Z=arr("Z"),
-        plane_norms=tuple(float(v) for v in payload["plane_norms"]),
+        Z=Z,
+        plane_norms=tuple(float(v) for v in norms),
         eigenvalues=tuple(float(v) for v in payload["eigenvalues"]),
     )
-    if payload["mode"] != model.mode:
-        raise ValueError(f"model mode {payload['mode']!r} contradicts its kernel {kernel!r}")
-    return model

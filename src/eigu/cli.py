@@ -285,7 +285,7 @@ def cmd_features(args) -> int:
     }
     if fitted.keep is not None:
         sidecar["component_order"] = list(fitted.keep)
-    if fitted.pca is not None:
+    if config.method == "pca":  # an ica fit keeps its whitening basis as pca too
         sidecar["pca"] = fitted.pca
     if fitted.ica is not None:
         sidecar["ica"] = fitted.ica

@@ -97,22 +97,44 @@ def _sign_fixed_unit(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _checked_pair(
-    A: np.ndarray, B: np.ndarray | None, value: float, vector: np.ndarray, what: str
-) -> EigenSolution:
-    """The sign-fixed pair as a solution; ``LinAlgError`` if it misses the bound.
-
-    ``B=None`` is the identity metric of the standard problem; ``what``
-    starts the error message.
-    """
-    vector = _sign_fixed_unit(vector)
+def _residual_and_bound(
+    A: np.ndarray, B: np.ndarray | None, value: float, vector: np.ndarray
+) -> tuple[float, float]:
+    """||A v - value B v|| and its bound; ``B=None`` is the identity."""
     if B is None:
         residual = float(np.linalg.norm(A @ vector - value * vector))
         b_norm = float(np.sqrt(A.shape[0]))  # Frobenius norm of the implicit identity
     else:
         residual = float(np.linalg.norm(A @ vector - value * (B @ vector)))
         b_norm = float(np.linalg.norm(B))
-    bound = RESIDUAL_RTOL * (float(np.linalg.norm(A)) + abs(value) * b_norm)
+    return residual, RESIDUAL_RTOL * (float(np.linalg.norm(A)) + abs(value) * b_norm)
+
+
+def _checked_pair(
+    A: np.ndarray, B: np.ndarray | None, value: float, vector: np.ndarray, what: str
+) -> EigenSolution:
+    """The sign-fixed pair as a solution; ``LinAlgError`` unless it meets the bound.
+
+    ``B=None`` is the identity metric of the standard problem; ``what``
+    starts the error message.  When a norm overflows, the check runs again
+    on the problem scaled by a power of two that brings the operands'
+    largest entry into [0.5, 1); that scaling is exact, so it reaches the
+    verdict of the unscaled check without the overflow.  A residual that
+    is still not finite (a NaN or infinite pair) fails.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # judged below, not warned about
+        vector = _sign_fixed_unit(vector)
+        residual, bound = _residual_and_bound(A, B, value, vector)
+        if not (np.isfinite(residual) and np.isfinite(bound)):
+            largest = np.abs(A).max() if B is None else max(np.abs(A).max(), np.abs(B).max())
+            scale = float(np.ldexp(1.0, -int(np.frexp(largest)[1])))
+            if B is None:  # A z = lambda z scales lambda with A
+                residual, bound = _residual_and_bound(A * scale, None, value * scale, vector)
+            else:  # A z = lambda B z keeps lambda
+                residual, bound = _residual_and_bound(A * scale, B * scale, value, vector)
+            residual, bound = residual / scale, bound / scale
+    if not np.isfinite(residual):
+        raise np.linalg.LinAlgError(f"{what} residual {residual:.3e} is not finite")
     if residual > bound:
         raise np.linalg.LinAlgError(f"{what} residual {residual:.3e} exceeds bound {bound:.3e}")
     return EigenSolution(eigenvalue=value, eigenvector=vector, residual=residual)

@@ -6,15 +6,21 @@ files stay byte-reproducible.  Feature transforms that require fitting
 (PCA/ICA) are refit on each fold's training rows only.
 
 There is one grid engine, ``_run_cells``.  It runs cells -- a classifier's
-grid points each -- fold by fold: it builds a fold's record (extractor
-fit, training and test rows, and on first use a basis whose prefixes serve
-every Universum size: a span factor for wide linear data, a kernel table
-for rbf, each holding what ``predict`` reads of the test rows), runs every
-cell's points on it and drops it before the next fold.  So each fold's
-extractor is fit and basis built once, and one fold is alive at a time.
-``grid_search`` is the engine on one cell, ``run_cv`` on one point, and
-``run_benchmark`` runs it once per (task, feature) pair, on all the pair's
-cells in manifest order; ``--workers`` > 1 runs pairs in parallel.
+grid points each -- for one or more features of one dataset, fold by
+fold.  On each fold it splits the rows once and builds one record per
+feature: the extractor fit, training and test rows, and on first use a
+basis whose prefixes serve every Universum size (a span factor for wide
+linear data, a kernel table for rbf, each holding what ``predict`` reads
+of the test rows; each prefix is built once per fold).  PCA and ICA both
+start from the PCA of the fold's training rows, ICA as its whitening, so
+a fold fits that basis once for all its fitted features.  The engine then
+runs every feature's cells on that feature's record and drops the fold
+before the next one.  So each fold's extractors are fit and bases built
+once, and one fold is alive at a time.  ``grid_search`` is the engine on
+one cell, ``run_cv`` on one point, and ``run_benchmark`` runs it once per
+job: each wavelet feature of a task is a job, and all of a task's fitted
+features are one.  ``--workers`` > 1 runs jobs in parallel; rows come
+out in manifest order either way.
 """
 
 from __future__ import annotations
@@ -56,6 +62,7 @@ from .eigsolve import SingularDenominatorError
 from .features import (
     FeatureConfig,
     FittedFeatures,
+    PCABasis,
     dwt_features,
     feature_config_from_id,
     fit_features,
@@ -156,11 +163,14 @@ def featurize(
 
 
 def fit_labeled(
-    config: FeatureConfig, dataset: LabeledDataset
+    config: FeatureConfig, dataset: LabeledDataset, pca: PCABasis | None = None
 ) -> tuple[FittedFeatures, LabeledDataset]:
-    """Fit ``config`` on the labeled rows (X1 as +1, X2 as -1); transform X1, X2 and U."""
+    """Fit ``config`` on the labeled rows (X1 as +1, X2 as -1); transform X1, X2 and U.
+
+    ``pca`` is passed on to ``fit_features``: the labeled rows' PCA basis, if known.
+    """
     labels = np.repeat([1, -1], [dataset.m1, dataset.m2])
-    fitted = fit_features(config, np.vstack([dataset.X1, dataset.X2]), labels)
+    fitted = fit_features(config, np.vstack([dataset.X1, dataset.X2]), labels, pca)
     transformed = LabeledDataset(
         X1=fitted.transform(dataset.X1),
         X2=fitted.transform(dataset.X2),
@@ -178,8 +188,10 @@ class _FoldRecord:
     test_rows: np.ndarray
     test_labels: np.ndarray
     counts: Counter  # the run's work counts
+    pca: PCABasis | None = None  # the fold's PCA basis, if the extractor fit one
     bases: dict = field(default_factory=dict)  # rbf? -> the kernel table or span factor
     prefixes: dict = field(default_factory=dict)  # u -> training set with U[:u]
+    basis_prefixes: dict = field(default_factory=dict)  # (rbf?, rows) -> prefix of a basis
 
     def prefix(self, u: int) -> LabeledDataset:
         """The training set with the Universum's first ``u`` rows, built once per u."""
@@ -188,7 +200,7 @@ class _FoldRecord:
         return self.prefixes[u]
 
     def basis(self, u: int, rbf: bool):
-        """The basis of ``prefix(u)``, a prefix of this record's; built on first use."""
+        """The basis of ``prefix(u)``, a prefix of this record's; each built on first use."""
         rows = self.train.m1 + self.train.m2 + u
         if not rbf and self.train.n + 1 <= rows:
             return None  # narrow linear blocks read the rows themselves
@@ -199,25 +211,35 @@ class _FoldRecord:
                 Z, m1, m2 = self.bases[rbf].Z, self.train.m1, self.train.m1 + self.train.m2
                 self.train = LabeledDataset(X1=Z[:m1], X2=Z[m1:m2], U=Z[m2:])  # rows held once
                 self.prefixes.clear()  # they hold the rows just replaced
-        return self.bases[rbf].prefix(rows)
+        if (rbf, rows) not in self.basis_prefixes:  # shared by every cell of the fold
+            self.basis_prefixes[rbf, rows] = self.bases[rbf].prefix(rows)
+        return self.basis_prefixes[rbf, rows]
 
 
-def _fold_record(dataset: LabeledDataset, folds: FoldPlan, fold: int, extractor, counts):
-    """Fold ``fold`` of ``dataset``, through an extractor fit on its training rows."""
+def _fold_split(dataset: LabeledDataset, folds: FoldPlan, fold: int, counts) -> _FoldRecord:
+    """Fold ``fold`` of ``dataset`` before any extractor: training rows (and U), test rows."""
     test1, test2 = folds.class1_folds == fold, folds.class2_folds == fold
     train = LabeledDataset(X1=dataset.X1[~test1], X2=dataset.X2[~test2], U=dataset.U)
     test_rows = np.vstack([dataset.X1[test1], dataset.X2[test2]])
+    labels = np.repeat([1, -1], [np.count_nonzero(test1), np.count_nonzero(test2)])
+    return _FoldRecord(fold, train, test_rows, labels, counts)
+
+
+def _fold_record(split: _FoldRecord, extractor, pca: PCABasis | None = None) -> _FoldRecord:
+    """``split`` through an extractor fit on its training rows (on ``pca``, if given)."""
+    train, test_rows = split.train, split.test_rows
     try:
         if extractor is not None:
-            fitted, train = fit_labeled(extractor, train)
+            fitted, train = fit_labeled(extractor, train, pca)
             test_rows = fitted.transform(test_rows)
-            counts["feature_fits"] += 1
+            split.counts["feature_fits"] += 1
         if not np.all(np.isfinite(test_rows)):  # checked once, not by every predict
             raise ValueError("test rows contain non-finite values")
     except _FOLD_FAILURES as exc:
-        raise FoldTrainingError(f"fold {fold}: {exc}") from exc
-    labels = np.repeat([1, -1], [np.count_nonzero(test1), np.count_nonzero(test2)])
-    return _FoldRecord(fold, train, test_rows, labels, counts)
+        raise FoldTrainingError(f"fold {split.fold}: {exc}") from exc
+    if extractor is None:
+        return split
+    return _FoldRecord(split.fold, train, test_rows, split.test_labels, split.counts, fitted.pca)
 
 
 def _fold_score(spec: TrainSpec, record: _FoldRecord, u: int, blocks: dict) -> tuple:
@@ -281,26 +303,53 @@ class _Cell:
         return GridSearchResult(self.points[best][0], reports[best], tuple(reports))
 
 
-def _run_cells(dataset: LabeledDataset, folds: FoldPlan, extractor, cells: list) -> Counter:
+def _fold_records(split: _FoldRecord, extractors: list) -> list:
+    """``split`` through each extractor: its record, or the ``FoldTrainingError`` it failed with.
+
+    The extractors after the first fit on the PCA basis the first one fit.
+    They fit the same rows with the same settings, so once one fails, the
+    later ones fail with its error and are not fit again.
+    """
+    records, pca, failure = [], None, None
+    for extractor in extractors:
+        if failure is None:
+            try:
+                record = _fold_record(split, extractor, pca)
+                pca = record.pca
+            except FoldTrainingError as exc:
+                for error in (exc, exc.__cause__):
+                    traceback.clear_frames(error.__traceback__)  # so it holds no rows alive
+                failure = exc
+        records.append(record if failure is None else failure)
+    return records
+
+
+def _run_cells(dataset: LabeledDataset, folds: FoldPlan, features: list) -> Counter:
     """The grid engine (see the module docstring); returns its work counts.
 
-    ``dataset`` carries the largest Universum any cell draws; a point
-    trains on its first ``u`` rows, as every draw is a seeded prefix of one
-    pool (``subset_universum``).  A cell's fold runs through ``grid_search``
+    ``features`` pairs each extractor (None for rows used as they are)
+    with the cells that run on its records.  ``dataset`` carries the
+    largest Universum any cell draws; a point trains on its first ``u``
+    rows, as every draw is a seeded prefix of one pool
+    (``subset_universum``).  A cell's fold runs through ``grid_search``
     and a point's through ``run_cv``, handed the fold as ``_fold``, so the
     perfbench spans around those two bindings keep timing that work.
     """
     counts: Counter = Counter()
     for fold in range(folds.k):
-        try:
-            record = _fold_record(dataset, folds, fold, extractor, counts)
-        except FoldTrainingError as exc:
+        split = _fold_split(dataset, folds, fold, counts)
+        records = _fold_records(split, [extractor for extractor, _ in features])
+        del split  # the rows before any extractor: the records hold what the cells read
+        for (_, cells), record in zip(features, records):
             for cell in cells:
-                cell.failure = (0, exc)
+                if isinstance(record, FoldTrainingError):
+                    cell.failure = (0, record)  # an extractor failure comes first
+                else:
+                    grid_search(None, None, cell.classifier, None, _fold=(record, cell))
+        features = [f for f, r in zip(features, records) if not isinstance(r, FoldTrainingError)]
+        del records, record  # freed, with their blocks, before the next fold's are built
+        if not features:
             break
-        for cell in cells:
-            grid_search(None, None, cell.classifier, None, _fold=(record, cell))
-        del record  # freed, with its blocks, before the next fold's record is built
     return counts
 
 
@@ -327,7 +376,7 @@ def run_cv(
     if _fold is not None:
         return _fold_score(spec, *_fold)
     cell = _Cell(spec.classifier, [(spec, dataset.p, {}, [])])
-    counts = _run_cells(dataset, folds, extractor, [cell])
+    counts = _run_cells(dataset, folds, [(extractor, [cell])])
     best = cell.result(folds, task, feature_id).best_report
     return replace(best, feature_refits=counts["feature_fits"])
 
@@ -460,7 +509,7 @@ def grid_search(
     if grid.universum_size is not None:
         largest = subset_universum(dataset, min(max(grid.universum_size), dataset.p), folds.seed)
     cell = _grid_cell(classifier, grid, dataset.p)
-    _run_cells(largest, folds, extractor, [cell])
+    _run_cells(largest, folds, [(extractor, [cell])])
     return cell.result(folds, task, feature_id)
 
 
@@ -477,7 +526,7 @@ class BenchRow:
     error: str | None = None
 
 
-#: The per-pair work counts ``run_benchmark`` reports, summed over pairs.
+#: The per-job work counts ``run_benchmark`` reports, summed over jobs.
 _COUNTER_NAMES = ("feature_fits", "kernel_tables", "span_factors", "block_builds", "block_hits")
 
 
@@ -489,44 +538,57 @@ class BenchmarkResult:
 
 
 @dataclass(frozen=True)
-class _PairJob:
-    """One (task, feature) pair: its raw rows and its cells in manifest order."""
+class _Job:
+    """One task's features that share a fold loop: its raw rows and each feature's cells.
+
+    ``features`` holds (slot, feature id, config): one wavelet, or every
+    fitted (PCA/ICA) feature of the task.  A slot is the feature's place
+    in the run's manifest-order rows.
+    """
 
     task: str
-    feature: str
+    features: tuple[tuple[int, str, FeatureConfig], ...]
     raw: LabeledDataset
-    config: FeatureConfig
     k: int
     seed: int
     cells: tuple[tuple[str, GridSpec], ...]
 
 
-def _run_pair(job: _PairJob) -> tuple[list[BenchRow], Counter]:
-    """Run a pair's cells together through the grid engine; also return its work counts.
+def _run_job(job: _Job) -> tuple[dict[int, list[BenchRow]], Counter]:
+    """Run a job's cells through the grid engine: rows by slot, and the work counts.
 
     The fold records carry the largest Universum any cell draws (capped
     at the pool).  A classifier that consumes no Universum trains without
     one.
     """
-    dataset, extractor = featurize(job.raw, job.config)
+    prepared = [featurize(job.raw, config) for _, _, config in job.features]
+    dataset = prepared[0][0]  # a wavelet's rows, or the raw rows every fitted feature keeps
     folds = make_folds(dataset, job.k, job.seed)
     pools = [dataset.p if "universum_size" in CLASSIFIER_AXES[c] else 0 for c, _ in job.cells]
-    cells = [_grid_cell(c, grid, pool) for (c, grid), pool in zip(job.cells, pools)]
     size = max(max(grid.universum_size or (pool,)) for (_, grid), pool in zip(job.cells, pools))
     largest = subset_universum(dataset, min(size, dataset.p), job.seed)
-    counts = _run_cells(largest, folds, extractor, cells)
-    rows = []
-    for cell in cells:
-        key = (job.task, job.feature, cell.classifier)
-        try:
-            best = cell.result(folds, job.task, job.feature)
-        except (FoldTrainingError, ValueError) as exc:
-            rows.append(BenchRow(*key, None, (), {}, 0.0, error=f"{type(exc).__name__}: {exc}"))
-        else:
-            report = best.best_report
-            scores = (report.mean_accuracy, report.fold_accuracies, report.params)
-            rows.append(BenchRow(*key, *scores, report.test_time_seconds, n_runs=best.n_runs))
+    features = [
+        (extractor, [_grid_cell(c, grid, pool) for (c, grid), pool in zip(job.cells, pools)])
+        for _, extractor in prepared
+    ]
+    counts = _run_cells(largest, folds, features)
+    rows = {
+        slot: [_bench_row(cell, folds, job.task, feature) for cell in cells]
+        for (slot, feature, _), (_, cells) in zip(job.features, features)
+    }
     return rows, counts
+
+
+def _bench_row(cell: _Cell, folds: FoldPlan, task: str, feature: str) -> BenchRow:
+    """A finished cell's row: its best point, or the error that failed it."""
+    key = (task, feature, cell.classifier)
+    try:
+        best = cell.result(folds, task, feature)
+    except (FoldTrainingError, ValueError) as exc:
+        return BenchRow(*key, None, (), {}, 0.0, error=f"{type(exc).__name__}: {exc}")
+    report = best.best_report
+    scores = (report.mean_accuracy, report.fold_accuracies, report.params)
+    return BenchRow(*key, *scores, report.test_time_seconds, n_runs=best.n_runs)
 
 
 def _manifest_value(manifest: dict, key: str, default):
@@ -544,10 +606,10 @@ _INT_SETTINGS = dict(
 def run_benchmark(manifest: dict, workers: int | None = None) -> BenchmarkResult:
     """Run every (task, feature, classifier) cell described by a manifest.
 
-    The unit of work is a (task, feature) pair (see the module docstring);
-    ``workers`` > 1 runs pairs in parallel processes.  ``counters`` sums
-    each pair's feature fits, kernel tables, span factors, block builds
-    and block hits.
+    The unit of work is a job (see the module docstring); ``workers`` > 1
+    runs jobs in parallel processes.  ``counters`` sums each job's
+    feature fits, kernel tables, span factors, block builds and block
+    hits.
 
     The manifest carries ``tasks``, ``features``, ``classifiers``,
     per-classifier ``grids``, a ``data_root`` holding the set directories,
@@ -597,17 +659,23 @@ def run_benchmark(manifest: dict, workers: int | None = None) -> BenchmarkResult
     pool = min(pool_size, raw_rows[UNIVERSUM_SET].shape[0])
     cells = tuple((classifier, grids[classifier]) for classifier in classifiers)
     jobs = []
-    for task in tasks:
+    for t, task in enumerate(tasks):
         raw_task = assemble_task(task, raw_rows, pool, seed)
-        for feature, config in features:
-            jobs.append(_PairJob(task, feature, raw_task, config, k, seed, cells))
+        slots = [(t * len(features) + i, *feature) for i, feature in enumerate(features)]
+        fitted = tuple(slot for slot in slots if slot[2].method != "dwt")
+        for slot in slots:
+            if slot[2].method == "dwt":
+                jobs.append(_Job(task, (slot,), raw_task, k, seed, cells))
+            elif slot is fitted[0]:  # the task's fitted features share one job, one PCA a fold
+                jobs.append(_Job(task, fitted, raw_task, k, seed, cells))
 
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool_exec:
-            results = list(pool_exec.map(_run_pair, jobs))
+            results = list(pool_exec.map(_run_job, jobs))
     else:
-        results = [_run_pair(job) for job in jobs]
-    rows = tuple(row for pair_rows, _ in results for row in pair_rows)
+        results = [_run_job(job) for job in jobs]
+    by_slot = {slot: rows for job_rows, _ in results for slot, rows in job_rows.items()}
+    rows = tuple(row for slot in sorted(by_slot) for row in by_slot[slot])
     totals = sum((counts for _, counts in results), Counter())
     counters = {name: totals[name] for name in _COUNTER_NAMES}
 

@@ -263,20 +263,42 @@ class ICABasis:
         return self.unmixing.shape[0]
 
 
-def ica_fit(rows: np.ndarray, n_components: int = 32, seed: int = 0) -> ICABasis:
+def _checked_basis(rows: np.ndarray, n_components: int, pca: PCABasis | None) -> PCABasis:
+    """``pca_fit(rows, n_components)``, or ``pca`` in its place when given.
+
+    A given basis must be that fit, one the caller already has: its width
+    and component count are checked, its values are not.
+    """
+    if pca is None:
+        return pca_fit(rows, n_components=n_components)
+    kept = pca.n_components
+    if pca.mean.size != rows.shape[1] or kept > n_components or (
+        kept < n_components and not pca.rank_deficient
+    ):
+        raise ValueError(
+            f"a PCA basis of {kept} components over {pca.mean.size} columns is not the "
+            f"{n_components}-component basis of rows with {rows.shape[1]} columns"
+        )
+    return pca
+
+
+def ica_fit(
+    rows: np.ndarray, n_components: int = 32, seed: int = 0, pca: PCABasis | None = None
+) -> ICABasis:
     """Deflationary fixed-point ICA with the tanh contrast function.
 
-    Rows are whitened through PCA first; each unmixing direction is then
-    iterated until its change drops below ``ICA_TOLERANCE`` or
-    ``ICA_MAX_ITERATIONS`` run out, in which case the basis is returned
-    with ``converged=False`` and a warning.  Initial directions are drawn
-    from a seeded generator, so fits are reproducible.
+    Rows are whitened through their PCA, ``pca_fit(rows, n_components)``,
+    which a caller that already has it passes as ``pca``; each unmixing
+    direction is then iterated until its change drops below
+    ``ICA_TOLERANCE`` or ``ICA_MAX_ITERATIONS`` run out, in which case the
+    basis is returned with ``converged=False`` and a warning.  Initial
+    directions are drawn from a seeded generator, so fits are reproducible.
     """
-    pca = pca_fit(rows, n_components=n_components)
+    rows = _validated_rows(rows)
+    pca = _checked_basis(rows, n_components, pca)
     kept = pca.n_components
     scale = np.sqrt(np.maximum(pca.explained_variance, np.finfo(float).tiny))
     whitening = pca.components / scale[None, :]
-    rows = _validated_rows(rows)
     white = (rows - pca.mean) @ whitening  # unit sample covariance (ddof=1)
     m = white.shape[0]
 
@@ -423,7 +445,11 @@ def feature_config_from_id(feature_id: str, **overrides) -> FeatureConfig:
 
 @dataclass(frozen=True)
 class FittedFeatures:
-    """A feature transform frozen against one training split."""
+    """A feature transform frozen against one training split.
+
+    ``pca`` is the split's PCA basis for both fitted methods: the pca
+    transform itself, or the whitening that ``ica`` rotates.
+    """
 
     config: FeatureConfig
     pca: PCABasis | None = None
@@ -446,25 +472,30 @@ class FittedFeatures:
 
 
 def fit_features(
-    config: FeatureConfig, rows: np.ndarray, labels: np.ndarray | None = None
+    config: FeatureConfig,
+    rows: np.ndarray,
+    labels: np.ndarray | None = None,
+    pca: PCABasis | None = None,
 ) -> FittedFeatures:
     """Fit ``config`` on training rows (labels drive the CDR ordering).
 
     The wavelet method is stateless, so the returned object only carries
     the configuration.  PCA/ICA extract ``n_components``, order them by
     CDR when labels are given, and keep the best ``top_k`` (all, when
-    unset).
+    unset).  Both start from the rows' PCA basis, which the result keeps
+    as ``pca``; pass one such result's ``pca`` to fit the other method on
+    the same rows and settings without a second SVD.
     """
     if config.method == "dwt":
         return FittedFeatures(config=config, n_fit_rows=int(np.asarray(rows).shape[0]))
     rows = _validated_rows(rows)
+    pca = _checked_basis(rows, config.n_components, pca)
+    fitted = FittedFeatures(config=config, pca=pca, n_fit_rows=rows.shape[0])
     if config.method == "pca":
-        basis = pca_fit(rows, n_components=config.n_components)
-        fitted = FittedFeatures(config=config, pca=basis, n_fit_rows=rows.shape[0])
-        scores = pca_transform(basis, rows)
+        scores = pca_transform(pca, rows)
     else:
-        basis = ica_fit(rows, n_components=config.n_components, seed=config.seed)
-        fitted = FittedFeatures(config=config, ica=basis, n_fit_rows=rows.shape[0])
+        basis = ica_fit(rows, n_components=config.n_components, seed=config.seed, pca=pca)
+        fitted = replace(fitted, ica=basis)
         scores = ica_transform(basis, rows)
     if labels is not None:
         order = [s.component_index for s in cdr_rank(scores, labels)]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -175,6 +176,41 @@ def test_plane_operands_equal_the_explicit_ridge_sum_bit_for_bit(wide):
             assert (problem.B is None) == (B is None), kind
             if B is not None:
                 assert problem.B.tobytes() == B.tobytes(), kind
+
+
+def _block_kinds(planes_dataset) -> dict:
+    """One block of each kind: narrow linear, wide (span factor) and rbf."""
+    return {
+        "narrow linear": build_blocks(planes_dataset, None),
+        "wide": build_blocks(_wide_dataset("generic"), None),
+        "rbf": build_blocks(planes_dataset, KernelSpec(family="rbf", sigma=0.8)),
+    }
+
+
+def test_blocks_and_their_denominators_equal_their_transposes_bit_for_bit(planes_dataset):
+    """G, H and P, and ugepsvm's H + P and G + P, are symmetric to the last bit.
+
+    No solve needs to symmetrize them, so each may be checked once per block.
+    """
+    kinds = _block_kinds(planes_dataset)
+    assert kinds["wide"].basis is not None and kinds["rbf"].kernel is not None
+    for kind, blocks in kinds.items():
+        for name, M in (("G", blocks.G), ("H", blocks.H), ("P", blocks.P),
+                        ("H + P", blocks.denominators[0]), ("G + P", blocks.denominators[1])):
+            assert M.tobytes() == M.T.tobytes(), (kind, name)
+
+
+def test_ugepsvm_forms_its_denominators_once_per_block(planes_dataset):
+    for kind, blocks in _block_kinds(planes_dataset).items():
+        problems = [
+            plane_problems(blocks, replace(LINEAR_SPECS["ugepsvm"], delta=delta))
+            for delta in (1e-4, 1e-2)
+        ]
+        for plane in (0, 1):
+            assert problems[0][plane].B is problems[1][plane].B, (kind, plane)
+            assert not problems[0][plane].B.flags.writeable, (kind, plane)
+        np.testing.assert_array_equal(problems[0][0].B, blocks.H + blocks.P)
+        np.testing.assert_array_equal(problems[0][1].B, blocks.G + blocks.P)
 
 
 def test_linear_kernel_reproduces_linear_labels():
@@ -527,6 +563,34 @@ def test_model_files_round_trip_byte_for_byte(planes_dataset):
     queries = np.random.default_rng(14).standard_normal((20, wide.n))
     loaded = model_from_json(model_to_json(span_model))
     np.testing.assert_array_equal(predict(loaded, queries), predict(span_model, queries))
+
+
+def test_model_files_with_faulty_plane_arrays_fail_at_load(planes_dataset):
+    """A file whose planes could not predict raises a ValueError naming the field."""
+    linear = json.loads(model_to_json(train(planes_dataset, LINEAR_SPECS["iugepsvm"])))
+    rbf_spec = TrainSpec(classifier="gepsvm", delta=1e-4, kernel=KernelSpec("rbf", sigma=0.8))
+    kernel = json.loads(model_to_json(train(planes_dataset, rbf_spec)))
+    faults = [
+        (linear, {"w1": None}, "'w1' is missing"),
+        (linear, {"w2": [1.0, 2.0, 3.0]}, "'w1' and 'w2' differ in length"),
+        (linear, {"w1": [[1.0, 2.0]]}, "'w1' must be a non-empty 1-d array"),
+        (linear, {"w2": []}, "'w2' must be a non-empty 1-d array"),
+        (linear, {"w1": [1.0, "x"]}, "'w1' is not a numeric array"),
+        (linear, {"w2": [1.0, float("nan")]}, "'w2' contains non-finite values"),
+        (linear, {"plane_norms": [1.0, 0.0]}, "'plane_norms' must be two values > 0"),
+        (linear, {"plane_norms": [1.0, float("inf")]}, "'plane_norms' contains non-finite"),
+        (linear, {"plane_norms": [1.0]}, "'plane_norms' must be two values > 0"),
+        (kernel, {"alpha2": None}, "'alpha2' is missing"),
+        (kernel, {"alpha1": kernel["alpha1"][:-1]}, "'alpha1' and 'alpha2' differ in length"),
+        (kernel, {"Z": None}, "'Z' is missing"),
+        (kernel, {"Z": kernel["Z"][:-1]}, f"'Z' has {len(kernel['Z']) - 1} rows for"),
+        (kernel, {"Z": kernel["alpha1"]}, "'Z' must be a non-empty 2-d array"),
+    ]
+    for payload, change, message in faults:
+        with pytest.raises(ValueError, match=message):
+            model_from_json(json.dumps({**payload, **change}))
+    for payload in (linear, kernel):  # the files as written still load
+        model_from_json(json.dumps(payload))
 
 
 def test_rbf_solves_the_circles_problem_where_linear_cannot():

@@ -8,6 +8,7 @@ import pytest
 from eigu.eigsolve import (
     RESIDUAL_RTOL,
     SYMMETRY_RTOL,
+    _checked_pair,
     _validated_symmetric,
     SingularDenominatorError,
     smallest_eigpair_generalized,
@@ -156,6 +157,38 @@ def test_huge_norm_rank_deficient_pencil_is_rescued():
     )
     bound = RESIDUAL_RTOL * (np.linalg.norm(A) + abs(solution.eigenvalue) * np.linalg.norm(B))
     assert residual <= bound
+
+
+def test_an_operand_whose_norms_overflow_is_certified_by_exact_scaling():
+    """At 1e300 the residual norms overflow; a power-of-two scaling certifies the pair.
+
+    The scaling is exact, so the reported residual is the in-range
+    residual scaled back, and an in-range operand's check does not move.
+    """
+    A = np.array([[2.0, 1.0], [1.0, 3.0]])
+    small = smallest_eigpair_standard(A)
+    huge = smallest_eigpair_standard(A * 1e300)
+    assert huge.eigenvalue == pytest.approx(1e300 * (5.0 - np.sqrt(5.0)) / 2.0, rel=1e-14)
+    assert np.isfinite(huge.residual)
+    assert huge.residual <= RESIDUAL_RTOL * 1e300 * (np.linalg.norm(A) + abs(small.eigenvalue))
+    np.testing.assert_allclose(huge.eigenvector, small.eigenvector, atol=1e-15)
+    generalized = smallest_eigpair_generalized(A * 1e300, np.diag([1e300, 2e300]))
+    assert np.isfinite(generalized.residual)
+    assert generalized.eigenvalue == pytest.approx(
+        smallest_eigpair_generalized(A, np.diag([1.0, 2.0])).eigenvalue, rel=1e-14
+    )
+    v = small.eigenvector
+    expected = float(np.linalg.norm(A @ v - small.eigenvalue * v))
+    assert _checked_pair(A, None, small.eigenvalue, v, "in range").residual == expected
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_a_pair_whose_residual_is_not_finite_fails(value):
+    A = np.array([[2.0, 1.0], [1.0, 3.0]])
+    with pytest.raises(np.linalg.LinAlgError, match="residual nan is not finite"):
+        _checked_pair(A, None, value, np.array([1.0, 0.0]), "standard eigensolve")
+    with pytest.raises(np.linalg.LinAlgError, match="is not finite"):
+        _checked_pair(A, np.eye(2), 1.0, np.array([value, 0.0]), "generalized eigensolve")
 
 
 def test_nonsymmetric_input_rejected():

@@ -19,9 +19,9 @@ from eigu.classifiers import (
     plane_distances,
     train_with_blocks,
 )
-from eigu import evaluation
+from eigu import evaluation, features
 from eigu.cli import main
-from eigu.dataio import LabeledDataset, assemble_task, make_folds, subset_universum
+from eigu.dataio import TASKS, LabeledDataset, assemble_task, make_folds, subset_universum
 from eigu.evaluation import (
     GRID_AXES,
     FoldTrainingError,
@@ -533,7 +533,8 @@ def _sharing_manifest(bonn_tree):
 
 def _fresh_rows(bonn_tree, manifest):
     """Each cell as its own grid search on freshly featurized rows, unshared."""
-    raw = load_sets(bonn_tree, {"O", "S", "N"}, manifest["segment_length"])
+    sets = {"N"}.union(*(TASKS[task] for task in manifest["tasks"]))
+    raw = load_sets(bonn_tree, sets, manifest["segment_length"])
     seed = manifest["seed"]
     rows = []
     for task in manifest["tasks"]:
@@ -662,16 +663,16 @@ def test_errors_name_the_failure_each_cell_names_alone(bonn_tree, monkeypatch):
     current = {}
     record = evaluation._fold_record
 
-    def recording(dataset, folds, fold, *args):
-        current["fold"] = fold
-        return record(dataset, folds, fold, *args)
+    def recording(split, *args):
+        current["fold"] = split.fold
+        return record(split, *args)
 
     fit, train = evaluation.fit_labeled, evaluation.train_with_blocks
 
-    def fitting(config, dataset):
+    def fitting(config, dataset, *args):
         if current["fold"] == 2:
             raise ValueError("planted fit failure")
-        return fit(config, dataset)
+        return fit(config, dataset, *args)
 
     def training(blocks, spec):
         if current["fold"] in PLANTED.get((spec.classifier, spec.delta), ()):
@@ -740,3 +741,77 @@ def test_run_benchmark_counts_fits_builds_and_hits(bonn_tree, workers):
         "block_builds": 2 * k,  # one per (fold, sigma)
         "block_hits": 4 * k - 2 * k,
     }
+
+
+def _cell_rows(result):
+    """Each row's cell as ``_fresh_rows`` gives it."""
+    return [
+        (r.feature, r.classifier, r.fold_accs, r.params, r.n_runs, r.error) for r in result.rows
+    ]
+
+
+def test_a_task_fits_one_pca_basis_per_fold_for_its_pca_and_ica_features(bonn_tree, monkeypatch):
+    """ICA whitens through the fold's PCA basis, so pca and ica share one SVD per fold."""
+    bases = []
+    original = features.pca_fit
+
+    def spy(*args, **kwargs):
+        bases.append(original(*args, **kwargs))
+        return bases[-1]
+
+    monkeypatch.setattr(features, "pca_fit", spy)
+    fits = _counting(monkeypatch, "fit_features")
+    manifest = _toy_manifest(bonn_tree, features=["pca", "ica"], folds=3)
+    result = run_benchmark(manifest)
+    k = manifest["folds"]
+    assert all(r.error is None for r in result.rows)
+    assert len(bases) == k  # one basis per fold, where each feature fit its own before
+    assert len(fits) == 2 * k  # still one fit per extractor and fold
+    assert result.counters["feature_fits"] == 2 * k
+    for fold in range(k):
+        pca_fit, ica_fit = fits[2 * fold : 2 * fold + 2]
+        assert pca_fit.config.method == "pca" and ica_fit.config.method == "ica"
+        assert pca_fit.pca is ica_fit.pca is bases[fold]
+
+
+@pytest.mark.parametrize("order", [["pca", "dwt_db1", "ica"], ["ica", "dwt_db1", "pca"]])
+def test_jobs_that_group_pca_and_ica_keep_the_manifest_order(bonn_tree, order):
+    """pca and ica run as one job even when not adjacent; rows keep manifest order."""
+    manifest = _toy_manifest(bonn_tree, features=order, tasks=["o_vs_s", "z_vs_s"], folds=3)
+    one, two = (run_benchmark(manifest, workers=workers) for workers in (1, 2))
+    expected = [
+        (task, feature, classifier)
+        for task in manifest["tasks"]
+        for feature in order
+        for classifier in manifest["classifiers"]
+    ]
+    assert [(r.task, r.feature, r.classifier) for r in one.rows] == expected
+    assert _cell_rows(one) == _cell_rows(two)
+    assert one.counters == two.counters
+    assert one.counters["feature_fits"] == 2 * 2 * manifest["folds"]  # 2 tasks, pca and ica
+    assert _cell_rows(one) == _fresh_rows(bonn_tree, manifest)  # each cell searched alone
+    ica = run_benchmark({**manifest, "features": ["ica"]})
+    assert _cell_rows(ica) == [row for row in _cell_rows(one) if row[0] == "ica"]
+
+
+@pytest.mark.filterwarnings("ignore:ICA did not converge")
+def test_a_rank_zero_fold_fails_pca_and_ica_with_one_basis_fit():
+    """Both features' cells fail with the error of their own search; one warning a fold."""
+    row = np.arange(8.0)  # small integers: the rows' mean is exact, so centering leaves zeros
+    dataset = LabeledDataset(
+        X1=np.tile(row, (6, 1)), X2=np.tile(row, (6, 1)), U=np.eye(8)[:2]
+    )
+    folds = make_folds(dataset, 3, seed=0)
+    grid = GridSpec(delta=(1e-4,))
+    configs = [FeatureConfig(method=method, n_components=3) for method in ("pca", "ica")]
+    with pytest.raises(FoldTrainingError) as alone, pytest.warns(UserWarning):
+        grid_search(dataset, folds, "gepsvm", grid, extractor=configs[0])
+    assert str(alone.value) == "fold 0: centered rows have rank 0; nothing to extract"
+    cells = [evaluation._grid_cell("gepsvm", grid, 0) for _ in configs]
+    with pytest.warns(UserWarning, match="centered rank is 0") as warned:
+        counts = evaluation._run_cells(dataset, folds, list(zip(configs, ([c] for c in cells))))
+    assert len([w for w in warned if "centered rank" in str(w.message)]) == 1
+    assert counts["feature_fits"] == 0
+    for cell in cells:
+        with pytest.raises(FoldTrainingError, match=str(alone.value)):
+            cell.result(folds, "", "")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -263,3 +264,25 @@ def test_fitted_transform_handles_empty_row_blocks():
     fitted = fit_features(config, rng.standard_normal((20, 5)), None)
     empty = fitted.transform(np.zeros((0, 5)))
     assert empty.shape == (0, 2)
+
+
+def test_pca_and_ica_fits_share_one_basis_bit_for_bit():
+    """A fit handed the rows' PCA basis equals the fit that computes it, byte for byte."""
+    rng = np.random.default_rng(12)
+    rows = rng.uniform(-1.0, 1.0, (200, 9)) @ rng.standard_normal((9, 9))
+    labels = np.repeat([1, -1], 100)
+    pca_config = FeatureConfig(method="pca", n_components=5)
+    ica_config = FeatureConfig(method="ica", n_components=5, seed=3)
+    alone = {c.method: fit_features(c, rows, labels) for c in (pca_config, ica_config)}
+    basis = alone["pca"].pca
+    assert alone["ica"].pca.components.tobytes() == basis.components.tobytes()
+    shared = fit_features(ica_config, rows, labels, pca=basis)
+    assert shared.pca is basis
+    assert shared.ica.unmixing.tobytes() == alone["ica"].ica.unmixing.tobytes()
+    assert shared.keep == alone["ica"].keep
+    assert shared.transform(rows).tobytes() == alone["ica"].transform(rows).tobytes()
+    assert fit_features(pca_config, rows, labels, pca=basis).keep == alone["pca"].keep
+    with pytest.raises(ValueError, match="is not the 4-component basis"):
+        fit_features(replace(pca_config, n_components=4), rows, labels, pca=basis)
+    with pytest.raises(ValueError, match="rows with 8 columns"):
+        ica_fit(rows[:, :8], n_components=5, pca=basis)
