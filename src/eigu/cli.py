@@ -176,13 +176,17 @@ def _load_dataset(args) -> tuple[LabeledDataset, str]:
     return dataset, task
 
 
-def _prepare_features(dataset: LabeledDataset, args):
-    """(dataset, extractor, feature_id): wavelets applied up front, pca/ica per fold."""
+def _feature_config(args):
+    """The ``--feature`` config, None without one; built before any data is read."""
     if args.feature is None:
+        return None
+    return feature_config_from_id(args.feature, n_components=args.n_components, seed=args.seed)
+
+
+def _prepare_features(dataset: LabeledDataset, config):
+    """(dataset, extractor, feature_id): wavelets applied up front, pca/ica per fold."""
+    if config is None:
         return dataset, None, "raw"
-    config = feature_config_from_id(
-        args.feature, n_components=args.n_components, seed=args.seed
-    )
     dataset, extractor = featurize(dataset, config)
     return dataset, extractor, config.feature_id
 
@@ -261,11 +265,11 @@ def cmd_ingest(args) -> int:
 
 def cmd_features(args) -> int:
     started = time.time()
-    dataset, manifest = _read_bundle(args.bundle)
     overrides: dict = {"n_components": args.n_components, "seed": args.seed}
     if args.top_k is not None:
         overrides["top_k"] = args.top_k
     config = feature_config_from_id(args.feature, **overrides)
+    dataset, manifest = _read_bundle(args.bundle)
     fitted, transformed = fit_labeled(config, dataset)
     out = Path(args.output_dir)
     write_bundle(
@@ -296,8 +300,9 @@ def cmd_features(args) -> int:
 
 
 def cmd_cv(args) -> int:
+    config = _feature_config(args)
     dataset, task = _load_dataset(args)
-    dataset, extractor, feature_id = _prepare_features(dataset, args)
+    dataset, extractor, feature_id = _prepare_features(dataset, config)
     spec = _train_spec(args)
     folds = make_folds(dataset, args.folds, args.seed)
     report = run_cv(
@@ -445,8 +450,9 @@ def cmd_sweep(args) -> int:
             "sweep --kernel rbf needs --sigma, and --sigma needs --kernel rbf: "
             "each sweep row names one bandwidth"
         )
+    config = _feature_config(args)
     dataset, task = _load_dataset(args)
-    dataset, extractor, feature_id = _prepare_features(dataset, args)
+    dataset, extractor, feature_id = _prepare_features(dataset, config)
     folds = make_folds(dataset, args.folds, args.seed)
     sigma = (args.sigma,) if args.kernel == "rbf" else None
     grid = GridSpec(delta=(args.delta,), gamma=gammas, psi=psis, sigma=sigma)

@@ -11,22 +11,26 @@ fold.  On each fold it splits the rows once and builds one record per
 feature: the extractor fit, training and test rows, and on first use a
 basis whose prefixes serve every Universum size (a span factor for wide
 linear data, a kernel table for rbf, each holding what ``predict`` reads
-of the test rows; each prefix is built once per fold).  PCA and ICA both
-start from the PCA of the fold's training rows, ICA as its whitening, so
-a fold fits that basis once for all its fitted features.  The engine then
-runs every feature's cells on that feature's record and drops the fold
-before the next one.  So each fold's extractors are fit and bases built
-once, and one fold is alive at a time.  ``grid_search`` is the engine on
-one cell, ``run_cv`` on one point, and ``run_benchmark`` runs it once per
-job: each wavelet feature of a task is a job, and all of a task's fitted
-features are one.  ``--workers`` > 1 runs jobs in parallel; rows come
-out in manifest order either way.
+of the test rows).  PCA and ICA both start from the PCA of the fold's
+training rows, ICA as its whitening, so a fold fits that basis once for
+all its fitted features.  The engine then runs each record a *sheet* at
+a time: a sheet is every point, of any cell, that shares one (Universum
+size, kernel) and so one set of blocks.  It builds the sheet's blocks,
+scores each cell's points on them in visit order and drops them before
+the next sheet; the fold is dropped before the next fold.  So each
+fold's extractors are fit and bases built once, each sheet's blocks are
+built once per fold, and one fold and one sheet are alive at a time.
+``grid_search`` is the engine on one cell, ``run_cv`` on one point, and
+``run_benchmark`` runs it once per job: each wavelet feature of a task
+is a job, and all of a task's fitted features are one.  ``--workers`` > 1
+runs jobs in parallel; rows come out in manifest order either way.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import numbers
 import time
 import traceback
@@ -40,6 +44,7 @@ import numpy as np
 from .classifiers import (
     CLASSIFIER_AXES,
     DegeneratePlaneError,
+    ProblemBlocks,
     TrainSpec,
     build_blocks,
     kernel_table,
@@ -181,90 +186,72 @@ def fit_labeled(
 
 @dataclass
 class _FoldRecord:
-    """One fold of a grid engine run: its rows, and what is built from them on first use."""
+    """One fold of a grid engine run: its rows, and the bases built from them on first use."""
 
     fold: int
     train: LabeledDataset
     test_rows: np.ndarray
     test_labels: np.ndarray
     counts: Counter  # the run's work counts
-    pca: PCABasis | None = None  # the fold's PCA basis, if the extractor fit one
     bases: dict = field(default_factory=dict)  # rbf? -> the kernel table or span factor
-    prefixes: dict = field(default_factory=dict)  # u -> training set with U[:u]
-    basis_prefixes: dict = field(default_factory=dict)  # (rbf?, rows) -> prefix of a basis
 
-    def prefix(self, u: int) -> LabeledDataset:
-        """The training set with the Universum's first ``u`` rows, built once per u."""
-        if u not in self.prefixes:
-            self.prefixes[u] = replace(self.train, U=self.train.U[:u])
-        return self.prefixes[u]
-
-    def basis(self, u: int, rbf: bool):
-        """The basis of ``prefix(u)``, a prefix of this record's; each built on first use."""
+    def blocks(self, u: int, kernel: KernelSpec | None) -> ProblemBlocks:
+        """Sheet (u, kernel)'s blocks: on the Universum's first ``u`` rows and a basis prefix."""
+        rbf = kernel is not None and kernel.family == "rbf"
         rows = self.train.m1 + self.train.m2 + u
-        if not rbf and self.train.n + 1 <= rows:
-            return None  # narrow linear blocks read the rows themselves
-        if rbf not in self.bases:
-            self.bases[rbf] = (kernel_table if rbf else span_factor)(self.train, self.test_rows)
-            self.counts["kernel_tables" if rbf else "span_factors"] += 1
-            if rbf:
-                Z, m1, m2 = self.bases[rbf].Z, self.train.m1, self.train.m1 + self.train.m2
-                self.train = LabeledDataset(X1=Z[:m1], X2=Z[m1:m2], U=Z[m2:])  # rows held once
-                self.prefixes.clear()  # they hold the rows just replaced
-        if (rbf, rows) not in self.basis_prefixes:  # shared by every cell of the fold
-            self.basis_prefixes[rbf, rows] = self.bases[rbf].prefix(rows)
-        return self.basis_prefixes[rbf, rows]
+        basis = None
+        if rbf or rows < self.train.n + 1:  # narrow linear blocks read the rows themselves
+            if rbf not in self.bases:
+                self.bases[rbf] = (kernel_table if rbf else span_factor)(self.train, self.test_rows)
+                self.counts["kernel_tables" if rbf else "span_factors"] += 1
+                if rbf:
+                    Z, m1, m2 = self.bases[rbf].Z, self.train.m1, self.train.m1 + self.train.m2
+                    self.train = LabeledDataset(X1=Z[:m1], X2=Z[m1:m2], U=Z[m2:])  # rows held once
+            basis = self.bases[rbf].prefix(rows)
+        return build_blocks(replace(self.train, U=self.train.U[:u]), kernel, basis)
 
 
-def _fold_split(dataset: LabeledDataset, folds: FoldPlan, fold: int, counts) -> _FoldRecord:
-    """Fold ``fold`` of ``dataset`` before any extractor: training rows (and U), test rows."""
+def _fold_records(dataset: LabeledDataset, folds: FoldPlan, fold: int, extractors, counts) -> list:
+    """Fold ``fold`` through each extractor: its record, or the error its fit raised.
+
+    The rows are split once.  The extractors after the first fit on the
+    PCA basis the first one fit.  They fit the same rows with the same
+    settings, so once one fails, the rest fail with its error, unfit.
+    """
     test1, test2 = folds.class1_folds == fold, folds.class2_folds == fold
-    train = LabeledDataset(X1=dataset.X1[~test1], X2=dataset.X2[~test2], U=dataset.U)
-    test_rows = np.vstack([dataset.X1[test1], dataset.X2[test2]])
+    split = LabeledDataset(X1=dataset.X1[~test1], X2=dataset.X2[~test2], U=dataset.U)
+    split_test = np.vstack([dataset.X1[test1], dataset.X2[test2]])
     labels = np.repeat([1, -1], [np.count_nonzero(test1), np.count_nonzero(test2)])
-    return _FoldRecord(fold, train, test_rows, labels, counts)
+    records, pca = [], None
+    for extractor in extractors:
+        train, test_rows = split, split_test
+        try:
+            if extractor is not None:
+                fitted, train = fit_labeled(extractor, split, pca)
+                test_rows, pca = fitted.transform(split_test), fitted.pca
+                counts["feature_fits"] += 1
+                if fitted.ica is not None and not fitted.ica.converged:
+                    counts["ica_capped"] += 1  # a fit that hit ICA_MAX_ITERATIONS
+            if not np.all(np.isfinite(test_rows)):  # checked once, not by every predict
+                raise ValueError("test rows contain non-finite values")
+        except _FOLD_FAILURES as exc:
+            return records + [exc] * (len(extractors) - len(records))
+        records.append(_FoldRecord(fold, train, test_rows, labels, counts))
+    return records
 
 
-def _fold_record(split: _FoldRecord, extractor, pca: PCABasis | None = None) -> _FoldRecord:
-    """``split`` through an extractor fit on its training rows (on ``pca``, if given)."""
-    train, test_rows = split.train, split.test_rows
-    try:
-        if extractor is not None:
-            fitted, train = fit_labeled(extractor, train, pca)
-            test_rows = fitted.transform(test_rows)
-            split.counts["feature_fits"] += 1
-        if not np.all(np.isfinite(test_rows)):  # checked once, not by every predict
-            raise ValueError("test rows contain non-finite values")
-    except _FOLD_FAILURES as exc:
-        raise FoldTrainingError(f"fold {split.fold}: {exc}") from exc
-    if extractor is None:
-        return split
-    return _FoldRecord(split.fold, train, test_rows, split.test_labels, split.counts, fitted.pca)
-
-
-def _fold_score(spec: TrainSpec, record: _FoldRecord, u: int, blocks: dict) -> tuple:
-    """One fold's accuracy, predict seconds and rbf bandwidth for ``spec`` at Universum size u."""
-    rbf = spec.kernel is not None and spec.kernel.family == "rbf"
-    key = (u, spec.kernel)
-    try:
-        if key in blocks:
-            record.counts["block_hits"] += 1
-        else:
-            basis = record.basis(u, rbf)  # first: building a kernel table re-homes the rows
-            blocks[key] = build_blocks(record.prefix(u), spec.kernel, basis)
-            record.counts["block_builds"] += 1
-        model = train_with_blocks(blocks[key], spec)
-        basis = blocks[key].basis
-        start = time.perf_counter()
-        labels = predict(model, record.test_rows, None if basis is None else basis.precomputed)
-        seconds = time.perf_counter() - start
-    except _FOLD_FAILURES as exc:
-        raise FoldTrainingError(f"fold {record.fold}: {exc}") from exc
-    sigma = model.hyperparameters["sigma"] if rbf else None
+def _fold_score(spec: TrainSpec, record: _FoldRecord, blocks: ProblemBlocks) -> tuple:
+    """One fold's accuracy, predict seconds and rbf bandwidth for ``spec`` on its sheet's blocks."""
+    model = train_with_blocks(blocks, spec)
+    basis = blocks.basis
+    start = time.perf_counter()
+    labels = predict(model, record.test_rows, None if basis is None else basis.precomputed)
+    seconds = time.perf_counter() - start
+    sigma = model.hyperparameters["sigma"] if blocks.kernel is not None else None
     return 100.0 * float(np.mean(labels == record.test_labels)), seconds, sigma
 
 
-@dataclass
+@dataclass(eq=False)  # hashed by identity, as a sheet's key for its share
 class _Cell:
     """A classifier's points in visit order, each ``(spec, u, report params, fold scores)``."""
 
@@ -272,18 +259,28 @@ class _Cell:
     points: list
     failure: tuple | None = None  # (index, error) of the first failing point
 
-    def run_fold(self, record: _FoldRecord) -> None:
-        """Score, in visit order, every point before the first failing one on one fold."""
-        blocks: dict = {}  # the hyperparameter-free blocks per (u, kernel) of this fold
-        live = len(self.points) if self.failure is None else self.failure[0]
-        for index, (spec, u, _, scores) in enumerate(self.points[:live]):
+    @property
+    def live(self) -> int:
+        """How many points still run: those before the first failing one."""
+        return len(self.points) if self.failure is None else self.failure[0]
+
+    def fail(self, index: int, fold: int, exc: Exception) -> None:
+        """Record ``exc``, raised on fold ``fold``, as the failure of point ``index``."""
+        traceback.clear_frames(exc.__traceback__)  # so it holds no fold or sheet alive
+        error = FoldTrainingError(f"fold {fold}: {exc}")
+        error.__cause__ = exc
+        self.failure = (index, error)
+
+    def run_sheet(self, record: _FoldRecord, blocks: ProblemBlocks, indices: list) -> int:
+        """Score one sheet's points ``indices`` in visit order up to a failing one; count them."""
+        for scored, index in enumerate(indices, 1):
+            spec, _, _, scores = self.points[index]
             try:
-                scores.append(run_cv(None, None, spec, _fold=(record, u, blocks)))
-            except FoldTrainingError as exc:
-                for error in (exc, exc.__cause__):
-                    traceback.clear_frames(error.__traceback__)  # so it holds no fold alive
-                self.failure = (index, exc)
-                return
+                scores.append(run_cv(None, None, spec, _fold=(record, blocks)))
+            except _FOLD_FAILURES as exc:
+                self.fail(index, record.fold, exc)
+                return scored
+        return len(indices)
 
     def result(self, folds: FoldPlan, task: str, feature_id: str) -> GridSearchResult:
         """The search's result after the last fold; raises the error that fails it."""
@@ -303,25 +300,24 @@ class _Cell:
         return GridSearchResult(self.points[best][0], reports[best], tuple(reports))
 
 
-def _fold_records(split: _FoldRecord, extractors: list) -> list:
-    """``split`` through each extractor: its record, or the ``FoldTrainingError`` it failed with.
+def _run_sheet(record: _FoldRecord, u: int, kernel: KernelSpec | None, shares: dict) -> None:
+    """Build one sheet's blocks and run each cell's share (its point indices) on them.
 
-    The extractors after the first fit on the PCA basis the first one fit.
-    They fit the same rows with the same settings, so once one fails, the
-    later ones fail with its error and are not fit again.
+    Only points before a cell's current failure run; a failed build fails
+    each cell at its first.  Each scoring after the sheet's first is a hit.
     """
-    records, pca, failure = [], None, None
-    for extractor in extractors:
-        if failure is None:
-            try:
-                record = _fold_record(split, extractor, pca)
-                pca = record.pca
-            except FoldTrainingError as exc:
-                for error in (exc, exc.__cause__):
-                    traceback.clear_frames(error.__traceback__)  # so it holds no rows alive
-                failure = exc
-        records.append(record if failure is None else failure)
-    return records
+    shares = {c: live for c, ids in shares.items() if (live := [i for i in ids if i < c.live])}
+    if not shares:
+        return
+    try:
+        blocks = record.blocks(u, kernel)
+    except _FOLD_FAILURES as exc:
+        for cell, indices in shares.items():
+            cell.fail(indices[0], record.fold, exc)
+        return
+    scored = [grid_search(None, None, c.classifier, None, _fold=(record, blocks, c, ids))
+              for c, ids in shares.items()]
+    record.counts.update(block_builds=1, block_hits=sum(scored) - 1)
 
 
 def _run_cells(dataset: LabeledDataset, folds: FoldPlan, features: list) -> Counter:
@@ -331,23 +327,26 @@ def _run_cells(dataset: LabeledDataset, folds: FoldPlan, features: list) -> Coun
     with the cells that run on its records.  ``dataset`` carries the
     largest Universum any cell draws; a point trains on its first ``u``
     rows, as every draw is a seeded prefix of one pool
-    (``subset_universum``).  A cell's fold runs through ``grid_search``
-    and a point's through ``run_cv``, handed the fold as ``_fold``, so the
-    perfbench spans around those two bindings keep timing that work.
+    (``subset_universum``).  A cell's share of a sheet runs through
+    ``grid_search`` and a point's fold through ``run_cv``, handed as
+    ``_fold``, so the perfbench spans around those bindings time them.
     """
     counts: Counter = Counter()
     for fold in range(folds.k):
-        split = _fold_split(dataset, folds, fold, counts)
-        records = _fold_records(split, [extractor for extractor, _ in features])
-        del split  # the rows before any extractor: the records hold what the cells read
+        records = _fold_records(dataset, folds, fold, [e for e, _ in features], counts)
         for (_, cells), record in zip(features, records):
+            if not isinstance(record, _FoldRecord):
+                for cell in cells:
+                    cell.fail(0, fold, record)  # an extractor failure comes first
+                continue
+            sheets: dict = {}  # (u, kernel) -> {cell: its live points' indices there}
             for cell in cells:
-                if isinstance(record, FoldTrainingError):
-                    cell.failure = (0, record)  # an extractor failure comes first
-                else:
-                    grid_search(None, None, cell.classifier, None, _fold=(record, cell))
-        features = [f for f, r in zip(features, records) if not isinstance(r, FoldTrainingError)]
-        del records, record  # freed, with their blocks, before the next fold's are built
+                for index, (spec, u, _, _) in enumerate(cell.points[: cell.live]):
+                    sheets.setdefault((u, spec.kernel), {}).setdefault(cell, []).append(index)
+            for (u, kernel), shares in sheets.items():
+                _run_sheet(record, u, kernel, shares)
+        features = [f for f, r in zip(features, records) if isinstance(r, _FoldRecord)]
+        del records, record  # freed, with their bases, before the next fold's are built
         if not features:
             break
     return counts
@@ -371,7 +370,8 @@ def run_cv(
     rows join every training split and no test split.  This is the grid
     engine on one point; ``feature_refits`` reports its extractor fits.
     An rbf spec with an unset sigma reports each fold's resolved bandwidth
-    as ``params["fold_sigmas"]``.  The engine's ``_fold`` scores one fold.
+    as ``params["fold_sigmas"]``.  The engine's ``_fold`` scores the point
+    on one fold's sheet.
     """
     if _fold is not None:
         return _fold_score(spec, *_fold)
@@ -413,11 +413,7 @@ class GridSpec:
             object.__setattr__(self, name, values)
 
     def cardinality(self) -> int:
-        total = 1
-        for name in GRID_AXES:
-            values = getattr(self, name)
-            total *= len(values) if values is not None else 1
-        return total
+        return math.prod(len(getattr(self, name) or (None,)) for name in GRID_AXES)
 
 
 def parse_grid(payload: dict) -> GridSpec:
@@ -499,11 +495,12 @@ def grid_search(
     cell, so the number of CV runs equals the grid cardinality exactly.
     It raises the error of its first failing point in visit order, at
     that point's lowest failing fold; an extractor failure comes first.
-    The engine's ``_fold`` runs the cell on one fold.
+    The engine's ``_fold`` runs the cell's share of one sheet and returns
+    how many points it scored.
     """
     if _fold is not None:
-        record, cell = _fold
-        return cell.run_fold(record)
+        record, blocks, cell, indices = _fold
+        return cell.run_sheet(record, blocks, indices)
     _validate_grid(grid, classifier)
     largest = dataset
     if grid.universum_size is not None:
@@ -527,7 +524,9 @@ class BenchRow:
 
 
 #: The per-job work counts ``run_benchmark`` reports, summed over jobs.
-_COUNTER_NAMES = ("feature_fits", "kernel_tables", "span_factors", "block_builds", "block_hits")
+_COUNTER_NAMES = (
+    "feature_fits", "ica_capped", "kernel_tables", "span_factors", "block_builds", "block_hits"
+)
 
 
 @dataclass(frozen=True)
@@ -608,8 +607,9 @@ def run_benchmark(manifest: dict, workers: int | None = None) -> BenchmarkResult
 
     The unit of work is a job (see the module docstring); ``workers`` > 1
     runs jobs in parallel processes.  ``counters`` sums each job's
-    feature fits, kernel tables, span factors, block builds and block
-    hits.
+    feature fits, ICA fits capped unconverged, kernel tables, span
+    factors, sheet block builds and block hits (scorings after a sheet's
+    first).
 
     The manifest carries ``tasks``, ``features``, ``classifiers``,
     per-classifier ``grids``, a ``data_root`` holding the set directories,

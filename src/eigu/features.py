@@ -425,6 +425,10 @@ class FeatureConfig:
                 )
         elif self.wavelet is not None:
             raise ValueError(f"{self.method} takes no wavelet")
+        if self.n_components < 1:
+            raise ValueError(f"n_components must be >= 1, got {self.n_components}")
+        if self.top_k is not None and self.top_k < 1:
+            raise ValueError(f"top_k must be >= 1, got {self.top_k}")
 
     @property
     def feature_id(self) -> str:
@@ -502,7 +506,5 @@ def fit_features(
     else:
         order = list(range(scores.shape[1]))
     if config.top_k is not None:
-        if config.top_k < 1:
-            raise ValueError(f"top_k must be >= 1, got {config.top_k}")
         order = order[: config.top_k]
     return replace(fitted, keep=tuple(order))

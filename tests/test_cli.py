@@ -269,6 +269,37 @@ def test_cv_rejects_invalid_hyperparameters(toy_bundle, capsys):
     assert "universum_size must be >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, extra",
+    [("cv", ["--classifier", "gepsvm"]), ("sweep", ["--output-dir", "sweep"])],
+)
+def test_a_bad_n_components_is_a_usage_error_before_any_data_is_read(
+    bonn_tree, tmp_path, monkeypatch, capsys, command, extra
+):
+    loaded = []
+    monkeypatch.setattr("eigu.cli.load_sets", lambda *args: loaded.append(args))
+    monkeypatch.chdir(tmp_path)
+    argv = [command, "--task", "o_vs_s", "--data-root", str(bonn_tree), "--feature", "pca"]
+    rc = main([*argv, "--n-components", "0", *extra])
+    assert rc == 2
+    assert "n_components must be >= 1, got 0" in capsys.readouterr().err
+    assert loaded == []
+    assert not (tmp_path / "sweep").exists()
+
+
+@pytest.mark.parametrize("flag, name", [("--n-components", "n_components"), ("--top-k", "top_k")])
+def test_features_rejects_a_bad_count_before_reading_the_bundle(
+    toy_bundle, tmp_path, monkeypatch, capsys, flag, name
+):
+    read = []
+    monkeypatch.setattr("eigu.cli.read_bundle", lambda path: read.append(path))
+    out = tmp_path / "pca"
+    argv = ["features", "--bundle", str(toy_bundle), "--feature", "pca", "--output-dir", str(out)]
+    assert main([*argv, flag, "0"]) == 2
+    assert f"{name} must be >= 1, got 0" in capsys.readouterr().err
+    assert read == [] and not out.exists()
+
+
 def test_bench_runs_a_manifest_and_summarizes(bonn_tree, tmp_path, capsys):
     manifest_path = tmp_path / "manifest.json"
     manifest_path.write_text(json.dumps(_toy_manifest_payload(bonn_tree)))
@@ -287,6 +318,7 @@ def test_bench_runs_a_manifest_and_summarizes(bonn_tree, tmp_path, capsys):
     # gepsvm (no Universum) and iugepsvm (the whole pool) share no block
     assert runinfo["counters"] == {
         "feature_fits": 0,
+        "ica_capped": 0,
         "kernel_tables": 0,  # a linear grid needs no distance table
         "span_factors": 2,  # wavelet rows are wide: one per fold, sliced per block
         "block_builds": 4,

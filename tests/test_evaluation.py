@@ -574,10 +574,16 @@ def test_sharing_a_pair_store_changes_no_result(bonn_tree, workers):
     assert failed == {("dwt_db2", "ugepsvm"), ("pca", "ugepsvm")}
 
 
-def test_blocks_live_one_cell_and_each_fold_builds_one_basis(bonn_tree, tmp_path, monkeypatch):
+def _records_made(monkeypatch):
+    """Spy on the fold step; the returned call lists every record made so far, in order."""
+    made = _counting(monkeypatch, "_fold_records")
+    return lambda: [r for rs in made for r in rs if isinstance(r, evaluation._FoldRecord)]
+
+
+def test_blocks_live_one_sheet_and_each_fold_builds_one_basis(bonn_tree, tmp_path, monkeypatch):
     factors = _counting(monkeypatch, "span_factor")
     tables = _counting(monkeypatch, "kernel_table")
-    records = _counting(monkeypatch, "_fold_record")
+    made = _records_made(monkeypatch)
     manifest = _sharing_manifest(bonn_tree)
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps(manifest))
@@ -585,6 +591,7 @@ def test_blocks_live_one_cell_and_each_fold_builds_one_basis(bonn_tree, tmp_path
     assert main(["bench", "--manifest", str(path), "--output-dir", str(out)]) == 0
 
     k = manifest["folds"]
+    records = made()
     assert len(records) == 2 * k  # one record per fold and pair, in fold order
     assert [record.fold for record in records] == [*range(k), *range(k)]
     for record in records:
@@ -599,40 +606,46 @@ def test_blocks_live_one_cell_and_each_fold_builds_one_basis(bonn_tree, tmp_path
     counters = json.loads((out / "runinfo.json").read_text())["counters"]
     assert counters == {
         "feature_fits": k,  # pca, once per fold
+        "ica_capped": 0,
         "span_factors": k,  # dwt_db2, once per fold for u = 3 and the pool
         "kernel_tables": 2 * k,  # once per fold and pair, though the pair draws u = 0 and 6
-        "block_builds": 2 * 4 * k,  # every cell builds its own: no block outlives its cell
-        "block_hits": 0,  # every grid here has one point per (Universum size, kernel)
+        # two sheets per fold and pair: (u = 0, rbf 4.0) for gepsvm and igepsvm,
+        # (u = 3, linear) for ugepsvm and iugepsvm; each cell scores one point on one
+        "block_builds": 2 * 2 * k,
+        "block_hits": 2 * 2 * k,
     }
 
 
 def test_a_fold_builds_each_training_set_once_and_none_outlives_its_rows(bonn_tree, monkeypatch):
     grids = {
         "iugepsvm": SHARING_GRIDS["iugepsvm"],  # linear at u = 3, before any kernel table
-        "ugepsvm": {"delta": [1e-4], "universum_size": [3]},
+        "ugepsvm": {"delta": [1e-4], "universum_size": [3]},  # the same sheet
         "gepsvm": SHARING_GRIDS["gepsvm"],  # rbf at u = 0: builds the fold's table
     }
     manifest = _toy_manifest(bonn_tree, features=["pca"], classifiers=list(grids), grids=grids)
-    records = _counting(monkeypatch, "_fold_record")
-    trained_on = []
+    made = _records_made(monkeypatch)
+    trained_on, alive = [], []
     build = evaluation.build_blocks
 
     def spy(dataset, *args):
-        trained_on.append(dataset)
+        gc.collect()
+        assert all(ref() is None for ref in alive)  # no training set outlives its sheet
+        trained_on.append((dataset.p, dataset.X1))
+        alive.append(weakref.ref(dataset))
         return build(dataset, *args)
 
     monkeypatch.setattr(evaluation, "build_blocks", spy)
     assert all(row.error is None for row in run_benchmark(manifest).rows)
-    assert len(trained_on) == len(grids) * manifest["folds"]
+    records = made()
+    assert len(trained_on) == 2 * manifest["folds"]  # one training set per (fold, sheet)
     for index, record in enumerate(records):
-        iugepsvm, ugepsvm, gepsvm = trained_on[len(grids) * index : len(grids) * (index + 1)]
-        assert ugepsvm is iugepsvm  # one training set per (fold, u), whatever the cell
-        assert gepsvm.p == 0 and np.shares_memory(gepsvm.X1, record.bases[True].Z)
-        assert list(record.prefixes) == [0]  # the u = 3 set went with the rows it held
+        (linear_u, _), (rbf_u, rbf_X1) = trained_on[2 * index : 2 * index + 2]
+        assert linear_u == 3  # shared by iugepsvm and ugepsvm
+        assert rbf_u == 0 and np.shares_memory(rbf_X1, record.bases[True].Z)
 
 
 def test_each_fold_is_freed_before_the_next_fold_builds_its_basis(bonn_tree, monkeypatch):
-    alive = {"span_factor": [], "kernel_table": [], "_fold_record": []}
+    alive = {"span_factor": [], "kernel_table": [], "_fold_records": []}
 
     def spying(name):
         original = getattr(evaluation, name)
@@ -641,18 +654,45 @@ def test_each_fold_is_freed_before_the_next_fold_builds_its_basis(bonn_tree, mon
             gc.collect()
             assert all(ref() is None for ref in alive[name])  # the last fold's is gone
             made = original(*args)
-            alive[name].append(weakref.ref(made))
+            for item in made if isinstance(made, list) else [made]:
+                alive[name].append(weakref.ref(item))
             return made
 
         monkeypatch.setattr(evaluation, name, spy)
 
-    for name in alive:  # a fold's record, rows and all, too
+    for name in alive:  # a fold's records, rows and all, too
         spying(name)
     manifest = _sharing_manifest(bonn_tree)
     assert len(run_benchmark(manifest).rows) == 2 * len(SHARING_GRIDS)
     k = manifest["folds"]
     assert len(alive["span_factor"]) == k and len(alive["kernel_table"]) == 2 * k
-    assert len(alive["_fold_record"]) == 2 * k
+    assert len(alive["_fold_records"]) == 2 * k
+
+
+def test_only_one_sheets_blocks_are_alive(bonn_tree, monkeypatch):
+    """Two Universum sizes by two bandwidths: four sheets a fold, each freed before the next."""
+    alive = []
+    build = evaluation.build_blocks
+
+    def spy(*args):
+        gc.collect()
+        assert all(ref() is None for ref in alive)  # the previous sheet's blocks are gone
+        blocks = build(*args)
+        alive.append(weakref.ref(blocks))
+        return blocks
+
+    monkeypatch.setattr(evaluation, "build_blocks", spy)
+    grids = {
+        "iugepsvm": {
+            "delta": [1e-5], "gamma": [0.1, 1.0], "psi": [0.01],
+            "sigma": [4.0, 64.0], "universum_size": [3, 6],
+        }
+    }
+    manifest = _toy_manifest(bonn_tree, features=["pca"], classifiers=list(grids), grids=grids)
+    result = run_benchmark(manifest)
+    assert all(row.error is None for row in result.rows)
+    assert len(alive) == 4 * manifest["folds"]
+    assert result.counters["block_hits"] == 4 * manifest["folds"]  # two gammas a sheet
 
 
 #: Planted failures: (classifier, delta) -> the folds its training fails on.
@@ -661,11 +701,11 @@ PLANTED = {("gepsvm", 1e-4): {1}, ("gepsvm", 1e-3): {0}}
 
 def test_errors_name_the_failure_each_cell_names_alone(bonn_tree, monkeypatch):
     current = {}
-    record = evaluation._fold_record
+    records = evaluation._fold_records
 
-    def recording(split, *args):
-        current["fold"] = split.fold
-        return record(split, *args)
+    def recording(dataset, folds, fold, *args):
+        current["fold"] = fold
+        return records(dataset, folds, fold, *args)
 
     fit, train = evaluation.fit_labeled, evaluation.train_with_blocks
 
@@ -679,7 +719,7 @@ def test_errors_name_the_failure_each_cell_names_alone(bonn_tree, monkeypatch):
             raise np.linalg.LinAlgError(f"planted at delta {spec.delta}")
         return train(blocks, spec)
 
-    monkeypatch.setattr(evaluation, "_fold_record", recording)
+    monkeypatch.setattr(evaluation, "_fold_records", recording)
     monkeypatch.setattr(evaluation, "fit_labeled", fitting)
     monkeypatch.setattr(evaluation, "train_with_blocks", training)
     grids = {"gepsvm": {"delta": [1e-4, 1e-3]}, "igepsvm": {"delta": [1e-5], "nu": [0.1]}}
@@ -702,6 +742,80 @@ def test_errors_name_the_failure_each_cell_names_alone(bonn_tree, monkeypatch):
     }
 
 
+def _planting(monkeypatch, train_failures, build_failures):
+    """Fail training at each (fold, delta, u) and block builds at each (fold, u) given.
+
+    Returns the (fold, u) of every block build tried.
+    """
+    current, sizes, tried = {}, {}, []
+    records, build = evaluation._fold_records, evaluation.build_blocks
+    train = evaluation.train_with_blocks
+
+    def recording(dataset, folds, fold, *args):
+        current["fold"] = fold
+        return records(dataset, folds, fold, *args)
+
+    def building(dataset, *args):
+        tried.append((current["fold"], dataset.p))
+        if tried[-1] in build_failures:
+            raise np.linalg.LinAlgError(f"planted build failure at u {dataset.p}")
+        blocks = build(dataset, *args)
+        sizes[id(blocks)] = dataset.p
+        return blocks
+
+    def training(blocks, spec):
+        point = (current["fold"], spec.delta, sizes[id(blocks)])
+        if point in train_failures:
+            raise np.linalg.LinAlgError(f"planted at delta {spec.delta}, u {point[2]}")
+        return train(blocks, spec)
+
+    monkeypatch.setattr(evaluation, "_fold_records", recording)
+    monkeypatch.setattr(evaluation, "build_blocks", building)
+    monkeypatch.setattr(evaluation, "train_with_blocks", training)
+    return tried
+
+
+@pytest.mark.parametrize(
+    "planted, named",
+    [
+        ({(1, 1e-2, 3), (1, 1e-4, 6)}, "delta 0.0001, u 6"),  # (a, 6), not (b, 3)
+        ({(1, 1e-2, 3), (1, 1e-2, 6)}, "delta 0.01, u 3"),  # (b, 6) comes after (b, 3)
+    ],
+)
+def test_a_cell_fails_at_its_first_failing_point_across_sheets(
+    bonn_tree, monkeypatch, planted, named
+):
+    """Visit order (a, 3), (a, 6), (b, 3), (b, 6); the u = 3 sheet runs first."""
+    _planting(monkeypatch, planted, set())
+    grids = {"ugepsvm": {"delta": [1e-4, 1e-2], "universum_size": [3, 6]}}
+    manifest = _toy_manifest(
+        bonn_tree, features=["dwt_db2", "pca"], classifiers=list(grids), grids=grids, folds=3
+    )
+    result = run_benchmark(manifest)
+    assert _cell_rows(result) == _fresh_rows(bonn_tree, manifest)
+    assert [r.error for r in result.rows] == [f"FoldTrainingError: fold 1: planted at {named}"] * 2
+
+
+def test_a_failed_build_fails_each_cell_of_its_sheet_at_its_own_point(bonn_tree, monkeypatch):
+    """The u = 6 sheet is ugepsvm's point 1 and iugepsvm's point 0; its fold-0 build fails."""
+    tried = _planting(monkeypatch, {(2, 1e-4, 3)}, {(0, 6)})
+    grids = {
+        "ugepsvm": {"delta": [1e-4, 1e-2], "universum_size": [3, 6]},
+        "iugepsvm": {"delta": [1e-5], "gamma": [0.1], "psi": [0.01], "universum_size": [6]},
+    }
+    manifest = _toy_manifest(
+        bonn_tree, features=["dwt_db2", "pca"], classifiers=list(grids), grids=grids, folds=3
+    )
+    result = run_benchmark(manifest)
+    assert tried == [(0, 3), (0, 6), (1, 3), (2, 3)] * 2  # no point is left on the u = 6 sheet
+    assert _cell_rows(result) == _fresh_rows(bonn_tree, manifest)
+    assert [r.error for r in result.rows] == [
+        # ugepsvm failed at point 1, so point 0 still ran on fold 2 and failed there
+        "FoldTrainingError: fold 2: planted at delta 0.0001, u 3",
+        "FoldTrainingError: fold 0: planted build failure at u 6",
+    ] * 2
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_run_benchmark_counts_fits_builds_and_hits(bonn_tree, workers):
     grids = {
@@ -710,23 +824,25 @@ def test_run_benchmark_counts_fits_builds_and_hits(bonn_tree, workers):
     }
     manifest = _toy_manifest(bonn_tree, classifiers=list(grids), grids=grids)
     k = manifest["folds"]
-    lookups = (4 + 2) * k  # every grid point looks up one block per fold
+    scorings = (4 + 2) * k  # every grid point is scored once per fold
     pca = run_benchmark({**manifest, "features": ["pca"]}, workers=workers)
     assert all(r.error is None for r in pca.rows)
     assert pca.counters == {
         "feature_fits": k,  # once per fold, not once per classifier
+        "ica_capped": 0,
         "kernel_tables": 0,  # linear grids need no distance table
         "span_factors": 0,  # 4 pca components: no row-span factor
-        "block_builds": 2 * 2 * k,  # once per (cell, fold, Universum size)
-        "block_hits": lookups - 2 * 2 * k,
+        "block_builds": 2 * k,  # once per (fold, Universum size): both cells share a sheet
+        "block_hits": scorings - 2 * k,
     }
     both = run_benchmark({**manifest, "features": ["pca", "dwt_db2"]}, workers=workers)
     assert both.counters == {
         "feature_fits": k,  # a wavelet fits nothing
+        "ica_capped": 0,
         "kernel_tables": 0,
         "span_factors": k,  # wide wavelet rows: one per fold, sliced for both sizes
-        "block_builds": 2 * 2 * 2 * k,
-        "block_hits": 2 * (lookups - 2 * 2 * k),
+        "block_builds": 2 * 2 * k,
+        "block_hits": 2 * (scorings - 2 * k),
     }
     rbf_grids = {"gepsvm": {"delta": [1e-4, 1e-2], "sigma": [4.0, 64.0]}}
     rbf = run_benchmark(
@@ -736,11 +852,24 @@ def test_run_benchmark_counts_fits_builds_and_hits(bonn_tree, workers):
     assert all(r.error is None for r in rbf.rows)
     assert rbf.counters == {
         "feature_fits": k,
+        "ica_capped": 0,
         "kernel_tables": k,  # one per fold, shared by both sigmas
         "span_factors": 0,
         "block_builds": 2 * k,  # one per (fold, sigma)
         "block_hits": 4 * k - 2 * k,
     }
+
+
+def test_runinfo_counts_the_ica_fits_that_hit_the_iteration_cap(bonn_tree, tmp_path, monkeypatch):
+    monkeypatch.setattr(features, "ICA_MAX_ITERATIONS", 1)
+    manifest = _toy_manifest(bonn_tree, features=["ica"], folds=3)
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    out = tmp_path / "out"
+    with pytest.warns(UserWarning, match="ICA did not converge within 1 iterations"):
+        assert main(["bench", "--manifest", str(path), "--output-dir", str(out)]) == 0
+    counters = json.loads((out / "runinfo.json").read_text())["counters"]
+    assert counters["feature_fits"] == counters["ica_capped"] == manifest["folds"]
 
 
 def _cell_rows(result):
