@@ -13,6 +13,8 @@ and P (Universum):
 * ``iugepsvm``  weighted difference with Universum repulsion:
   G + dI - gamma1 H - psi1 P (plane 2 swaps roles and uses gamma2/psi2).
 
+``gepsvm`` and ``igepsvm`` train on no Universum rows (``universum_rows``).
+
 Kernel mode replaces the data rows by kernel evaluations against the
 expansion Z = [X1; X2; U] and solves the same problems in coefficient
 space.  Only the rbf family trains there: a linear kernel spec trains the
@@ -60,6 +62,7 @@ __all__ = [
     "span_factor",
     "train",
     "train_with_blocks",
+    "universum_rows",
 ]
 
 #: The grid axes each classifier consumes beyond delta (and sigma, which
@@ -90,6 +93,14 @@ MODEL_FORMAT_VERSION = 1
 
 class DegeneratePlaneError(RuntimeError):
     """A trained plane put all its weight on the bias term."""
+
+
+def universum_rows(classifier: str, pool: int) -> int:
+    """How many of ``pool`` Universum rows ``classifier`` trains on: all, or none.
+
+    None without a ``universum_size`` axis: GEPSVM (Mangasarian & Wild 2006) and IGEPSVM.
+    """
+    return pool if "universum_size" in CLASSIFIER_AXES[classifier] else 0
 
 
 @dataclass(frozen=True)
@@ -533,7 +544,8 @@ def train_with_blocks(blocks: ProblemBlocks, spec: TrainSpec) -> HyperplanePair:
 
 
 def train(dataset: LabeledDataset, spec: TrainSpec) -> HyperplanePair:
-    """Train ``spec.classifier`` on ``dataset`` (linear or kernel mode), weights lifted."""
+    """Train ``spec.classifier`` on ``dataset``, its ``universum_rows`` only; weights lifted."""
+    dataset = replace(dataset, U=dataset.U[: universum_rows(spec.classifier, dataset.p)])
     return train_with_blocks(build_blocks(dataset, spec.kernel), spec).lifted()
 
 

@@ -32,6 +32,7 @@ from .dataio import (
     SEGMENT_LENGTH,
     TASKS,
     UNIVERSUM_SET,
+    FoldPlan,
     LabeledDataset,
     assemble_task,
     make_folds,
@@ -42,7 +43,6 @@ from .dataio import (
 from .evaluation import (
     DECADE_GRID,
     GridSpec,
-    featurize,
     fit_labeled,
     grid_search,
     load_sets,
@@ -86,8 +86,9 @@ def _write_runinfo(
 ) -> None:
     """Host and timestamp details, quarantined away from the result files.
 
-    ``counters`` (``bench`` only) are the run's feature fits, kernel
-    tables, span factors, block builds and block hits.
+    ``counters`` (``bench`` only) are the run's feature fits, ICA fits
+    capped unconverged (``ica_capped``), kernel tables, span factors,
+    block builds and block hits.
     """
     finished = time.time()
     info = {
@@ -160,8 +161,8 @@ def _read_bundle(path: str) -> tuple[LabeledDataset, dict]:
         raise UsageError(f"cannot read bundle {path}: {exc}") from exc
 
 
-def _load_dataset(args) -> tuple[LabeledDataset, str]:
-    """Dataset plus task name, from --bundle or from --task/--data-root."""
+def _load_dataset(args) -> tuple[LabeledDataset, str, FoldPlan]:
+    """Dataset, task name and fold plan, from --bundle or from --task/--data-root."""
     if args.bundle:
         dataset, manifest = _read_bundle(args.bundle)
         task = str(manifest.get("task", ""))
@@ -173,22 +174,15 @@ def _load_dataset(args) -> tuple[LabeledDataset, str]:
         )
     if args.universum_size is not None:
         dataset = subset_universum(dataset, args.universum_size, args.seed)
-    return dataset, task
+    return dataset, task, make_folds(dataset, args.folds, args.seed)
 
 
-def _feature_config(args):
-    """The ``--feature`` config, None without one; built before any data is read."""
+def _feature_config(args) -> tuple:
+    """``--feature``'s config and id ((None, "raw") without one), built before any data is read."""
     if args.feature is None:
-        return None
-    return feature_config_from_id(args.feature, n_components=args.n_components, seed=args.seed)
-
-
-def _prepare_features(dataset: LabeledDataset, config):
-    """(dataset, extractor, feature_id): wavelets applied up front, pca/ica per fold."""
-    if config is None:
-        return dataset, None, "raw"
-    dataset, extractor = featurize(dataset, config)
-    return dataset, extractor, config.feature_id
+        return None, "raw"
+    config = feature_config_from_id(args.feature, n_components=args.n_components, seed=args.seed)
+    return config, config.feature_id
 
 
 def _build_kernel(args) -> KernelSpec | None:
@@ -265,12 +259,11 @@ def cmd_ingest(args) -> int:
 
 def cmd_features(args) -> int:
     started = time.time()
-    overrides: dict = {"n_components": args.n_components, "seed": args.seed}
-    if args.top_k is not None:
-        overrides["top_k"] = args.top_k
-    config = feature_config_from_id(args.feature, **overrides)
+    config = feature_config_from_id(
+        args.feature, n_components=args.n_components, top_k=args.top_k, seed=args.seed
+    )
     dataset, manifest = _read_bundle(args.bundle)
-    fitted, transformed = fit_labeled(config, dataset)
+    fitted, transformed = fit_labeled(config, dataset)  # None for a wavelet, which fits nothing
     out = Path(args.output_dir)
     write_bundle(
         transformed,
@@ -285,14 +278,11 @@ def cmd_features(args) -> int:
             "level": DEFAULT_LEVELS[config.wavelet] if config.method == "dwt" else None,
             "feature_id": config.feature_id,
         },
-        "n_fit_rows": fitted.n_fit_rows,
+        "n_fit_rows": dataset.m1 + dataset.m2,
     }
-    if fitted.keep is not None:
+    if fitted is not None:  # a wavelet fits nothing; an ica fit writes its ICA basis alone
         sidecar["component_order"] = list(fitted.keep)
-    if config.method == "pca":  # an ica fit keeps its whitening basis as pca too
-        sidecar["pca"] = fitted.pca
-    if fitted.ica is not None:
-        sidecar["ica"] = fitted.ica
+        sidecar[config.method] = fitted.pca if fitted.ica is None else fitted.ica
     _emit_json(sidecar, str(out / "features.json"))
     _write_runinfo(out, "features", args.raw_argv, started)
     print(f"wrote {config.feature_id} bundle n={transformed.n} -> {out}")
@@ -300,27 +290,16 @@ def cmd_features(args) -> int:
 
 
 def cmd_cv(args) -> int:
-    config = _feature_config(args)
-    dataset, task = _load_dataset(args)
-    dataset, extractor, feature_id = _prepare_features(dataset, config)
+    config, feature_id = _feature_config(args)
     spec = _train_spec(args)
-    folds = make_folds(dataset, args.folds, args.seed)
-    report = run_cv(
-        dataset,
-        folds,
-        spec,
-        extractor=extractor,
-        task=task,
-        feature_id=feature_id,
-    )
+    dataset, task, folds = _load_dataset(args)
+    report = run_cv(dataset, folds, spec, extractor=config, task=task, feature_id=feature_id)
     _emit_json(dataclasses.asdict(report), args.output)
     if args.save_model:
-        full = dataset if extractor is None else fit_labeled(extractor, dataset)[1]
-        model = train(full, spec)
+        model = train(fit_labeled(config, dataset)[1], spec)
         path = Path(args.save_model)
         path.parent.mkdir(parents=True, exist_ok=True)
-        text = model_to_json(model)
-        path.write_text(text if text.endswith("\n") else text + "\n", encoding="utf-8")
+        path.write_text(model_to_json(model) + "\n", encoding="utf-8")
         log.info("saved model to %s", path)
     return EXIT_OK
 
@@ -450,15 +429,14 @@ def cmd_sweep(args) -> int:
             "sweep --kernel rbf needs --sigma, and --sigma needs --kernel rbf: "
             "each sweep row names one bandwidth"
         )
-    config = _feature_config(args)
-    dataset, task = _load_dataset(args)
-    dataset, extractor, feature_id = _prepare_features(dataset, config)
-    folds = make_folds(dataset, args.folds, args.seed)
+    config, feature_id = _feature_config(args)
     sigma = (args.sigma,) if args.kernel == "rbf" else None
     grid = GridSpec(delta=(args.delta,), gamma=gammas, psi=psis, sigma=sigma)
+    # the spec of the grid's points, so a bad --delta fails before any data is read
+    TrainSpec(classifier="iugepsvm", delta=args.delta, kernel=_build_kernel(args))
+    dataset, task, folds = _load_dataset(args)
     result = grid_search(
-        dataset, folds, "iugepsvm", grid,
-        extractor=extractor, task=task, feature_id=feature_id,
+        dataset, folds, "iugepsvm", grid, extractor=config, task=task, feature_id=feature_id
     )
     lines = ["log10_gamma,log10_psi,mean_accuracy"]
     for report in result.reports:

@@ -2,28 +2,31 @@
 
 Accuracy is reported as the plain mean over stratified folds (one value in
 [0, 100] per fold), with prediction wall-clock tracked separately so result
-files stay byte-reproducible.  Feature transforms that require fitting
-(PCA/ICA) are refit on each fold's training rows only.
+files stay byte-reproducible.
 
-There is one grid engine, ``_run_cells``.  It runs cells -- a classifier's
-grid points each -- for one or more features of one dataset, fold by
-fold.  On each fold it splits the rows once and builds one record per
-feature: the extractor fit, training and test rows, and on first use a
-basis whose prefixes serve every Universum size (a span factor for wide
-linear data, a kernel table for rbf, each holding what ``predict`` reads
-of the test rows).  PCA and ICA both start from the PCA of the fold's
-training rows, ICA as its whitening, so a fold fits that basis once for
-all its fitted features.  The engine then runs each record a *sheet* at
-a time: a sheet is every point, of any cell, that shares one (Universum
-size, kernel) and so one set of blocks.  It builds the sheet's blocks,
-scores each cell's points on them in visit order and drops them before
-the next sheet; the fold is dropped before the next fold.  So each
-fold's extractors are fit and bases built once, each sheet's blocks are
-built once per fold, and one fold and one sheet are alive at a time.
-``grid_search`` is the engine on one cell, ``run_cv`` on one point, and
-``run_benchmark`` runs it once per job: each wavelet feature of a task
-is a job, and all of a task's fitted features are one.  ``--workers`` > 1
-runs jobs in parallel; rows come out in manifest order either way.
+There is one grid engine, ``_run_cells``, and it alone decides which rows
+a (task, feature, classifier, point) trains on.  It runs cells -- a
+classifier's grid points each -- for one or more features of one raw
+dataset.  It cuts the Universum to the most rows any cell asks for (a
+classifier without a ``universum_size`` axis asks for none), applies a
+wavelet to every row, then goes fold by fold.  On each fold it splits
+the rows once and builds one record per feature: the extractor fit,
+training and test rows, and on first use a basis whose prefixes serve
+every Universum size (a span factor for wide linear data, a kernel table
+for rbf, each holding what ``predict`` reads of the test rows).  PCA and
+ICA both start from the PCA of the fold's training rows, ICA as its
+whitening, so a fold fits that basis once for all its fitted features.
+The engine then runs each record a *sheet* at a time: a sheet is every
+point, of any cell, that shares one (Universum size, kernel) and so one
+set of blocks.  It builds the sheet's blocks, scores each cell's points
+on them in visit order and drops them before the next sheet; the fold
+is dropped before the next fold.  So each fold's extractors are fit and
+bases built once, each sheet's blocks are built once per fold, and one
+fold and one sheet are alive at a time.  ``grid_search`` is the engine
+on one cell, ``run_cv`` on one point, and ``run_benchmark`` runs it
+once per job: each wavelet feature of a task is a job, and all of a
+task's fitted features are one.  ``--workers`` > 1 runs jobs in
+parallel; rows come out in manifest order either way.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ from .classifiers import (
     predict,
     span_factor,
     train_with_blocks,
+    universum_rows,
 )
 from .dataio import (
     FoldPlan,
@@ -145,43 +149,39 @@ def load_sets(root: Path, labels, segment_length: int) -> dict[str, np.ndarray]:
 
 
 def featurize(
-    dataset: LabeledDataset, config: FeatureConfig
+    dataset: LabeledDataset, config: FeatureConfig | None
 ) -> tuple[LabeledDataset, FeatureConfig | None]:
-    """Apply ``config`` to raw rows: ``(dataset, extractor)`` for ``run_cv``.
+    """Apply ``config`` to raw rows: ``(dataset, extractor)`` for the grid engine.
 
     A wavelet needs no fit, so it transforms every row up front and no
-    extractor is left.  PCA/ICA rows stay raw and ``config`` comes back as
-    the extractor ``run_cv`` fits on each training fold.
+    extractor is left.  Otherwise the rows stay raw and ``config`` (None
+    for rows used as they are) comes back as the extractor the engine fits
+    on each training fold.
     """
-    if config.method != "dwt":
+    if config is None or config.method != "dwt":
         return dataset, config
 
-    def transform(rows: np.ndarray) -> np.ndarray:
-        if rows.shape[0] == 0:
-            return rows  # an empty Universum stays a (0, n) block
-        return np.vstack([dwt_features(r, config.wavelet) for r in rows])
+    def transform(rows: np.ndarray) -> np.ndarray:  # an empty Universum stays a (0, n) block
+        return np.vstack([dwt_features(r, config.wavelet) for r in rows] or [rows])
 
-    transformed = LabeledDataset(
-        X1=transform(dataset.X1), X2=transform(dataset.X2), U=transform(dataset.U)
-    )
-    return transformed, None
+    return LabeledDataset(*map(transform, (dataset.X1, dataset.X2, dataset.U))), None
 
 
 def fit_labeled(
-    config: FeatureConfig, dataset: LabeledDataset, pca: PCABasis | None = None
-) -> tuple[FittedFeatures, LabeledDataset]:
-    """Fit ``config`` on the labeled rows (X1 as +1, X2 as -1); transform X1, X2 and U.
+    config: FeatureConfig | None, dataset: LabeledDataset, pca: PCABasis | None = None
+) -> tuple[FittedFeatures | None, LabeledDataset]:
+    """Apply ``config`` to X1, X2 and U: a PCA/ICA fit on the labeled rows (X1 as +1, X2 as -1).
 
-    ``pca`` is passed on to ``fit_features``: the labeled rows' PCA basis, if known.
+    A wavelet (or no config) fits nothing: it is applied through
+    ``featurize`` and comes back with None for the fit.  ``pca`` is passed
+    on to ``fit_features``: the labeled rows' PCA basis, if known.
     """
+    dataset, config = featurize(dataset, config)
+    if config is None:
+        return None, dataset
     labels = np.repeat([1, -1], [dataset.m1, dataset.m2])
     fitted = fit_features(config, np.vstack([dataset.X1, dataset.X2]), labels, pca)
-    transformed = LabeledDataset(
-        X1=fitted.transform(dataset.X1),
-        X2=fitted.transform(dataset.X2),
-        U=fitted.transform(dataset.U),
-    )
-    return fitted, transformed
+    return fitted, LabeledDataset(*map(fitted.transform, (dataset.X1, dataset.X2, dataset.U)))
 
 
 @dataclass
@@ -232,7 +232,7 @@ def _fold_records(dataset: LabeledDataset, folds: FoldPlan, fold: int, extractor
                 counts["feature_fits"] += 1
                 if fitted.ica is not None and not fitted.ica.converged:
                     counts["ica_capped"] += 1  # a fit that hit ICA_MAX_ITERATIONS
-            if not np.all(np.isfinite(test_rows)):  # checked once, not by every predict
+            if not np.all(np.isfinite(test_rows)):  # so the fold fails before any block is built
                 raise ValueError("test rows contain non-finite values")
         except _FOLD_FAILURES as exc:
             return records + [exc] * (len(extractors) - len(records))
@@ -253,10 +253,16 @@ def _fold_score(spec: TrainSpec, record: _FoldRecord, blocks: ProblemBlocks) -> 
 
 @dataclass(eq=False)  # hashed by identity, as a sheet's key for its share
 class _Cell:
-    """A classifier's points in visit order, each ``(spec, u, report params, fold scores)``."""
+    """A classifier's points in visit order, each ``(spec, u, report params, fold scores)``.
+
+    ``universum`` is the largest u asked for, an invalid point's too;
+    ``draws``, whether it draws sizes rather than the whole pool.
+    """
 
     classifier: str
     points: list
+    universum: int = 0
+    draws: bool = False
     failure: tuple | None = None  # (index, error) of the first failing point
 
     @property
@@ -323,21 +329,36 @@ def _run_sheet(record: _FoldRecord, u: int, kernel: KernelSpec | None, shares: d
 def _run_cells(dataset: LabeledDataset, folds: FoldPlan, features: list) -> Counter:
     """The grid engine (see the module docstring); returns its work counts.
 
-    ``features`` pairs each extractor (None for rows used as they are)
-    with the cells that run on its records.  ``dataset`` carries the
-    largest Universum any cell draws; a point trains on its first ``u``
-    rows, as every draw is a seeded prefix of one pool
-    (``subset_universum``).  A cell's share of a sheet runs through
+    ``dataset`` holds raw rows and the whole Universum pool.  ``features``
+    pairs each feature config (None for rows used as they are) with the
+    cells that run on its records: one wavelet, or fitted features only.
+    The engine carries the most Universum rows any cell asks for, capped
+    at the pool; if a cell draws sizes, the rows are the seeded draw
+    ``subset_universum``, of which each smaller draw is a prefix.  A point
+    trains on the first ``u``.  A cell's share of a sheet runs through
     ``grid_search`` and a point's fold through ``run_cv``, handed as
     ``_fold``, so the perfbench spans around those bindings time them.
     """
     counts: Counter = Counter()
+    all_cells = [cell for _, cells in features for cell in cells]
+    features = [f for f in features if any(cell.live for cell in f[1])]  # the rest fit nothing
+    if not features:
+        return counts
+    size = min(max(cell.universum for cell in all_cells), dataset.p)
+    if any(cell.draws for cell in all_cells):
+        dataset = subset_universum(dataset, size, folds.seed)
+    else:
+        dataset = replace(dataset, U=dataset.U[:size])
+    prepared = [featurize(dataset, config) for config, _ in features]
+    dataset = prepared[0][0]  # a wavelet's rows, or the raw rows every fitted feature keeps
+    features = [(extractor, cells) for (_, extractor), (_, cells) in zip(prepared, features)]
     for fold in range(folds.k):
         records = _fold_records(dataset, folds, fold, [e for e, _ in features], counts)
         for (_, cells), record in zip(features, records):
             if not isinstance(record, _FoldRecord):
                 for cell in cells:
-                    cell.fail(0, fold, record)  # an extractor failure comes first
+                    if cell.points:  # a cell without a valid point keeps its grid error
+                        cell.fail(0, fold, record)
                 continue
             sheets: dict = {}  # (u, kernel) -> {cell: its live points' indices there}
             for cell in cells:
@@ -364,18 +385,19 @@ def run_cv(
 ) -> CVReport:
     """Stratified k-fold evaluation of one hyperparameter setting.
 
-    When ``extractor`` is given the dataset rows are treated as raw inputs:
-    the transform is fit per fold on that fold's labeled training rows only
-    and applied to training, Universum, and test rows alike.  Universum
-    rows join every training split and no test split.  This is the grid
-    engine on one point; ``feature_refits`` reports its extractor fits.
-    An rbf spec with an unset sigma reports each fold's resolved bandwidth
-    as ``params["fold_sigmas"]``.  The engine's ``_fold`` scores the point
+    ``extractor`` is any feature config for raw dataset rows: a wavelet
+    is applied to every row, PCA/ICA are fit per fold on its labeled
+    training rows.  The ``universum_rows`` of the Universum join every
+    training split.  This is the grid engine on one point;
+    ``feature_refits`` reports its extractor fits.  An rbf spec with an
+    unset sigma reports each fold's resolved bandwidth as
+    ``params["fold_sigmas"]``.  The engine's ``_fold`` scores the point
     on one fold's sheet.
     """
     if _fold is not None:
         return _fold_score(spec, *_fold)
-    cell = _Cell(spec.classifier, [(spec, dataset.p, {}, [])])
+    u = universum_rows(spec.classifier, dataset.p)
+    cell = _Cell(spec.classifier, [(spec, u, {}, [])], universum=u)
     counts = _run_cells(dataset, folds, [(extractor, [cell])])
     best = cell.result(folds, task, feature_id).best_report
     return replace(best, feature_refits=counts["feature_fits"])
@@ -452,9 +474,11 @@ class GridSearchResult:
 
 
 def _grid_cell(classifier: str, grid: GridSpec, pool: int) -> _Cell:
-    """``grid`` as an engine cell; a point with no ``universum_size`` draws the whole ``pool``."""
+    """``grid`` as an engine cell; without ``universum_size`` a point takes ``universum_rows``."""
     axes = [sorted(getattr(grid, name) or [None]) for name in GRID_AXES]
-    cell = _Cell(classifier, [])
+    sizes = grid.universum_size
+    pool = universum_rows(classifier, pool)
+    cell = _Cell(classifier, [], universum=max(sizes or (pool,)), draws=sizes is not None)
     for point in itertools.product(*axes):
         value = dict(zip(GRID_AXES, point))
         u, sigma = value["universum_size"], value["sigma"]
@@ -491,22 +515,20 @@ def grid_search(
     lexicographically smallest tuple.  When a ``universum_size`` axis is
     present, each u re-draws that many rows from the dataset's Universum
     pool (seeded by the fold plan's seed) and the point's report records
-    it as ``params["universum_size"]``.  This is the grid engine on one
-    cell, so the number of CV runs equals the grid cardinality exactly.
-    It raises the error of its first failing point in visit order, at
-    that point's lowest failing fold; an extractor failure comes first.
-    The engine's ``_fold`` runs the cell's share of one sheet and returns
-    how many points it scored.
+    it as ``params["universum_size"]``.  ``extractor`` is as in
+    ``run_cv``.  This is the grid engine on one cell, so the number of
+    CV runs equals the grid cardinality exactly.  It raises the error of
+    its first failing point in visit order, at that point's lowest
+    failing fold; an extractor failure comes first, unless the first
+    point is invalid: then nothing is fit.  The engine's ``_fold`` runs
+    the cell's share of one sheet and returns how many points it scored.
     """
     if _fold is not None:
         record, blocks, cell, indices = _fold
         return cell.run_sheet(record, blocks, indices)
     _validate_grid(grid, classifier)
-    largest = dataset
-    if grid.universum_size is not None:
-        largest = subset_universum(dataset, min(max(grid.universum_size), dataset.p), folds.seed)
     cell = _grid_cell(classifier, grid, dataset.p)
-    _run_cells(largest, folds, [(extractor, [cell])])
+    _run_cells(dataset, folds, [(extractor, [cell])])
     return cell.result(folds, task, feature_id)
 
 
@@ -554,23 +576,13 @@ class _Job:
 
 
 def _run_job(job: _Job) -> tuple[dict[int, list[BenchRow]], Counter]:
-    """Run a job's cells through the grid engine: rows by slot, and the work counts.
-
-    The fold records carry the largest Universum any cell draws (capped
-    at the pool).  A classifier that consumes no Universum trains without
-    one.
-    """
-    prepared = [featurize(job.raw, config) for _, _, config in job.features]
-    dataset = prepared[0][0]  # a wavelet's rows, or the raw rows every fitted feature keeps
-    folds = make_folds(dataset, job.k, job.seed)
-    pools = [dataset.p if "universum_size" in CLASSIFIER_AXES[c] else 0 for c, _ in job.cells]
-    size = max(max(grid.universum_size or (pool,)) for (_, grid), pool in zip(job.cells, pools))
-    largest = subset_universum(dataset, min(size, dataset.p), job.seed)
+    """Run a job's cells through the grid engine: rows by slot, and the work counts."""
+    folds = make_folds(job.raw, job.k, job.seed)
     features = [
-        (extractor, [_grid_cell(c, grid, pool) for (c, grid), pool in zip(job.cells, pools)])
-        for _, extractor in prepared
+        (config, [_grid_cell(c, grid, job.raw.p) for c, grid in job.cells])
+        for _, _, config in job.features
     ]
-    counts = _run_cells(largest, folds, features)
+    counts = _run_cells(job.raw, folds, features)
     rows = {
         slot: [_bench_row(cell, folds, job.task, feature) for cell in cells]
         for (slot, feature, _), (_, cells) in zip(job.features, features)
@@ -590,15 +602,10 @@ def _bench_row(cell: _Cell, folds: FoldPlan, task: str, feature: str) -> BenchRo
     return BenchRow(*key, *scores, report.test_time_seconds, n_runs=best.n_runs)
 
 
-def _manifest_value(manifest: dict, key: str, default):
-    value = manifest.get(key)
-    return default if value is None else value
-
-
 #: The manifest's integer settings: key -> (default, smallest value allowed).
 _INT_SETTINGS = dict(
     folds=(5, 2), universum_pool=(100, 0), segment_length=(4096, 1),
-    n_components=(32, 1), workers=(1, 1),
+    n_components=(32, 1), workers=(1, 1), seed=(0, 0),
 )
 
 
@@ -617,7 +624,8 @@ def run_benchmark(manifest: dict, workers: int | None = None) -> BenchmarkResult
     ``universum_pool`` (default 100), ``segment_length`` (default 4096),
     ``n_components`` (default 32), and ``workers`` (default 1; the
     argument overrides it).  A malformed manifest, including an integer
-    setting below its smallest value (``folds`` 2, ``universum_pool`` 0,
+    setting that is not an integer (a boolean is not one) or lies below
+    its smallest value (``folds`` 2, ``universum_pool`` and ``seed`` 0,
     the others 1), raises before any data is read; cell failures are
     recorded in their row and do not abort the run.  Identical manifests
     yield identical accuracy cells regardless of worker count.
@@ -625,17 +633,22 @@ def run_benchmark(manifest: dict, workers: int | None = None) -> BenchmarkResult
     for key in ("tasks", "features", "classifiers", "grids", "data_root"):
         if key not in manifest:
             raise ValueError(f"manifest is missing {key!r}")
-    data_root = Path(manifest["data_root"])
-    if not data_root.is_dir():
-        raise FileNotFoundError(f"data root not found: {data_root}")
-    seed = int(_manifest_value(manifest, "seed", 0))
-    settings = {k: int(_manifest_value(manifest, k, d)) for k, (d, _) in _INT_SETTINGS.items()}
+    settings = {
+        key: default if manifest.get(key) is None else manifest[key]
+        for key, (default, _) in _INT_SETTINGS.items()
+    }
     if workers is not None:
         settings["workers"] = workers
     for key, (_, smallest) in _INT_SETTINGS.items():
-        if settings[key] < smallest:
-            raise ValueError(f"{key} must be >= {smallest}, got {settings[key]}")
-    k, pool_size, segment_length, n_components, workers = settings.values()
+        value = settings[key]
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise ValueError(f"{key} must be an integer, got {value!r}")
+        if value < smallest:
+            raise ValueError(f"{key} must be >= {smallest}, got {value}")
+    k, pool_size, segment_length, n_components, workers, seed = map(int, settings.values())
+    data_root = Path(manifest["data_root"])
+    if not data_root.is_dir():
+        raise FileNotFoundError(f"data root not found: {data_root}")
 
     tasks = [t.lower() for t in manifest["tasks"]]
     for task in tasks:

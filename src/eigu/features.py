@@ -449,25 +449,19 @@ def feature_config_from_id(feature_id: str, **overrides) -> FeatureConfig:
 
 @dataclass(frozen=True)
 class FittedFeatures:
-    """A feature transform frozen against one training split.
+    """A PCA or ICA transform frozen against one training split.
 
-    ``pca`` is the split's PCA basis for both fitted methods: the pca
-    transform itself, or the whitening that ``ica`` rotates.
+    ``pca`` is the split's PCA basis for both methods: the pca transform
+    itself, or the whitening that ``ica`` rotates.
     """
 
     config: FeatureConfig
     pca: PCABasis | None = None
     ica: ICABasis | None = None
     keep: tuple[int, ...] | None = None  # CDR-ordered component indices
-    n_fit_rows: int = 0
 
     def transform(self, rows: np.ndarray) -> np.ndarray:
-        rows = np.asarray(rows, dtype=float)
-        if rows.shape[0] == 0:
-            width = len(self.keep) if self.keep is not None else rows.shape[1]
-            return np.zeros((0, width))
-        if self.config.method == "dwt":
-            return np.vstack([dwt_features(r, self.config.wavelet) for r in rows])
+        """``rows``' kept components, in ``keep`` order."""
         if self.config.method == "pca":
             scores = pca_transform(self.pca, rows)
         else:
@@ -481,20 +475,20 @@ def fit_features(
     labels: np.ndarray | None = None,
     pca: PCABasis | None = None,
 ) -> FittedFeatures:
-    """Fit ``config`` on training rows (labels drive the CDR ordering).
+    """Fit a PCA or ICA ``config`` on training rows (labels drive the CDR ordering).
 
-    The wavelet method is stateless, so the returned object only carries
-    the configuration.  PCA/ICA extract ``n_components``, order them by
-    CDR when labels are given, and keep the best ``top_k`` (all, when
-    unset).  Both start from the rows' PCA basis, which the result keeps
-    as ``pca``; pass one such result's ``pca`` to fit the other method on
-    the same rows and settings without a second SVD.
+    Both extract ``n_components``, order them by CDR when labels are
+    given, and keep the best ``top_k`` (all, when unset).  Both start from
+    the rows' PCA basis, which the result keeps as ``pca``; pass one such
+    result's ``pca`` to fit the other method on the same rows and settings
+    without a second SVD.  A wavelet fits nothing: ``dwt_features``
+    applies it to each row.
     """
     if config.method == "dwt":
-        return FittedFeatures(config=config, n_fit_rows=int(np.asarray(rows).shape[0]))
+        raise ValueError(f"{config.feature_id} fits nothing: apply it with dwt_features")
     rows = _validated_rows(rows)
     pca = _checked_basis(rows, config.n_components, pca)
-    fitted = FittedFeatures(config=config, pca=pca, n_fit_rows=rows.shape[0])
+    fitted = FittedFeatures(config=config, pca=pca)
     if config.method == "pca":
         scores = pca_transform(pca, rows)
     else:

@@ -220,31 +220,55 @@ def test_cv_saves_a_loadable_model(toy_bundle, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "feature, classifier, pool",
-    [("dwt_db2", "iugepsvm", 6), ("pca", "iugepsvm", 6), ("dwt_db2", "gepsvm", 0)],
+    "feature, classifier, sigma",
+    [
+        ("dwt_db2", "iugepsvm", None),
+        ("pca", "iugepsvm", None),
+        ("dwt_db2", "gepsvm", None),
+        ("dwt_db2", "gepsvm", 256.0),
+    ],
+    ids=["dwt_db2-iugepsvm-6", "pca-iugepsvm-6", "dwt_db2-gepsvm-6", "dwt_db2-gepsvm-6-rbf"],
 )
-def test_cv_task_mode_matches_the_bench_cell(bonn_tree, tmp_path, feature, classifier, pool):
-    """cv --task/--feature prepares the data as bench does: same folds, same accuracies."""
+def test_cv_task_mode_matches_the_bench_cell(bonn_tree, tmp_path, feature, classifier, sigma):
+    """cv --task/--feature trains on the rows bench does: same folds, same accuracies.
+
+    Both draw the manifest's Universum pool of 6 (the id's number); gepsvm trains on none of it.
+    """
     model_path = tmp_path / "model.json"
     report_path = tmp_path / "report.json"
+    kernel = [] if sigma is None else ["--kernel", "rbf", "--sigma", str(sigma)]
     rc = main(
         [
             "cv", "--task", "o_vs_s", "--data-root", str(bonn_tree),
-            "--universum-pool", str(pool), "--segment-length", str(TOY_SEGMENT),
+            "--universum-pool", "6", "--segment-length", str(TOY_SEGMENT),
             "--feature", feature, "--n-components", "4", "--folds", "2", "--seed", "1",
-            "--classifier", classifier, "--output", str(report_path),
+            "--classifier", classifier, *kernel, "--output", str(report_path),
             "--save-model", str(model_path),
         ]
     )
     assert rc == 0
     report = json.loads(report_path.read_text())
     payload = _toy_manifest_payload(bonn_tree)
-    payload.update(features=[feature], classifiers=[classifier], universum_pool=pool)
+    payload.update(features=[feature], classifiers=[classifier])
+    if sigma is not None:
+        payload["grids"][classifier]["sigma"] = [sigma]
     (row,) = run_benchmark(payload).rows
     assert row.error is None
     assert tuple(report["fold_accuracies"]) == row.fold_accs
     model = model_from_json(model_path.read_text())
     assert model.n_features == (4 if feature == "pca" else TOY_SEGMENT)
+
+
+def test_cv_saves_an_rbf_gepsvm_model_over_the_class_rows_alone(toy_bundle, tmp_path):
+    """gepsvm takes no Universum, so the bundle's Universum rows join no kernel expansion."""
+    model_path = tmp_path / "model.json"
+    argv = ["cv", "--bundle", str(toy_bundle), "--classifier", "gepsvm", "--kernel", "rbf"]
+    assert main([*argv, "--folds", "2", "--output", str(tmp_path / "report.json"),
+                 "--save-model", str(model_path)]) == 0
+    model = model_from_json(model_path.read_text())
+    dataset, _ = read_bundle(toy_bundle)
+    assert dataset.p > 0
+    assert np.array_equal(model.Z, np.vstack([dataset.X1, dataset.X2]))
 
 
 def test_cv_rejects_invalid_hyperparameters(toy_bundle, capsys):
@@ -283,6 +307,24 @@ def test_a_bad_n_components_is_a_usage_error_before_any_data_is_read(
     rc = main([*argv, "--n-components", "0", *extra])
     assert rc == 2
     assert "n_components must be >= 1, got 0" in capsys.readouterr().err
+    assert loaded == []
+    assert not (tmp_path / "sweep").exists()
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [("cv", ["--classifier", "gepsvm"]), ("sweep", ["--output-dir", "sweep"])],
+)
+def test_a_bad_delta_is_a_usage_error_before_any_data_is_read(
+    bonn_tree, tmp_path, monkeypatch, capsys, command, extra
+):
+    loaded = []
+    monkeypatch.setattr("eigu.cli.load_sets", lambda *args: loaded.append(args))
+    monkeypatch.chdir(tmp_path)
+    argv = [command, "--task", "o_vs_s", "--data-root", str(bonn_tree), "--feature", "pca"]
+    rc = main([*argv, "--delta", "-1", *extra])
+    assert rc == 2
+    assert "delta must be finite and >= 0, got -1.0" in capsys.readouterr().err
     assert loaded == []
     assert not (tmp_path / "sweep").exists()
 

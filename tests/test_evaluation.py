@@ -6,6 +6,7 @@ import csv
 import gc
 import io
 import json
+import re
 import weakref
 from dataclasses import replace
 
@@ -96,6 +97,53 @@ def test_run_cv_refits_the_extractor_once_per_fold(monkeypatch):
     assert [r.feature_refits for r in result.reports] == [0, 0]  # no point fit on its own
 
 
+@pytest.mark.parametrize(
+    "classifier, grid, message",
+    [
+        ("ugepsvm", GridSpec(delta=(1e-4,), universum_size=(7,)), "exceeds the 6 pooled rows"),
+        ("gepsvm", GridSpec(delta=(-1.0,)), "delta must be finite and >= 0, got -1.0"),
+    ],
+    ids=["universum_size", "delta"],
+)
+def test_a_grid_without_a_valid_point_fits_no_extractor(monkeypatch, classifier, grid, message):
+    rng = np.random.default_rng(8)
+    dataset = LabeledDataset(
+        X1=rng.standard_normal((10, 16)) + 1.0,
+        X2=rng.standard_normal((10, 16)),
+        U=rng.standard_normal((6, 16)),
+    )
+    fits = _counting(monkeypatch, "fit_features")
+    config = FeatureConfig(method="pca", n_components=3)
+    with pytest.raises(ValueError, match=message):
+        grid_search(dataset, make_folds(dataset, 4, seed=0), classifier, grid, extractor=config)
+    assert fits == []
+
+
+@pytest.mark.parametrize("classifier", ["gepsvm", "ugepsvm"])
+def test_a_wavelet_extractor_is_applied_once_to_the_rows_a_cell_trains_on(monkeypatch, classifier):
+    rng = np.random.default_rng(8)
+    dataset = LabeledDataset(
+        X1=rng.standard_normal((10, 32)) + 1.0,
+        X2=rng.standard_normal((10, 32)),
+        U=rng.standard_normal((6, 32)),
+    )
+    folds = make_folds(dataset, 2, seed=0)
+    config = FeatureConfig(method="dwt", wavelet="db2")
+    spec = TrainSpec(classifier=classifier, delta=1e-4)
+    transformed, extractor = featurize(dataset, config)
+    assert extractor is None
+    rows = _counting(monkeypatch, "dwt_features")
+    report = run_cv(dataset, folds, spec, extractor=config)
+    # every row once, up front, and no Universum row gepsvm does not train on
+    taken = dataset.p if classifier == "ugepsvm" else 0
+    assert len(rows) == dataset.m1 + dataset.m2 + taken
+    assert report.feature_refits == 0
+    assert report.fold_accuracies == run_cv(transformed, folds, spec).fold_accuracies
+    grid = GridSpec(delta=(1e-4,))
+    searched = grid_search(dataset, folds, classifier, grid, extractor=config).best_report
+    assert searched.fold_accuracies == report.fold_accuracies
+
+
 def test_every_bandwidth_shares_one_kernel_table(planes_dataset, monkeypatch):
     tables = _counting(monkeypatch, "kernel_table")
     built = _counting(monkeypatch, "build_blocks")
@@ -142,9 +190,8 @@ def test_run_cv_reports_each_folds_data_driven_sigma(planes_dataset):
     expected = []
     for fold in range(folds.k):
         test1, test2 = folds.class1_folds == fold, folds.class2_folds == fold
-        expected.append(
-            default_sigma(np.vstack([dataset.X1[~test1], dataset.X2[~test2], dataset.U]))
-        )
+        # gepsvm takes no Universum, so its rows join neither Z nor the bandwidth
+        expected.append(default_sigma(np.vstack([dataset.X1[~test1], dataset.X2[~test2]])))
     assert report.params["fold_sigmas"] == expected
     assert len(set(expected)) == folds.k  # each fold resolved its own bandwidth
     named = replace(spec, kernel=KernelSpec("rbf", sigma=2.0))
@@ -494,6 +541,26 @@ def test_run_benchmark_validates_the_manifest(bonn_tree, tmp_path, monkeypatch):
     assert loaded == []  # every check above came before any recording was read
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("folds", 2.9),
+        ("universum_pool", True),
+        ("seed", 1.7),
+        ("segment_length", "256"),
+        ("n_components", 4.0),
+        ("workers", False),
+    ],
+)
+def test_run_benchmark_rejects_non_integer_settings(bonn_tree, tmp_path, monkeypatch, key, value):
+    loaded = []
+    monkeypatch.setattr(evaluation, "load_sets", lambda *args: loaded.append(args))
+    missing = str(tmp_path / "missing")  # the setting is checked before the data root
+    with pytest.raises(ValueError, match=re.escape(f"{key} must be an integer, got {value!r}")):
+        run_benchmark(_toy_manifest(bonn_tree, data_root=missing, **{key: value}))
+    assert loaded == []
+
+
 def test_results_csv_parses_back_with_a_stock_reader(bonn_tree):
     result = run_benchmark(_toy_manifest(bonn_tree))
     text = results_csv(result.rows)
@@ -740,6 +807,28 @@ def test_errors_name_the_failure_each_cell_names_alone(bonn_tree, monkeypatch):
         ("pca", "gepsvm"): "FoldTrainingError: fold 2: planted fit failure",
         ("pca", "igepsvm"): "FoldTrainingError: fold 2: planted fit failure",
     }
+
+
+def test_a_cell_without_a_valid_point_keeps_its_grid_error(bonn_tree, monkeypatch):
+    """A failing fit fails each cell with a point; a cell without one would not fit at all."""
+    tried = []
+
+    def failing(*args):
+        tried.append(args)
+        raise ValueError("planted fit failure")
+
+    monkeypatch.setattr(evaluation, "fit_labeled", failing)
+    grids = {"gepsvm": {"delta": [1e-4]}, "ugepsvm": {"delta": [1e-4], "universum_size": [50]}}
+    manifest = _toy_manifest(bonn_tree, features=["pca"], classifiers=list(grids), grids=grids)
+    result = run_benchmark(manifest)
+    assert _cell_rows(result) == _fresh_rows(bonn_tree, manifest)
+    assert [r.error for r in result.rows] == [
+        "FoldTrainingError: fold 0: planted fit failure",
+        "ValueError: universum_size 50 exceeds the 6 pooled rows",
+    ]
+    tried.clear()
+    (invalid,) = run_benchmark({**manifest, "classifiers": ["ugepsvm"]}).rows
+    assert tried == [] and invalid.error == result.rows[1].error
 
 
 def _planting(monkeypatch, train_failures, build_failures):
