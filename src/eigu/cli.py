@@ -31,10 +31,8 @@ from .classifiers import CLASSIFIER_NAMES, TrainSpec, model_to_json, train
 from .dataio import (
     SEGMENT_LENGTH,
     TASKS,
-    UNIVERSUM_SET,
     FoldPlan,
     LabeledDataset,
-    assemble_task,
     make_folds,
     read_bundle,
     subset_universum,
@@ -45,7 +43,7 @@ from .evaluation import (
     GridSpec,
     fit_labeled,
     grid_search,
-    load_sets,
+    load_tasks,
     results_csv,
     run_benchmark,
     run_cv,
@@ -69,16 +67,6 @@ class UsageError(Exception):
 
 # ---------------------------------------------------------------------------
 # shared plumbing
-
-
-def _resolve_data_root(flag_value: str | None) -> Path:
-    value = flag_value or os.environ.get("EIGU_DATA_ROOT")
-    if not value:
-        raise UsageError("no data root: pass --data-root or set EIGU_DATA_ROOT")
-    root = Path(value)
-    if not root.is_dir():
-        raise UsageError(f"data root is not a directory: {root}")
-    return root
 
 
 def _write_runinfo(
@@ -140,17 +128,20 @@ def _emit_json(payload: dict, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _assemble_from_root(
-    root: Path, task: str, universum_size: int, segment_length: int, seed: int
-) -> LabeledDataset:
-    labels = set(TASKS[task])
-    if universum_size > 0:
-        labels.add(UNIVERSUM_SET)
+def _load_task(args, pool: int) -> tuple[LabeledDataset, str]:
+    """``--task``'s raw rows and name, as ``load_tasks`` reads them with a Universum ``pool``.
+
+    The data root is ``--data-root``, else ``EIGU_DATA_ROOT``; a read that
+    fails (``OSError``, ``ValueError``) is a usage error.
+    """
+    root = args.data_root or os.environ.get("EIGU_DATA_ROOT")
+    if not root:
+        raise UsageError("no data root: pass --data-root or set EIGU_DATA_ROOT")
+    task = args.task.lower()
     try:
-        rows_by_set = load_sets(root, labels, segment_length)
+        return load_tasks(root, [task], pool, args.segment_length, args.seed)[task], task
     except (OSError, ValueError) as exc:
         raise UsageError(str(exc)) from exc
-    return assemble_task(task, rows_by_set, universum_size, seed)
 
 
 def _read_bundle(path: str) -> tuple[LabeledDataset, dict]:
@@ -167,11 +158,7 @@ def _load_dataset(args) -> tuple[LabeledDataset, str, FoldPlan]:
         dataset, manifest = _read_bundle(args.bundle)
         task = str(manifest.get("task", ""))
     else:
-        root = _resolve_data_root(args.data_root)
-        task = args.task.lower()
-        dataset = _assemble_from_root(
-            root, task, args.universum_pool, args.segment_length, args.seed
-        )
+        dataset, task = _load_task(args, args.universum_pool)
     if args.universum_size is not None:
         dataset = subset_universum(dataset, args.universum_size, args.seed)
     return dataset, task, make_folds(dataset, args.folds, args.seed)
@@ -236,11 +223,7 @@ def _filtered(current: list, requested: str | None, kind: str) -> list:
 
 def cmd_ingest(args) -> int:
     started = time.time()
-    root = _resolve_data_root(args.data_root)
-    task = args.task.lower()
-    dataset = _assemble_from_root(
-        root, task, args.universum_size, args.segment_length, args.seed
-    )
+    dataset, task = _load_task(args, args.universum_size)
     out = Path(args.output_dir)
     write_bundle(
         dataset,
@@ -332,9 +315,8 @@ def cmd_bench(args) -> int:
             )
         manifest["data_root"] = env_root
     for key, flag in (("tasks", args.tasks), ("features", args.features), ("classifiers", args.classifiers)):
-        if key not in manifest:
-            raise UsageError(f"manifest is missing {key!r}")
-        manifest[key] = _filtered(manifest[key], flag, key.rstrip("s"))
+        if key in manifest:  # run_benchmark names a missing key
+            manifest[key] = _filtered(manifest[key], flag, key.rstrip("s"))
     if args.seed is not None:
         manifest["seed"] = args.seed
     result = run_benchmark(manifest, workers=args.workers)
@@ -478,7 +460,7 @@ def _add_input_arguments(p: argparse.ArgumentParser) -> None:
         "--universum-pool",
         type=int,
         default=100,
-        help="rows drawn from the Universum set in --task mode",
+        help="at most this many rows from set N (all of N when it holds fewer) in --task mode",
     )
     p.add_argument(
         "--universum-size",
@@ -548,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--universum-size",
         type=int,
         default=100,
-        help="rows drawn from the Universum set",
+        help="at most this many rows from set N (all of N when it holds fewer)",
     )
     p.add_argument(
         "--segment-length",

@@ -136,9 +136,12 @@ def truncate_recordings(
 ) -> np.ndarray:
     """Stack recordings into a row matrix, truncated to a common length.
 
-    Recordings shorter than ``length`` are rejected; the standard corpus
-    carries one extra trailing sample per segment, which is dropped here.
+    Recordings shorter than ``length`` are rejected, as is a ``length``
+    below 1; the standard corpus carries one extra trailing sample per
+    segment, which is dropped here.
     """
+    if length < 1:
+        raise ValueError(f"segment length must be >= 1, got {length}")
     if not recordings:
         raise ValueError("no recordings to truncate")
     rows = []
@@ -169,11 +172,13 @@ class LabeledDataset:
         if X1.shape[0] < 1 or X2.shape[0] < 1:
             raise ValueError("each class needs at least one row")
         n = X1.shape[1]
+        if n == 0:
+            raise ValueError("rows need at least one column, got 0")
         if X2.shape[1] != n:
             raise ValueError(
                 f"feature dimensions differ: X1 has {n}, X2 has {X2.shape[1]}"
             )
-        if U.size == 0:
+        if U.size == 0 and len(U) == 0:  # no rows: an empty Universum of any width
             U = np.zeros((0, n))
         U = np.ascontiguousarray(U)
         if U.ndim != 2 or U.shape[1] != n:

@@ -27,6 +27,12 @@ on one cell, ``run_cv`` on one point, and ``run_benchmark`` runs it
 once per job: each wavelet feature of a task is a job, and all of a
 task's fitted features are one.  ``--workers`` > 1 runs jobs in
 parallel; rows come out in manifest order either way.
+
+Every entry point that reads recordings (``run_benchmark``, and the
+command line's ``cv``, ``sweep`` and ``ingest``) gets its raw rows from
+``load_tasks``.  It reads each set the tasks need once, reads set N only
+for a positive Universum pool, and caps that pool at N's recording
+count, so a run and its ``eigu cv`` replay draw the same pool.
 """
 
 from __future__ import annotations
@@ -93,7 +99,7 @@ __all__ = [
     "featurize",
     "fit_labeled",
     "grid_search",
-    "load_sets",
+    "load_tasks",
     "parse_grid",
     "results_csv",
     "run_benchmark",
@@ -140,12 +146,27 @@ _FOLD_FAILURES = (
 )
 
 
-def load_sets(root: Path, labels, segment_length: int) -> dict[str, np.ndarray]:
-    """Each named set's recordings as rows cut to ``segment_length``, by set label."""
-    return {
+def load_tasks(
+    root: str | Path, tasks: list[str], pool: int, segment_length: int, seed: int
+) -> dict[str, LabeledDataset]:
+    """Each task's raw rows, cut to ``segment_length``, by task name.
+
+    Each set the tasks need is read once.  Set N is read only for a
+    positive ``pool``, and the Universum pool is at most ``pool`` of its
+    rows (all of N when it holds fewer), drawn by ``assemble_task``.
+    """
+    root = Path(root)
+    if not root.is_dir():
+        raise FileNotFoundError(f"data root not found: {root}")
+    labels = {label for task in tasks for label in TASKS[task]}
+    if pool > 0:
+        labels.add(UNIVERSUM_SET)
+    rows = {
         label: truncate_recordings(load_bonn_set(root / label, label), segment_length)
         for label in sorted(labels)
     }
+    pool = min(pool, len(rows.get(UNIVERSUM_SET, ())))
+    return {task: assemble_task(task, rows, pool, seed) for task in tasks}
 
 
 def featurize(
@@ -609,6 +630,13 @@ _INT_SETTINGS = dict(
 )
 
 
+def _reject_repeats(key: str, entries: list, ids: list) -> None:
+    """Raise if two of a manifest list's ``entries`` share an id (``ids``, one per entry)."""
+    for i, entry in enumerate(entries):
+        if ids[i] in ids[:i]:
+            raise ValueError(f"manifest {key} lists {entry!r} more than once")
+
+
 def run_benchmark(manifest: dict, workers: int | None = None) -> BenchmarkResult:
     """Run every (task, feature, classifier) cell described by a manifest.
 
@@ -626,9 +654,13 @@ def run_benchmark(manifest: dict, workers: int | None = None) -> BenchmarkResult
     argument overrides it).  A malformed manifest, including an integer
     setting that is not an integer (a boolean is not one) or lies below
     its smallest value (``folds`` 2, ``universum_pool`` and ``seed`` 0,
-    the others 1), raises before any data is read; cell failures are
-    recorded in their row and do not abort the run.  Identical manifests
-    yield identical accuracy cells regardless of worker count.
+    the others 1), or a task, feature or classifier listed twice (tasks
+    compared lowercased, features by ``feature_id``), raises before any
+    data is read; cell failures are recorded in their row and do not
+    abort the run.  ``load_tasks`` reads the recordings: set N only for a
+    positive ``universum_pool``, which it caps at N's recording count.
+    Identical manifests yield identical accuracy cells regardless of
+    worker count.
     """
     for key in ("tasks", "features", "classifiers", "grids", "data_root"):
         if key not in manifest:
@@ -645,10 +677,7 @@ def run_benchmark(manifest: dict, workers: int | None = None) -> BenchmarkResult
             raise ValueError(f"{key} must be an integer, got {value!r}")
         if value < smallest:
             raise ValueError(f"{key} must be >= {smallest}, got {value}")
-    k, pool_size, segment_length, n_components, workers, seed = map(int, settings.values())
-    data_root = Path(manifest["data_root"])
-    if not data_root.is_dir():
-        raise FileNotFoundError(f"data root not found: {data_root}")
+    k, pool, segment_length, n_components, workers, seed = map(int, settings.values())
 
     tasks = [t.lower() for t in manifest["tasks"]]
     for task in tasks:
@@ -666,21 +695,21 @@ def run_benchmark(manifest: dict, workers: int | None = None) -> BenchmarkResult
         (feature, feature_config_from_id(feature, n_components=n_components, seed=seed))
         for feature in manifest["features"]
     ]
+    _reject_repeats("tasks", manifest["tasks"], tasks)
+    _reject_repeats("features", manifest["features"], [c.feature_id for _, c in features])
+    _reject_repeats("classifiers", classifiers, classifiers)
 
-    needed_sets = {UNIVERSUM_SET}.union(*(TASKS[task] for task in tasks))
-    raw_rows = load_sets(data_root, needed_sets, segment_length)
-    pool = min(pool_size, raw_rows[UNIVERSUM_SET].shape[0])
+    raw = load_tasks(manifest["data_root"], tasks, pool, segment_length, seed)
     cells = tuple((classifier, grids[classifier]) for classifier in classifiers)
     jobs = []
     for t, task in enumerate(tasks):
-        raw_task = assemble_task(task, raw_rows, pool, seed)
         slots = [(t * len(features) + i, *feature) for i, feature in enumerate(features)]
         fitted = tuple(slot for slot in slots if slot[2].method != "dwt")
         for slot in slots:
             if slot[2].method == "dwt":
-                jobs.append(_Job(task, (slot,), raw_task, k, seed, cells))
+                jobs.append(_Job(task, (slot,), raw[task], k, seed, cells))
             elif slot is fitted[0]:  # the task's fitted features share one job, one PCA a fold
-                jobs.append(_Job(task, fitted, raw_task, k, seed, cells))
+                jobs.append(_Job(task, fitted, raw[task], k, seed, cells))
 
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool_exec:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from eigu.cli import main
 from eigu.dataio import make_folds, read_bundle
 from eigu.evaluation import GridSpec, grid_search, run_benchmark
 
-from conftest import INVALID_GRIDS, TOY_SEGMENT
+from conftest import INVALID_GRIDS, TOY_PER_SET, TOY_SEGMENT
 
 
 @pytest.fixture(scope="session")
@@ -220,27 +221,35 @@ def test_cv_saves_a_loadable_model(toy_bundle, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "feature, classifier, sigma",
+    "feature, classifier, sigma, pool",
     [
-        ("dwt_db2", "iugepsvm", None),
-        ("pca", "iugepsvm", None),
-        ("dwt_db2", "gepsvm", None),
-        ("dwt_db2", "gepsvm", 256.0),
+        ("dwt_db2", "iugepsvm", None, 6),
+        ("pca", "iugepsvm", None, 6),
+        ("dwt_db2", "gepsvm", None, 6),
+        ("dwt_db2", "gepsvm", 256.0, 6),
+        ("dwt_db2", "iugepsvm", None, 100),
     ],
-    ids=["dwt_db2-iugepsvm-6", "pca-iugepsvm-6", "dwt_db2-gepsvm-6", "dwt_db2-gepsvm-6-rbf"],
+    ids=[
+        "dwt_db2-iugepsvm-6", "pca-iugepsvm-6", "dwt_db2-gepsvm-6", "dwt_db2-gepsvm-6-rbf",
+        "dwt_db2-iugepsvm-100",
+    ],
 )
-def test_cv_task_mode_matches_the_bench_cell(bonn_tree, tmp_path, feature, classifier, sigma):
+def test_cv_task_mode_matches_the_bench_cell(
+    bonn_tree, tmp_path, feature, classifier, sigma, pool
+):
     """cv --task/--feature trains on the rows bench does: same folds, same accuracies.
 
-    Both draw the manifest's Universum pool of 6 (the id's number); gepsvm trains on none of it.
+    Both draw a Universum pool of the id's number of rows; gepsvm trains on none of it.
+    100 is cv's default, above the 12 recordings of set N, so both pool all of N.
     """
     model_path = tmp_path / "model.json"
     report_path = tmp_path / "report.json"
     kernel = [] if sigma is None else ["--kernel", "rbf", "--sigma", str(sigma)]
+    pool_flag = [] if pool == 100 else ["--universum-pool", str(pool)]
     rc = main(
         [
             "cv", "--task", "o_vs_s", "--data-root", str(bonn_tree),
-            "--universum-pool", "6", "--segment-length", str(TOY_SEGMENT),
+            *pool_flag, "--segment-length", str(TOY_SEGMENT),
             "--feature", feature, "--n-components", "4", "--folds", "2", "--seed", "1",
             "--classifier", classifier, *kernel, "--output", str(report_path),
             "--save-model", str(model_path),
@@ -249,7 +258,7 @@ def test_cv_task_mode_matches_the_bench_cell(bonn_tree, tmp_path, feature, class
     assert rc == 0
     report = json.loads(report_path.read_text())
     payload = _toy_manifest_payload(bonn_tree)
-    payload.update(features=[feature], classifiers=[classifier])
+    payload.update(features=[feature], classifiers=[classifier], universum_pool=pool)
     if sigma is not None:
         payload["grids"][classifier]["sigma"] = [sigma]
     (row,) = run_benchmark(payload).rows
@@ -257,6 +266,44 @@ def test_cv_task_mode_matches_the_bench_cell(bonn_tree, tmp_path, feature, class
     assert tuple(report["fold_accuracies"]) == row.fold_accs
     model = model_from_json(model_path.read_text())
     assert model.n_features == (4 if feature == "pca" else TOY_SEGMENT)
+
+
+def test_ingest_and_cv_pool_all_of_n_when_it_holds_fewer_rows(bonn_tree, tmp_path, capsys):
+    """Set N holds 12 recordings: a larger pool takes all 12, and a size above 12 is refused."""
+    out = tmp_path / "bundle"
+    argv = ["--task", "o_vs_s", "--data-root", str(bonn_tree), "--segment-length", str(TOY_SEGMENT)]
+    assert main(["ingest", *argv, "--output-dir", str(out), "--universum-size", "50"]) == 0
+    dataset, manifest = read_bundle(out)
+    assert dataset.p == manifest["p"] == TOY_PER_SET
+    cv = ["cv", *argv, "--classifier", "ugepsvm", "--folds", "2"]
+    assert main([*cv, "--universum-size", str(TOY_PER_SET + 1)]) == 2
+    message = f"universum_size {TOY_PER_SET + 1} exceeds the {TOY_PER_SET} pooled rows"
+    assert message in capsys.readouterr().err
+
+
+def test_bench_reads_no_universum_set_for_a_pool_of_zero(bonn_tree, tmp_path):
+    tree = tmp_path / "no-n"
+    shutil.copytree(bonn_tree, tree, ignore=shutil.ignore_patterns("N"))
+    assert not (tree / "N").exists()
+    payload = _toy_manifest_payload(tree)
+    payload["universum_pool"] = 0
+    manifest_path = tmp_path / "manifest.json"
+    manifest_path.write_text(json.dumps(payload))
+    out = tmp_path / "results"
+    assert main(["bench", "--manifest", str(manifest_path), "--output-dir", str(out)]) == 0
+    with open(out / "results.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert [row["error"] for row in rows] == ["", ""]
+
+
+@pytest.mark.parametrize("command", ["ingest", "cv"])
+@pytest.mark.parametrize("length", ["-1", "0"])
+def test_a_segment_length_below_one_is_a_usage_error(bonn_tree, tmp_path, capsys, command, length):
+    extra = {"ingest": ["--output-dir", str(tmp_path / "bundle")], "cv": ["--classifier", "gepsvm"]}
+    argv = [command, "--task", "o_vs_s", "--data-root", str(bonn_tree), *extra[command]]
+    assert main([*argv, f"--segment-length={length}"]) == 2
+    assert f"segment length must be >= 1, got {length}" in capsys.readouterr().err
+    assert not (tmp_path / "bundle").exists()
 
 
 def test_cv_saves_an_rbf_gepsvm_model_over_the_class_rows_alone(toy_bundle, tmp_path):
@@ -301,7 +348,7 @@ def test_a_bad_n_components_is_a_usage_error_before_any_data_is_read(
     bonn_tree, tmp_path, monkeypatch, capsys, command, extra
 ):
     loaded = []
-    monkeypatch.setattr("eigu.cli.load_sets", lambda *args: loaded.append(args))
+    monkeypatch.setattr("eigu.cli.load_tasks", lambda *args: loaded.append(args))
     monkeypatch.chdir(tmp_path)
     argv = [command, "--task", "o_vs_s", "--data-root", str(bonn_tree), "--feature", "pca"]
     rc = main([*argv, "--n-components", "0", *extra])
@@ -319,7 +366,7 @@ def test_a_bad_delta_is_a_usage_error_before_any_data_is_read(
     bonn_tree, tmp_path, monkeypatch, capsys, command, extra
 ):
     loaded = []
-    monkeypatch.setattr("eigu.cli.load_sets", lambda *args: loaded.append(args))
+    monkeypatch.setattr("eigu.cli.load_tasks", lambda *args: loaded.append(args))
     monkeypatch.chdir(tmp_path)
     argv = [command, "--task", "o_vs_s", "--data-root", str(bonn_tree), "--feature", "pca"]
     rc = main([*argv, "--delta", "-1", *extra])
@@ -482,6 +529,19 @@ def test_bench_usage_errors(bonn_tree, tmp_path, capsys):
         assert rc == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "f").exists()
+
+
+@pytest.mark.parametrize("key", ["tasks", "features", "classifiers"])
+def test_bench_names_a_missing_list_with_or_without_its_filter(bonn_tree, tmp_path, capsys, key):
+    payload = _toy_manifest_payload(bonn_tree)
+    del payload[key]
+    manifest_path = tmp_path / "manifest.json"
+    manifest_path.write_text(json.dumps(payload))
+    argv = ["bench", "--manifest", str(manifest_path), "--output-dir", str(tmp_path / "out")]
+    for extra in ([], [f"--{key}", "x"]):
+        assert main([*argv, *extra]) == 2
+        assert f"manifest is missing {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_bench_params_name_the_universum_size(bonn_tree, tmp_path):

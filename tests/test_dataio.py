@@ -130,6 +130,14 @@ def test_truncate_rejects_short_recordings():
     assert "10 samples" in str(excinfo.value)
 
 
+@pytest.mark.parametrize("length", [0, -3])
+def test_truncate_rejects_a_segment_length_below_one(bonn_tree, length):
+    """A negative length would slice off the tail and 0 would keep no sample."""
+    recordings = load_bonn_set(bonn_tree / "O", "O")
+    with pytest.raises(ValueError, match=f"segment length must be >= 1, got {length}"):
+        truncate_recordings(recordings, length)
+
+
 def test_assemble_task_shapes_and_universum_determinism():
     rng = np.random.default_rng(0)
     rows = {
@@ -256,6 +264,16 @@ def test_read_bundle_detects_manifest_mismatch(tmp_path):
     with pytest.raises(ValueError) as excinfo:
         read_bundle(tmp_path)
     assert "m1" in str(excinfo.value)
+
+
+def test_labeled_dataset_rejects_rows_without_columns():
+    with pytest.raises(ValueError, match="rows need at least one column, got 0"):
+        LabeledDataset(X1=np.zeros((2, 0)), X2=np.zeros((2, 0)), U=np.zeros((5, 0)))
+    # a Universum with rows but no columns is not an empty one
+    with pytest.raises(ValueError, match=r"X1 has 2, U has \(0,\)"):
+        LabeledDataset(X1=np.zeros((2, 2)), X2=np.ones((2, 2)), U=np.zeros((5, 0)))
+    for empty in ((), np.zeros((0,)), np.zeros((0, 7))):
+        assert LabeledDataset(X1=np.zeros((2, 2)), X2=np.ones((2, 2)), U=empty).U.shape == (0, 2)
 
 
 def test_labeled_dataset_validation():

@@ -22,7 +22,7 @@ from eigu.classifiers import (
 )
 from eigu import evaluation, features
 from eigu.cli import main
-from eigu.dataio import TASKS, LabeledDataset, assemble_task, make_folds, subset_universum
+from eigu.dataio import LabeledDataset, make_folds, subset_universum
 from eigu.evaluation import (
     GRID_AXES,
     FoldTrainingError,
@@ -30,7 +30,7 @@ from eigu.evaluation import (
     _validate_grid,
     featurize,
     grid_search,
-    load_sets,
+    load_tasks,
     parse_grid,
     rank_models,
     results_csv,
@@ -41,7 +41,7 @@ from eigu.features import FeatureConfig, feature_config_from_id
 from eigu.kernels import KernelSpec, default_sigma
 from eigu.synth import cross_planes, mid_band_universum
 
-from conftest import INVALID_GRIDS, TOY_SEGMENT, random_dataset
+from conftest import INVALID_GRIDS, TOY_PER_SET, TOY_SEGMENT, random_dataset
 
 
 def test_run_cv_is_perfect_on_separable_data(planes_dataset):
@@ -508,8 +508,8 @@ def test_run_benchmark_records_cell_errors_without_aborting(bonn_tree):
 
 def test_run_benchmark_validates_the_manifest(bonn_tree, tmp_path, monkeypatch):
     loaded = []
-    original = evaluation.load_sets
-    monkeypatch.setattr(evaluation, "load_sets", lambda *a: loaded.append(a) or original(*a))
+    original = evaluation.load_bonn_set
+    monkeypatch.setattr(evaluation, "load_bonn_set", lambda *a: loaded.append(a) or original(*a))
     with pytest.raises(ValueError, match="missing 'grids'"):
         run_benchmark({k: v for k, v in _toy_manifest(bonn_tree).items() if k != "grids"})
     with pytest.raises(ValueError, match="unknown task"):
@@ -554,11 +554,44 @@ def test_run_benchmark_validates_the_manifest(bonn_tree, tmp_path, monkeypatch):
 )
 def test_run_benchmark_rejects_non_integer_settings(bonn_tree, tmp_path, monkeypatch, key, value):
     loaded = []
-    monkeypatch.setattr(evaluation, "load_sets", lambda *args: loaded.append(args))
+    monkeypatch.setattr(evaluation, "load_bonn_set", lambda *args: loaded.append(args))
     missing = str(tmp_path / "missing")  # the setting is checked before the data root
     with pytest.raises(ValueError, match=re.escape(f"{key} must be an integer, got {value!r}")):
         run_benchmark(_toy_manifest(bonn_tree, data_root=missing, **{key: value}))
     assert loaded == []
+
+
+@pytest.mark.parametrize(
+    "key, entries, named",
+    [
+        ("tasks", ["o_vs_s", "O_VS_S"], "O_VS_S"),
+        ("features", ["pca", "PCA"], "PCA"),
+        ("classifiers", ["gepsvm", "iugepsvm", "gepsvm"], "gepsvm"),
+    ],
+)
+def test_run_benchmark_rejects_repeated_entries(bonn_tree, monkeypatch, key, entries, named):
+    """A repeated entry would run its cells twice and rank a model against itself."""
+    loaded = []
+    monkeypatch.setattr(evaluation, "load_bonn_set", lambda *args: loaded.append(args))
+    with pytest.raises(ValueError, match=re.escape(f"manifest {key} lists {named!r} more than once")):
+        run_benchmark(_toy_manifest(bonn_tree, **{key: entries}))
+    assert loaded == []
+
+
+def test_load_tasks_reads_each_set_once_and_n_only_for_a_pool(bonn_tree, monkeypatch):
+    read = []
+    original = evaluation.load_bonn_set
+    monkeypatch.setattr(
+        evaluation, "load_bonn_set", lambda path, label: read.append(label) or original(path, label)
+    )
+    raw = load_tasks(bonn_tree, ["o_vs_s", "z_vs_s"], 100, TOY_SEGMENT, 1)
+    assert read == ["N", "O", "S", "Z"]
+    assert [raw[task].p for task in raw] == [TOY_PER_SET, TOY_PER_SET]  # all of N's 12
+    np.testing.assert_array_equal(raw["o_vs_s"].U, raw["z_vs_s"].U)
+    read.clear()
+    assert load_tasks(bonn_tree, ["o_vs_s"], 0, TOY_SEGMENT, 1)["o_vs_s"].p == 0
+    assert read == ["O", "S"]
+    assert load_tasks(bonn_tree, ["o_vs_s"], 5, TOY_SEGMENT, 1)["o_vs_s"].p == 5
 
 
 def test_results_csv_parses_back_with_a_stock_reader(bonn_tree):
@@ -600,12 +633,13 @@ def _sharing_manifest(bonn_tree):
 
 def _fresh_rows(bonn_tree, manifest):
     """Each cell as its own grid search on freshly featurized rows, unshared."""
-    sets = {"N"}.union(*(TASKS[task] for task in manifest["tasks"]))
-    raw = load_sets(bonn_tree, sets, manifest["segment_length"])
     seed = manifest["seed"]
+    raw = load_tasks(
+        bonn_tree, manifest["tasks"], manifest["universum_pool"], manifest["segment_length"], seed
+    )
     rows = []
     for task in manifest["tasks"]:
-        raw_task = assemble_task(task, raw, manifest["universum_pool"], seed)
+        raw_task = raw[task]
         for feature in manifest["features"]:
             config = feature_config_from_id(
                 feature, n_components=manifest["n_components"], seed=seed
