@@ -206,8 +206,8 @@ def _parse_grid_values(text: str, name: str) -> list[float]:
 
 
 def _filtered(current: list, requested: str | None, kind: str) -> list:
-    if requested is None:
-        return list(current)
+    if requested is None or not isinstance(current, list):  # run_benchmark rejects a non-list
+        return current
     wanted = [item.strip() for item in requested.split(",") if item.strip()]
     if not wanted:
         raise UsageError(f"empty {kind} filter")

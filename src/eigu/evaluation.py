@@ -24,9 +24,15 @@ is dropped before the next fold.  So each fold's extractors are fit and
 bases built once, each sheet's blocks are built once per fold, and one
 fold and one sheet are alive at a time.  ``grid_search`` is the engine
 on one cell, ``run_cv`` on one point, and ``run_benchmark`` runs it
-once per job: each wavelet feature of a task is a job, and all of a
-task's fitted features are one.  ``--workers`` > 1 runs jobs in
-parallel; rows come out in manifest order either way.
+once per job: all of a task's wavelet features are one job, and all of
+its fitted features are another.  Each ``dwt_*`` feature is an
+orthonormal map of the raw rows that keeps every coefficient, and every
+classifier gives the same models under such a map, so a wavelet job
+scores its cells once, in the coordinates of the first wavelet the
+manifest lists, and writes the result under each wavelet.  It does not
+score raw rows: those differ from any wavelet's coordinates in
+rounding, which moves rounding-fragile ugepsvm folds.  ``--workers`` > 1
+runs jobs in parallel; rows come out in manifest order either way.
 
 Every entry point that reads recordings (``run_benchmark``, and the
 command line's ``cv``, ``sweep`` and ``ingest``) gets its raw rows from
@@ -583,9 +589,9 @@ class BenchmarkResult:
 class _Job:
     """One task's features that share a fold loop: its raw rows and each feature's cells.
 
-    ``features`` holds (slot, feature id, config): one wavelet, or every
-    fitted (PCA/ICA) feature of the task.  A slot is the feature's place
-    in the run's manifest-order rows.
+    ``features`` holds (slot, feature id, config): every wavelet of the
+    task, or every fitted (PCA/ICA) feature of it.  A slot is the
+    feature's place in the run's manifest-order rows.
     """
 
     task: str
@@ -597,13 +603,22 @@ class _Job:
 
 
 def _run_job(job: _Job) -> tuple[dict[int, list[BenchRow]], Counter]:
-    """Run a job's cells through the grid engine: rows by slot, and the work counts."""
+    """Run a job's cells through the grid engine: rows by slot, and the work counts.
+
+    A wavelet job scores its cells once, in its first wavelet's
+    coordinates (see the module docstring), and writes the result under
+    every wavelet's slot.
+    """
     folds = make_folds(job.raw, job.k, job.seed)
+    configs = [config for _, _, config in job.features]
+    shared = configs[0].method == "dwt"
     features = [
         (config, [_grid_cell(c, grid, job.raw.p) for c, grid in job.cells])
-        for _, _, config in job.features
+        for config in (configs[:1] if shared else configs)
     ]
     counts = _run_cells(job.raw, folds, features)
+    if shared:
+        features *= len(configs)
     rows = {
         slot: [_bench_row(cell, folds, job.task, feature) for cell in cells]
         for (slot, feature, _), (_, cells) in zip(job.features, features)
@@ -640,15 +655,20 @@ def _reject_repeats(key: str, entries: list, ids: list) -> None:
 def run_benchmark(manifest: dict, workers: int | None = None) -> BenchmarkResult:
     """Run every (task, feature, classifier) cell described by a manifest.
 
-    The unit of work is a job (see the module docstring); ``workers`` > 1
-    runs jobs in parallel processes.  ``counters`` sums each job's
-    feature fits, ICA fits capped unconverged, kernel tables, span
-    factors, sheet block builds and block hits (scorings after a sheet's
-    first).
+    The unit of work is a job (see the module docstring): a task's
+    fitted features are one, and its wavelet features another, whose
+    cells are scored once, in the first listed wavelet's coordinates,
+    and copied to every wavelet's rows.  A copied row carries the shared
+    cell's ``test_time_s``.  ``workers`` > 1 runs jobs in parallel
+    processes.  ``counters`` sums each job's feature fits, ICA fits
+    capped unconverged, kernel tables, span factors, sheet block builds
+    and block hits (scorings after a sheet's first); they count the
+    scoring done, so a copied row adds nothing to them.
 
-    The manifest carries ``tasks``, ``features``, ``classifiers``,
-    per-classifier ``grids``, a ``data_root`` holding the set directories,
-    and a ``seed``; optional keys tune ``folds`` (default 5),
+    The manifest carries the lists ``tasks``, ``features`` and
+    ``classifiers``, an object of per-classifier ``grids``, a
+    ``data_root`` holding the set directories, and a ``seed``; optional
+    keys tune ``folds`` (default 5),
     ``universum_pool`` (default 100), ``segment_length`` (default 4096),
     ``n_components`` (default 32), and ``workers`` (default 1; the
     argument overrides it).  A malformed manifest, including an integer
@@ -665,6 +685,10 @@ def run_benchmark(manifest: dict, workers: int | None = None) -> BenchmarkResult
     for key in ("tasks", "features", "classifiers", "grids", "data_root"):
         if key not in manifest:
             raise ValueError(f"manifest is missing {key!r}")
+    for key in ("tasks", "features", "classifiers", "grids"):
+        kind, name = (dict, "an object") if key == "grids" else (list, "a list")
+        if not isinstance(manifest[key], kind):
+            raise ValueError(f"manifest {key!r} must be {name}, got {manifest[key]!r}")
     settings = {
         key: default if manifest.get(key) is None else manifest[key]
         for key, (default, _) in _INT_SETTINGS.items()
@@ -703,13 +727,11 @@ def run_benchmark(manifest: dict, workers: int | None = None) -> BenchmarkResult
     cells = tuple((classifier, grids[classifier]) for classifier in classifiers)
     jobs = []
     for t, task in enumerate(tasks):
-        slots = [(t * len(features) + i, *feature) for i, feature in enumerate(features)]
-        fitted = tuple(slot for slot in slots if slot[2].method != "dwt")
-        for slot in slots:
-            if slot[2].method == "dwt":
-                jobs.append(_Job(task, (slot,), raw[task], k, seed, cells))
-            elif slot is fitted[0]:  # the task's fitted features share one job, one PCA a fold
-                jobs.append(_Job(task, fitted, raw[task], k, seed, cells))
+        groups: dict = {}  # wavelet? -> the task's wavelets, or its fitted features
+        for i, (feature, config) in enumerate(features):
+            slot = (t * len(features) + i, feature, config)
+            groups.setdefault(config.method == "dwt", []).append(slot)
+        jobs += [_Job(task, tuple(group), raw[task], k, seed, cells) for group in groups.values()]
 
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool_exec:

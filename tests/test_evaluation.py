@@ -578,6 +578,36 @@ def test_run_benchmark_rejects_repeated_entries(bonn_tree, monkeypatch, key, ent
     assert loaded == []
 
 
+@pytest.mark.parametrize(
+    "key, value, kind",
+    [
+        ("tasks", "o_vs_s", "a list"),
+        ("features", "dwt_db2", "a list"),
+        ("classifiers", "gepsvm", "a list"),
+        ("tasks", None, "a list"),
+        ("grids", [{"delta": [1e-4]}], "an object"),
+    ],
+)
+def test_run_benchmark_rejects_a_manifest_entry_of_the_wrong_kind(
+    bonn_tree, tmp_path, monkeypatch, capsys, key, value, kind
+):
+    """A string is not read character by character; bench exits 2 with or without a filter."""
+    loaded = []
+    monkeypatch.setattr(evaluation, "load_bonn_set", lambda *args: loaded.append(args))
+    message = f"manifest {key!r} must be {kind}, got {value!r}"
+    manifest = _toy_manifest(bonn_tree, **{key: value})
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_benchmark(manifest)
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    argv = ["bench", "--manifest", str(path), "--output-dir", str(tmp_path / "out")]
+    flag = {"tasks": "o_vs_s", "features": "dwt_db2", "classifiers": "gepsvm"}.get(key)
+    for extra in ([], [f"--{key}", flag]) if flag else ([],):
+        assert main([*argv, *extra]) == 2
+        assert message in capsys.readouterr().err
+    assert loaded == [] and not (tmp_path / "out").exists()
+
+
 def test_load_tasks_reads_each_set_once_and_n_only_for_a_pool(bonn_tree, monkeypatch):
     read = []
     original = evaluation.load_bonn_set
@@ -1044,6 +1074,51 @@ def test_jobs_that_group_pca_and_ica_keep_the_manifest_order(bonn_tree, order):
     assert _cell_rows(one) == _fresh_rows(bonn_tree, manifest)  # each cell searched alone
     ica = run_benchmark({**manifest, "features": ["ica"]})
     assert _cell_rows(ica) == [row for row in _cell_rows(one) if row[0] == "ica"]
+
+
+def test_a_tasks_wavelets_are_scored_once_in_the_first_listed_wavelets_coordinates(
+    bonn_tree, monkeypatch
+):
+    """Every dwt_* feature is an orthonormal map of the raw rows, so one scoring serves all."""
+    applied = []
+    original = evaluation.dwt_features
+
+    def spy(row, wavelet):
+        applied.append(wavelet)
+        return original(row, wavelet)
+
+    monkeypatch.setattr(evaluation, "dwt_features", spy)
+    order = ["dwt_haar", "pca", "dwt_db2", "ica", "dwt_db1"]  # wavelets between fitted features
+    manifest = _toy_manifest(bonn_tree, features=order, tasks=["o_vs_s", "z_vs_s"])
+    one = run_benchmark(manifest, workers=1)
+    assert set(applied) == {"haar"}
+    two = run_benchmark(manifest, workers=2)
+    expected = [
+        (task, feature, classifier)
+        for task in manifest["tasks"]
+        for feature in order
+        for classifier in manifest["classifiers"]
+    ]
+    assert [(r.task, r.feature, r.classifier) for r in one.rows] == expected
+    assert _cell_rows(one) == _cell_rows(two)
+    assert one.counters == two.counters
+    k = manifest["folds"]
+    assert one.counters["span_factors"] == 2 * k  # one per fold and task, not one per wavelet
+    assert one.counters["feature_fits"] == 2 * 2 * k  # pca and ica, as before
+    haar = {(r.task, r.classifier): r for r in one.rows if r.feature == "dwt_haar"}
+    for row in one.rows:
+        if row.feature.startswith("dwt_"):  # a copy, its test_time_s too
+            assert replace(row, feature="dwt_haar") == haar[(row.task, row.classifier)]
+    scored = {**manifest, "features": ["dwt_haar", "pca", "ica"]}
+    assert [row for row in _cell_rows(one) if row[0] in scored["features"]] == _fresh_rows(
+        bonn_tree, scored
+    )
+
+
+def test_a_single_wavelet_manifest_scores_its_own_coordinates(bonn_tree):
+    """The one-wavelet path of the grid_db6 and rbf_sigma workloads: each cell searched alone."""
+    manifest = _toy_manifest(bonn_tree, features=["dwt_db6"], tasks=["o_vs_s", "z_vs_s"])
+    assert _cell_rows(run_benchmark(manifest)) == _fresh_rows(bonn_tree, manifest)
 
 
 @pytest.mark.filterwarnings("ignore:ICA did not converge")
