@@ -33,10 +33,9 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dormqr
 
 from .dataio import LabeledDataset
-from .eigsolve import smallest_eigpair_generalized, smallest_eigpair_standard
+from .eigsolve import apply_reflectors, smallest_eigpair_generalized, smallest_eigpair_standard
 from .kernels import KernelSpec, default_sigma, gram, squared_distances
 
 __all__ = [
@@ -214,7 +213,7 @@ class SpanFactor:
         """The factor of LAPACK's ``reflectors`` and ``tau``, with its bias terms."""
         bias_axis = np.zeros((reflectors.shape[0], 1))
         bias_axis[-1] = 1.0
-        rotated = _apply_reflectors(reflectors, tau, bias_axis, "T")[:, 0]
+        rotated = apply_reflectors(reflectors, tau, bias_axis, "T")[:, 0]
         return cls(reflectors, tau, rotated[: tau.size], float(np.linalg.norm(rotated[tau.size :])))
 
     def prefix(self, m: int) -> SpanFactor:
@@ -227,14 +226,14 @@ class SpanFactor:
 
     def project(self, rows: np.ndarray) -> np.ndarray:
         """Span coordinates of the bias-augmented ``rows``: (Q'[x; 1])[:q], one row per row."""
-        rotated = _apply_reflectors(self.reflectors, self.tau, _augmented(rows).T, "T")
+        rotated = apply_reflectors(self.reflectors, self.tau, _augmented(rows).T, "T")
         return rotated[: self.tau.size].T.copy()  # a view would pin all of the feature-sized array
 
     def lift(self, z: np.ndarray) -> np.ndarray:
         """The feature-space vector Q z of span coordinates ``z``."""
         padded = np.zeros((self.reflectors.shape[0], 1))
         padded[: z.size, 0] = z
-        return _apply_reflectors(self.reflectors, self.tau, padded, "N")[:, 0]
+        return apply_reflectors(self.reflectors, self.tau, padded, "N")[:, 0]
 
     def weight_norm(self, z: np.ndarray) -> float:
         """||(Q z)[:-1]||, the weight norm of plane ``z`` without lifting it.
@@ -247,17 +246,6 @@ class SpanFactor:
         c = float(self.bias_coords @ z)
         in_span = float(np.linalg.norm(z - c * self.bias_coords))
         return float(np.hypot(in_span, c * self.bias_residual))
-
-
-def _apply_reflectors(
-    reflectors: np.ndarray, tau: np.ndarray, columns: np.ndarray, trans: str
-) -> np.ndarray:
-    """Q @ columns (``trans="N"``) or Q' @ columns (``"T"``) for Householder Q."""
-    work = dormqr("L", trans, reflectors, tau, columns, -1)[1]
-    out, _, info = dormqr("L", trans, reflectors, tau, columns, int(work[0]))
-    if info != 0:
-        raise RuntimeError(f"dormqr rejected argument {-info}")
-    return out
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dormqr
 
 __all__ = [
     "EigenSolution",
@@ -37,6 +38,17 @@ RESIDUAL_RTOL = 1e-8
 
 #: Maximum relative asymmetry accepted before symmetrization.
 SYMMETRY_RTOL = 1e-10
+
+
+def apply_reflectors(
+    reflectors: np.ndarray, tau: np.ndarray, columns: np.ndarray, trans: str
+) -> np.ndarray:
+    """Q @ columns (``trans="N"``) or Q' @ columns (``"T"``) for Householder Q."""
+    work = dormqr("L", trans, reflectors, tau, columns, -1)[1]
+    out, _, info = dormqr("L", trans, reflectors, tau, columns, int(work[0]))
+    if info != 0:
+        raise RuntimeError(f"dormqr rejected argument {-info}")
+    return out
 
 
 class SingularDenominatorError(RuntimeError):

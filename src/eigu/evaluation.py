@@ -666,9 +666,9 @@ def run_benchmark(manifest: dict, workers: int | None = None) -> BenchmarkResult
     scoring done, so a copied row adds nothing to them.
 
     The manifest carries the lists ``tasks``, ``features`` and
-    ``classifiers``, an object of per-classifier ``grids``, a
-    ``data_root`` holding the set directories, and a ``seed``; optional
-    keys tune ``folds`` (default 5),
+    ``classifiers``, an object of per-classifier ``grids`` (each an
+    object of axis lists), a ``data_root`` holding the set directories,
+    and a ``seed``; optional keys tune ``folds`` (default 5),
     ``universum_pool`` (default 100), ``segment_length`` (default 4096),
     ``n_components`` (default 32), and ``workers`` (default 1; the
     argument overrides it).  A malformed manifest, including an integer
@@ -708,9 +708,11 @@ def run_benchmark(manifest: dict, workers: int | None = None) -> BenchmarkResult
         if task not in TASKS:
             raise ValueError(f"unknown task {task!r} in manifest")
     classifiers = list(manifest["classifiers"])
-    grids = {
-        name: parse_grid(payload) for name, payload in manifest["grids"].items()
-    }
+    grids = {}
+    for name, payload in manifest["grids"].items():
+        if not isinstance(payload, dict):
+            raise ValueError(f"manifest grid of {name!r} must be an object, got {payload!r}")
+        grids[name] = parse_grid(payload)
     for name in classifiers:
         if name not in grids:
             raise ValueError(f"manifest grids are missing classifier {name!r}")

@@ -21,6 +21,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .eigsolve import apply_reflectors
+
 __all__ = [
     "CDRScore",
     "DEFAULT_LEVELS",
@@ -200,18 +202,21 @@ def _validated_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def pca_fit(rows: np.ndarray, n_components: int = 32) -> PCABasis:
-    """Fit principal components of mean-centered rows via SVD.
+    """Fit principal components of mean-centered rows C by R-SVD (Chan, 1982).
 
-    Eigenvalues of the sample covariance come back non-increasing.  If the
-    centered data has rank below ``n_components`` the basis is truncated to
-    the rank and flagged, with a warning.
+    From the Householder QR C' = Q R, C's singular values are R's and its
+    right singular vectors are Q times R's left ones, lifted only for the
+    kept components.  Eigenvalues of the sample covariance come back
+    non-increasing.  If C has rank below ``n_components`` the basis is
+    truncated to the rank and flagged, with a warning.
     """
     rows = _validated_rows(rows)
     if n_components < 1:
         raise ValueError(f"n_components must be >= 1, got {n_components}")
     mean = rows.mean(axis=0)
     centered = rows - mean
-    _, sing, vt = np.linalg.svd(centered, full_matrices=False)
+    h, tau = np.linalg.qr(centered.T, mode="raw")  # C' = Q R, Q left as reflectors
+    left, sing, _ = np.linalg.svd(np.triu(h.T[: tau.size]), full_matrices=False)
     tol = sing[0] * max(rows.shape) * np.finfo(float).eps if sing.size else 0.0
     rank = int(np.sum(sing > tol))
     kept = min(n_components, rank)
@@ -224,7 +229,9 @@ def pca_fit(rows: np.ndarray, n_components: int = 32) -> PCABasis:
         )
     if kept == 0:
         raise ValueError("centered rows have rank 0; nothing to extract")
-    components = vt[:kept].T.copy()
+    padded = np.zeros((rows.shape[1], kept))
+    padded[: tau.size] = left[:, :kept]
+    components = apply_reflectors(h.T[:, : tau.size], tau, padded, "N")
     # deterministic orientation: largest-magnitude loading is positive
     for j in range(kept):
         lead = int(np.argmax(np.abs(components[:, j])))
@@ -300,23 +307,22 @@ def ica_fit(
     scale = np.sqrt(np.maximum(pca.explained_variance, np.finfo(float).tiny))
     whitening = pca.components / scale[None, :]
     white = (rows - pca.mean) @ whitening  # unit sample covariance (ddof=1)
-    m = white.shape[0]
+    m, white_t = white.shape[0], white.T
 
     rng = np.random.default_rng(seed)
     W = np.zeros((kept, kept))
     converged = True
     worst_iterations = 0
     for i in range(kept):
+        found, found_t = W[:i], W[:i].T
         w = rng.normal(size=kept)
-        w /= np.linalg.norm(w)
+        w /= math.sqrt(w.dot(w))
         ok = False
         for iteration in range(1, ICA_MAX_ITERATIONS + 1):
-            projections = white @ w
-            g = np.tanh(projections)
-            g_prime = 1.0 - g * g
-            w_new = (white.T @ g) / m - g_prime.mean() * w
-            w_new -= W[:i].T @ (W[:i] @ w_new)  # deflation
-            norm = np.linalg.norm(w_new)
+            g = np.tanh(white @ w)
+            w_new = (white_t @ g) / m - np.add.reduce(1.0 - g * g) / m * w  # tanh' = 1 - g^2
+            w_new -= found_t @ (found @ w_new)  # deflation
+            norm = math.sqrt(w_new.dot(w_new))
             if norm == 0.0:
                 break
             w_new /= norm
@@ -481,7 +487,7 @@ def fit_features(
     given, and keep the best ``top_k`` (all, when unset).  Both start from
     the rows' PCA basis, which the result keeps as ``pca``; pass one such
     result's ``pca`` to fit the other method on the same rows and settings
-    without a second SVD.  A wavelet fits nothing: ``dwt_features``
+    without a second PCA fit.  A wavelet fits nothing: ``dwt_features``
     applies it to each row.
     """
     if config.method == "dwt":

@@ -608,6 +608,24 @@ def test_run_benchmark_rejects_a_manifest_entry_of_the_wrong_kind(
     assert loaded == [] and not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("grid", ["delta", [1e-4], None])
+def test_run_benchmark_rejects_a_classifier_grid_that_is_not_an_object(
+    bonn_tree, tmp_path, monkeypatch, capsys, grid
+):
+    """A string or list is not read as axis names, and a null grid is no TypeError."""
+    loaded = []
+    monkeypatch.setattr(evaluation, "load_bonn_set", lambda *args: loaded.append(args))
+    message = f"manifest grid of 'gepsvm' must be an object, got {grid!r}"
+    manifest = _toy_manifest(bonn_tree, classifiers=["gepsvm"], grids={"gepsvm": grid})
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_benchmark(manifest)
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    assert main(["bench", "--manifest", str(path), "--output-dir", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert loaded == [] and not (tmp_path / "out").exists()
+
+
 def test_load_tasks_reads_each_set_once_and_n_only_for_a_pool(bonn_tree, monkeypatch):
     read = []
     original = evaluation.load_bonn_set

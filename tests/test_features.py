@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,8 @@ import pytest
 
 from eigu.features import (
     DEFAULT_LEVELS,
+    ICA_MAX_ITERATIONS,
+    ICA_TOLERANCE,
     SUPPORTED_WAVELETS,
     FeatureConfig,
     cdr_rank,
@@ -154,6 +157,48 @@ def test_pca_is_deterministic_and_flags_rank_deficiency():
     np.testing.assert_array_equal(first.components, second.components)
 
 
+def _wide_rows(rng):
+    return rng.standard_normal((40, 300)) * rng.uniform(0.5, 3.0, 300)
+
+
+def _narrow_rows(rng):
+    return rng.standard_normal((60, 8)) @ np.diag([5, 4, 3, 2, 1, 0.5, 0.25, 0.1])
+
+
+def _repeated_wide_rows(rng):
+    return rng.standard_normal((7, 300))[np.arange(42) % 7]  # centered rank 6
+
+
+@pytest.mark.parametrize(
+    "make_rows, n_components, rank",
+    [(_wide_rows, 12, 39), (_narrow_rows, 8, 8), (_repeated_wide_rows, 12, 6)],
+    ids=["wide", "narrow", "wide rank-deficient"],
+)
+def test_pca_from_the_thin_qr_matches_a_dense_svd(make_rows, n_components, rank):
+    """The narrow case has 8 x 8 reflectors and a trapezoidal R."""
+    rows = make_rows(np.random.default_rng(13))
+    centered = rows - rows.mean(axis=0)
+    _, sing, vt = np.linalg.svd(centered, full_matrices=False)
+    assert np.linalg.matrix_rank(centered) == rank
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        basis = pca_fit(rows, n_components=n_components)
+    kept = min(n_components, rank)
+    assert basis.n_components == kept
+    assert basis.rank_deficient == (rank < n_components) == bool(caught)
+    if caught:
+        assert f"centered rank is {rank}; keeping {kept}" in str(caught[0].message)
+    W = basis.components
+    assert np.abs(W.T @ W - np.eye(kept)).max() <= 1e-12
+    for j in range(kept):
+        v = vt[j]
+        assert np.linalg.norm(W[:, j] - (W[:, j] @ v) * v) <= 1e-10  # sine of the angle
+        assert W[np.argmax(np.abs(W[:, j])), j] > 0
+    np.testing.assert_allclose(
+        basis.explained_variance, sing[:kept] ** 2 / (rows.shape[0] - 1), rtol=1e-12
+    )
+
+
 # ---------------------------------------------------------------------------
 # ICA
 
@@ -181,6 +226,54 @@ def test_ica_is_deterministic_for_a_seed():
     two = ica_fit(rows, n_components=3, seed=5)
     np.testing.assert_array_equal(one.unmixing, two.unmixing)
     np.testing.assert_array_equal(one.whitening, two.whitening)
+
+
+def _transcribed_unmixing(basis, rows, seed):
+    """The deflationary tanh fixed-point loop, written plainly."""
+    white = (rows - basis.mean) @ basis.whitening
+    m, kept = white.shape
+    rng = np.random.default_rng(seed)
+    W = np.zeros((kept, kept))
+    for i in range(kept):
+        w = rng.normal(size=kept)
+        w /= np.linalg.norm(w)
+        for _ in range(ICA_MAX_ITERATIONS):
+            g = np.tanh(white @ w)
+            w_new = (white.T @ g) / m - (1.0 - g * g).mean() * w
+            w_new -= W[:i].T @ (W[:i] @ w_new)
+            norm = np.linalg.norm(w_new)
+            if norm == 0.0:
+                break
+            w_new /= norm
+            settled = abs(abs(float(w_new @ w)) - 1.0) < ICA_TOLERANCE
+            w = w_new
+            if settled:
+                break
+        W[i] = w
+    return W
+
+
+def _mixed_sources(rng):
+    sources = np.column_stack([rng.uniform(-1, 1, 500), rng.laplace(size=500)])
+    return sources @ np.array([[2.0, 0.6], [-1.0, 1.4]]).T
+
+
+@pytest.mark.parametrize(
+    "rows, n_components, seed, converged",
+    [
+        (_mixed_sources(np.random.default_rng(7)), 2, 0, True),
+        (np.random.default_rng(3).laplace(size=(40, 300)), 6, 3, True),
+        (np.random.default_rng(1).standard_normal((60, 8)), 8, 1, False),
+    ],
+    ids=["mixed sources", "wide", "capped"],
+)
+def test_ica_unmixing_equals_the_plain_loop_bit_for_bit(rows, n_components, seed, converged):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        basis = ica_fit(rows, n_components=n_components, seed=seed)
+    assert basis.converged == converged
+    assert (basis.n_iterations == ICA_MAX_ITERATIONS) == (not converged)
+    assert np.array_equal(basis.unmixing, _transcribed_unmixing(basis, rows, seed))
 
 
 # ---------------------------------------------------------------------------
