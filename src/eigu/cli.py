@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .classifiers import CLASSIFIER_NAMES, TrainSpec, model_to_json, train
+from .classifiers import CLASSIFIER_NAMES, TrainSpec, model_to_json, train, universum_rows
 from .dataio import (
     SEGMENT_LENGTH,
     TASKS,
@@ -152,13 +152,22 @@ def _read_bundle(path: str) -> tuple[LabeledDataset, dict]:
         raise UsageError(f"cannot read bundle {path}: {exc}") from exc
 
 
-def _load_dataset(args) -> tuple[LabeledDataset, str, FoldPlan]:
-    """Dataset, task name and fold plan, from --bundle or from --task/--data-root."""
+def _load_dataset(args, classifier: str) -> tuple[LabeledDataset, str, FoldPlan]:
+    """Dataset, task name and fold plan for ``classifier``, from --bundle or --task/--data-root.
+
+    --task mode pools Universum rows only for a classifier that trains on
+    them (``universum_rows``); --universum-size for one that does not is
+    a usage error, raised before any data is read.
+    """
+    if args.universum_size is not None and not universum_rows(classifier, 1):
+        raise UsageError(f"--universum-size does not apply: {classifier} trains on no Universum")
     if args.bundle:
         dataset, manifest = _read_bundle(args.bundle)
         task = str(manifest.get("task", ""))
+    elif args.universum_pool < 0:  # a classifier without a Universum would ignore it
+        raise UsageError(f"--universum-pool must be >= 0, got {args.universum_pool}")
     else:
-        dataset, task = _load_task(args, args.universum_pool)
+        dataset, task = _load_task(args, universum_rows(classifier, args.universum_pool))
     if args.universum_size is not None:
         dataset = subset_universum(dataset, args.universum_size, args.seed)
     return dataset, task, make_folds(dataset, args.folds, args.seed)
@@ -275,7 +284,7 @@ def cmd_features(args) -> int:
 def cmd_cv(args) -> int:
     config, feature_id = _feature_config(args)
     spec = _train_spec(args)
-    dataset, task, folds = _load_dataset(args)
+    dataset, task, folds = _load_dataset(args, spec.classifier)
     report = run_cv(dataset, folds, spec, extractor=config, task=task, feature_id=feature_id)
     _emit_json(dataclasses.asdict(report), args.output)
     if args.save_model:
@@ -416,7 +425,7 @@ def cmd_sweep(args) -> int:
     grid = GridSpec(delta=(args.delta,), gamma=gammas, psi=psis, sigma=sigma)
     # the spec of the grid's points, so a bad --delta fails before any data is read
     TrainSpec(classifier="iugepsvm", delta=args.delta, kernel=_build_kernel(args))
-    dataset, task, folds = _load_dataset(args)
+    dataset, task, folds = _load_dataset(args, "iugepsvm")
     result = grid_search(
         dataset, folds, "iugepsvm", grid, extractor=config, task=task, feature_id=feature_id
     )
@@ -552,7 +561,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--top-k",
         type=int,
         default=None,
-        help="keep only this many top-ranked components (default: all)",
+        help="keep only this many top-ranked pca/ica components, at most --n-components "
+        "(default: all)",
     )
     p.add_argument("--seed", type=int, default=0, help="component-estimation seed")
     p.set_defaults(func=cmd_features)

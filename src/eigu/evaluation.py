@@ -1,8 +1,8 @@
 """Cross-validated evaluation, exhaustive grid search, and the benchmark grid.
 
 Accuracy is reported as the plain mean over stratified folds (one value in
-[0, 100] per fold), with prediction wall-clock tracked separately so result
-files stay byte-reproducible.
+[0, 100] per fold).  Results carry no timings, so result files stay
+byte-reproducible.
 
 There is one grid engine, ``_run_cells``, and it alone decides which rows
 a (task, feature, classifier, point) trains on.  It runs cells -- a
@@ -38,7 +38,9 @@ Every entry point that reads recordings (``run_benchmark``, and the
 command line's ``cv``, ``sweep`` and ``ingest``) gets its raw rows from
 ``load_tasks``.  It reads each set the tasks need once, reads set N only
 for a positive Universum pool, and caps that pool at N's recording
-count, so a run and its ``eigu cv`` replay draw the same pool.
+count, so a run and its ``eigu cv`` replay draw the same pool.  The pool
+asked for follows ``universum_rows``: none when no classifier of the run
+trains on a Universum.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ import itertools
 import json
 import math
 import numbers
-import time
 import traceback
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -128,13 +129,12 @@ class FoldTrainingError(RuntimeError):
 
 @dataclass(frozen=True)
 class CVReport:
-    """Per-fold accuracies and their mean for one TrainSpec."""
+    """Per-fold accuracies and their mean for one TrainSpec; no timing, so reruns are equal."""
 
     classifier: str
     k: int
     fold_accuracies: tuple[float, ...]
     mean_accuracy: float
-    test_time_seconds: float
     params: dict
     seed: int
     task: str = ""
@@ -268,14 +268,12 @@ def _fold_records(dataset: LabeledDataset, folds: FoldPlan, fold: int, extractor
 
 
 def _fold_score(spec: TrainSpec, record: _FoldRecord, blocks: ProblemBlocks) -> tuple:
-    """One fold's accuracy, predict seconds and rbf bandwidth for ``spec`` on its sheet's blocks."""
+    """One fold's accuracy and rbf bandwidth for ``spec`` on its sheet's blocks."""
     model = train_with_blocks(blocks, spec)
     basis = blocks.basis
-    start = time.perf_counter()
     labels = predict(model, record.test_rows, None if basis is None else basis.precomputed)
-    seconds = time.perf_counter() - start
     sigma = model.hyperparameters["sigma"] if blocks.kernel is not None else None
-    return 100.0 * float(np.mean(labels == record.test_labels)), seconds, sigma
+    return 100.0 * float(np.mean(labels == record.test_labels)), sigma
 
 
 @dataclass(eq=False)  # hashed by identity, as a sheet's key for its share
@@ -321,12 +319,12 @@ class _Cell:
             raise self.failure[1]
         reports = []
         for spec, _, extra, scores in self.points:
-            accuracies, seconds, sigmas = zip(*scores)
+            accuracies, sigmas = zip(*scores)
             params = spec.hyperparameters()
             if spec.kernel and spec.kernel.family == "rbf" and spec.kernel.sigma is None:
                 params["fold_sigmas"] = list(sigmas)  # each fold's data-driven bandwidth
             mean = float(np.mean(accuracies))
-            reports.append(CVReport(spec.classifier, folds.k, accuracies, mean, sum(seconds),
+            reports.append(CVReport(spec.classifier, folds.k, accuracies, mean,
                                     {**params, **extra}, folds.seed, task, feature_id))
         # the first best point wins: a later one must be strictly better
         best = max(range(len(reports)), key=lambda index: reports[index].mean_accuracy)
@@ -567,7 +565,6 @@ class BenchRow:
     mean_acc: float | None
     fold_accs: tuple[float, ...]
     params: dict
-    test_time_s: float
     n_runs: int = 0
     error: str | None = None
 
@@ -632,10 +629,10 @@ def _bench_row(cell: _Cell, folds: FoldPlan, task: str, feature: str) -> BenchRo
     try:
         best = cell.result(folds, task, feature)
     except (FoldTrainingError, ValueError) as exc:
-        return BenchRow(*key, None, (), {}, 0.0, error=f"{type(exc).__name__}: {exc}")
+        return BenchRow(*key, None, (), {}, error=f"{type(exc).__name__}: {exc}")
     report = best.best_report
     scores = (report.mean_accuracy, report.fold_accuracies, report.params)
-    return BenchRow(*key, *scores, report.test_time_seconds, n_runs=best.n_runs)
+    return BenchRow(*key, *scores, n_runs=best.n_runs)
 
 
 #: The manifest's integer settings: key -> (default, smallest value allowed).
@@ -658,8 +655,8 @@ def run_benchmark(manifest: dict, workers: int | None = None) -> BenchmarkResult
     The unit of work is a job (see the module docstring): a task's
     fitted features are one, and its wavelet features another, whose
     cells are scored once, in the first listed wavelet's coordinates,
-    and copied to every wavelet's rows.  A copied row carries the shared
-    cell's ``test_time_s``.  ``workers`` > 1 runs jobs in parallel
+    and copied to every wavelet's rows: a copy differs from its source
+    row in the feature id alone.  ``workers`` > 1 runs jobs in parallel
     processes.  ``counters`` sums each job's feature fits, ICA fits
     capped unconverged, kernel tables, span factors, sheet block builds
     and block hits (scorings after a sheet's first); they count the
@@ -674,17 +671,23 @@ def run_benchmark(manifest: dict, workers: int | None = None) -> BenchmarkResult
     argument overrides it).  A malformed manifest, including an integer
     setting that is not an integer (a boolean is not one) or lies below
     its smallest value (``folds`` 2, ``universum_pool`` and ``seed`` 0,
-    the others 1), or a task, feature or classifier listed twice (tasks
-    compared lowercased, features by ``feature_id``), raises before any
-    data is read; cell failures are recorded in their row and do not
-    abort the run.  ``load_tasks`` reads the recordings: set N only for a
-    positive ``universum_pool``, which it caps at N's recording count.
+    the others 1), a key not named here, or a task, feature or
+    classifier listed twice (tasks compared lowercased, features by
+    ``feature_id``), raises before any data is read; cell failures are
+    recorded in their row and do not abort the run.  ``load_tasks``
+    reads the recordings: set N only when a listed classifier trains on
+    a Universum and ``universum_pool`` is positive, and it caps the pool
+    at N's recording count.
     Identical manifests yield identical accuracy cells regardless of
     worker count.
     """
-    for key in ("tasks", "features", "classifiers", "grids", "data_root"):
+    required = ("tasks", "features", "classifiers", "grids", "data_root")
+    for key in required:
         if key not in manifest:
             raise ValueError(f"manifest is missing {key!r}")
+    unknown = set(manifest) - {*required, *_INT_SETTINGS}
+    if unknown:
+        raise ValueError(f"unknown manifest keys: {sorted(unknown)}")
     for key in ("tasks", "features", "classifiers", "grids"):
         kind, name = (dict, "an object") if key == "grids" else (list, "a list")
         if not isinstance(manifest[key], kind):
@@ -725,6 +728,7 @@ def run_benchmark(manifest: dict, workers: int | None = None) -> BenchmarkResult
     _reject_repeats("features", manifest["features"], [c.feature_id for _, c in features])
     _reject_repeats("classifiers", classifiers, classifiers)
 
+    pool = max((universum_rows(classifier, pool) for classifier in classifiers), default=0)
     raw = load_tasks(manifest["data_root"], tasks, pool, segment_length, seed)
     cells = tuple((classifier, grids[classifier]) for classifier in classifiers)
     jobs = []
@@ -782,11 +786,10 @@ def _summarize(rows, tasks, features, classifiers) -> dict:
 def results_csv(rows) -> str:
     """Render benchmark rows as the delimited results table.
 
-    Floats use their shortest round-trip representation so identical runs
-    produce identical bytes; the timing column is excluded from that
-    guarantee by nature.
+    Floats use their shortest round-trip representation and no column
+    holds a timing, so identical runs produce identical bytes.
     """
-    header = "task,feature,classifier,mean_acc,fold_accs,params_json,test_time_s,n_runs,error"
+    header = "task,feature,classifier,mean_acc,fold_accs,params_json,n_runs,error"
     lines = [header]
     for row in rows:
         mean = "" if row.mean_acc is None else repr(float(row.mean_acc))
@@ -795,6 +798,6 @@ def results_csv(rows) -> str:
         error = "" if row.error is None else row.error.replace('"', '""')
         lines.append(
             f'{row.task},{row.feature},{row.classifier},{mean},"{folds_field}",'
-            f'"{params}",{row.test_time_s!r},{row.n_runs},"{error}"'
+            f'"{params}",{row.n_runs},"{error}"'
         )
     return "\n".join(lines) + "\n"

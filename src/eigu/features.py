@@ -433,8 +433,14 @@ class FeatureConfig:
             raise ValueError(f"{self.method} takes no wavelet")
         if self.n_components < 1:
             raise ValueError(f"n_components must be >= 1, got {self.n_components}")
-        if self.top_k is not None and self.top_k < 1:
+        if self.top_k is None:
+            return
+        if self.method == "dwt":
+            raise ValueError("top_k applies to pca and ica; a wavelet keeps every coefficient")
+        if self.top_k < 1:
             raise ValueError(f"top_k must be >= 1, got {self.top_k}")
+        if self.top_k > self.n_components:
+            raise ValueError(f"top_k must be <= n_components {self.n_components}, got {self.top_k}")
 
     @property
     def feature_id(self) -> str:

@@ -10,7 +10,6 @@ manifest.
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 import time
@@ -336,13 +335,6 @@ def _parity_manifest(tmp_path, bonn_tree):
     return path
 
 
-def _normalized_results(directory):
-    with open(directory / "results.csv", newline="") as handle:
-        rows = list(csv.reader(handle))
-    without_timing = [[v for i, v in enumerate(row) if i != 6] for row in rows]
-    return without_timing, (directory / "summary.json").read_bytes()
-
-
 def test_criterion_7_worker_parity_and_byte_identical_reruns(tmp_path, bonn_tree):
     manifest_path = _parity_manifest(tmp_path, bonn_tree)
     runs = {}
@@ -360,21 +352,11 @@ def test_criterion_7_worker_parity_and_byte_identical_reruns(tmp_path, bonn_tree
             ]
         )
         assert rc == 0
-        runs[tag] = _normalized_results(out)
+        runs[tag] = [(out / name).read_bytes() for name in ("results.csv", "summary.json")]
 
-    assert runs["first"][0] == runs["parallel"][0]  # accuracy cells match
+    assert runs["first"][0].count(b"\n") > 1  # a header and data rows
+    assert runs["first"] == runs["parallel"]  # worker count changes no byte
     assert runs["first"] == runs["again"]  # same-seed rerun is byte-stable
-    assert runs["first"][1] == runs["parallel"][1]
-
-    # full byte identity of the rerun CSV once timing is masked
-    def masked_bytes(directory):
-        with open(tmp_path / directory / "results.csv", newline="") as handle:
-            rows = list(csv.reader(handle))
-        for row in rows[1:]:
-            row[6] = "0"
-        return "\n".join(",".join(row) for row in rows).encode()
-
-    assert masked_bytes("first") == masked_bytes("again")
 
 
 def test_criterion_8_feature_module_properties():

@@ -296,6 +296,58 @@ def test_bench_reads_no_universum_set_for_a_pool_of_zero(bonn_tree, tmp_path):
     assert [row["error"] for row in rows] == ["", ""]
 
 
+def _tree_without_n(bonn_tree, tmp_path):
+    tree = tmp_path / "no-n"
+    shutil.copytree(bonn_tree, tree, ignore=shutil.ignore_patterns("N"))
+    return tree
+
+
+def test_bench_reads_no_universum_set_when_no_classifier_trains_on_one(bonn_tree, tmp_path):
+    """gepsvm and igepsvm take no Universum, so their cells need no set N, and score as before."""
+    payload = _toy_manifest_payload(bonn_tree)
+    payload.update(classifiers=["gepsvm", "igepsvm"])
+    payload["grids"]["igepsvm"] = {"delta": [1e-5], "nu": [0.1]}
+    outputs = []
+    for root in (bonn_tree, _tree_without_n(bonn_tree, tmp_path)):
+        manifest_path = tmp_path / "manifest.json"
+        manifest_path.write_text(json.dumps({**payload, "data_root": str(root)}))
+        out = tmp_path / f"results-{len(outputs)}"
+        assert main(["bench", "--manifest", str(manifest_path), "--output-dir", str(out)]) == 0
+        outputs.append((out / "results.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def test_cv_reads_no_universum_set_for_a_classifier_that_trains_on_none(
+    bonn_tree, tmp_path, capsys
+):
+    argv = ["cv", "--task", "o_vs_s", "--segment-length", str(TOY_SEGMENT), "--folds", "2",
+            "--classifier", "gepsvm"]
+    reports = []
+    for root in (bonn_tree, _tree_without_n(bonn_tree, tmp_path)):
+        assert main([*argv, "--data-root", str(root)]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize(
+    "classifier, flag, value, message",
+    [
+        ("igepsvm", "--universum-size", "3", "igepsvm trains on no Universum"),
+        ("gepsvm", "--universum-pool", "-1", "--universum-pool must be >= 0, got -1"),
+    ],
+    ids=["size-without-a-universum", "negative-pool"],
+)
+def test_a_universum_flag_that_cannot_apply_is_a_usage_error_before_any_data_is_read(
+    bonn_tree, monkeypatch, capsys, classifier, flag, value, message
+):
+    loaded = []
+    monkeypatch.setattr("eigu.cli.load_tasks", lambda *args: loaded.append(args))
+    argv = ["cv", "--task", "o_vs_s", "--data-root", str(bonn_tree), "--classifier", classifier]
+    assert main([*argv, flag, value]) == 2
+    assert message in capsys.readouterr().err
+    assert loaded == []
+
+
 @pytest.mark.parametrize("command", ["ingest", "cv"])
 @pytest.mark.parametrize("length", ["-1", "0"])
 def test_a_segment_length_below_one_is_a_usage_error(bonn_tree, tmp_path, capsys, command, length):
@@ -386,6 +438,26 @@ def test_features_rejects_a_bad_count_before_reading_the_bundle(
     argv = ["features", "--bundle", str(toy_bundle), "--feature", "pca", "--output-dir", str(out)]
     assert main([*argv, flag, "0"]) == 2
     assert f"{name} must be >= 1, got 0" in capsys.readouterr().err
+    assert read == [] and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "feature, extra, message",
+    [
+        ("dwt_db6", ["--top-k", "3"], "top_k applies to pca and ica"),
+        ("pca", ["--n-components", "4", "--top-k", "5"], "top_k must be <= n_components 4, got 5"),
+    ],
+    ids=["wavelet", "above-n-components"],
+)
+def test_features_refuses_a_top_k_that_cannot_apply_before_reading_the_bundle(
+    toy_bundle, tmp_path, monkeypatch, capsys, feature, extra, message
+):
+    read = []
+    monkeypatch.setattr("eigu.cli.read_bundle", lambda path: read.append(path))
+    out = tmp_path / "out"
+    argv = ["features", "--bundle", str(toy_bundle), "--feature", feature, "--output-dir", str(out)]
+    assert main([*argv, *extra]) == 2
+    assert message in capsys.readouterr().err
     assert read == [] and not out.exists()
 
 

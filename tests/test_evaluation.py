@@ -8,7 +8,7 @@ import io
 import json
 import re
 import weakref
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -658,6 +658,38 @@ def test_results_csv_parses_back_with_a_stock_reader(bonn_tree):
     assert text == results_csv(result.rows)
 
 
+@pytest.mark.parametrize("key", ["fold", "n_component"])
+def test_an_unknown_manifest_key_is_refused_before_any_data_is_read(
+    bonn_tree, tmp_path, monkeypatch, capsys, key
+):
+    """A misspelt setting would otherwise fall back to its default unseen."""
+    read = _counting(monkeypatch, "load_bonn_set")
+    manifest = _toy_manifest(bonn_tree, **{key: 3})
+    message = f"unknown manifest keys: ['{key}']"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_benchmark(manifest)
+    path, out = tmp_path / "manifest.json", tmp_path / "results"
+    path.write_text(json.dumps(manifest))
+    assert main(["bench", "--manifest", str(path), "--output-dir", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert read == [] and not out.exists()
+
+
+def test_two_benchmark_runs_render_the_same_results_csv(bonn_tree):
+    """No column holds a timing, so a rerun gives the same text, copied wavelet rows included."""
+    manifest = _toy_manifest(bonn_tree, features=["dwt_db2", "dwt_haar", "pca"])
+    assert results_csv(run_benchmark(manifest).rows) == results_csv(run_benchmark(manifest).rows)
+
+
+def test_two_cv_runs_give_equal_reports(bonn_tree):
+    dataset = load_tasks(bonn_tree, ["o_vs_s"], 6, TOY_SEGMENT, 1)["o_vs_s"]
+    folds = make_folds(dataset, 2, seed=1)
+    spec = TrainSpec(classifier="iugepsvm", delta=1e-4, gamma1=0.1, psi1=0.01)
+    config = feature_config_from_id("dwt_db2")
+    first, second = (run_cv(dataset, folds, spec, extractor=config) for _ in range(2))
+    assert asdict(first) == asdict(second)
+
+
 #: Cells that share blocks across classifiers: gepsvm and igepsvm the
 #: (no Universum, rbf 4.0) blocks, ugepsvm and iugepsvm the (3 rows,
 #: linear) ones.  ugepsvm fails at u = 50 (the pool holds 6 rows) after
@@ -1125,7 +1157,7 @@ def test_a_tasks_wavelets_are_scored_once_in_the_first_listed_wavelets_coordinat
     assert one.counters["feature_fits"] == 2 * 2 * k  # pca and ica, as before
     haar = {(r.task, r.classifier): r for r in one.rows if r.feature == "dwt_haar"}
     for row in one.rows:
-        if row.feature.startswith("dwt_"):  # a copy, its test_time_s too
+        if row.feature.startswith("dwt_"):  # a copy
             assert replace(row, feature="dwt_haar") == haar[(row.task, row.classifier)]
     scored = {**manifest, "features": ["dwt_haar", "pca", "ica"]}
     assert [row for row in _cell_rows(one) if row[0] in scored["features"]] == _fresh_rows(

@@ -351,6 +351,14 @@ def test_fit_features_orders_components_by_cdr_and_keeps_top_k():
     assert gap > 3.0 * within
 
 
+def test_a_top_k_that_cannot_apply_is_refused():
+    with pytest.raises(ValueError, match="top_k applies to pca and ica"):
+        feature_config_from_id("dwt_db6", top_k=3)
+    with pytest.raises(ValueError, match="top_k must be <= n_components 4, got 5"):
+        FeatureConfig(method="ica", n_components=4, top_k=5)
+    assert FeatureConfig(method="pca", n_components=4, top_k=4).top_k == 4
+
+
 def test_fitted_transform_handles_empty_row_blocks():
     config = feature_config_from_id("pca", n_components=2)
     rng = np.random.default_rng(11)
