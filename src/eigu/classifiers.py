@@ -35,7 +35,13 @@ from functools import cached_property
 import numpy as np
 
 from .dataio import LabeledDataset
-from .eigsolve import apply_reflectors, smallest_eigpair_generalized, smallest_eigpair_standard
+from .eigsolve import (
+    _validated_symmetric,
+    apply_reflectors,
+    householder_qr,
+    smallest_eigpair_generalized,
+    smallest_eigpair_standard,
+)
 from .kernels import KernelSpec, default_sigma, gram, squared_distances
 
 __all__ = [
@@ -189,8 +195,8 @@ def class_matrices(dataset: LabeledDataset) -> ProblemBlocks:
 class SpanFactor:
     """An orthonormal basis Q of the augmented training rows' span, as reflectors.
 
-    ``np.linalg.qr(F.T, mode="raw")`` of the stacked bias-augmented rows F
-    runs only the Householder factorization: ``reflectors`` is LAPACK's
+    ``householder_qr(F.T)`` of the stacked bias-augmented rows F runs only
+    the Householder factorization: ``reflectors`` is LAPACK's
     Fortran-ordered result (R in its upper triangle, the reflectors below)
     and ``tau`` their scales, one per row of F.  Q is applied through them
     (``dormqr``) and never formed.  ``bias_coords`` are the first q entries
@@ -268,6 +274,11 @@ class ProblemBlocks:
     the orthogonal complement, which never beats an in-span direction once
     any counter term carries weight -- so the projected solve is exact
     while the eigenproblem shrinks from feature-sized to row-count-sized.
+
+    G, H and P are checked here, once per block: square, of one shape,
+    finite and symmetric (one within the solver's tolerance is
+    symmetrized), so every operand ``plane_problems`` sums from them is
+    exactly symmetric and the solves take them as checked.
     """
 
     G: np.ndarray = field(repr=False)
@@ -277,10 +288,21 @@ class ProblemBlocks:
     kernel: KernelSpec | None = None
     K_ZZ: np.ndarray | None = field(default=None, repr=False)
 
+    def __post_init__(self) -> None:
+        for name in ("G", "H", "P"):
+            object.__setattr__(self, name, _validated_symmetric(getattr(self, name), name))
+        if not self.G.shape == self.H.shape == self.P.shape:
+            raise ValueError(
+                f"block shapes differ: G {self.G.shape}, H {self.H.shape}, P {self.P.shape}"
+            )
+
     @cached_property
     def denominators(self) -> tuple[np.ndarray, np.ndarray]:
-        """ugepsvm's denominators ``(H + P, G + P)``, formed once for every delta; read-only."""
-        sums = (self.H + self.P, self.G + self.P)
+        """ugepsvm's denominators ``(H + P, G + P)``, formed and checked once; read-only."""
+        sums = tuple(
+            _validated_symmetric(M, name)
+            for M, name in ((self.H + self.P, "H + P"), (self.G + self.P, "G + P"))
+        )
         for M in sums:
             M.setflags(write=False)
         return sums
@@ -288,11 +310,11 @@ class ProblemBlocks:
 
 def span_factor(dataset: LabeledDataset, test_rows: np.ndarray | None = None) -> SpanFactor:
     """The Householder factor of ``dataset``'s augmented rows [X1; X2; U], test rows projected."""
-    F = np.vstack(
-        [_augmented(dataset.X1), _augmented(dataset.X2), _augmented(dataset.U)]
-    )
-    h, tau = np.linalg.qr(F.T, mode="raw")  # F' = Q R, Q left as reflectors
-    factor = SpanFactor.from_reflectors(h.T[:, : tau.size], tau)
+    rows = (dataset.X1, dataset.X2, dataset.U)
+    F = np.ones((sum(map(len, rows)), dataset.n + 1))
+    np.concatenate(rows, out=F[:, :-1])  # [X1 e; X2 e; U e], the rows copied once
+    reflectors, tau, _ = householder_qr(F.T)  # F' = Q R, in F's own buffer
+    factor = SpanFactor.from_reflectors(reflectors[:, : tau.size], tau)
     return factor if test_rows is None else replace(factor, precomputed=factor.project(test_rows))
 
 
@@ -504,9 +526,9 @@ def train_with_blocks(blocks: ProblemBlocks, spec: TrainSpec) -> HyperplanePair:
     feature-sized.
     """
     problems = plane_problems(blocks, spec)
-    solutions = tuple(
-        smallest_eigpair_standard(p.A) if p.B is None
-        else smallest_eigpair_generalized(p.A, p.B, context=p.context)
+    solutions = tuple(  # the operands of checked blocks (see ProblemBlocks)
+        smallest_eigpair_standard(p.A, checked=True) if p.B is None
+        else smallest_eigpair_generalized(p.A, p.B, context=p.context, checked=True)
         for p in problems
     )
     hyper = spec.hyperparameters()
@@ -533,7 +555,8 @@ def train_with_blocks(blocks: ProblemBlocks, spec: TrainSpec) -> HyperplanePair:
 
 def train(dataset: LabeledDataset, spec: TrainSpec) -> HyperplanePair:
     """Train ``spec.classifier`` on ``dataset``, its ``universum_rows`` only; weights lifted."""
-    dataset = replace(dataset, U=dataset.U[: universum_rows(spec.classifier, dataset.p)])
+    U = dataset.U[: universum_rows(spec.classifier, dataset.p)]
+    dataset = LabeledDataset.from_checked(dataset.X1, dataset.X2, U)
     return train_with_blocks(build_blocks(dataset, spec.kernel), spec).lifted()
 
 

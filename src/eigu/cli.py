@@ -58,6 +58,9 @@ EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
+#: Set N rows a --task mode run pools at most, unless --universum-pool says otherwise.
+UNIVERSUM_POOL = 100
+
 FEATURE_IDS = tuple(f"dwt_{wavelet}" for wavelet in SUPPORTED_WAVELETS) + ("pca", "ica")
 
 
@@ -128,7 +131,7 @@ def _emit_json(payload: dict, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_task(args, pool: int) -> tuple[LabeledDataset, str]:
+def _load_task(args, pool: int, segment_length: int) -> tuple[LabeledDataset, str]:
     """``--task``'s raw rows and name, as ``load_tasks`` reads them with a Universum ``pool``.
 
     The data root is ``--data-root``, else ``EIGU_DATA_ROOT``; a read that
@@ -139,7 +142,7 @@ def _load_task(args, pool: int) -> tuple[LabeledDataset, str]:
         raise UsageError("no data root: pass --data-root or set EIGU_DATA_ROOT")
     task = args.task.lower()
     try:
-        return load_tasks(root, [task], pool, args.segment_length, args.seed)[task], task
+        return load_tasks(root, [task], pool, segment_length, args.seed)[task], task
     except (OSError, ValueError) as exc:
         raise UsageError(str(exc)) from exc
 
@@ -152,22 +155,39 @@ def _read_bundle(path: str) -> tuple[LabeledDataset, dict]:
         raise UsageError(f"cannot read bundle {path}: {exc}") from exc
 
 
+#: ``cv``/``sweep``'s --task mode flags, as (flag, attribute).  They parse as None
+#: when not given, so --bundle can refuse them; --task mode then uses
+#: ``EIGU_DATA_ROOT``, ``UNIVERSUM_POOL`` rows and ``SEGMENT_LENGTH`` samples.
+_TASK_FLAGS = (
+    ("--data-root", "data_root"),
+    ("--universum-pool", "universum_pool"),
+    ("--segment-length", "segment_length"),
+)
+
+
 def _load_dataset(args, classifier: str) -> tuple[LabeledDataset, str, FoldPlan]:
     """Dataset, task name and fold plan for ``classifier``, from --bundle or --task/--data-root.
 
     --task mode pools Universum rows only for a classifier that trains on
     them (``universum_rows``); --universum-size for one that does not is
-    a usage error, raised before any data is read.
+    a usage error, raised before any data is read.  So is a --task mode
+    flag (``_TASK_FLAGS``) given with --bundle, whose rows are read as
+    they are.
     """
     if args.universum_size is not None and not universum_rows(classifier, 1):
         raise UsageError(f"--universum-size does not apply: {classifier} trains on no Universum")
+    given = [flag for flag, name in _TASK_FLAGS if getattr(args, name) is not None]
+    if args.bundle and given:
+        raise UsageError(f"{given[0]} does not apply to --bundle, whose rows are read as they are")
     if args.bundle:
         dataset, manifest = _read_bundle(args.bundle)
         task = str(manifest.get("task", ""))
-    elif args.universum_pool < 0:  # a classifier without a Universum would ignore it
-        raise UsageError(f"--universum-pool must be >= 0, got {args.universum_pool}")
     else:
-        dataset, task = _load_task(args, universum_rows(classifier, args.universum_pool))
+        pool = UNIVERSUM_POOL if args.universum_pool is None else args.universum_pool
+        length = SEGMENT_LENGTH if args.segment_length is None else args.segment_length
+        if pool < 0:  # a classifier without a Universum would ignore it
+            raise UsageError(f"--universum-pool must be >= 0, got {pool}")
+        dataset, task = _load_task(args, universum_rows(classifier, pool), length)
     if args.universum_size is not None:
         dataset = subset_universum(dataset, args.universum_size, args.seed)
     return dataset, task, make_folds(dataset, args.folds, args.seed)
@@ -232,7 +252,7 @@ def _filtered(current: list, requested: str | None, kind: str) -> list:
 
 def cmd_ingest(args) -> int:
     started = time.time()
-    dataset, task = _load_task(args, args.universum_size)
+    dataset, task = _load_task(args, args.universum_size, args.segment_length)
     out = Path(args.output_dir)
     write_bundle(
         dataset,
@@ -463,13 +483,14 @@ def _add_input_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--data-root",
         default=None,
-        help="set directories for --task mode (fallback: EIGU_DATA_ROOT)",
+        help="set directories for --task mode (fallback: EIGU_DATA_ROOT); refused with --bundle",
     )
     p.add_argument(
         "--universum-pool",
         type=int,
-        default=100,
-        help="at most this many rows from set N (all of N when it holds fewer) in --task mode",
+        default=None,
+        help="at most this many rows from set N (all of N when it holds fewer) in --task mode, "
+        f"{UNIVERSUM_POOL} when unset; refused with --bundle",
     )
     p.add_argument(
         "--universum-size",
@@ -480,8 +501,9 @@ def _add_input_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--segment-length",
         type=int,
-        default=SEGMENT_LENGTH,
-        help="samples kept per recording in --task mode",
+        default=None,
+        help=f"samples kept per recording in --task mode, {SEGMENT_LENGTH} when unset; "
+        "refused with --bundle",
     )
     p.add_argument(
         "--feature",

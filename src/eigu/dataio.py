@@ -4,7 +4,12 @@ The EEG corpus this package targets ships as five directories of ASCII
 recordings (sets Z, O, N, F, S; 100 single-channel segments each, one
 integer amplitude per line).  Loaders are strict: unreadable lines are
 reported with file name and 1-based line number, empty files and empty
-set directories are errors.
+set directories are errors.  A bundle's rows are read the same way.
+
+Arrays are checked where they are made: a recording's samples when it
+is parsed, a dataset's rows when ``LabeledDataset`` is built from them.
+Rows cut from a checked dataset -- a fold's training split, a Universum
+draw or prefix -- are not scanned again (``LabeledDataset.from_checked``).
 
 A classification task pairs two sets as the labeled classes and draws
 Universum rows from set N.  Assembled datasets round-trip through a CSV
@@ -76,20 +81,59 @@ class Recording:
 def load_recording(path: str | Path, set_label: str) -> Recording:
     """Parse one ASCII recording (one integer amplitude per line).
 
-    numpy converts the file's lines to int64 in one call, which accepts
-    the file only when every line holds exactly one integer.  Whatever that
-    rejects (a blank line, two tokens on a line, a value beyond int64, a
-    non-ASCII byte) is parsed again line by line, which skips blank lines
-    and names the first bad line in its error.
+    A file in the form ``write_recording`` gives -- each line an optional
+    ``-`` and at most ``_FAST_DIGITS`` digits, ended by LF or CRLF --
+    is converted by numpy in one call (``_parse_canonical``).  Every other
+    file (a blank line, padding, a ``+``, a value of 19 or more digits, a
+    non-ASCII byte) is parsed line by line, which skips blank lines and
+    names the first bad line in its error; on a file of that form the two
+    give the same values.
     """
     path = Path(path)
-    try:
-        values = np.array(path.read_bytes().splitlines(), dtype=np.int64)
-    except (ValueError, OverflowError):
+    values = _parse_canonical(path.read_bytes())
+    if values is None:
         values = _parse_lines(path)
     if len(values) == 0:
         raise ValueError(f"{path.name}: no samples found")
     return Recording(set_label=set_label, samples=values, source_id=path.stem)
+
+
+#: Most digits a line ``_parse_canonical`` takes: 18 digits stay below 2**63,
+#: so numpy's int64 parse cannot saturate, and the line loop's
+#: float(int(text)) rounds each value as the int64-to-float cast does.
+_FAST_DIGITS = 18
+
+
+def _parse_canonical(data: bytes) -> np.ndarray | None:
+    """``data``'s values when every line is ``-?[0-9]+`` of at most ``_FAST_DIGITS`` digits, else None.
+
+    Lines end in LF or CRLF (the last may end the file instead).  Such a
+    file holds no byte that numpy's whitespace-matching separator could
+    read differently from the line loop, so one ``np.fromstring`` call
+    parses each line whole.  The form is checked byte pair by byte pair.
+    """
+    if not data:
+        return None
+    b = np.frombuffer(data, dtype=np.uint8)
+    digit = (b - np.uint8(48)) <= 9  # "0" to "9", in wrapping uint8 arithmetic
+    sign, lf, cr = b == 45, b == 10, b == 13
+    canonical = (
+        sum(map(np.count_nonzero, (digit, sign, lf, cr))) == b.size  # no other byte
+        and (digit[0] or sign[0])  # the first line is not blank
+        and not np.any(lf[:-1] & ~(digit[1:] | sign[1:]))  # nor is any other
+        and not np.any(sign[1:] & ~lf[:-1])  # a sign only leads a line
+        and not (sign[-1] or np.any(sign[:-1] & ~digit[1:]))  # and a digit follows it
+        and not (cr[-1] or np.any(cr[:-1] & ~lf[1:]))  # a CR only starts a CRLF
+    )
+    if not canonical:
+        return None
+    ends = np.flatnonzero(lf)
+    if not lf[-1]:
+        ends = np.append(ends, b.size)  # the last line, without its LF
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    if np.any(ends - starts - sign[starts] - cr[ends - 1] > _FAST_DIGITS):
+        return None
+    return np.fromstring(data, dtype=np.int64, sep="\n")
 
 
 def _parse_lines(path: Path) -> list[float]:
@@ -157,7 +201,12 @@ def truncate_recordings(
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """Feature rows for one task: class +1 (X1), class -1 (X2), Universum (U)."""
+    """Feature rows for one task: class +1 (X1), class -1 (X2), Universum (U).
+
+    Building one checks its rows (2-d, one width, finite, a row per
+    class); ``from_checked`` builds one of rows cut from checked ones
+    without that scan.
+    """
 
     X1: np.ndarray = field(repr=False)
     X2: np.ndarray = field(repr=False)
@@ -191,6 +240,19 @@ class LabeledDataset:
         object.__setattr__(self, "X1", X1)
         object.__setattr__(self, "X2", X2)
         object.__setattr__(self, "U", U)
+
+    @classmethod
+    def from_checked(cls, X1: np.ndarray, X2: np.ndarray, U: np.ndarray) -> LabeledDataset:
+        """A dataset of rows cut from checked datasets' rows, not scanned again.
+
+        For a fold's training split, a Universum draw or prefix, and the
+        like: rows taken from finite rows of one width are finite and of
+        that width.  Each class must keep at least one row.
+        """
+        dataset = object.__new__(cls)
+        for name, rows in (("X1", X1), ("X2", X2), ("U", U)):
+            object.__setattr__(dataset, name, np.ascontiguousarray(rows))
+        return dataset
 
     @property
     def n(self) -> int:
@@ -248,7 +310,7 @@ def subset_universum(dataset: LabeledDataset, universum_size: int, seed: int) ->
             f"universum_size {universum_size} exceeds the {dataset.p} pooled rows"
         )
     order = np.random.default_rng(seed).permutation(dataset.p)
-    return LabeledDataset(X1=dataset.X1, X2=dataset.X2, U=dataset.U[order[:universum_size]])
+    return LabeledDataset.from_checked(dataset.X1, dataset.X2, dataset.U[order[:universum_size]])
 
 
 @dataclass(frozen=True)
@@ -294,20 +356,26 @@ def _write_rows(path: Path, rows: np.ndarray) -> None:
 
 
 def _read_rows(path: Path) -> np.ndarray:
-    text = path.read_text(encoding="ascii").strip().splitlines()
-    if not text:
+    """A bundle CSV's rows; a faulty line raises a ValueError naming the file and line."""
+    lines = path.read_text(encoding="ascii").splitlines()
+    filled = [index for index, line in enumerate(lines) if line.strip()]
+    if not filled:
         raise ValueError(f"{path.name}: empty file")
-    header = text[0].split(",")
+    first, last = filled[0], filled[-1]  # blank lines around the table are skipped
+    header = lines[first].strip().split(",")
     n = len(header)
     if header != [f"f{j}" for j in range(n)]:
-        raise ValueError(f"{path.name}: malformed header {text[0]!r}")
-    if len(text) == 1:
-        return np.zeros((0, n))
-    rows = np.array(
-        [[float(v) for v in line.split(",")] for line in text[1:]], dtype=float
-    )
-    if rows.shape[1] != n:
-        raise ValueError(f"{path.name}: row width differs from header")
+        raise ValueError(f"{path.name}: malformed header {lines[first].strip()!r}")
+    rows = np.zeros((last - first, n))
+    for row, index in enumerate(range(first + 1, last + 1)):
+        where = f"{path.name}: line {index + 1}"
+        values = lines[index].split(",")
+        if len(values) != n:
+            raise ValueError(f"{where}: row width differs from header ({len(values)} values, {n} columns)")
+        try:
+            rows[row] = [float(v) for v in values]
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from exc
     return rows
 
 

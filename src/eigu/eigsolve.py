@@ -15,6 +15,16 @@ the Tikhonov term delta * I and so is positive-definite.
 pair with ``lambda = 1 / mu``: the same minimizer, with no perturbation.
 Every returned pair meets the residual bound below against the operands
 as given.
+
+Operands are checked once, where they are made.  A solve called on its
+own checks each operand: square, non-empty, finite and symmetric (an
+operand within ``SYMMETRY_RTOL`` of symmetric is symmetrized).  The
+trainers call it with ``checked=True`` on the problems ``plane_problems``
+poses: the blocks G/H/P and ugepsvm's denominators were checked when the
+block was built (``classifiers.ProblemBlocks``), and a numerator summed
+from them is exactly symmetric, so such a solve scans only the numerator
+for non-finite entries (a weighted sum can overflow) and takes ``B`` as
+it is.  Every solve keeps its residual check.
 """
 
 from __future__ import annotations
@@ -38,6 +48,21 @@ RESIDUAL_RTOL = 1e-8
 
 #: Maximum relative asymmetry accepted before symmetrization.
 SYMMETRY_RTOL = 1e-10
+
+
+def householder_qr(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``columns`` = Q R by LAPACK's Householder QR, factored in place.
+
+    ``columns`` is a Fortran-ordered scratch array (the transpose of a
+    fresh C-ordered one), which the factor overwrites, so no copy of it
+    is made.  Returns the reflectors (R in their upper triangle, Q's
+    Householder vectors below it, as ``apply_reflectors`` takes them),
+    their scales ``tau`` and R itself.
+    """
+    (reflectors, tau), R = scipy.linalg.qr(
+        columns, overwrite_a=True, mode="raw", check_finite=False
+    )
+    return reflectors, tau, R
 
 
 def apply_reflectors(
@@ -152,15 +177,32 @@ def _checked_pair(
     return EigenSolution(eigenvalue=value, eigenvector=vector, residual=residual)
 
 
-def smallest_eigpair_standard(A: np.ndarray) -> EigenSolution:
-    """Smallest eigenpair of the standard problem ``A z = lambda z``."""
-    A = _validated_symmetric(A, "A")
+def _operand_a(A: np.ndarray, checked: bool) -> np.ndarray:
+    """``A`` validated, or, when ``checked``, only scanned for non-finite entries."""
+    if not checked:
+        return _validated_symmetric(A, "A")
+    if not np.all(np.isfinite(A)):
+        raise ValueError("A contains non-finite entries")
+    return A
+
+
+def smallest_eigpair_standard(A: np.ndarray, *, checked: bool = False) -> EigenSolution:
+    """Smallest eigenpair of the standard problem ``A z = lambda z``.
+
+    ``checked=True`` says ``A`` is square and exactly symmetric (see the
+    module docstring): only its finiteness is checked.
+    """
+    A = _operand_a(A, checked)
     eigenvalues, vectors = scipy.linalg.eigh(A, subset_by_index=[0, 0], check_finite=False)
     return _checked_pair(A, None, float(eigenvalues[0]), vectors[:, 0], "standard eigensolve")
 
 
 def smallest_eigpair_generalized(
-    A: np.ndarray, B: np.ndarray, context: str = "generalized eigenproblem"
+    A: np.ndarray,
+    B: np.ndarray,
+    context: str = "generalized eigenproblem",
+    *,
+    checked: bool = False,
 ) -> EigenSolution:
     """Smallest eigenpair of ``A z = lambda B z`` for a positive-definite ``A``.
 
@@ -169,10 +211,12 @@ def smallest_eigpair_generalized(
     ``B`` may be singular.  Raises ``SingularDenominatorError`` (naming
     ``context``) when ``A`` is not positive-definite or ``B`` has no
     positive direction, and ``LinAlgError`` when the pair misses the
-    residual bound.
+    residual bound.  ``checked=True`` says ``A`` is square and exactly
+    symmetric and ``B`` a checked block (see the module docstring): only
+    ``A``'s finiteness is checked.
     """
-    A_sym = _validated_symmetric(A, "A")
-    B_sym = _validated_symmetric(B, "B")
+    A_sym = _operand_a(A, checked)
+    B_sym = B if checked else _validated_symmetric(B, "B")
     if B_sym.shape != A_sym.shape:
         raise ValueError(f"operand shapes differ: A {A_sym.shape}, B {B_sym.shape}")
     q = A_sym.shape[0]

@@ -34,6 +34,17 @@ score raw rows: those differ from any wavelet's coordinates in
 rounding, which moves rounding-fragile ugepsvm folds.  ``--workers`` > 1
 runs jobs in parallel; rows come out in manifest order either way.
 
+Each array is checked once, where it is made.  The raw rows and a
+wavelet's rows are checked as they become a ``LabeledDataset``; a fold's
+training split, the Universum draw and each sheet's Universum prefix are
+cut from them unscanned (``LabeledDataset.from_checked``).  A fold's
+first PCA fit scans its training rows, and the fits on its basis do not
+again.  ``fit_labeled``'s new rows (X1 and X2 the fit's own scores, U
+transformed) are checked as its new dataset, and a record's test rows
+once, after their transform.  A sheet's blocks, and ugepsvm's
+denominators, are checked when they are built (``ProblemBlocks``), so
+its solves scan only each numerator's entries.
+
 Every entry point that reads recordings (``run_benchmark``, and the
 command line's ``cv``, ``sweep`` and ``ingest``) gets its raw rows from
 ``load_tasks``.  It reads each set the tasks need once, reads set N only
@@ -201,14 +212,18 @@ def fit_labeled(
 
     A wavelet (or no config) fits nothing: it is applied through
     ``featurize`` and comes back with None for the fit.  ``pca`` is passed
-    on to ``fit_features``: the labeled rows' PCA basis, if known.
+    on to ``fit_features``: the labeled rows' PCA basis, if known.  The
+    dataset's rows are checked, so the fit does not scan them again, and
+    X1 and X2 come out as the fit's own scores of them; U is transformed.
     """
     dataset, config = featurize(dataset, config)
     if config is None:
         return None, dataset
     labels = np.repeat([1, -1], [dataset.m1, dataset.m2])
-    fitted = fit_features(config, np.vstack([dataset.X1, dataset.X2]), labels, pca)
-    return fitted, LabeledDataset(*map(fitted.transform, (dataset.X1, dataset.X2, dataset.U)))
+    rows = np.vstack([dataset.X1, dataset.X2])
+    fitted = fit_features(config, rows, labels, pca, checked=True)
+    X1, X2 = fitted.train_scores[: dataset.m1], fitted.train_scores[dataset.m1 :]
+    return fitted, LabeledDataset(X1=X1, X2=X2, U=fitted.transform(dataset.U))
 
 
 @dataclass
@@ -231,11 +246,12 @@ class _FoldRecord:
             if rbf not in self.bases:
                 self.bases[rbf] = (kernel_table if rbf else span_factor)(self.train, self.test_rows)
                 self.counts["kernel_tables" if rbf else "span_factors"] += 1
-                if rbf:
+                if rbf:  # rows held once, as views of the table's Z
                     Z, m1, m2 = self.bases[rbf].Z, self.train.m1, self.train.m1 + self.train.m2
-                    self.train = LabeledDataset(X1=Z[:m1], X2=Z[m1:m2], U=Z[m2:])  # rows held once
+                    self.train = LabeledDataset.from_checked(Z[:m1], Z[m1:m2], Z[m2:])
             basis = self.bases[rbf].prefix(rows)
-        return build_blocks(replace(self.train, U=self.train.U[:u]), kernel, basis)
+        train = LabeledDataset.from_checked(self.train.X1, self.train.X2, self.train.U[:u])
+        return build_blocks(train, kernel, basis)
 
 
 def _fold_records(dataset: LabeledDataset, folds: FoldPlan, fold: int, extractors, counts) -> list:
@@ -246,7 +262,7 @@ def _fold_records(dataset: LabeledDataset, folds: FoldPlan, fold: int, extractor
     settings, so once one fails, the rest fail with its error, unfit.
     """
     test1, test2 = folds.class1_folds == fold, folds.class2_folds == fold
-    split = LabeledDataset(X1=dataset.X1[~test1], X2=dataset.X2[~test2], U=dataset.U)
+    split = LabeledDataset.from_checked(dataset.X1[~test1], dataset.X2[~test2], dataset.U)
     split_test = np.vstack([dataset.X1[test1], dataset.X2[test2]])
     labels = np.repeat([1, -1], [np.count_nonzero(test1), np.count_nonzero(test2)])
     records, pca = [], None
@@ -373,7 +389,7 @@ def _run_cells(dataset: LabeledDataset, folds: FoldPlan, features: list) -> Coun
     if any(cell.draws for cell in all_cells):
         dataset = subset_universum(dataset, size, folds.seed)
     else:
-        dataset = replace(dataset, U=dataset.U[:size])
+        dataset = LabeledDataset.from_checked(dataset.X1, dataset.X2, dataset.U[:size])
     prepared = [featurize(dataset, config) for config, _ in features]
     dataset = prepared[0][0]  # a wavelet's rows, or the raw rows every fitted feature keeps
     features = [(extractor, cells) for (_, extractor), (_, cells) in zip(prepared, features)]

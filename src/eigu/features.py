@@ -15,13 +15,14 @@ can refit per training fold.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .eigsolve import apply_reflectors
+from .eigsolve import apply_reflectors, householder_qr
 
 __all__ = [
     "CDRScore",
@@ -108,11 +109,19 @@ def _filter_pair(wavelet: str) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def _analysis_step(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    length = x.size
-    taps = lo.size
+@functools.lru_cache(maxsize=32)
+def _window_index(length: int, taps: int) -> np.ndarray:
+    """Row i is the circular window ``2i, ..., 2i + taps - 1`` of a signal of ``length``; read-only.
+
+    Built once per (length, taps) and shared by every row and level.
+    """
     idx = (2 * np.arange(length // 2)[:, None] + np.arange(taps)[None, :]) % length
-    windows = x[idx]
+    idx.setflags(write=False)
+    return idx
+
+
+def _analysis_step(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    windows = x[_window_index(x.size, lo.size)]
     return windows @ lo, windows @ hi
 
 
@@ -192,11 +201,12 @@ class PCABasis:
         return self.components.shape[1]
 
 
-def _validated_rows(rows: np.ndarray) -> np.ndarray:
+def _validated_rows(rows: np.ndarray, scan: bool = True) -> np.ndarray:
+    """``rows`` as a 2-d float matrix of at least 2 rows, finite unless ``scan`` is False."""
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[0] < 2:
         raise ValueError("rows must be a 2-d matrix with at least 2 rows")
-    if not np.all(np.isfinite(rows)):
+    if scan and not np.all(np.isfinite(rows)):
         raise ValueError("rows contain non-finite values")
     return rows
 
@@ -214,9 +224,8 @@ def pca_fit(rows: np.ndarray, n_components: int = 32) -> PCABasis:
     if n_components < 1:
         raise ValueError(f"n_components must be >= 1, got {n_components}")
     mean = rows.mean(axis=0)
-    centered = rows - mean
-    h, tau = np.linalg.qr(centered.T, mode="raw")  # C' = Q R, Q left as reflectors
-    left, sing, _ = np.linalg.svd(np.triu(h.T[: tau.size]), full_matrices=False)
+    reflectors, tau, R = householder_qr((rows - mean).T)  # C' = Q R, Q left as reflectors
+    left, sing, _ = np.linalg.svd(R, full_matrices=False)
     tol = sing[0] * max(rows.shape) * np.finfo(float).eps if sing.size else 0.0
     rank = int(np.sum(sing > tol))
     kept = min(n_components, rank)
@@ -231,7 +240,7 @@ def pca_fit(rows: np.ndarray, n_components: int = 32) -> PCABasis:
         raise ValueError("centered rows have rank 0; nothing to extract")
     padded = np.zeros((rows.shape[1], kept))
     padded[: tau.size] = left[:, :kept]
-    components = apply_reflectors(h.T[:, : tau.size], tau, padded, "N")
+    components = apply_reflectors(reflectors[:, : tau.size], tau, padded, "N")
     # deterministic orientation: largest-magnitude loading is positive
     for j in range(kept):
         lead = int(np.argmax(np.abs(components[:, j])))
@@ -301,7 +310,13 @@ def ica_fit(
     basis is returned with ``converged=False`` and a warning.  Initial
     directions are drawn from a seeded generator, so fits are reproducible.
     """
-    rows = _validated_rows(rows)
+    return _ica_fit(_validated_rows(rows), n_components, seed, pca)[0]
+
+
+def _ica_fit(
+    rows: np.ndarray, n_components: int, seed: int, pca: PCABasis | None
+) -> tuple[ICABasis, np.ndarray]:
+    """``ica_fit`` of checked rows, and the whitened rows it iterated on."""
     pca = _checked_basis(rows, n_components, pca)
     kept = pca.n_components
     scale = np.sqrt(np.maximum(pca.explained_variance, np.finfo(float).tiny))
@@ -337,15 +352,16 @@ def ica_fit(
         W[i] = w
     if not converged:
         warnings.warn(
-            f"ICA did not converge within {ICA_MAX_ITERATIONS} iterations", stacklevel=2
+            f"ICA did not converge within {ICA_MAX_ITERATIONS} iterations", stacklevel=3
         )
-    return ICABasis(
+    basis = ICABasis(
         mean=pca.mean,
         whitening=whitening,
         unmixing=W,
         converged=converged,
         n_iterations=worst_iterations,
     )
+    return basis, white
 
 
 def ica_transform(basis: ICABasis, rows: np.ndarray) -> np.ndarray:
@@ -464,13 +480,16 @@ class FittedFeatures:
     """A PCA or ICA transform frozen against one training split.
 
     ``pca`` is the split's PCA basis for both methods: the pca transform
-    itself, or the whitening that ``ica`` rotates.
+    itself, or the whitening that ``ica`` rotates.  ``train_scores`` are
+    the kept components of the rows it was fit on, as ``transform`` gives
+    them, which the fit computed anyway.
     """
 
     config: FeatureConfig
     pca: PCABasis | None = None
     ica: ICABasis | None = None
     keep: tuple[int, ...] | None = None  # CDR-ordered component indices
+    train_scores: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def transform(self, rows: np.ndarray) -> np.ndarray:
         """``rows``' kept components, in ``keep`` order."""
@@ -486,6 +505,8 @@ def fit_features(
     rows: np.ndarray,
     labels: np.ndarray | None = None,
     pca: PCABasis | None = None,
+    *,
+    checked: bool = False,
 ) -> FittedFeatures:
     """Fit a PCA or ICA ``config`` on training rows (labels drive the CDR ordering).
 
@@ -493,24 +514,27 @@ def fit_features(
     given, and keep the best ``top_k`` (all, when unset).  Both start from
     the rows' PCA basis, which the result keeps as ``pca``; pass one such
     result's ``pca`` to fit the other method on the same rows and settings
-    without a second PCA fit.  A wavelet fits nothing: ``dwt_features``
-    applies it to each row.
+    without a second PCA fit.  The rows are scanned for non-finite values
+    once: by ``pca_fit`` when ``pca`` is None, else here, unless
+    ``checked=True`` says they were (a ``LabeledDataset``'s rows).  ICA's
+    scores come from the whitened rows its fit iterated on.  A wavelet
+    fits nothing: ``dwt_features`` applies it to each row.
     """
     if config.method == "dwt":
         raise ValueError(f"{config.feature_id} fits nothing: apply it with dwt_features")
-    rows = _validated_rows(rows)
+    rows = _validated_rows(rows, scan=pca is not None and not checked)
     pca = _checked_basis(rows, config.n_components, pca)
     fitted = FittedFeatures(config=config, pca=pca)
     if config.method == "pca":
         scores = pca_transform(pca, rows)
     else:
-        basis = ica_fit(rows, n_components=config.n_components, seed=config.seed, pca=pca)
+        basis, white = _ica_fit(rows, config.n_components, config.seed, pca)
         fitted = replace(fitted, ica=basis)
-        scores = ica_transform(basis, rows)
+        scores = white @ basis.unmixing.T  # ica_transform(basis, rows), whitened once
     if labels is not None:
         order = [s.component_index for s in cdr_rank(scores, labels)]
     else:
         order = list(range(scores.shape[1]))
     if config.top_k is not None:
         order = order[: config.top_k]
-    return replace(fitted, keep=tuple(order))
+    return replace(fitted, keep=tuple(order), train_scores=scores[:, order])

@@ -348,6 +348,37 @@ def test_a_universum_flag_that_cannot_apply_is_a_usage_error_before_any_data_is_
     assert loaded == []
 
 
+@pytest.mark.parametrize("flag", ["--data-root", "--universum-pool", "--segment-length"])
+@pytest.mark.parametrize(
+    "command, extra",
+    [("cv", ["--classifier", "iugepsvm"]), ("sweep", ["--output-dir", "sweep"])],
+)
+def test_bundle_mode_refuses_a_task_mode_flag_before_reading_the_bundle(
+    toy_bundle, bonn_tree, tmp_path, monkeypatch, capsys, command, extra, flag
+):
+    """A bundle's rows are read as they are, so a flag that would shape them cannot apply."""
+    read = []
+    monkeypatch.setattr("eigu.cli.read_bundle", lambda path: read.append(path))
+    monkeypatch.chdir(tmp_path)
+    value = {"--data-root": str(bonn_tree), "--universum-pool": "3", "--segment-length": "128"}
+    argv = [command, "--bundle", str(toy_bundle), *extra, "--folds", "2"]
+    assert main([*argv, flag, value[flag]]) == 2
+    assert f"{flag} does not apply to --bundle" in capsys.readouterr().err
+    assert read == [] and not (tmp_path / "sweep").exists()
+
+
+def test_cv_names_the_file_and_line_of_a_faulty_bundle_row(toy_bundle, tmp_path, capsys):
+    bundle = tmp_path / "bundle"
+    shutil.copytree(toy_bundle, bundle)
+    lines = (bundle / "X2.csv").read_text().splitlines()
+    lines[3] = lines[3].rsplit(",", 1)[0]  # the third data row loses its last value
+    (bundle / "X2.csv").write_text("\n".join(lines) + "\n")
+    assert main(["cv", "--bundle", str(bundle), "--classifier", "gepsvm", "--folds", "2"]) == 2
+    width = TOY_SEGMENT
+    assert (f"cannot read bundle {bundle}: X2.csv: line 4: row width differs from header "
+            f"({width - 1} values, {width} columns)") in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["ingest", "cv"])
 @pytest.mark.parametrize("length", ["-1", "0"])
 def test_a_segment_length_below_one_is_a_usage_error(bonn_tree, tmp_path, capsys, command, length):

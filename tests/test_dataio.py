@@ -11,6 +11,7 @@ from eigu.dataio import (
     SEGMENT_LENGTH,
     LabeledDataset,
     Recording,
+    _parse_canonical,
     _parse_lines,
     assemble_task,
     load_bonn_set,
@@ -56,6 +57,12 @@ def test_load_recording_error_names_file_and_line(tmp_path):
         ("9007199254740993\n", [9007199254740992.0]),  # rounded like float(int)
         ("\f5\x1c\n", [5]),  # whitespace str.strip removes but int() keeps
         ("99999999999999999999\n", [1e20]),  # beyond int64: the line loop reads it
+        # the one-call parse takes lines of at most 18 bytes; longer ones go line by line
+        ("999999999999999999\n-99999999999999999\n", [999999999999999999, -99999999999999999]),
+        ("1234567890123456789\n", [1234567890123456789.0]),  # 19 digits, within int64
+        ("-9999999999999999999\n", [-1e19]),  # 19 digits, beyond int64
+        ("12345678901234567890\n", [12345678901234567890.0]),  # 20 digits
+        ("-0\n007\r\n-3", [0, 7, -3]),  # CRLF and LF, no final newline
     ],
 )
 def test_load_recording_accepts_what_the_line_loop_accepts(tmp_path, text, values):
@@ -80,6 +87,11 @@ def test_load_recording_accepts_what_the_line_loop_accepts(tmp_path, text, value
         ("1\x0b2\n", "N007.txt: line 1: expected an integer amplitude, got '1\\x0b2'"),
         ("", "N007.txt: no samples found"),
         ("\n \n", "N007.txt: no samples found"),
+        ("-\n", "N007.txt: line 1: expected an integer amplitude, got '-'"),
+        ("5-3\n", "N007.txt: line 1: expected an integer amplitude, got '5-3'"),
+        ("1\r\n--2\r\n", "N007.txt: line 2: expected an integer amplitude, got '--2'"),
+        ("1\r\n2 3\r\n", "N007.txt: line 2: expected an integer amplitude, got '2 3'"),
+        ("1\n5-\n", "N007.txt: line 2: expected an integer amplitude, got '5-'"),
     ],
 )
 def test_load_recording_rejects_what_the_line_loop_rejects(tmp_path, text, message):
@@ -88,6 +100,39 @@ def test_load_recording_rejects_what_the_line_loop_rejects(tmp_path, text, messa
     with pytest.raises(ValueError) as excinfo:
         load_recording(path, "N")
     assert str(excinfo.value) == message
+
+
+def test_a_canonical_recording_is_parsed_in_one_call(tmp_path, bonn_tree, monkeypatch):
+    """What write_recording writes, in LF or CRLF lines, never reaches the line loop."""
+
+    def refuse(path):
+        raise AssertionError(f"{path.name} went through the line loop")
+
+    monkeypatch.setattr("eigu.dataio._parse_lines", refuse)
+    samples = np.array([0.0, -1.0, 7.0, 2.0**59, -(2.0**55), 4096.0])  # 18-byte lines at most
+    write_recording(Recording(set_label="Z", samples=samples), tmp_path / "lf.txt")
+    crlf = (tmp_path / "lf.txt").read_bytes().replace(b"\n", b"\r\n")
+    (tmp_path / "crlf.txt").write_bytes(crlf)
+    (tmp_path / "last.txt").write_bytes(crlf.rstrip())
+    for name in ("lf.txt", "crlf.txt", "last.txt"):
+        np.testing.assert_array_equal(load_recording(tmp_path / name, "Z").samples, samples)
+    assert len(load_bonn_set(bonn_tree / "N", "N")) == TOY_PER_SET
+
+
+def test_the_one_call_parse_agrees_with_the_line_loop_wherever_it_applies(tmp_path):
+    """Random texts over the parser's alphabet: each one the fast path takes reads the same."""
+    rng = np.random.default_rng(3)
+    pieces = [*"0123456789" * 3, "-", "\n", "\n", "\r", "\r\n", " ", "+", "9" * 10]
+    path, taken = tmp_path / "N007.txt", 0
+    for _ in range(2000):
+        data = "".join(rng.choice(pieces, size=rng.integers(1, 30))).encode("ascii")
+        fast = _parse_canonical(data)
+        if fast is None:
+            continue
+        taken += 1
+        path.write_bytes(data)
+        np.testing.assert_array_equal(fast.astype(float), _parse_lines(path))
+    assert taken > 100
 
 
 def test_load_recording_rejects_non_ascii(tmp_path):
@@ -253,6 +298,25 @@ def test_bundle_empty_universum_round_trip(tmp_path):
     loaded, _ = read_bundle(tmp_path)
     assert loaded.p == 0
     assert loaded.U.shape[1] == 3
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("f0,f1\n1.0,2.0\n3.0\n", "X1.csv: line 3: row width differs from header (1 values, 2 columns)"),
+        ("f0,f1\n1.0,2.0,5.0\n", "X1.csv: line 2: row width differs from header (3 values, 2 columns)"),
+        ("f0,f1\n1.0,abc\n", "X1.csv: line 2: could not convert string to float: 'abc'"),
+        ("\nf0,f1\n1.0,2.0\n\n4.0,5.0\n", "X1.csv: line 4: row width differs from header (1 values, 2 columns)"),
+    ],
+    ids=["short-row", "long-row", "not-a-number", "blank-line"],
+)
+def test_read_bundle_names_the_file_and_line_of_a_faulty_row(tmp_path, body, message):
+    dataset = LabeledDataset(X1=np.eye(2), X2=np.eye(2), U=np.zeros((0, 2)))
+    write_bundle(dataset, tmp_path, task="o_vs_s", seed=0)
+    (tmp_path / "X1.csv").write_text(body)
+    with pytest.raises(ValueError) as excinfo:
+        read_bundle(tmp_path)
+    assert str(excinfo.value) == message
 
 
 def test_read_bundle_detects_manifest_mismatch(tmp_path):

@@ -1192,3 +1192,85 @@ def test_a_rank_zero_fold_fails_pca_and_ica_with_one_basis_fit():
     for cell in cells:
         with pytest.raises(FoldTrainingError, match=str(alone.value)):
             cell.result(folds, "", "")
+
+
+def _spy(monkeypatch, owner, name, calls):
+    """Record each call made through ``owner.<name>`` in ``calls``, as (args, kwargs)."""
+    original = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["primal", "span"])
+def test_operand_checks_do_not_grow_with_the_delta_axis(monkeypatch, wide):
+    """A sheet's blocks and denominators are checked once, not at every delta's solves."""
+    from eigu import classifiers, eigsolve
+
+    rng = np.random.default_rng(12)
+    n = 40 if wide else 4
+    dataset = LabeledDataset(
+        X1=rng.standard_normal((9, n)), X2=rng.standard_normal((8, n)) + 0.5,
+        U=rng.standard_normal((6, n)) + 0.25,
+    )
+    folds = make_folds(dataset, 3, seed=0)
+    counts = []
+    for deltas in ((1e-3,), (1e-4, 1e-3, 1e-2, 1e-1)):
+        checks = []
+        with monkeypatch.context() as patch:
+            for owner in (classifiers, eigsolve):
+                _spy(patch, owner, "_validated_symmetric", checks)
+            grid = GridSpec(delta=deltas, universum_size=(3, 6))
+            grid_search(dataset, folds, "ugepsvm", grid)
+        counts.append(len(checks))
+    assert counts[0] == counts[1] == 3 * 2 * 5  # folds x sheets x (G, H, P, H + P, G + P)
+
+
+def test_the_engine_builds_no_dataset_per_sheet_or_fold_split(bonn_tree, monkeypatch):
+    """Fold splits, Universum draws and sheet prefixes are cut from checked rows, unscanned."""
+    built = []
+    for sizes in ([2], [2, 4, 6]):
+        manifest = _toy_manifest(bonn_tree, classifiers=["iugepsvm"], folds=3, grids={
+            "iugepsvm": {"delta": [1e-4], "gamma": [0.1], "psi": [0.01], "universum_size": sizes}
+        })
+        checks = []
+        with monkeypatch.context() as patch:
+            _spy(patch, LabeledDataset, "__post_init__", checks)
+            run_benchmark(manifest)
+        built.append(len(checks))
+    assert built == [2, 2]  # the task's raw rows, and its wavelet rows
+
+
+@pytest.mark.filterwarnings("ignore:ICA did not converge")
+def test_a_fold_scans_its_fitted_rows_once(bonn_tree, monkeypatch):
+    """pca's PCA fit scans the fold's rows; the ica fit on its basis does not again."""
+    scans = []
+    _spy(monkeypatch, features, "_validated_rows", scans)
+    manifest = _toy_manifest(bonn_tree, features=["pca", "ica"], folds=3)
+    assert all(r.error is None for r in run_benchmark(manifest).rows)
+    assert sum(kwargs.get("scan", True) for _, kwargs in scans) == manifest["folds"]
+
+
+@pytest.mark.filterwarnings("ignore:ICA did not converge")
+@pytest.mark.parametrize("method", ["pca", "ica"])
+def test_fit_labeled_rows_are_the_fits_transform_bit_for_bit(method):
+    """X1 and X2 are the fit's own scores of the stacked rows, U goes through transform.
+
+    On rows of a fold's shape (4096 wide, 32 components) those scores also
+    equal each class's own transform bit for bit, as the grid engine's
+    results rely on: there the stacked and the per-class products take one
+    BLAS kernel.  Far smaller products may not (see CHANGES.md).
+    """
+    rng = np.random.default_rng(21)
+    dataset = LabeledDataset(
+        X1=rng.standard_normal((41, 4096)), X2=rng.standard_normal((39, 4096)) + 0.3,
+        U=rng.standard_normal((7, 4096)),
+    )
+    fitted, out = evaluation.fit_labeled(FeatureConfig(method=method), dataset)
+    stacked = fitted.transform(np.vstack([dataset.X1, dataset.X2]))
+    assert np.array_equal(np.vstack([out.X1, out.X2]), stacked)
+    for name in ("X1", "X2", "U"):
+        assert np.array_equal(getattr(out, name), fitted.transform(getattr(dataset, name)))
