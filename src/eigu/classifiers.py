@@ -181,14 +181,9 @@ def _augmented(rows: np.ndarray) -> np.ndarray:
     return np.hstack([rows, np.ones((rows.shape[0], 1))])
 
 
-def _aug_gram(rows: np.ndarray) -> np.ndarray:
-    aug = _augmented(rows)
-    return aug.T @ aug  # an empty Universum gives the zero block
-
-
 def class_matrices(dataset: LabeledDataset) -> ProblemBlocks:
     """Linear blocks of a dataset in primal coordinates: G = [X1 e]'[X1 e], etc."""
-    return ProblemBlocks(G=_aug_gram(dataset.X1), H=_aug_gram(dataset.X2), P=_aug_gram(dataset.U))
+    return ProblemBlocks.of_rows(*map(_augmented, (dataset.X1, dataset.X2, dataset.U)))
 
 
 @dataclass(frozen=True)
@@ -264,6 +259,15 @@ class ProblemBlocks:
     otherwise they are in coefficient coordinates over the rbf expansion
     Z = ``basis.Z``, a ``KernelTable``'s, with its Gram matrix K_ZZ.
 
+    Each block is the Gram matrix of rows the builder holds, and keeps
+    them as its row factor: G = F1'F1, H = F2'F2 and P = FU'FU
+    (``of_rows``), where F1 is [X1 e] on narrow rows, [K1 e] (class +1's
+    rows of K_ZZ) in kernel mode and class +1's columns of the span
+    factor's R, transposed, on wide rows.  A ratio plane's denominator is
+    solved through its factor (``plane_problems``):
+    ``smallest_eigpair_generalized`` then reduces a k-row denominator to a
+    k x k problem.
+
     When the feature dimension exceeds the training row count (wide data),
     a linear block's ``basis`` is the ``SpanFactor`` of an orthonormal
     basis Q of the span of the bias-augmented training rows and G/H/P are
@@ -278,12 +282,16 @@ class ProblemBlocks:
     G, H and P are checked here, once per block: square, of one shape,
     finite and symmetric (one within the solver's tolerance is
     symmetrized), so every operand ``plane_problems`` sums from them is
-    exactly symmetric and the solves take them as checked.
+    exactly symmetric and the solves take them as checked.  The factors
+    are checked for their q columns; a finite Gram block has finite rows.
     """
 
     G: np.ndarray = field(repr=False)
     H: np.ndarray = field(repr=False)
     P: np.ndarray = field(repr=False)
+    F1: np.ndarray = field(repr=False)
+    F2: np.ndarray = field(repr=False)
+    FU: np.ndarray = field(repr=False)
     basis: SpanFactor | KernelTable | None = field(default=None, repr=False)
     kernel: KernelSpec | None = None
     K_ZZ: np.ndarray | None = field(default=None, repr=False)
@@ -295,6 +303,20 @@ class ProblemBlocks:
             raise ValueError(
                 f"block shapes differ: G {self.G.shape}, H {self.H.shape}, P {self.P.shape}"
             )
+        q = self.G.shape[0]
+        for name in ("F1", "F2", "FU"):
+            F = getattr(self, name)
+            if F.ndim != 2 or F.shape[1] != q:
+                raise ValueError(f"factor {name} must have {q} columns, got shape {F.shape}")
+
+    @classmethod
+    def of_rows(cls, F1: np.ndarray, F2: np.ndarray, FU: np.ndarray, **extra) -> ProblemBlocks:
+        """The blocks G = F1'F1, H = F2'F2 and P = FU'FU, their factors kept.
+
+        An empty ``FU`` gives the zero block P.  ``extra`` holds ``basis``,
+        ``kernel`` and ``K_ZZ``.
+        """
+        return cls(G=F1.T @ F1, H=F2.T @ F2, P=FU.T @ FU, F1=F1, F2=F2, FU=FU, **extra)
 
     @cached_property
     def denominators(self) -> tuple[np.ndarray, np.ndarray]:
@@ -306,6 +328,11 @@ class ProblemBlocks:
         for M in sums:
             M.setflags(write=False)
         return sums
+
+    @cached_property
+    def denominator_factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """The row factors ``[F2; FU]`` and ``[F1; FU]`` of ``denominators``, stacked once."""
+        return np.vstack([self.F2, self.FU]), np.vstack([self.F1, self.FU])
 
 
 def span_factor(dataset: LabeledDataset, test_rows: np.ndarray | None = None) -> SpanFactor:
@@ -378,8 +405,8 @@ def build_blocks(
         if span.tau.size != m:
             raise ValueError(f"span factor has {span.tau.size} reflectors, dataset has {m} rows")
         R = np.triu(span.reflectors[:m])  # the R that mode="reduced" returns
-        R1, R2, RU = R[:, :m1], R[:, m1 : m1 + m2], R[:, m1 + m2 :]
-        return ProblemBlocks(G=R1 @ R1.T, H=R2 @ R2.T, P=RU @ RU.T, basis=span)
+        F = R.T  # row i is training row i in span coordinates
+        return ProblemBlocks.of_rows(F[:m1], F[m1 : m1 + m2], F[m1 + m2 :], basis=span)
     table = kernel_table(dataset) if basis is None else basis
     Z = table.Z
     if Z.shape[0] != m:
@@ -387,17 +414,19 @@ def build_blocks(
     if kernel.sigma is None:
         kernel = KernelSpec(family="rbf", sigma=default_sigma(Z, table.D_ZZ))
     K_ZZ = gram(Z, Z, kernel, table.D_ZZ)
-    K1, K2, KU = K_ZZ[:m1], K_ZZ[m1 : m1 + m2], K_ZZ[m1 + m2 :]
-    G, H, P = _aug_gram(K1), _aug_gram(K2), _aug_gram(KU)
-    return ProblemBlocks(G=G, H=H, P=P, basis=table, kernel=kernel, K_ZZ=K_ZZ)
+    F = _augmented(K_ZZ)  # [K_i e], the rows of class i's kernel block
+    return ProblemBlocks.of_rows(
+        F[:m1], F[m1 : m1 + m2], F[m1 + m2 :], basis=table, kernel=kernel, K_ZZ=K_ZZ
+    )
 
 
 @dataclass(frozen=True)
 class PlaneProblem:
-    """One plane's eigenproblem: standard when ``B`` is None."""
+    """One plane's eigenproblem: standard when ``B`` is None, else B = factor' factor."""
 
     A: np.ndarray = field(repr=False)
     B: np.ndarray | None = field(default=None, repr=False)
+    factor: np.ndarray | None = field(default=None, repr=False)
     context: str = ""
 
 
@@ -418,27 +447,29 @@ def plane_problems(blocks: ProblemBlocks, spec: TrainSpec) -> tuple[PlaneProblem
     """The two eigenproblems ``spec`` poses over ``blocks``.
 
     Plane 2 swaps the class roles: its own-class block is H and its
-    counter-class block is G (the Universum block is shared).
+    counter-class block is G (the Universum block is shared).  A ratio
+    plane's denominator comes with its row factor: the counter class's
+    rows, and the Universum's for ugepsvm.
     """
     G, H, P = blocks.G, blocks.H, blocks.P
     kind, delta = spec.classifier, spec.delta
     if kind == "gepsvm":
-        operands = ((_ridged(G, delta), H), (_ridged(H, delta), G))
+        operands = ((_ridged(G, delta), H, blocks.F2), (_ridged(H, delta), G, blocks.F1))
     elif kind == "ugepsvm":
-        HP, GP = blocks.denominators
-        operands = ((_ridged(G, delta), HP), (_ridged(H, delta), GP))
+        (HP, GP), (F2U, F1U) = blocks.denominators, blocks.denominator_factors
+        operands = ((_ridged(G, delta), HP, F2U), (_ridged(H, delta), GP, F1U))
     elif kind == "igepsvm":
-        operands = ((_ridged(G, delta, (spec.nu, H)), None),
-                    (_ridged(H, delta, (spec.nu, G)), None))
+        operands = ((_ridged(G, delta, (spec.nu, H)), None, None),
+                    (_ridged(H, delta, (spec.nu, G)), None, None))
     else:
         operands = (
-            (_ridged(G, delta, (spec.gamma1, H), (spec.psi1, P)), None),
-            (_ridged(H, delta, (spec.effective_gamma2, G), (spec.effective_psi2, P)), None),
+            (_ridged(G, delta, (spec.gamma1, H), (spec.psi1, P)), None, None),
+            (_ridged(H, delta, (spec.effective_gamma2, G), (spec.effective_psi2, P)), None, None),
         )
     mode = "linear" if blocks.kernel is None else "kernel"
     return tuple(
-        PlaneProblem(A=A, B=B, context=f"{kind} ({mode}) plane {index}")
-        for index, (A, B) in enumerate(operands, start=1)
+        PlaneProblem(A=A, B=B, factor=F, context=f"{kind} ({mode}) plane {index}")
+        for index, (A, B, F) in enumerate(operands, start=1)
     )
 
 
@@ -528,7 +559,7 @@ def train_with_blocks(blocks: ProblemBlocks, spec: TrainSpec) -> HyperplanePair:
     problems = plane_problems(blocks, spec)
     solutions = tuple(  # the operands of checked blocks (see ProblemBlocks)
         smallest_eigpair_standard(p.A, checked=True) if p.B is None
-        else smallest_eigpair_generalized(p.A, p.B, context=p.context, checked=True)
+        else smallest_eigpair_generalized(p.A, p.B, p.context, factor=p.factor, checked=True)
         for p in problems
     )
     hyper = spec.hyperparameters()

@@ -11,20 +11,30 @@ The right operand of a ratio objective is usually singular (a class
 Gram block has rank at most the class size), while its numerator carries
 the Tikhonov term delta * I and so is positive-definite.
 ``smallest_eigpair_generalized`` therefore solves the inverted pencil
-``B z = mu A z``, which factors the numerator only, and returns its largest
-pair with ``lambda = 1 / mu``: the same minimizer, with no perturbation.
-Every returned pair meets the residual bound below against the operands
-as given.
+``B z = mu A z`` and returns its largest pair with ``lambda = 1 / mu``:
+the same minimizer, with no perturbation.  It solves that pencil through
+the row factor F (k x q) of the denominator, B = F'F, which every block
+holds (``classifiers.ProblemBlocks``).  With the numerator's Cholesky
+factor A = L L' and M = L^-1 F', the pencil's eigenvalues mu are those of
+M M' = L^-1 B L^-T, whose nonzero ones M'M shares: if M'M v = mu v, then
+M M' (M v) = mu M v.  So the top pair of the smaller Gram -- M'M (k x k)
+when k < q, as for the counter class's rows plus the Universum's in span
+or kernel coordinates, else M M' (q x q), as on narrow rows -- gives
+z = L^-T (M v), or L^-T v.  L is what LAPACK's ``dsygvx`` computes on the
+same operand (``dpotrf``, lower), so every plane keeps the rounding it
+inherits from its numerator's factor.  Every returned pair meets the
+residual bound below against the operands as given.
 
 Operands are checked once, where they are made.  A solve called on its
 own checks each operand: square, non-empty, finite and symmetric (an
 operand within ``SYMMETRY_RTOL`` of symmetric is symmetrized).  The
 trainers call it with ``checked=True`` on the problems ``plane_problems``
-poses: the blocks G/H/P and ugepsvm's denominators were checked when the
-block was built (``classifiers.ProblemBlocks``), and a numerator summed
-from them is exactly symmetric, so such a solve scans only the numerator
-for non-finite entries (a weighted sum can overflow) and takes ``B`` as
-it is.  Every solve keeps its residual check.
+poses: the blocks G/H/P, their factors and ugepsvm's denominators were
+checked when the block was built (``classifiers.ProblemBlocks``), and a
+numerator summed from them is exactly symmetric, so such a solve scans
+only the numerator for non-finite entries (a weighted sum can overflow)
+and takes ``B`` and its factor as they are.  Every solve keeps its
+residual check.
 """
 
 from __future__ import annotations
@@ -33,7 +43,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dormqr
+from scipy.linalg.blas import dtrsm
+from scipy.linalg.lapack import dormqr, dpotrf
 
 __all__ = [
     "EigenSolution",
@@ -202,42 +213,53 @@ def smallest_eigpair_generalized(
     B: np.ndarray,
     context: str = "generalized eigenproblem",
     *,
+    factor: np.ndarray | None = None,
     checked: bool = False,
 ) -> EigenSolution:
-    """Smallest eigenpair of ``A z = lambda B z`` for a positive-definite ``A``.
+    """Smallest eigenpair of ``A z = lambda B z`` for a positive-definite ``A``, B = F'F.
 
-    Solved as the largest eigenpair of the inverted pencil ``B z = mu A z``
-    with ``lambda = 1 / mu``; the reduction factors ``A`` by Cholesky, so
-    ``B`` may be singular.  Raises ``SingularDenominatorError`` (naming
-    ``context``) when ``A`` is not positive-definite or ``B`` has no
-    positive direction, and ``LinAlgError`` when the pair misses the
-    residual bound.  ``checked=True`` says ``A`` is square and exactly
-    symmetric and ``B`` a checked block (see the module docstring): only
-    ``A``'s finiteness is checked.
+    ``factor`` is the denominator's row factor F (k x q); without one, B's
+    own eigen-factor sqrt(max(w, 0)) V' over its eigenpairs (w, V) is
+    used.  With A = L L' (``dpotrf``, lower) and M = L^-1 F', the
+    largest eigenpair (mu, v) of the smaller Gram of M -- M'M when k < q,
+    else M M' -- gives lambda = 1 / mu and z = L^-T (M v), or L^-T v
+    (see the module docstring).  Raises ``SingularDenominatorError``
+    (naming ``context``) when ``A`` is not positive-definite or ``B`` has
+    no positive direction, and ``LinAlgError`` when the pair misses the
+    residual bound against ``B``.  ``checked=True`` says ``A`` is square
+    and exactly symmetric and ``B`` and its factor come from a checked
+    block (see the module docstring): only ``A``'s finiteness is checked.
     """
     A_sym = _operand_a(A, checked)
     B_sym = B if checked else _validated_symmetric(B, "B")
     if B_sym.shape != A_sym.shape:
         raise ValueError(f"operand shapes differ: A {A_sym.shape}, B {B_sym.shape}")
     q = A_sym.shape[0]
-    try:
-        mu, vectors = scipy.linalg.eigh(
-            B_sym, A_sym, subset_by_index=[q - 1, q - 1], check_finite=False
-        )
-    except scipy.linalg.LinAlgError as exc:
-        if "positive definite" not in str(exc):
-            raise
-        # scipy names the factored operand "B"; in the inverted call that is A
-        reason = str(exc).replace(" of B ", " of the numerator ")
+    if factor is None:
+        w, V = scipy.linalg.eigh(B_sym, check_finite=False)
+        factor = (V * np.sqrt(np.clip(w, 0.0, None))).T
+    elif not checked:
+        factor = np.asarray(factor, dtype=float)
+        if factor.ndim != 2 or not len(factor) or factor.shape[1] != q:
+            raise ValueError(f"factor must be a non-empty k x {q} matrix, got {factor.shape}")
+        if not np.all(np.isfinite(factor)):
+            raise ValueError("factor contains non-finite entries")
+    L, info = dpotrf(A_sym, lower=1)
+    if info > 0:
         raise SingularDenominatorError(
-            f"{context}: numerator not positive-definite ({reason})"
-        ) from exc
+            f"{context}: numerator not positive-definite "
+            f"(its leading minor of order {info} is not positive definite)"
+        )
+    M = dtrsm(1.0, L, factor.T, lower=1)  # L^-1 F'
+    k = factor.shape[0]
+    gram = M.T @ M if k < q else M @ M.T
+    mu, vectors = scipy.linalg.eigh(gram, subset_by_index=[len(gram) - 1] * 2, check_finite=False)
     largest = float(mu[0])
     if not largest > 0:
         raise SingularDenominatorError(
             f"{context}: denominator has no positive direction "
             f"(largest inverted eigenvalue {largest:.3e})"
         )
-    return _checked_pair(
-        A_sym, B_sym, 1.0 / largest, vectors[:, 0], f"{context}: generalized eigensolve"
-    )
+    v = M @ vectors[:, 0] if k < q else vectors[:, 0]
+    z = dtrsm(1.0, L, v[:, None], lower=1, trans_a=1)[:, 0]  # L^-T v
+    return _checked_pair(A_sym, B_sym, 1.0 / largest, z, f"{context}: generalized eigensolve")

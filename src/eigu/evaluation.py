@@ -206,21 +206,27 @@ def featurize(
 
 
 def fit_labeled(
-    config: FeatureConfig | None, dataset: LabeledDataset, pca: PCABasis | None = None
+    config: FeatureConfig | None,
+    dataset: LabeledDataset,
+    pca: PCABasis | None = None,
+    rows: np.ndarray | None = None,
 ) -> tuple[FittedFeatures | None, LabeledDataset]:
     """Apply ``config`` to X1, X2 and U: a PCA/ICA fit on the labeled rows (X1 as +1, X2 as -1).
 
     A wavelet (or no config) fits nothing: it is applied through
     ``featurize`` and comes back with None for the fit.  ``pca`` is passed
-    on to ``fit_features``: the labeled rows' PCA basis, if known.  The
-    dataset's rows are checked, so the fit does not scan them again, and
-    X1 and X2 come out as the fit's own scores of them; U is transformed.
+    on to ``fit_features``: the labeled rows' PCA basis, if known.
+    ``rows`` is ``np.vstack([X1, X2])`` if already stacked; every fit on a
+    fold reads one such array.  The dataset's rows are checked, so the fit
+    does not scan them again, and X1 and X2 come out as the fit's own
+    scores of them; U is transformed.
     """
     dataset, config = featurize(dataset, config)
     if config is None:
         return None, dataset
     labels = np.repeat([1, -1], [dataset.m1, dataset.m2])
-    rows = np.vstack([dataset.X1, dataset.X2])
+    if rows is None:
+        rows = np.vstack([dataset.X1, dataset.X2])
     fitted = fit_features(config, rows, labels, pca, checked=True)
     X1, X2 = fitted.train_scores[: dataset.m1], fitted.train_scores[dataset.m1 :]
     return fitted, LabeledDataset(X1=X1, X2=X2, U=fitted.transform(dataset.U))
@@ -257,20 +263,22 @@ class _FoldRecord:
 def _fold_records(dataset: LabeledDataset, folds: FoldPlan, fold: int, extractors, counts) -> list:
     """Fold ``fold`` through each extractor: its record, or the error its fit raised.
 
-    The rows are split once.  The extractors after the first fit on the
-    PCA basis the first one fit.  They fit the same rows with the same
+    The rows are split once, and the labeled training rows are stacked
+    once for every fit.  The extractors after the first fit on the PCA
+    basis the first one fit.  They fit the same rows with the same
     settings, so once one fails, the rest fail with its error, unfit.
     """
     test1, test2 = folds.class1_folds == fold, folds.class2_folds == fold
     split = LabeledDataset.from_checked(dataset.X1[~test1], dataset.X2[~test2], dataset.U)
     split_test = np.vstack([dataset.X1[test1], dataset.X2[test2]])
     labels = np.repeat([1, -1], [np.count_nonzero(test1), np.count_nonzero(test2)])
+    labeled = np.vstack([split.X1, split.X2]) if any(e is not None for e in extractors) else None
     records, pca = [], None
     for extractor in extractors:
         train, test_rows = split, split_test
         try:
             if extractor is not None:
-                fitted, train = fit_labeled(extractor, split, pca)
+                fitted, train = fit_labeled(extractor, split, pca, labeled)
                 test_rows, pca = fitted.transform(split_test), fitted.pca
                 counts["feature_fits"] += 1
                 if fitted.ica is not None and not fitted.ica.converged:

@@ -198,13 +198,16 @@ def test_criterion_4_trained_planes_are_eigen_optimal():
                 np.append(model.coef2, model.b2),
             )
 
-            # residual bound, re-solving the exact problems the trainer saw
+            # residual bound, re-solving the exact problems the trainer saw, each
+            # ratio plane through the denominator's row factor it was solved with
             for problem, trained_eigenvalue in zip(problems, model.eigenvalues):
                 if problem.B is None:
                     solution = smallest_eigpair_standard(problem.A)
                     denom_norm = np.sqrt(problem.A.shape[0])
                 else:
-                    solution = smallest_eigpair_generalized(problem.A, problem.B)
+                    solution = smallest_eigpair_generalized(
+                        problem.A, problem.B, factor=problem.factor
+                    )
                     effective = problem.B + solution.used_ridge * np.eye(
                         problem.B.shape[0]
                     )

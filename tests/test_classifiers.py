@@ -144,11 +144,12 @@ def test_plane_operands_equal_the_explicit_ridge_sum_bit_for_bit(wide):
             U=rng.standard_normal((4, 30)),
         )
         blocks = build_blocks(dataset, None)
-    else:
+    else:  # no Gram product gives -0.0, so the blocks are planted beside unrelated factors
         G, H, P = (M + M.T for M in rng.standard_normal((3, 7, 7)))
         for M in (G, H, P):
             M[np.abs(M) < 0.5] = -0.0
-        blocks = ProblemBlocks(G=G, H=H, P=P)
+        F1, F2, FU = (rng.standard_normal((rows, 7)) for rows in (3, 4, 2))
+        blocks = ProblemBlocks(G=G, H=H, P=P, F1=F1, F2=F2, FU=FU)
     G, H, P = blocks.G, blocks.H, blocks.P
     zeros = G[G == 0]
     assert zeros.size and (wide or np.signbit(zeros).all())
@@ -458,9 +459,13 @@ def test_coincident_degenerate_classes_raise():
 
 
 def test_an_indefinite_ratio_numerator_names_the_plane():
-    """G + delta*I must be positive-definite; the error names the plane."""
-    eye = np.eye(3)
-    blocks = ProblemBlocks(G=-eye, H=eye, P=np.zeros((3, 3)))
+    """G + delta*I must factor by Cholesky; the error names the plane.
+
+    The class row 1e10 * (1, 1) gives G = 1e20 * ones((2, 2)), which absorbs
+    delta = 1e-4 exactly, so the Cholesky factor's second pivot is exactly 0.
+    """
+    blocks = ProblemBlocks.of_rows(np.full((1, 2), 1e10), np.eye(2), np.zeros((0, 2)))
+    assert np.array_equal(blocks.G + 1e-4 * np.eye(2), blocks.G)
     with pytest.raises(SingularDenominatorError) as excinfo:
         train_with_blocks(blocks, TrainSpec(classifier="gepsvm", delta=1e-4))
     message = str(excinfo.value)

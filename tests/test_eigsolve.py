@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from eigu.classifiers import TrainSpec, build_blocks, plane_problems
+from eigu.dataio import LabeledDataset
 from eigu.eigsolve import (
     RESIDUAL_RTOL,
     SYMMETRY_RTOL,
@@ -14,6 +17,7 @@ from eigu.eigsolve import (
     smallest_eigpair_generalized,
     smallest_eigpair_standard,
 )
+from eigu.kernels import KernelSpec
 
 
 def _char_poly_roots_3x3(A):
@@ -120,6 +124,86 @@ def test_indefinite_numerator_is_refused():
     message = str(excinfo.value)
     assert message.startswith("test plane 1: numerator not positive-definite")
     assert " of B " not in message
+
+
+def _ratio_planes(kind: str, seed: int) -> list:
+    """Both planes of gepsvm and ugepsvm, at two deltas, over seeded blocks of one kind.
+
+    Span blocks (40 features, 21 rows) and rbf blocks (expansion of 21 rows,
+    q = 22) give factors with fewer rows than columns; narrow blocks (4
+    features, q = 5) give factors with more.
+    """
+    rng = np.random.default_rng(seed)
+    n, kernel = {"span": (40, None), "kernel": (5, KernelSpec("rbf", 2.0)), "narrow": (4, None)}[kind]
+    dataset = LabeledDataset(
+        X1=rng.standard_normal((9, n)), X2=rng.standard_normal((7, n)) + 0.5,
+        U=rng.standard_normal((5, n)) + 0.25,
+    )
+    blocks = build_blocks(dataset, kernel)
+    return [
+        problem
+        for classifier in ("gepsvm", "ugepsvm")
+        for delta in (1e-4, 1e-2)
+        for problem in plane_problems(blocks, TrainSpec(classifier=classifier, delta=delta))
+    ]
+
+
+@pytest.mark.parametrize("kind", ["span", "kernel", "narrow"])
+def test_a_ratio_plane_solved_through_its_factor_matches_the_dense_pencil(kind):
+    """lambda and z match scipy's dense solve of the inverted pencil B z = mu A z.
+
+    Span and kernel planes solve the k x k Gram M'M, narrow planes M M';
+    the same factor padded with zero rows past q takes the other branch.
+    """
+    for seed in range(3):
+        for problem in _ratio_planes(kind, seed):
+            q, k = problem.A.shape[0], problem.factor.shape[0]
+            assert (k >= q) == (kind == "narrow")
+            scale = np.abs(problem.B).max()
+            np.testing.assert_allclose(
+                problem.factor.T @ problem.factor, problem.B, rtol=0, atol=1e-13 * scale
+            )
+            solution = smallest_eigpair_generalized(
+                problem.A, problem.B, problem.context, factor=problem.factor
+            )
+            mu, vectors = scipy.linalg.eigh(problem.B, problem.A, subset_by_index=[q - 2, q - 1])
+            assert solution.eigenvalue == pytest.approx(1.0 / mu[1], rel=1e-12, abs=0)
+            if mu[1] - mu[0] > 1e-2 * mu[1]:  # a clear top gap pins the direction
+                reference = vectors[:, 1] / np.linalg.norm(vectors[:, 1])
+                v = solution.eigenvector
+                assert np.linalg.norm(v - (v @ reference) * reference) < 1e-9
+            padded = np.vstack([problem.factor, np.zeros((q, q))])
+            other = smallest_eigpair_generalized(problem.A, problem.B, factor=padded)
+            assert other.eigenvalue == pytest.approx(solution.eigenvalue, rel=1e-12, abs=0)
+
+
+def test_a_factored_pencil_refuses_a_flat_denominator_and_an_indefinite_numerator():
+    with pytest.raises(SingularDenominatorError) as excinfo:
+        smallest_eigpair_generalized(
+            np.eye(3), np.zeros((3, 3)), context="zero metric", factor=np.zeros((2, 3))
+        )
+    assert str(excinfo.value).startswith("zero metric: denominator has no positive direction")
+    with pytest.raises(SingularDenominatorError) as excinfo:
+        smallest_eigpair_generalized(
+            np.diag([1.0, -1.0, 2.0]), np.eye(3), context="test plane 1", factor=np.eye(3)
+        )
+    assert str(excinfo.value).startswith("test plane 1: numerator not positive-definite")
+    for factor in (np.ones((2, 4)), np.ones((0, 3)), np.full((1, 3), np.nan)):
+        with pytest.raises(ValueError, match="factor"):
+            smallest_eigpair_generalized(np.eye(3), np.eye(3), factor=factor)
+
+
+def test_an_overflowing_pencil_given_as_a_factor_is_certified_by_exact_scaling():
+    """The 1e300 pencil of the overflow test, its denominator given as diag(sqrt(b))."""
+    A = np.array([[2.0, 1.0], [1.0, 3.0]])
+    b = np.array([1e300, 2e300])
+    huge = smallest_eigpair_generalized(A * 1e300, np.diag(b), factor=np.diag(np.sqrt(b)))
+    small = smallest_eigpair_generalized(
+        A, np.diag([1.0, 2.0]), factor=np.diag(np.sqrt([1.0, 2.0]))
+    )
+    assert np.isfinite(huge.residual)
+    assert huge.eigenvalue == pytest.approx(small.eigenvalue, rel=1e-14)
+    np.testing.assert_allclose(huge.eigenvector, small.eigenvector, atol=1e-14)
 
 
 def test_eigenvalue_scales_with_numerator():

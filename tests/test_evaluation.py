@@ -1255,6 +1255,20 @@ def test_a_fold_scans_its_fitted_rows_once(bonn_tree, monkeypatch):
 
 
 @pytest.mark.filterwarnings("ignore:ICA did not converge")
+def test_a_folds_fits_read_one_stacked_array(bonn_tree, monkeypatch):
+    """A fold stacks its labeled training rows once; its pca and ica fits both read that array."""
+    fits = []
+    _spy(monkeypatch, evaluation, "fit_features", fits)
+    manifest = _toy_manifest(bonn_tree, features=["pca", "ica"], folds=3)
+    assert all(r.error is None for r in run_benchmark(manifest).rows)
+    assert [args[0].method for args, _ in fits] == ["pca", "ica"] * manifest["folds"]
+    stacks = [args[1] for args, _ in fits]
+    for pca_rows, ica_rows in zip(stacks[::2], stacks[1::2]):
+        assert ica_rows is pca_rows
+    assert len({id(rows) for rows in stacks}) == manifest["folds"]
+
+
+@pytest.mark.filterwarnings("ignore:ICA did not converge")
 @pytest.mark.parametrize("method", ["pca", "ica"])
 def test_fit_labeled_rows_are_the_fits_transform_bit_for_bit(method):
     """X1 and X2 are the fit's own scores of the stacked rows, U goes through transform.
