@@ -181,9 +181,16 @@ def _augmented(rows: np.ndarray) -> np.ndarray:
     return np.hstack([rows, np.ones((rows.shape[0], 1))])
 
 
-def class_matrices(dataset: LabeledDataset) -> ProblemBlocks:
-    """Linear blocks of a dataset in primal coordinates: G = [X1 e]'[X1 e], etc."""
-    return ProblemBlocks.of_rows(*map(_augmented, (dataset.X1, dataset.X2, dataset.U)))
+def _training_rows(dataset: LabeledDataset, keep: tuple | None = None) -> list[np.ndarray]:
+    """The training rows (see ``span_factor``) as views, one per row: a stack copies each once."""
+    k1, k2 = keep or (range(dataset.m1), range(dataset.m2))
+    return [*(dataset.X1[i] for i in k1), *(dataset.X2[i] for i in k2), *dataset.U]
+
+
+def class_matrices(dataset: LabeledDataset, keep: tuple | None = None) -> ProblemBlocks:
+    """Linear blocks of a dataset's training rows (see ``span_factor``): G = [X1 e]'[X1 e], etc."""
+    k1, k2 = keep or (slice(None), slice(None))
+    return ProblemBlocks.of_rows(*map(_augmented, (dataset.X1[k1], dataset.X2[k2], dataset.U)))
 
 
 @dataclass(frozen=True)
@@ -262,11 +269,12 @@ class ProblemBlocks:
     Each block is the Gram matrix of rows the builder holds, and keeps
     them as its row factor: G = F1'F1, H = F2'F2 and P = FU'FU
     (``of_rows``), where F1 is [X1 e] on narrow rows, [K1 e] (class +1's
-    rows of K_ZZ) in kernel mode and class +1's columns of the span
-    factor's R, transposed, on wide rows.  A ratio plane's denominator is
-    solved through its factor (``plane_problems``):
-    ``smallest_eigpair_generalized`` then reduces a k-row denominator to a
-    k x k problem.
+    rows of K_ZZ, the leading columns of [K_ZZ e]) in kernel mode and
+    class +1's columns of the span factor's R, transposed, on wide rows;
+    the last two stack [F1; F2; FU] in one array, whose rows past F1 are
+    ugepsvm's [F2; FU] (``F2U``).  A ratio plane's denominator is solved
+    through its factor (``plane_problems``): ``smallest_eigpair_generalized``
+    then reduces a k-row denominator to a k x k problem.
 
     When the feature dimension exceeds the training row count (wide data),
     a linear block's ``basis`` is the ``SpanFactor`` of an orthonormal
@@ -295,6 +303,7 @@ class ProblemBlocks:
     basis: SpanFactor | KernelTable | None = field(default=None, repr=False)
     kernel: KernelSpec | None = None
     K_ZZ: np.ndarray | None = field(default=None, repr=False)
+    F2U: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         for name in ("G", "H", "P"):
@@ -314,7 +323,7 @@ class ProblemBlocks:
         """The blocks G = F1'F1, H = F2'F2 and P = FU'FU, their factors kept.
 
         An empty ``FU`` gives the zero block P.  ``extra`` holds ``basis``,
-        ``kernel`` and ``K_ZZ``.
+        ``kernel``, ``K_ZZ`` and ``F2U``.
         """
         return cls(G=F1.T @ F1, H=F2.T @ F2, P=FU.T @ FU, F1=F1, F2=F2, FU=FU, **extra)
 
@@ -331,15 +340,22 @@ class ProblemBlocks:
 
     @cached_property
     def denominator_factors(self) -> tuple[np.ndarray, np.ndarray]:
-        """The row factors ``[F2; FU]`` and ``[F1; FU]`` of ``denominators``, stacked once."""
-        return np.vstack([self.F2, self.FU]), np.vstack([self.F1, self.FU])
+        """The row factors ``[F2; FU]`` (``F2U`` if given) and ``[F1; FU]``, stacked once."""
+        F2U = np.vstack([self.F2, self.FU]) if self.F2U is None else self.F2U
+        return F2U, np.vstack([self.F1, self.FU])
 
 
-def span_factor(dataset: LabeledDataset, test_rows: np.ndarray | None = None) -> SpanFactor:
-    """The Householder factor of ``dataset``'s augmented rows [X1; X2; U], test rows projected."""
-    rows = (dataset.X1, dataset.X2, dataset.U)
-    F = np.ones((sum(map(len, rows)), dataset.n + 1))
-    np.concatenate(rows, out=F[:, :-1])  # [X1 e; X2 e; U e], the rows copied once
+def span_factor(
+    dataset: LabeledDataset, test_rows: np.ndarray | None = None, keep: tuple | None = None
+) -> SpanFactor:
+    """The Householder factor of ``dataset``'s augmented training rows, test rows projected.
+
+    The training rows are [X1; X2; U], of X1 and X2 only rows ``keep`` (two
+    index arrays) if given: a fold's, gathered straight into F.
+    """
+    rows = _training_rows(dataset, keep)
+    F = np.ones((len(rows), dataset.n + 1))
+    np.stack(rows, out=F[:, :-1])  # [X1 e; X2 e; U e], each row copied once
     reflectors, tau, _ = householder_qr(F.T)  # F' = Q R, in F's own buffer
     factor = SpanFactor.from_reflectors(reflectors[:, : tau.size], tau)
     return factor if test_rows is None else replace(factor, precomputed=factor.project(test_rows))
@@ -369,12 +385,14 @@ class KernelTable:
         return KernelTable(Z=self.Z[:m], D_ZZ=self.D_ZZ[:m, :m], precomputed=precomputed)
 
 
-def kernel_table(dataset: LabeledDataset, test_rows: np.ndarray | None = None) -> KernelTable:
-    """Stack ``dataset``'s expansion and compute its distance table.
+def kernel_table(
+    dataset: LabeledDataset, test_rows: np.ndarray | None = None, keep: tuple | None = None
+) -> KernelTable:
+    """Gather the expansion, the training rows (see ``span_factor``), and its distance table.
 
     The expansion size m + 1 must stay within ``GRAM_CAP``.
     """
-    Z = np.vstack([dataset.X1, dataset.X2, dataset.U])
+    Z = np.stack(_training_rows(dataset, keep))
     if Z.shape[0] + 1 > GRAM_CAP:
         raise ValueError(f"kernel expansion size {Z.shape[0] + 1} exceeds the cap {GRAM_CAP}")
     precomputed = None if test_rows is None else squared_distances(test_rows, Z)
@@ -385,39 +403,40 @@ def build_blocks(
     dataset: LabeledDataset,
     kernel: KernelSpec | None,
     basis: SpanFactor | KernelTable | None = None,
+    keep: tuple | None = None,
 ) -> ProblemBlocks:
     """Assemble the Gram blocks a trainer needs for ``dataset``.
 
     A linear kernel gets the same primal blocks as ``kernel=None``.  rbf
     kernels with an unset sigma are resolved here from the training
-    rows (labeled plus Universum).  ``basis`` is the work several blocks
-    over ``dataset`` share: its ``span_factor`` for wide linear blocks, its
-    ``kernel_table`` for rbf ones (a larger training set's ``prefix``
-    serves too).  Narrow linear blocks read none; the others compute their
-    own when none is given, and carry it as ``basis``.
+    rows (labeled plus Universum; ``keep`` as in ``span_factor``).
+    ``basis`` is the work several blocks over those rows share: their
+    ``span_factor`` for wide linear blocks, their ``kernel_table`` for rbf
+    ones (a larger training set's ``prefix`` serves too).  Narrow linear
+    blocks read none; the others compute their own when none is given,
+    and carry it as ``basis``.
     """
-    m1, m2 = dataset.m1, dataset.m2
+    m1, m2 = (dataset.m1, dataset.m2) if keep is None else map(len, keep)
     m = m1 + m2 + dataset.p
     if kernel is None or kernel.family == "linear":
         if dataset.n + 1 <= m:
-            return class_matrices(dataset)
-        span = span_factor(dataset) if basis is None else basis
+            return class_matrices(dataset, keep)
+        span = span_factor(dataset, keep=keep) if basis is None else basis
         if span.tau.size != m:
             raise ValueError(f"span factor has {span.tau.size} reflectors, dataset has {m} rows")
         R = np.triu(span.reflectors[:m])  # the R that mode="reduced" returns
-        F = R.T  # row i is training row i in span coordinates
-        return ProblemBlocks.of_rows(F[:m1], F[m1 : m1 + m2], F[m1 + m2 :], basis=span)
-    table = kernel_table(dataset) if basis is None else basis
-    Z = table.Z
-    if Z.shape[0] != m:
-        raise ValueError(f"kernel table has {Z.shape[0]} expansion rows, dataset has {m}")
-    if kernel.sigma is None:
-        kernel = KernelSpec(family="rbf", sigma=default_sigma(Z, table.D_ZZ))
-    K_ZZ = gram(Z, Z, kernel, table.D_ZZ)
-    F = _augmented(K_ZZ)  # [K_i e], the rows of class i's kernel block
-    return ProblemBlocks.of_rows(
-        F[:m1], F[m1 : m1 + m2], F[m1 + m2 :], basis=table, kernel=kernel, K_ZZ=K_ZZ
-    )
+        F, extra = R.T, dict(basis=span)  # row i is training row i in span coordinates
+    else:
+        table = kernel_table(dataset, keep=keep) if basis is None else basis
+        Z = table.Z
+        if Z.shape[0] != m:
+            raise ValueError(f"kernel table has {Z.shape[0]} expansion rows, dataset has {m}")
+        if kernel.sigma is None:
+            kernel = KernelSpec(family="rbf", sigma=default_sigma(Z, table.D_ZZ))
+        F = np.ones((m, m + 1))  # [K_i e], the rows of class i's kernel block
+        F[:, :-1] = gram(Z, Z, kernel, table.D_ZZ)
+        extra = dict(basis=table, kernel=kernel, K_ZZ=F[:, :-1])
+    return ProblemBlocks.of_rows(F[:m1], F[m1 : m1 + m2], F[m1 + m2 :], F2U=F[m1:], **extra)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ import logging
 import math
 import os
 import platform
+import resource
 import socket
 import sys
 import time
@@ -72,14 +73,12 @@ class UsageError(Exception):
 # shared plumbing
 
 
-def _write_runinfo(
-    directory: Path, command: str, argv: list[str], started: float, counters=None
-) -> None:
+def _write_runinfo(directory: Path, command: str, argv: list[str], started: float, **extra) -> None:
     """Host and timestamp details, quarantined away from the result files.
 
-    ``counters`` (``bench`` only) are the run's feature fits, ICA fits
-    capped unconverged (``ica_capped``), kernel tables, span factors,
-    block builds and block hits.
+    ``extra`` holds ``bench``'s ``peak_rss_mb`` and ``counters``: the run's
+    feature fits, ICA fits capped unconverged (``ica_capped``), kernel
+    tables, span factors, block builds and block hits.
     """
     finished = time.time()
     info = {
@@ -96,10 +95,16 @@ def _write_runinfo(
             timespec="seconds"
         ),
         "duration_seconds": round(finished - started, 3),
+        **extra,
     }
-    if counters is not None:
-        info["counters"] = counters
     _emit_json(info, str(directory / "runinfo.json"))
+
+
+def _peak_rss_mb(workers: int) -> float:
+    """Peak resident memory in MB: this process's, plus its workers' when ``workers`` > 1."""
+    whos = (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)[: 2 if workers > 1 else 1]
+    peak = sum(resource.getrusage(who).ru_maxrss for who in whos)  # KB; bytes on macOS
+    return round(peak / (2**20 if sys.platform == "darwin" else 2**10), 1)
 
 
 def _jsonable(obj):
@@ -349,11 +354,12 @@ def cmd_bench(args) -> int:
     if args.seed is not None:
         manifest["seed"] = args.seed
     result = run_benchmark(manifest, workers=args.workers)
+    peak = _peak_rss_mb(args.workers or manifest.get("workers") or 1)
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "results.csv").write_text(results_csv(result.rows), encoding="utf-8")
     _emit_json(result.summary, str(out / "summary.json"))
-    _write_runinfo(out, "bench", args.raw_argv, started, counters=result.counters)
+    _write_runinfo(out, "bench", args.raw_argv, started, counters=result.counters, peak_rss_mb=peak)
     n_errors = sum(1 for row in result.rows if row.error)
     print(f"{len(result.rows)} cells, {n_errors} with errors -> {out / 'results.csv'}")
     return EXIT_OK

@@ -7,13 +7,15 @@ byte-reproducible.
 There is one grid engine, ``_run_cells``, and it alone decides which rows
 a (task, feature, classifier, point) trains on.  It runs cells -- a
 classifier's grid points each -- for one or more features of one raw
-dataset.  It cuts the Universum to the most rows any cell asks for (a
-classifier without a ``universum_size`` axis asks for none), applies a
-wavelet to every row, then goes fold by fold.  On each fold it splits
-the rows once and builds one record per feature: the extractor fit,
-training and test rows, and on first use a basis whose prefixes serve
-every Universum size (a span factor for wide linear data, a kernel table
-for rbf, each holding what ``predict`` reads of the test rows).  PCA and
+dataset, on the rows ``_prepared`` makes of it: the Universum cut to the
+most rows any cell asks for (a classifier without a ``universum_size``
+axis asks for none) and every row put through a wavelet, if one is
+given.  The engine goes fold by fold.  On each fold it builds one record
+per feature: the extractor fit, the training rows (indices into the
+rows, or the fit's own), the test rows, and on first use a basis whose
+prefixes serve every Universum size (a span factor for wide linear data,
+a kernel table for rbf, each gathering the training rows into its own
+buffer and holding what ``predict`` reads of the test rows).  PCA and
 ICA both start from the PCA of the fold's training rows, ICA as its
 whitening, so a fold fits that basis once for all its fitted features.
 The engine then runs each record a *sheet* at a time: a sheet is every
@@ -21,23 +23,25 @@ point, of any cell, that shares one (Universum size, kernel) and so one
 set of blocks.  It builds the sheet's blocks, scores each cell's points
 on them in visit order and drops them before the next sheet; the fold
 is dropped before the next fold.  So each fold's extractors are fit and
-bases built once, each sheet's blocks are built once per fold, and one
-fold and one sheet are alive at a time.  ``grid_search`` is the engine
-on one cell, ``run_cv`` on one point, and ``run_benchmark`` runs it
-once per job: all of a task's wavelet features are one job, and all of
-its fitted features are another.  Each ``dwt_*`` feature is an
-orthonormal map of the raw rows that keeps every coefficient, and every
-classifier gives the same models under such a map, so a wavelet job
-scores its cells once, in the coordinates of the first wavelet the
-manifest lists, and writes the result under each wavelet.  It does not
-score raw rows: those differ from any wavelet's coordinates in
-rounding, which moves rounding-fragile ugepsvm folds.  ``--workers`` > 1
-runs jobs in parallel; rows come out in manifest order either way.
+bases built once, each sheet's blocks once per fold, and alive at once
+are a job's rows, one fold's gathered buffer and bases, and one sheet's
+blocks.  ``grid_search`` is the engine on one cell, ``run_cv`` on one
+point, and ``run_benchmark`` runs it once per job: a task's fitted
+features are one job, run first, and its wavelet features another, which
+frees the task's raw rows once it has transformed them.  Each ``dwt_*``
+feature is an orthonormal map of the raw rows that keeps every
+coefficient, and every classifier gives the same models under such a
+map, so a wavelet job scores its cells once, in the coordinates of the
+first wavelet the manifest lists, and writes the result under each
+wavelet.  It does not score raw rows: those differ from any wavelet's
+coordinates in rounding, which moves rounding-fragile ugepsvm folds.
+``--workers`` > 1 runs jobs in parallel; rows come out in manifest order
+either way.
 
 Each array is checked once, where it is made.  The raw rows and a
 wavelet's rows are checked as they become a ``LabeledDataset``; a fold's
-training split, the Universum draw and each sheet's Universum prefix are
-cut from them unscanned (``LabeledDataset.from_checked``).  A fold's
+gathered rows, the Universum draw and each sheet's Universum prefix are
+cut from them unscanned.  A fold's
 first PCA fit scans its training rows, and the fits on its basis do not
 again.  ``fit_labeled``'s new rows (X1 and X2 the fit's own scores, U
 transformed) are checked as its new dataset, and a record's test rows
@@ -73,6 +77,7 @@ from .classifiers import (
     DegeneratePlaneError,
     ProblemBlocks,
     TrainSpec,
+    _training_rows,
     build_blocks,
     kernel_table,
     predict,
@@ -191,18 +196,17 @@ def featurize(
 ) -> tuple[LabeledDataset, FeatureConfig | None]:
     """Apply ``config`` to raw rows: ``(dataset, extractor)`` for the grid engine.
 
-    A wavelet needs no fit, so it transforms every row up front and no
-    extractor is left.  Otherwise the rows stay raw and ``config`` (None
-    for rows used as they are) comes back as the extractor the engine fits
-    on each training fold.
+    A wavelet needs no fit, so it transforms every row up front (into one
+    array, which X1, X2 and U view) and no extractor is left.  Otherwise
+    the rows stay raw and ``config`` (None for rows used as they are) comes
+    back as the extractor the engine fits on each training fold.
     """
     if config is None or config.method != "dwt":
         return dataset, config
-
-    def transform(rows: np.ndarray) -> np.ndarray:  # an empty Universum stays a (0, n) block
-        return np.vstack([dwt_features(r, config.wavelet) for r in rows] or [rows])
-
-    return LabeledDataset(*map(transform, (dataset.X1, dataset.X2, dataset.U))), None
+    rows = np.empty((dataset.m1 + dataset.m2 + dataset.p, dataset.n))
+    for i, row in enumerate(itertools.chain(dataset.X1, dataset.X2, dataset.U)):
+        rows[i] = dwt_features(row, config.wavelet)
+    return LabeledDataset(*np.split(rows, [dataset.m1, dataset.m1 + dataset.m2])), None
 
 
 def fit_labeled(
@@ -237,7 +241,8 @@ class _FoldRecord:
     """One fold of a grid engine run: its rows, and the bases built from them on first use."""
 
     fold: int
-    train: LabeledDataset
+    rows: LabeledDataset  # a fit's, or the job's rows every fold shares
+    keep: tuple | None  # the training rows of X1 and X2 among those (see span_factor); None: all
     test_rows: np.ndarray
     test_labels: np.ndarray
     counts: Counter  # the run's work counts
@@ -246,48 +251,55 @@ class _FoldRecord:
     def blocks(self, u: int, kernel: KernelSpec | None) -> ProblemBlocks:
         """Sheet (u, kernel)'s blocks: on the Universum's first ``u`` rows and a basis prefix."""
         rbf = kernel is not None and kernel.family == "rbf"
-        rows = self.train.m1 + self.train.m2 + u
+        m1, m2 = (self.rows.m1, self.rows.m2) if self.keep is None else map(len, self.keep)
+        rows = m1 + m2 + u
         basis = None
-        if rbf or rows < self.train.n + 1:  # narrow linear blocks read the rows themselves
+        if rbf or rows < self.rows.n + 1:  # narrow linear blocks read the rows themselves
             if rbf not in self.bases:
-                self.bases[rbf] = (kernel_table if rbf else span_factor)(self.train, self.test_rows)
+                build = kernel_table if rbf else span_factor
+                self.bases[rbf] = build(self.rows, self.test_rows, self.keep)
                 self.counts["kernel_tables" if rbf else "span_factors"] += 1
-                if rbf:  # rows held once, as views of the table's Z
-                    Z, m1, m2 = self.bases[rbf].Z, self.train.m1, self.train.m1 + self.train.m2
-                    self.train = LabeledDataset.from_checked(Z[:m1], Z[m1:m2], Z[m2:])
+                if rbf:  # the fold's rows held once, as views of the table's Z
+                    Z, self.keep = self.bases[rbf].Z, None
+                    self.rows = LabeledDataset.from_checked(Z[:m1], Z[m1 : m1 + m2], Z[m1 + m2 :])
             basis = self.bases[rbf].prefix(rows)
-        train = LabeledDataset.from_checked(self.train.X1, self.train.X2, self.train.U[:u])
-        return build_blocks(train, kernel, basis)
+        train = LabeledDataset.from_checked(self.rows.X1, self.rows.X2, self.rows.U[:u])
+        return build_blocks(train, kernel, basis, self.keep)
 
 
 def _fold_records(dataset: LabeledDataset, folds: FoldPlan, fold: int, extractors, counts) -> list:
     """Fold ``fold`` through each extractor: its record, or the error its fit raised.
 
-    The rows are split once, and the labeled training rows are stacked
-    once for every fit.  The extractors after the first fit on the PCA
-    basis the first one fit.  They fit the same rows with the same
-    settings, so once one fails, the rest fail with its error, unfit.
+    A record without an extractor keeps the fold's training rows as
+    indices, which its basis gathers; the fits read the labeled ones
+    gathered once.  The extractors after the first fit the same rows with
+    the same settings on the PCA basis the first one fit, so once one
+    fails, the rest fail with its error, unfit.
     """
     test1, test2 = folds.class1_folds == fold, folds.class2_folds == fold
-    split = LabeledDataset.from_checked(dataset.X1[~test1], dataset.X2[~test2], dataset.U)
-    split_test = np.vstack([dataset.X1[test1], dataset.X2[test2]])
+    keep = (np.flatnonzero(~test1), np.flatnonzero(~test2))
+    test_rows = np.vstack([dataset.X1[test1], dataset.X2[test2]])
     labels = np.repeat([1, -1], [np.count_nonzero(test1), np.count_nonzero(test2)])
-    labeled = np.vstack([split.X1, split.X2]) if any(e is not None for e in extractors) else None
+    if any(e is not None for e in extractors):  # one array for every fit; X1 and X2 view it
+        labeled = np.stack(_training_rows(dataset, keep)[: sum(map(len, keep))])
+        split = LabeledDataset.from_checked(*np.split(labeled, [len(keep[0])]), dataset.U)
     records, pca = [], None
     for extractor in extractors:
-        train, test_rows = split, split_test
         try:
-            if extractor is not None:
+            if extractor is None:
+                record = _FoldRecord(fold, dataset, keep, test_rows, labels, counts)
+            else:
                 fitted, train = fit_labeled(extractor, split, pca, labeled)
-                test_rows, pca = fitted.transform(split_test), fitted.pca
+                record = _FoldRecord(fold, train, None, fitted.transform(test_rows), labels, counts)
+                pca = fitted.pca
                 counts["feature_fits"] += 1
                 if fitted.ica is not None and not fitted.ica.converged:
                     counts["ica_capped"] += 1  # a fit that hit ICA_MAX_ITERATIONS
-            if not np.all(np.isfinite(test_rows)):  # so the fold fails before any block is built
+            if not np.all(np.isfinite(record.test_rows)):  # so the fold fails before any block
                 raise ValueError("test rows contain non-finite values")
         except _FOLD_FAILURES as exc:
             return records + [exc] * (len(extractors) - len(records))
-        records.append(_FoldRecord(fold, train, test_rows, labels, counts))
+        records.append(record)
     return records
 
 
@@ -375,33 +387,38 @@ def _run_sheet(record: _FoldRecord, u: int, kernel: KernelSpec | None, shares: d
     record.counts.update(block_builds=1, block_hits=sum(scored) - 1)
 
 
-def _run_cells(dataset: LabeledDataset, folds: FoldPlan, features: list) -> Counter:
-    """The grid engine (see the module docstring); returns its work counts.
+def _prepared(dataset: LabeledDataset, seed: int, features: list) -> tuple[LabeledDataset, list]:
+    """The grid engine's rows for ``features``, and each feature's (extractor, cells).
 
-    ``dataset`` holds raw rows and the whole Universum pool.  ``features``
-    pairs each feature config (None for rows used as they are) with the
-    cells that run on its records: one wavelet, or fitted features only.
-    The engine carries the most Universum rows any cell asks for, capped
-    at the pool; if a cell draws sizes, the rows are the seeded draw
-    ``subset_universum``, of which each smaller draw is a prefix.  A point
-    trains on the first ``u``.  A cell's share of a sheet runs through
-    ``grid_search`` and a point's fold through ``run_cv``, handed as
-    ``_fold``, so the perfbench spans around those bindings time them.
+    ``dataset`` holds raw rows and the whole Universum pool; ``features``
+    pairs each feature config (None for rows used as they are) with its
+    cells: one wavelet, or fitted features only.  The rows keep the most
+    Universum rows any cell asks for, capped at the pool: the seeded draw
+    ``subset_universum`` if a cell draws sizes, each smaller draw a prefix
+    of it.  A wavelet's rows replace the raw ones.
     """
-    counts: Counter = Counter()
     all_cells = [cell for _, cells in features for cell in cells]
     features = [f for f in features if any(cell.live for cell in f[1])]  # the rest fit nothing
     if not features:
-        return counts
+        return dataset, features
     size = min(max(cell.universum for cell in all_cells), dataset.p)
     if any(cell.draws for cell in all_cells):
-        dataset = subset_universum(dataset, size, folds.seed)
+        dataset = subset_universum(dataset, size, seed)
     else:
         dataset = LabeledDataset.from_checked(dataset.X1, dataset.X2, dataset.U[:size])
     prepared = [featurize(dataset, config) for config, _ in features]
-    dataset = prepared[0][0]  # a wavelet's rows, or the raw rows every fitted feature keeps
     features = [(extractor, cells) for (_, extractor), (_, cells) in zip(prepared, features)]
-    for fold in range(folds.k):
+    return prepared[0][0], features  # a wavelet's rows, or the raw rows every fitted feature keeps
+
+
+def _run_cells(dataset: LabeledDataset, features: list, folds: FoldPlan) -> Counter:
+    """The grid engine (see the module docstring) on ``_prepared`` rows; returns its work counts.
+
+    A cell's share of a sheet runs through ``grid_search`` and a point's
+    fold through ``run_cv``, handed as ``_fold``, so perfbench times them.
+    """
+    counts: Counter = Counter()
+    for fold in range(folds.k if features else 0):
         records = _fold_records(dataset, folds, fold, [e for e, _ in features], counts)
         for (_, cells), record in zip(features, records):
             if not isinstance(record, _FoldRecord):
@@ -447,7 +464,7 @@ def run_cv(
         return _fold_score(spec, *_fold)
     u = universum_rows(spec.classifier, dataset.p)
     cell = _Cell(spec.classifier, [(spec, u, {}, [])], universum=u)
-    counts = _run_cells(dataset, folds, [(extractor, [cell])])
+    counts = _run_cells(*_prepared(dataset, folds.seed, [(extractor, [cell])]), folds)
     best = cell.result(folds, task, feature_id).best_report
     return replace(best, feature_refits=counts["feature_fits"])
 
@@ -577,7 +594,7 @@ def grid_search(
         return cell.run_sheet(record, blocks, indices)
     _validate_grid(grid, classifier)
     cell = _grid_cell(classifier, grid, dataset.p)
-    _run_cells(dataset, folds, [(extractor, [cell])])
+    _run_cells(*_prepared(dataset, folds.seed, [(extractor, [cell])]), folds)
     return cell.result(folds, task, feature_id)
 
 
@@ -606,7 +623,7 @@ class BenchmarkResult:
     counters: dict
 
 
-@dataclass(frozen=True)
+@dataclass
 class _Job:
     """One task's features that share a fold loop: its raw rows and each feature's cells.
 
@@ -617,7 +634,7 @@ class _Job:
 
     task: str
     features: tuple[tuple[int, str, FeatureConfig], ...]
-    raw: LabeledDataset
+    raw: LabeledDataset | None
     k: int
     seed: int
     cells: tuple[tuple[str, GridSpec], ...]
@@ -628,16 +645,19 @@ def _run_job(job: _Job) -> tuple[dict[int, list[BenchRow]], Counter]:
 
     A wavelet job scores its cells once, in its first wavelet's
     coordinates (see the module docstring), and writes the result under
-    every wavelet's slot.
+    every wavelet's slot.  The job gives its raw rows up as it starts, so a
+    task's last job frees them once ``_prepared`` has transformed them.
     """
-    folds = make_folds(job.raw, job.k, job.seed)
+    dataset, job.raw = job.raw, None
+    folds = make_folds(dataset, job.k, job.seed)
     configs = [config for _, _, config in job.features]
     shared = configs[0].method == "dwt"
     features = [
-        (config, [_grid_cell(c, grid, job.raw.p) for c, grid in job.cells])
+        (config, [_grid_cell(c, grid, dataset.p) for c, grid in job.cells])
         for config in (configs[:1] if shared else configs)
     ]
-    counts = _run_cells(job.raw, folds, features)
+    dataset, prepared = _prepared(dataset, job.seed, features)
+    counts = _run_cells(dataset, prepared, folds)
     if shared:
         features *= len(configs)
     rows = {
@@ -757,11 +777,11 @@ def run_benchmark(manifest: dict, workers: int | None = None) -> BenchmarkResult
     cells = tuple((classifier, grids[classifier]) for classifier in classifiers)
     jobs = []
     for t, task in enumerate(tasks):
-        groups: dict = {}  # wavelet? -> the task's wavelets, or its fitted features
+        groups: dict = {False: [], True: []}  # wavelet? -> the task's fitted features, wavelets
         for i, (feature, config) in enumerate(features):
-            slot = (t * len(features) + i, feature, config)
-            groups.setdefault(config.method == "dwt", []).append(slot)
-        jobs += [_Job(task, tuple(group), raw[task], k, seed, cells) for group in groups.values()]
+            groups[config.method == "dwt"].append((t * len(features) + i, feature, config))
+        jobs += [_Job(task, tuple(g), raw[task], k, seed, cells) for g in groups.values() if g]
+    del raw  # the jobs hold the rows now; the wavelet job, run last, frees its task's
 
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool_exec:

@@ -507,6 +507,8 @@ def test_bench_runs_a_manifest_and_summarizes(bonn_tree, tmp_path, capsys):
     runinfo = json.loads((out / "runinfo.json").read_text())
     assert runinfo["command"] == "bench"
     assert "host" in runinfo and "duration_seconds" in runinfo
+    assert runinfo["peak_rss_mb"] > 0  # a host figure: runinfo only
+    assert "peak_rss_mb" not in (out / "results.csv").read_text() + json.dumps(summary)
     # gepsvm (no Universum) and iugepsvm (the whole pool) share no block
     assert runinfo["counters"] == {
         "feature_fits": 0,

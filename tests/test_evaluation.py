@@ -7,6 +7,7 @@ import gc
 import io
 import json
 import re
+import tracemalloc
 import weakref
 from dataclasses import asdict, replace
 
@@ -37,11 +38,11 @@ from eigu.evaluation import (
     run_benchmark,
     run_cv,
 )
-from eigu.features import FeatureConfig, feature_config_from_id
+from eigu.features import SUPPORTED_WAVELETS, FeatureConfig, dwt_features, feature_config_from_id
 from eigu.kernels import KernelSpec, default_sigma
 from eigu.synth import cross_planes, mid_band_universum
 
-from conftest import INVALID_GRIDS, TOY_PER_SET, TOY_SEGMENT, random_dataset
+from conftest import INVALID_GRIDS, TOY_PER_SET, TOY_SEGMENT, build_recording_tree, random_dataset
 
 
 def test_run_cv_is_perfect_on_separable_data(planes_dataset):
@@ -773,15 +774,15 @@ def test_blocks_live_one_sheet_and_each_fold_builds_one_basis(bonn_tree, tmp_pat
 
     k = manifest["folds"]
     records = made()
-    assert len(records) == 2 * k  # one record per fold and pair, in fold order
+    assert len(records) == 2 * k  # one record per fold and pair, in fold order, pca's first
     assert [record.fold for record in records] == [*range(k), *range(k)]
     for record in records:
         # ugepsvm asks for 50 Universum rows; the pool of 6 caps the record
-        assert record.train.p == manifest["universum_pool"]
-        rows = record.train.m1 + record.train.m2 + record.train.p
+        assert record.rows.p == manifest["universum_pool"]
+        rows = record.rows.m1 + record.rows.m2 + record.rows.p
         assert record.bases[True].Z.shape[0] == rows  # rbf cells run at u = 0, a prefix
     assert [factor.tau.size for factor in factors] == [
-        record.train.m1 + record.train.m2 + manifest["universum_pool"] for record in records[:k]
+        record.rows.m1 + record.rows.m2 + manifest["universum_pool"] for record in records[k:]
     ]  # dwt_db2 only (4 pca components are narrow); linear cells run at u = 3, a prefix
     assert len(tables) == 2 * k
     counters = json.loads((out / "runinfo.json").read_text())["counters"]
@@ -848,6 +849,86 @@ def test_each_fold_is_freed_before_the_next_fold_builds_its_basis(bonn_tree, mon
     k = manifest["folds"]
     assert len(alive["span_factor"]) == k and len(alive["kernel_table"]) == 2 * k
     assert len(alive["_fold_records"]) == 2 * k
+
+
+@pytest.mark.parametrize("features", [["pca", "dwt_db2"], ["dwt_db2", "pca"]])
+def test_a_wavelet_jobs_raw_rows_are_freed_before_its_first_span_factor(
+    bonn_tree, monkeypatch, features
+):
+    """A task's fitted job runs first, wherever the manifest lists it.
+
+    Its wavelet job then frees the raw rows once it has transformed them.
+    """
+    raw, freed = [], []
+    load, factor = evaluation.load_tasks, evaluation.span_factor
+
+    def loading(*args):
+        tasks = load(*args)
+        raw.extend(weakref.ref(a) for d in tasks.values() for a in (d.X1, d.X2, d.U))
+        return tasks
+
+    def factoring(*args):
+        gc.collect()
+        freed.append(all(ref() is None for ref in raw))
+        return factor(*args)
+
+    monkeypatch.setattr(evaluation, "load_tasks", loading)
+    monkeypatch.setattr(evaluation, "span_factor", factoring)
+    manifest = _toy_manifest(bonn_tree, features=features)
+    assert all(row.error is None for row in run_benchmark(manifest).rows)
+    assert len(raw) == 3  # X1, X2 and the Universum pool of the one task
+    assert freed == [True] * manifest["folds"]  # dwt_db2's wide rows; 4 pca components are narrow
+
+
+def test_a_wavelet_run_holds_its_rows_one_fold_buffer_and_one_sheet(tmp_path):
+    """One wavelet-only call's tracemalloc peak stays within what the design keeps alive.
+
+    That is the job's rows all along, plus either the raw rows (until they
+    are transformed) or one fold's gathered buffer F and one sheet's
+    blocks.  The slack covers the transient copies: the test rows three
+    times (the rows, their bias-augmented copy and its rotation in
+    ``SpanFactor.project``) and 15% of the job's rows for everything else.
+    A fold split beside F, or raw rows kept past the transform, exceed it.
+    """
+    per_set, n, pool, k = 20, 4096, 20, 5
+    manifest = _toy_manifest(
+        build_recording_tree(tmp_path, per_set=per_set, length=n + 1), universum_pool=pool,
+        segment_length=n, folds=k,
+    )
+    labeled = 2 * per_set
+    rows = (labeled + pool) * n * 8  # the job's rows, and as many raw ones
+    train = labeled - labeled // (2 * k) * 2  # the largest fold's labeled training rows
+    F = (train + pool) * (n + 1) * 8
+    blocks = 6 * (train + pool) ** 2 * 8  # G, H, P, R' and the two planes' operands
+    test = (labeled - train) * n * 8
+    bound = rows + max(rows, F + blocks) + 3 * test + rows * 15 // 100
+    run_benchmark(manifest)  # imports and caches outside the traced call
+    tracemalloc.start()
+    try:
+        result = run_benchmark(manifest)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(row.error is None for row in result.rows)
+    assert peak < bound, f"peak {peak / 2**20:.2f} MiB, bound {bound / 2**20:.2f} MiB"
+
+
+@pytest.mark.parametrize("wavelet", SUPPORTED_WAVELETS)
+def test_featurize_writes_each_rows_transform_into_one_array(wavelet):
+    rng = np.random.default_rng(5)
+    dataset = LabeledDataset(
+        X1=rng.standard_normal((5, 64)), X2=rng.standard_normal((4, 64)),
+        U=rng.standard_normal((3, 64)),
+    )
+    config = FeatureConfig(method="dwt", wavelet=wavelet)
+    out, extractor = featurize(dataset, config)
+    assert extractor is None and out.X1.base is not None
+    assert out.X1.base is out.X2.base is out.U.base  # views of one array
+    for name in ("X1", "X2", "U"):
+        expected = np.vstack([dwt_features(row, wavelet) for row in getattr(dataset, name)])
+        assert np.array_equal(getattr(out, name), expected)  # bit for bit
+    no_universum = LabeledDataset(X1=dataset.X1, X2=dataset.X2, U=dataset.U[:0])
+    assert featurize(no_universum, config)[0].U.shape == (0, 64)
 
 
 def test_only_one_sheets_blocks_are_alive(bonn_tree, monkeypatch):
@@ -1186,7 +1267,8 @@ def test_a_rank_zero_fold_fails_pca_and_ica_with_one_basis_fit():
     assert str(alone.value) == "fold 0: centered rows have rank 0; nothing to extract"
     cells = [evaluation._grid_cell("gepsvm", grid, 0) for _ in configs]
     with pytest.warns(UserWarning, match="centered rank is 0") as warned:
-        counts = evaluation._run_cells(dataset, folds, list(zip(configs, ([c] for c in cells))))
+        features = list(zip(configs, ([c] for c in cells)))
+        counts = evaluation._run_cells(*evaluation._prepared(dataset, folds.seed, features), folds)
     assert len([w for w in warned if "centered rank" in str(w.message)]) == 1
     assert counts["feature_fits"] == 0
     for cell in cells:
