@@ -59,6 +59,7 @@ __all__ = [
     "build_blocks",
     "class_matrices",
     "kernel_table",
+    "kernel_values",
     "model_from_json",
     "model_to_json",
     "plane_distances",
@@ -399,11 +400,29 @@ def kernel_table(
     return KernelTable(Z=Z, D_ZZ=squared_distances(Z, Z), precomputed=precomputed)
 
 
+def kernel_values(
+    table: KernelTable, kernel: KernelSpec, test_rows: np.ndarray | None = None
+) -> tuple[KernelSpec, np.ndarray, np.ndarray | None]:
+    """An rbf kernel's values on ``table``: ``(kernel, [K_ZZ e], test kernel rows)``.
+
+    ``kernel`` comes back with its sigma resolved (``default_sigma`` of Z
+    when unset).  The test kernel rows, for ``test_rows`` given, are the
+    ones ``predict`` computes from ``table.precomputed``.
+    """
+    if kernel.sigma is None:
+        kernel = KernelSpec(family="rbf", sigma=default_sigma(table.Z, table.D_ZZ))
+    F = np.ones((len(table.Z), len(table.Z) + 1))
+    F[:, :-1] = gram(table.Z, table.Z, kernel, table.D_ZZ)
+    tested = None if test_rows is None else gram(test_rows, table.Z, kernel, table.precomputed)
+    return kernel, F, tested
+
+
 def build_blocks(
     dataset: LabeledDataset,
     kernel: KernelSpec | None,
     basis: SpanFactor | KernelTable | None = None,
     keep: tuple | None = None,
+    values: tuple | None = None,
 ) -> ProblemBlocks:
     """Assemble the Gram blocks a trainer needs for ``dataset``.
 
@@ -414,7 +433,8 @@ def build_blocks(
     ``span_factor`` for wide linear blocks, their ``kernel_table`` for rbf
     ones (a larger training set's ``prefix`` serves too).  Narrow linear
     blocks read none; the others compute their own when none is given,
-    and carry it as ``basis``.
+    and carry it as ``basis``.  ``values`` are rbf blocks' ``kernel_values``
+    on ``basis``, if evaluated already; [K_ZZ e] becomes their row factor.
     """
     m1, m2 = (dataset.m1, dataset.m2) if keep is None else map(len, keep)
     m = m1 + m2 + dataset.p
@@ -428,14 +448,10 @@ def build_blocks(
         F, extra = R.T, dict(basis=span)  # row i is training row i in span coordinates
     else:
         table = kernel_table(dataset, keep=keep) if basis is None else basis
-        Z = table.Z
-        if Z.shape[0] != m:
-            raise ValueError(f"kernel table has {Z.shape[0]} expansion rows, dataset has {m}")
-        if kernel.sigma is None:
-            kernel = KernelSpec(family="rbf", sigma=default_sigma(Z, table.D_ZZ))
-        F = np.ones((m, m + 1))  # [K_i e], the rows of class i's kernel block
-        F[:, :-1] = gram(Z, Z, kernel, table.D_ZZ)
-        extra = dict(basis=table, kernel=kernel, K_ZZ=F[:, :-1])
+        if table.Z.shape[0] != m:
+            raise ValueError(f"kernel table has {table.Z.shape[0]} expansion rows, dataset has {m}")
+        kernel, F, _ = kernel_values(table, kernel) if values is None else values
+        extra = dict(basis=table, kernel=kernel, K_ZZ=F[:, :-1])  # F[i] = [K_i e]
     return ProblemBlocks.of_rows(F[:m1], F[m1 : m1 + m2], F[m1 + m2 :], F2U=F[m1:], **extra)
 
 

@@ -20,11 +20,17 @@ ICA both start from the PCA of the fold's training rows, ICA as its
 whitening, so a fold fits that basis once for all its fitted features.
 The engine then runs each record a *sheet* at a time: a sheet is every
 point, of any cell, that shares one (Universum size, kernel) and so one
-set of blocks.  It builds the sheet's blocks, scores each cell's points
-on them in visit order and drops them before the next sheet; the fold
-is dropped before the next fold.  So each fold's extractors are fit and
-bases built once, each sheet's blocks once per fold, and alive at once
-are a job's rows, one fold's gathered buffer and bases, and one sheet's
+set of blocks, and an rbf sheet is known by its kernel values (K_ZZ and
+the test rows' kernel rows), not by its bandwidth.  Where those equal an
+earlier rbf sheet's bit for bit at the same fold and Universum size, a
+point that matches one scored there but for sigma takes its fold result,
+its accuracy or its error, and reports its own sigma.  The engine builds
+a sheet's blocks unless every point has such a result, scores each
+cell's points in visit order and drops the blocks before the next
+sheet; the fold is dropped before the next fold.  So each fold's
+extractors are fit and bases built once, each distinct sheet's blocks
+at most once per fold, and alive at once are a job's rows, one fold's
+gathered buffer, bases and distinct rbf kernel values, and one sheet's
 blocks.  ``grid_search`` is the engine on one cell, ``run_cv`` on one
 point, and ``run_benchmark`` runs it once per job: a task's fitted
 features are one job, run first, and its wavelet features another, which
@@ -80,6 +86,7 @@ from .classifiers import (
     _training_rows,
     build_blocks,
     kernel_table,
+    kernel_values,
     predict,
     span_factor,
     train_with_blocks,
@@ -247,9 +254,17 @@ class _FoldRecord:
     test_labels: np.ndarray
     counts: Counter  # the run's work counts
     bases: dict = field(default_factory=dict)  # rbf? -> the kernel table or span factor
+    seen: dict = field(default_factory=dict)  # u -> [(K_ZZ, test kernel rows, results)]
 
-    def blocks(self, u: int, kernel: KernelSpec | None) -> ProblemBlocks:
-        """Sheet (u, kernel)'s blocks: on the Universum's first ``u`` rows and a basis prefix."""
+    def sheet(self, u: int, kernel: KernelSpec | None, specs: list) -> tuple:
+        """Sheet (u, kernel) of points ``specs``: ``(blocks, rbf sigma, results)``.
+
+        The blocks are on the Universum's first ``u`` rows and a basis
+        prefix.  ``results`` maps a spec without its kernel to its fold
+        result; an rbf sheet shares them with the earlier one at ``u`` whose
+        kernel values are bitwise equal, and builds no blocks (None) if
+        every point has a result there.
+        """
         rbf = kernel is not None and kernel.family == "rbf"
         m1, m2 = (self.rows.m1, self.rows.m2) if self.keep is None else map(len, self.keep)
         rows = m1 + m2 + u
@@ -264,7 +279,19 @@ class _FoldRecord:
                     self.rows = LabeledDataset.from_checked(Z[:m1], Z[m1 : m1 + m2], Z[m1 + m2 :])
             basis = self.bases[rbf].prefix(rows)
         train = LabeledDataset.from_checked(self.rows.X1, self.rows.X2, self.rows.U[:u])
-        return build_blocks(train, kernel, basis, self.keep)
+        if not rbf:
+            return build_blocks(train, kernel, basis, self.keep), None, {}
+        values = kernel, F, tested = kernel_values(basis, kernel, self.test_rows)
+        for K, earlier, results in self.seen.setdefault(u, []):
+            if np.array_equal(K, F[:, :-1]) and np.array_equal(earlier, tested):
+                self.counts["merged_sheets"] += 1
+                break
+        else:
+            results = {}
+            self.seen[u].append((F[:, :-1], tested, results))
+        pending = any(replace(spec, kernel=None) not in results for spec in specs)
+        blocks = build_blocks(train, kernel, basis, self.keep, values) if pending else None
+        return blocks, float(kernel.sigma), results
 
 
 def _fold_records(dataset: LabeledDataset, folds: FoldPlan, fold: int, extractors, counts) -> list:
@@ -303,13 +330,12 @@ def _fold_records(dataset: LabeledDataset, folds: FoldPlan, fold: int, extractor
     return records
 
 
-def _fold_score(spec: TrainSpec, record: _FoldRecord, blocks: ProblemBlocks) -> tuple:
-    """One fold's accuracy and rbf bandwidth for ``spec`` on its sheet's blocks."""
+def _fold_score(spec: TrainSpec, record: _FoldRecord, blocks: ProblemBlocks) -> float:
+    """One fold's accuracy for ``spec`` on its sheet's blocks."""
     model = train_with_blocks(blocks, spec)
     basis = blocks.basis
     labels = predict(model, record.test_rows, None if basis is None else basis.precomputed)
-    sigma = model.hyperparameters["sigma"] if blocks.kernel is not None else None
-    return 100.0 * float(np.mean(labels == record.test_labels)), sigma
+    return 100.0 * float(np.mean(labels == record.test_labels))
 
 
 @dataclass(eq=False)  # hashed by identity, as a sheet's key for its share
@@ -338,15 +364,25 @@ class _Cell:
         error.__cause__ = exc
         self.failure = (index, error)
 
-    def run_sheet(self, record: _FoldRecord, blocks: ProblemBlocks, indices: list) -> int:
-        """Score one sheet's points ``indices`` in visit order up to a failing one; count them."""
+    def run_sheet(self, record: _FoldRecord, sheet: tuple, indices: list) -> int:
+        """Score one sheet's points ``indices`` in visit order up to a failing one; count them.
+
+        ``sheet`` is ``_FoldRecord.sheet``'s: a point with a result there
+        takes it, its accuracy or its error; the others are solved on the
+        blocks and leave theirs.
+        """
+        blocks, sigma, results = sheet
         for scored, index in enumerate(indices, 1):
             spec, _, _, scores = self.points[index]
-            try:
-                scores.append(run_cv(None, None, spec, _fold=(record, blocks)))
-            except _FOLD_FAILURES as exc:
-                self.fail(index, record.fold, exc)
+            if (key := replace(spec, kernel=None)) not in results:
+                try:
+                    results[key] = run_cv(None, None, spec, _fold=(record, blocks))
+                except _FOLD_FAILURES as exc:
+                    results[key] = exc
+            if isinstance(results[key], Exception):
+                self.fail(index, record.fold, results[key])
                 return scored
+            scores.append((results[key], sigma))
         return len(indices)
 
     def result(self, folds: FoldPlan, task: str, feature_id: str) -> GridSearchResult:
@@ -368,23 +404,24 @@ class _Cell:
 
 
 def _run_sheet(record: _FoldRecord, u: int, kernel: KernelSpec | None, shares: dict) -> None:
-    """Build one sheet's blocks and run each cell's share (its point indices) on them.
+    """Run each cell's share (its point indices) of one sheet, on its blocks if built.
 
     Only points before a cell's current failure run; a failed build fails
-    each cell at its first.  Each scoring after the sheet's first is a hit.
+    each cell at its first.  Each scoring but a built sheet's first is a hit.
     """
     shares = {c: live for c, ids in shares.items() if (live := [i for i in ids if i < c.live])}
     if not shares:
         return
     try:
-        blocks = record.blocks(u, kernel)
+        sheet = record.sheet(u, kernel, [c.points[i][0] for c, ids in shares.items() for i in ids])
     except _FOLD_FAILURES as exc:
         for cell, indices in shares.items():
             cell.fail(indices[0], record.fold, exc)
         return
-    scored = [grid_search(None, None, c.classifier, None, _fold=(record, blocks, c, ids))
+    scored = [grid_search(None, None, c.classifier, None, _fold=(record, sheet, c, ids))
               for c, ids in shares.items()]
-    record.counts.update(block_builds=1, block_hits=sum(scored) - 1)
+    built = int(sheet[0] is not None)
+    record.counts.update(block_builds=built, block_hits=sum(scored) - built)
 
 
 def _prepared(dataset: LabeledDataset, seed: int, features: list) -> tuple[LabeledDataset, list]:
@@ -498,6 +535,9 @@ class GridSpec:
                 if any(v < 0 or v != int(v) for v in values):
                     raise ValueError(f"grid axis universum_size needs integers >= 0, got {values}")
                 values = tuple(int(v) for v in values)
+            repeats = [v for i, v in enumerate(values) if v in values[:i]]  # 0.1 == 0.10
+            if repeats:
+                raise ValueError(f"grid axis {name} lists {repeats[0]!r} more than once")
             object.__setattr__(self, name, values)
 
     def cardinality(self) -> int:
@@ -612,7 +652,8 @@ class BenchRow:
 
 #: The per-job work counts ``run_benchmark`` reports, summed over jobs.
 _COUNTER_NAMES = (
-    "feature_fits", "ica_capped", "kernel_tables", "span_factors", "block_builds", "block_hits"
+    "feature_fits", "ica_capped", "kernel_tables", "span_factors", "block_builds", "block_hits",
+    "merged_sheets",
 )
 
 
@@ -702,9 +743,10 @@ def run_benchmark(manifest: dict, workers: int | None = None) -> BenchmarkResult
     and copied to every wavelet's rows: a copy differs from its source
     row in the feature id alone.  ``workers`` > 1 runs jobs in parallel
     processes.  ``counters`` sums each job's feature fits, ICA fits
-    capped unconverged, kernel tables, span factors, sheet block builds
-    and block hits (scorings after a sheet's first); they count the
-    scoring done, so a copied row adds nothing to them.
+    capped unconverged, kernel tables, span factors, sheet block builds,
+    block hits (scorings but a built sheet's first) and merged sheets (see
+    the module docstring); they count the scoring done, so a copied row
+    adds nothing to them.
 
     The manifest carries the lists ``tasks``, ``features`` and
     ``classifiers``, an object of per-classifier ``grids`` (each an

@@ -459,6 +459,42 @@ def test_a_bad_delta_is_a_usage_error_before_any_data_is_read(
     assert not (tmp_path / "sweep").exists()
 
 
+@pytest.mark.parametrize(
+    "axis, text, value",
+    [
+        ("delta", "[1e-4, 1e-4]", 1e-4),
+        ("delta", "[0.1, 0.10]", 0.1),
+        ("gamma", "[0.1, 1, 0.1]", 0.1),
+    ],
+)
+def test_bench_refuses_a_grid_axis_that_lists_a_value_twice(
+    bonn_tree, tmp_path, monkeypatch, capsys, axis, text, value
+):
+    """A repeated value would score one point twice; JSON 0.1 and 0.10 are one float."""
+    loaded = []
+    monkeypatch.setattr("eigu.evaluation.load_tasks", lambda *args: loaded.append(args))
+    payload = _toy_manifest_payload(bonn_tree)
+    payload["grids"]["iugepsvm"][axis] = "AXIS"
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(payload).replace('"AXIS"', text))
+    out = tmp_path / "out"
+    assert main(["bench", "--manifest", str(path), "--output-dir", str(out)]) == 2
+    assert f"grid axis {axis} lists {value!r} more than once" in capsys.readouterr().err
+    assert loaded == [] and not out.exists()
+
+
+def test_sweep_refuses_a_gamma_grid_that_lists_a_value_twice(
+    bonn_tree, tmp_path, monkeypatch, capsys
+):
+    loaded = []
+    monkeypatch.setattr("eigu.cli.load_tasks", lambda *args: loaded.append(args))
+    out = tmp_path / "sweep"
+    argv = ["sweep", "--task", "o_vs_s", "--data-root", str(bonn_tree), "--output-dir", str(out)]
+    assert main([*argv, "--gamma-grid", "0.1,0.1"]) == 2
+    assert "grid axis gamma lists 0.1 more than once" in capsys.readouterr().err
+    assert loaded == [] and not out.exists()
+
+
 @pytest.mark.parametrize("flag, name", [("--n-components", "n_components"), ("--top-k", "top_k")])
 def test_features_rejects_a_bad_count_before_reading_the_bundle(
     toy_bundle, tmp_path, monkeypatch, capsys, flag, name
@@ -517,6 +553,7 @@ def test_bench_runs_a_manifest_and_summarizes(bonn_tree, tmp_path, capsys):
         "span_factors": 2,  # wavelet rows are wide: one per fold, sliced per block
         "block_builds": 4,
         "block_hits": 0,
+        "merged_sheets": 0,  # no rbf sheet
     }
 
 

@@ -9,6 +9,7 @@ import json
 import re
 import tracemalloc
 import weakref
+from collections import Counter
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -319,6 +320,121 @@ def test_the_grid_cache_changes_no_result_with_an_extractor():
     grid = GridSpec(delta=(1e-4,), sigma=(0.5, 4.0), universum_size=(3, 6))
     config = FeatureConfig(method="pca", n_components=3)
     _assert_the_cache_changes_no_result(dataset, folds, "ugepsvm", grid, extractor=config)
+
+
+def _saturating() -> LabeledDataset:
+    """Rows so close, against their mean squared distance, that every rbf kernel below is I.
+
+    Squared distances run from 1.1e-6 to 4.1e-5 while a bandwidth is at
+    most 2e-5, and ``default_sigma`` (the mean squared distance) is about
+    1.1e-5: exp(-d^2 / 2 sigma^2) underflows to exactly 0 off the diagonal.
+    """
+    rng = np.random.default_rng(5)
+    rows = 1e-3 * rng.standard_normal((30, 6))
+    rows[12:24, 0] += 1e-3
+    return LabeledDataset(X1=rows[:12], X2=rows[12:24], U=rows[24:])
+
+
+def _engine_counts(monkeypatch):
+    """Spy on the grid engine; the returned list collects each run's work counts."""
+    return _counting(monkeypatch, "_run_cells")
+
+
+def test_bandwidths_with_bitwise_equal_kernels_share_one_sheets_results(monkeypatch):
+    dataset = _saturating()
+    folds = make_folds(dataset, 3, seed=0)
+    grid = GridSpec(
+        delta=(1e-5,), gamma=(0.1, 1.0), psi=(0.01,), sigma=(5e-6, 1e-5, 2e-5),
+        universum_size=(0, 6),
+    )
+    for sigma in (None, *grid.sigma):
+        blocks = build_blocks(dataset, KernelSpec("rbf", sigma))
+        assert np.array_equal(blocks.K_ZZ, np.eye(len(blocks.K_ZZ)))
+    expected = _uncached_reports(dataset, folds, "iugepsvm", grid)
+    runs, built = _engine_counts(monkeypatch), _counting(monkeypatch, "build_blocks")
+    result = grid_search(dataset, folds, "iugepsvm", grid)
+    assert [r.fold_accuracies for r in result.reports] == [r.fold_accuracies for r in expected]
+    for got, want in zip(result.reports, expected):
+        assert {**want.params, "universum_size": got.params["universum_size"]} == got.params
+    (counts,) = runs
+    # per fold and u, the later two bandwidths take the first one's results
+    assert counts["merged_sheets"] == 2 * 2 * folds.k
+    assert counts["block_builds"] == len(built) == 2 * folds.k
+    assert counts["block_builds"] + counts["block_hits"] == grid.cardinality() * folds.k
+
+    # a data-driven bandwidth merged into a named one still reports its own per fold
+    fixed, driven = (
+        TrainSpec("gepsvm", delta=1e-4, kernel=KernelSpec("rbf", s)) for s in (1e-5, None)
+    )
+    cell = evaluation._Cell("gepsvm", [(fixed, 0, {}, []), (driven, 0, {}, [])])
+    prepared = evaluation._prepared(dataset, folds.seed, [(None, [cell])])
+    counts = evaluation._run_cells(*prepared, folds)
+    assert counts["merged_sheets"] == counts["block_builds"] == folds.k
+    got = cell.result(folds, "", "").reports
+    alone = [run_cv(dataset, folds, spec) for spec in (fixed, driven)]
+    assert [r.fold_accuracies for r in got] == [r.fold_accuracies for r in alone]
+    assert got[1].params == alone[1].params and len(set(got[1].params["fold_sigmas"])) == folds.k
+
+
+def test_bandwidths_whose_kernels_differ_merge_nothing(planes_dataset, monkeypatch):
+    folds = make_folds(planes_dataset, 2, seed=0)
+    grid = GridSpec(delta=(1e-4, 1e-2), sigma=(0.5, 4.0))
+    runs = _engine_counts(monkeypatch)
+    grid_search(planes_dataset, folds, "gepsvm", grid)
+    (counts,) = runs
+    assert counts["merged_sheets"] == 0
+    assert counts["block_builds"] == 2 * folds.k  # one per (fold, sigma)
+
+
+def test_a_merged_point_fails_with_its_twins_error_at_its_own_place(monkeypatch):
+    """gepsvm's sheet (0, 2e-5) runs first, with igepsvm's point 1; igepsvm's point 0 merges."""
+    dataset = _saturating()
+    folds = make_folds(dataset, 3, seed=0)
+    train, trained = evaluation.train_with_blocks, []
+
+    def training(blocks, spec):
+        trained.append((spec.classifier, blocks.kernel.sigma))
+        if spec.delta == 1e-5:
+            raise np.linalg.LinAlgError(f"planted at delta {spec.delta}")
+        return train(blocks, spec)
+
+    monkeypatch.setattr(evaluation, "train_with_blocks", training)
+    cells = [
+        evaluation._grid_cell("gepsvm", GridSpec(delta=(1e-4,), sigma=(2e-5,)), dataset.p),
+        evaluation._grid_cell("igepsvm", GridSpec(delta=(1e-5,), nu=(0.1,), sigma=(1e-5, 2e-5)), 0),
+    ]
+    prepared = evaluation._prepared(dataset, folds.seed, [(None, cells)])
+    counts = evaluation._run_cells(*prepared, folds)
+    # igepsvm's point 1 failed on fold 0; its twin, point 0, took that error and was not solved
+    assert trained == [("gepsvm", 2e-5), ("igepsvm", 2e-5)] + [("gepsvm", 2e-5)] * 2
+    assert counts["merged_sheets"] == 1
+    index, error = cells[1].failure
+    assert index == 0  # the first failing point in visit order
+    with pytest.raises(FoldTrainingError) as alone:
+        run_cv(dataset, folds, cells[1].points[0][0])
+    assert str(error) == str(alone.value) == "fold 0: planted at delta 1e-05"
+    assert cells[0].failure is None
+
+
+def test_equal_training_kernels_with_different_test_kernel_rows_do_not_merge():
+    """K_ZZ is I at both bandwidths; a test row near a training row tells them apart."""
+    rng = np.random.default_rng(3)
+    rows = LabeledDataset(
+        X1=100 * rng.standard_normal((4, 3)), X2=100 * rng.standard_normal((4, 3)) + 1e3,
+        U=np.zeros((0, 3)),
+    )
+    near = rows.X1[:1] + 0.05
+    for test_rows, merged in ((near, False), (near + 1e4, True)):
+        record = evaluation._FoldRecord(0, rows, None, test_rows, np.array([1]), Counter())
+        (_, _, first), (_, _, second) = (
+            record.sheet(0, KernelSpec("rbf", sigma), []) for sigma in (0.5, 1.0)
+        )
+        assert (first is second) == merged
+        assert record.counts["merged_sheets"] == merged
+        if not merged:
+            (K1, tested1, _), (K2, tested2, _) = record.seen[0]
+            assert np.array_equal(K1, np.eye(8)) and np.array_equal(K2, np.eye(8))
+            assert not np.array_equal(tested1, tested2)
 
 
 def _margin_dataset(n: int) -> LabeledDataset:
@@ -795,6 +911,7 @@ def test_blocks_live_one_sheet_and_each_fold_builds_one_basis(bonn_tree, tmp_pat
         # (u = 3, linear) for ugepsvm and iugepsvm; each cell scores one point on one
         "block_builds": 2 * 2 * k,
         "block_hits": 2 * 2 * k,
+        "merged_sheets": 0,  # the only rbf sheet of a fold and pair has nothing to merge with
     }
 
 
@@ -1118,6 +1235,7 @@ def test_run_benchmark_counts_fits_builds_and_hits(bonn_tree, workers):
         "span_factors": 0,  # 4 pca components: no row-span factor
         "block_builds": 2 * k,  # once per (fold, Universum size): both cells share a sheet
         "block_hits": scorings - 2 * k,
+        "merged_sheets": 0,  # linear sheets never merge
     }
     both = run_benchmark({**manifest, "features": ["pca", "dwt_db2"]}, workers=workers)
     assert both.counters == {
@@ -1127,6 +1245,7 @@ def test_run_benchmark_counts_fits_builds_and_hits(bonn_tree, workers):
         "span_factors": k,  # wide wavelet rows: one per fold, sliced for both sizes
         "block_builds": 2 * 2 * k,
         "block_hits": 2 * (scorings - 2 * k),
+        "merged_sheets": 0,
     }
     rbf_grids = {"gepsvm": {"delta": [1e-4, 1e-2], "sigma": [4.0, 64.0]}}
     rbf = run_benchmark(
@@ -1141,6 +1260,7 @@ def test_run_benchmark_counts_fits_builds_and_hits(bonn_tree, workers):
         "span_factors": 0,
         "block_builds": 2 * k,  # one per (fold, sigma)
         "block_hits": 4 * k - 2 * k,
+        "merged_sheets": 0,  # 4.0 and 64.0 give pca rows different kernels
     }
 
 
