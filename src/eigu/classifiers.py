@@ -22,7 +22,7 @@ linear model itself, since the dot-product kernel spans nothing the primal
 coordinates do not.  Blocks carry the basis they were built on: a
 ``KernelTable`` (Z and its squared distances, shared by every bandwidth)
 or, on wide linear data, a ``SpanFactor``.  Either holds the test rows'
-side of ``predict`` as ``precomputed`` and serves every training set made
+bandwidth-free side as ``precomputed`` and serves every training set made
 of its first rows as ``prefix(m)``.
 """
 
@@ -205,10 +205,10 @@ class SpanFactor:
     (``dormqr``) and never formed.  ``bias_coords`` are the first q entries
     of Q'e_n, where e_n is the bias axis, and ``bias_residual`` is the norm
     of the rest; together they give a plane's weight norm without lifting
-    it.  ``precomputed`` is ``project(test_rows)``, if given.  The first k
-    reflectors depend only on the first k rows of F (Golub & Van Loan,
-    *Matrix Computations*, 5.2), so one factor holds the factor of every
-    leading block of rows (:meth:`prefix`).
+    it.  ``precomputed`` is ``project(test_rows)``, if given, ``predict``'s
+    ``coords``.  The first k reflectors depend only on the first k rows of
+    F (Golub & Van Loan, *Matrix Computations*, 5.2), so one factor holds
+    the factor of every leading block of rows (:meth:`prefix`).
     """
 
     reflectors: np.ndarray = field(repr=False)
@@ -368,10 +368,10 @@ class KernelTable:
 
     ``Z`` is the expansion [X1; X2; U], ``D_ZZ`` is
     ``squared_distances(Z, Z)`` and ``precomputed`` is
-    ``squared_distances(test_rows, Z)`` (None without test rows), what
-    ``predict`` reads of them.  Every rbf bandwidth at this training set
-    builds its blocks and predicts from one table, so no bandwidth copies
-    Z or recomputes a distance.
+    ``squared_distances(test_rows, Z)`` (None without test rows), the
+    bandwidth-free input of ``kernel_values``' test kernel rows.  Every
+    rbf bandwidth at this training set evaluates its kernel from one
+    table, so no bandwidth copies Z or recomputes a distance.
     """
 
     Z: np.ndarray = field(repr=False)
@@ -406,8 +406,8 @@ def kernel_values(
     """An rbf kernel's values on ``table``: ``(kernel, [K_ZZ e], test kernel rows)``.
 
     ``kernel`` comes back with its sigma resolved (``default_sigma`` of Z
-    when unset).  The test kernel rows, for ``test_rows`` given, are the
-    ones ``predict`` computes from ``table.precomputed``.
+    when unset).  The test kernel rows, for ``test_rows`` given, are
+    ``predict``'s ``coords`` for a model trained on these values.
     """
     if kernel.sigma is None:
         kernel = KernelSpec(family="rbf", sigma=default_sigma(table.Z, table.D_ZZ))
@@ -636,42 +636,38 @@ def _checked_rows(rows: np.ndarray, width: int, name: str) -> np.ndarray:
 
 
 def plane_distances(
-    model: HyperplanePair, queries: np.ndarray, precomputed: np.ndarray | None = None
+    model: HyperplanePair, queries: np.ndarray, *, coords: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Point-to-plane distances to plane 1 and plane 2 for each query row.
 
     Each is ``|coords @ coef + b| / plane_norm`` over the queries'
-    coordinates in the model's basis (see :class:`HyperplanePair`).
-    ``precomputed`` is per-query work a basis did once, its
-    ``precomputed``: a kernel model's ``squared_distances(queries,
-    model.Z)``, or a span model's ``model.span.project(queries)``, which
-    is then checked instead of the queries.  A span model without it
-    projects the queries itself; a dense linear model ignores it.
+    coordinates in the model's basis (see :class:`HyperplanePair`), made
+    here from the queries unless given: a span factor's ``precomputed``,
+    or ``kernel_values``' test kernel rows.  Given ``coords`` are checked
+    instead of the queries, and no kernel is evaluated or row projected.
     """
-    if precomputed is None or (model.kernel is None and model.span is None):
+    if coords is None:
         queries = _checked_rows(queries, model.n_features, "queries")
-        if model.span is not None:
-            precomputed = model.span.project(queries)
+        if model.kernel is not None:
+            coords = gram(queries, model.Z, model.kernel)
+        else:
+            coords = queries if model.span is None else model.span.project(queries)
     else:
-        precomputed = _checked_rows(precomputed, model.coef1.size, "precomputed rows")
-        if len(precomputed) != len(queries):
-            raise ValueError(f"{len(precomputed)} precomputed rows for {len(queries)} queries")
-    if model.kernel is not None:
-        coords = gram(queries, model.Z, model.kernel, precomputed)
-    else:
-        coords = queries if model.span is None else precomputed
+        coords = _checked_rows(coords, model.coef1.size, "coords")
+        if len(coords) != len(queries):
+            raise ValueError(f"{len(coords)} coords rows for {len(queries)} queries")
     planes = zip((model.coef1, model.coef2), (model.b1, model.b2), model.plane_norms)
     return tuple(np.abs(coords @ coef + b) / norm for coef, b, norm in planes)
 
 
 def predict(
-    model: HyperplanePair, queries: np.ndarray, precomputed: np.ndarray | None = None
+    model: HyperplanePair, queries: np.ndarray, *, coords: np.ndarray | None = None
 ) -> np.ndarray:
     """Labels in {+1, -1}: +1 when plane 1 is at least as near as plane 2.
 
-    ``precomputed`` is passed on to :func:`plane_distances`.
+    ``coords`` is passed on to :func:`plane_distances`.
     """
-    dist1, dist2 = plane_distances(model, queries, precomputed)
+    dist1, dist2 = plane_distances(model, queries, coords=coords)
     return np.where(dist1 <= dist2, 1, -1)
 
 

@@ -14,16 +14,17 @@ the Tikhonov term delta * I and so is positive-definite.
 ``B z = mu A z`` and returns its largest pair with ``lambda = 1 / mu``:
 the same minimizer, with no perturbation.  It solves that pencil through
 the row factor F (k x q) of the denominator, B = F'F, which every block
-holds (``classifiers.ProblemBlocks``).  With the numerator's Cholesky
-factor A = L L' and M = L^-1 F', the pencil's eigenvalues mu are those of
-M M' = L^-1 B L^-T, whose nonzero ones M'M shares: if M'M v = mu v, then
-M M' (M v) = mu M v.  So the top pair of the smaller Gram -- M'M (k x k)
-when k < q, as for the counter class's rows plus the Universum's in span
-or kernel coordinates, else M M' (q x q), as on narrow rows -- gives
-z = L^-T (M v), or L^-T v.  L is what LAPACK's ``dsygvx`` computes on the
-same operand (``dpotrf``, lower), so every plane keeps the rounding it
-inherits from its numerator's factor.  Every returned pair meets the
-residual bound below against the operands as given.
+holds (``classifiers.ProblemBlocks``); B itself is never factored.  With
+the numerator's Cholesky factor A = L L' and M = L^-1 F', the pencil's
+eigenvalues mu are those of M M' = L^-1 B L^-T, whose nonzero ones M'M
+shares: if M'M v = mu v, then M M' (M v) = mu M v.  So the top pair of
+the smaller Gram -- M'M (k x k) when k < q, as for the counter class's
+rows plus the Universum's in span or kernel coordinates, else M M'
+(q x q), as on narrow rows -- gives z = L^-T (M v), or L^-T v.  L is what
+LAPACK's ``dsygvx`` computes on the same operand (``dpotrf``, lower), so
+every plane keeps the rounding it inherits from its numerator's factor.
+Every returned pair meets the residual bound below against the operands
+as given.
 
 Operands are checked once, where they are made.  A solve called on its
 own checks each operand: square, non-empty, finite and symmetric (an
@@ -213,19 +214,18 @@ def smallest_eigpair_generalized(
     B: np.ndarray,
     context: str = "generalized eigenproblem",
     *,
-    factor: np.ndarray | None = None,
+    factor: np.ndarray,
     checked: bool = False,
 ) -> EigenSolution:
     """Smallest eigenpair of ``A z = lambda B z`` for a positive-definite ``A``, B = F'F.
 
-    ``factor`` is the denominator's row factor F (k x q); without one, B's
-    own eigen-factor sqrt(max(w, 0)) V' over its eigenpairs (w, V) is
-    used.  With A = L L' (``dpotrf``, lower) and M = L^-1 F', the
+    ``factor`` is the denominator's row factor F (k x q); only the residual
+    check reads B.  With A = L L' (``dpotrf``, lower) and M = L^-1 F', the
     largest eigenpair (mu, v) of the smaller Gram of M -- M'M when k < q,
-    else M M' -- gives lambda = 1 / mu and z = L^-T (M v), or L^-T v
-    (see the module docstring).  Raises ``SingularDenominatorError``
-    (naming ``context``) when ``A`` is not positive-definite or ``B`` has
-    no positive direction, and ``LinAlgError`` when the pair misses the
+    else M M' -- gives lambda = 1 / mu and z = L^-T (M v), or L^-T v (see
+    the module docstring).  Raises ``SingularDenominatorError`` (naming
+    ``context``) when ``A`` is not positive-definite or ``B`` has no
+    positive direction, and ``LinAlgError`` when the pair misses the
     residual bound against ``B``.  ``checked=True`` says ``A`` is square
     and exactly symmetric and ``B`` and its factor come from a checked
     block (see the module docstring): only ``A``'s finiteness is checked.
@@ -235,10 +235,7 @@ def smallest_eigpair_generalized(
     if B_sym.shape != A_sym.shape:
         raise ValueError(f"operand shapes differ: A {A_sym.shape}, B {B_sym.shape}")
     q = A_sym.shape[0]
-    if factor is None:
-        w, V = scipy.linalg.eigh(B_sym, check_finite=False)
-        factor = (V * np.sqrt(np.clip(w, 0.0, None))).T
-    elif not checked:
+    if not checked:
         factor = np.asarray(factor, dtype=float)
         if factor.ndim != 2 or not len(factor) or factor.shape[1] != q:
             raise ValueError(f"factor must be a non-empty k x {q} matrix, got {factor.shape}")

@@ -15,9 +15,9 @@ per feature: the extractor fit, the training rows (indices into the
 rows, or the fit's own), the test rows, and on first use a basis whose
 prefixes serve every Universum size (a span factor for wide linear data,
 a kernel table for rbf, each gathering the training rows into its own
-buffer and holding what ``predict`` reads of the test rows).  PCA and
-ICA both start from the PCA of the fold's training rows, ICA as its
-whitening, so a fold fits that basis once for all its fitted features.
+buffer and holding the test rows' span coordinates or distances to Z).
+PCA and ICA both start from the PCA of the fold's training rows, ICA as
+its whitening, so a fold fits that basis once for all its fitted features.
 The engine then runs each record a *sheet* at a time: a sheet is every
 point, of any cell, that shares one (Universum size, kernel) and so one
 set of blocks, and an rbf sheet is known by its kernel values (K_ZZ and
@@ -26,23 +26,23 @@ earlier rbf sheet's bit for bit at the same fold and Universum size, a
 point that matches one scored there but for sigma takes its fold result,
 its accuracy or its error, and reports its own sigma.  The engine builds
 a sheet's blocks unless every point has such a result, scores each
-cell's points in visit order and drops the blocks before the next
-sheet; the fold is dropped before the next fold.  So each fold's
-extractors are fit and bases built once, each distinct sheet's blocks
-at most once per fold, and alive at once are a job's rows, one fold's
-gathered buffer, bases and distinct rbf kernel values, and one sheet's
-blocks.  ``grid_search`` is the engine on one cell, ``run_cv`` on one
-point, and ``run_benchmark`` runs it once per job: a task's fitted
-features are one job, run first, and its wavelet features another, which
-frees the task's raw rows once it has transformed them.  Each ``dwt_*``
-feature is an orthonormal map of the raw rows that keeps every
-coefficient, and every classifier gives the same models under such a
-map, so a wavelet job scores its cells once, in the coordinates of the
-first wavelet the manifest lists, and writes the result under each
-wavelet.  It does not score raw rows: those differ from any wavelet's
-coordinates in rounding, which moves rounding-fragile ugepsvm folds.
-``--workers`` > 1 runs jobs in parallel; rows come out in manifest order
-either way.
+cell's points in visit order on the test coordinates the sheet holds,
+and drops the blocks before the next sheet; the fold is dropped before
+the next fold.  So each fold's extractors are fit and bases built once,
+each distinct sheet's blocks at most once per fold, and alive at once
+are a job's rows, one fold's gathered buffer, bases and distinct rbf
+kernel values, and one sheet's blocks.  ``grid_search`` is the engine
+on one cell, ``run_cv`` on one point, and ``run_benchmark`` runs it
+once per job: a task's fitted features are one job, run first, and its
+wavelet features another, which frees the task's raw rows once it has
+transformed them.  Each ``dwt_*`` feature is an orthonormal map of the
+raw rows that keeps every coefficient, and every classifier gives the
+same models under such a map, so a wavelet job scores its cells once,
+in the coordinates of the first wavelet the manifest lists, and writes
+the result under each wavelet.  It does not score raw rows: those differ
+from any wavelet's coordinates in rounding, which moves rounding-fragile
+ugepsvm folds.  ``--workers`` > 1 runs jobs in parallel; rows come out
+in manifest order either way.
 
 Each array is checked once, where it is made.  The raw rows and a
 wavelet's rows are checked as they become a ``LabeledDataset``; a fold's
@@ -257,13 +257,16 @@ class _FoldRecord:
     seen: dict = field(default_factory=dict)  # u -> [(K_ZZ, test kernel rows, results)]
 
     def sheet(self, u: int, kernel: KernelSpec | None, specs: list) -> tuple:
-        """Sheet (u, kernel) of points ``specs``: ``(blocks, rbf sigma, results)``.
+        """Sheet (u, kernel) of points ``specs``: ``(blocks, coords, rbf sigma, results)``.
 
         The blocks are on the Universum's first ``u`` rows and a basis
-        prefix.  ``results`` maps a spec without its kernel to its fold
-        result; an rbf sheet shares them with the earlier one at ``u`` whose
-        kernel values are bitwise equal, and builds no blocks (None) if
-        every point has a result there.
+        prefix, and ``coords`` are ``predict``'s test coordinates in their
+        basis: the test rows, the prefix's ``precomputed`` or the test
+        kernel rows ``kernel_values`` made.  ``results`` maps a spec
+        without its kernel to its fold result; an rbf sheet shares them
+        with the earlier one at ``u`` whose kernel values are bitwise
+        equal, and builds no blocks (None) if every point has a result
+        there.
         """
         rbf = kernel is not None and kernel.family == "rbf"
         m1, m2 = (self.rows.m1, self.rows.m2) if self.keep is None else map(len, self.keep)
@@ -280,7 +283,8 @@ class _FoldRecord:
             basis = self.bases[rbf].prefix(rows)
         train = LabeledDataset.from_checked(self.rows.X1, self.rows.X2, self.rows.U[:u])
         if not rbf:
-            return build_blocks(train, kernel, basis, self.keep), None, {}
+            coords = self.test_rows if basis is None else basis.precomputed
+            return build_blocks(train, kernel, basis, self.keep), coords, None, {}
         values = kernel, F, tested = kernel_values(basis, kernel, self.test_rows)
         for K, earlier, results in self.seen.setdefault(u, []):
             if np.array_equal(K, F[:, :-1]) and np.array_equal(earlier, tested):
@@ -291,7 +295,7 @@ class _FoldRecord:
             self.seen[u].append((F[:, :-1], tested, results))
         pending = any(replace(spec, kernel=None) not in results for spec in specs)
         blocks = build_blocks(train, kernel, basis, self.keep, values) if pending else None
-        return blocks, float(kernel.sigma), results
+        return blocks, tested, float(kernel.sigma), results
 
 
 def _fold_records(dataset: LabeledDataset, folds: FoldPlan, fold: int, extractors, counts) -> list:
@@ -330,11 +334,12 @@ def _fold_records(dataset: LabeledDataset, folds: FoldPlan, fold: int, extractor
     return records
 
 
-def _fold_score(spec: TrainSpec, record: _FoldRecord, blocks: ProblemBlocks) -> float:
-    """One fold's accuracy for ``spec`` on its sheet's blocks."""
+def _fold_score(
+    spec: TrainSpec, record: _FoldRecord, blocks: ProblemBlocks, coords: np.ndarray
+) -> float:
+    """One fold's accuracy for ``spec`` on its sheet's blocks and test ``coords``."""
     model = train_with_blocks(blocks, spec)
-    basis = blocks.basis
-    labels = predict(model, record.test_rows, None if basis is None else basis.precomputed)
+    labels = predict(model, record.test_rows, coords=coords)
     return 100.0 * float(np.mean(labels == record.test_labels))
 
 
@@ -371,12 +376,12 @@ class _Cell:
         takes it, its accuracy or its error; the others are solved on the
         blocks and leave theirs.
         """
-        blocks, sigma, results = sheet
+        blocks, coords, sigma, results = sheet
         for scored, index in enumerate(indices, 1):
             spec, _, _, scores = self.points[index]
             if (key := replace(spec, kernel=None)) not in results:
                 try:
-                    results[key] = run_cv(None, None, spec, _fold=(record, blocks))
+                    results[key] = run_cv(None, None, spec, _fold=(record, blocks, coords))
                 except _FOLD_FAILURES as exc:
                     results[key] = exc
             if isinstance(results[key], Exception):

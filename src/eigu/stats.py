@@ -25,7 +25,6 @@ from importlib import resources
 
 import numpy as np
 import scipy.special
-import scipy.stats
 
 __all__ = [
     "EXACT_ENUMERATION_LIMIT",
@@ -57,6 +56,24 @@ def chi2_sf(x: float, df: int) -> float:
     return float(scipy.special.gammaincc(df / 2.0, x / 2.0))
 
 
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``values``, ties sharing the mean of their positions.
+
+    ``scipy.stats.rankdata(values, method="average")`` to the bit: after a
+    stable sort, a tie group over positions s+1 .. e ranks (s + e + 1) / 2,
+    an exact half-integer.  Kept here so that importing eigu does not load
+    ``scipy.stats``.
+    """
+    values = np.asarray(values, dtype=float)
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], values.size]
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
 def rank_models(accuracy_matrix: np.ndarray) -> np.ndarray:
     """Average fractional ranks per column (rank 1 = highest accuracy).
 
@@ -68,9 +85,7 @@ def rank_models(accuracy_matrix: np.ndarray) -> np.ndarray:
         raise ValueError("accuracy matrix must be 2-d and non-empty")
     if not np.all(np.isfinite(matrix)):
         raise ValueError("accuracy matrix has non-finite entries")
-    ranks = np.vstack(
-        [scipy.stats.rankdata(-row, method="average") for row in matrix]
-    )
+    ranks = np.vstack([_average_ranks(-row) for row in matrix])
     return ranks.mean(axis=0)
 
 
@@ -176,7 +191,7 @@ def wilcoxon_signed_rank(
     n_eff = diffs.size
     if n_eff == 0:
         raise ValueError("all paired differences are zero; nothing to rank")
-    ranks = scipy.stats.rankdata(np.abs(diffs), method="average")
+    ranks = _average_ranks(np.abs(diffs))
     t_plus = float(ranks[diffs > 0].sum())
     t_minus = float(ranks[diffs < 0].sum())
     t_small = min(t_plus, t_minus)

@@ -16,6 +16,7 @@ from eigu.classifiers import (
     build_blocks,
     class_matrices,
     kernel_table,
+    kernel_values,
     model_from_json,
     model_to_json,
     plane_distances,
@@ -383,7 +384,7 @@ def test_span_coordinates_give_the_lifted_distances(kind):
         model = train_with_blocks(blocks, spec)
         lifted = model.lifted()
         for got, want in zip(
-            plane_distances(model, queries, coords), plane_distances(lifted, queries)
+            plane_distances(model, queries, coords=coords), plane_distances(lifted, queries)
         ):
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12, err_msg=name)
         # without coordinates a span model projects the queries itself
@@ -398,15 +399,56 @@ def test_predict_checks_the_rows_it_reads():
     coords = blocks.basis.project(queries)
     unread = np.full_like(queries, np.nan)
     # with coordinates a span model reads them alone, so only they are checked
-    assert np.array_equal(predict(model, unread, coords), predict(model.lifted(), queries))
-    with pytest.raises(ValueError, match="precomputed rows contain non-finite values"):
-        predict(model, queries, np.full_like(coords, np.nan))
-    with pytest.raises(ValueError, match="precomputed rows must be 2-d with the model's"):
-        predict(model, queries, coords[:, :-1])
-    with pytest.raises(ValueError, match="8 precomputed rows for 9 queries"):
-        predict(model, queries, coords[:-1])
+    assert np.array_equal(predict(model, unread, coords=coords), predict(model.lifted(), queries))
+    with pytest.raises(ValueError, match="coords contain non-finite values"):
+        predict(model, queries, coords=np.full_like(coords, np.nan))
+    with pytest.raises(ValueError, match="coords must be 2-d with the model's"):
+        predict(model, queries, coords=coords[:, :-1])
+    with pytest.raises(ValueError, match="8 coords rows for 9 queries"):
+        predict(model, queries, coords=coords[:-1])
     with pytest.raises(ValueError, match="queries contain non-finite values"):
         predict(model, unread)
+
+
+@pytest.mark.parametrize("kind", ["narrow", "span", "rbf"])
+def test_coords_give_the_bits_of_the_queries_mapped_here(kind):
+    """A model scores the coordinates a basis made once as it scores the queries.
+
+    The coordinates are the rows themselves (narrow), the span factor's
+    projection of them, or their kernel rows from ``kernel_values``.
+    """
+    rng = np.random.default_rng(29)
+    n = 40 if kind == "span" else 4
+    dataset = LabeledDataset(
+        X1=rng.standard_normal((9, n)), X2=rng.standard_normal((7, n)) + 0.5,
+        U=rng.standard_normal((5, n)) + 0.25,
+    )
+    queries = rng.standard_normal((11, n))
+    if kind == "narrow":
+        blocks, coords = build_blocks(dataset, None), queries
+    elif kind == "span":
+        blocks = build_blocks(dataset, None, span_factor(dataset, queries))
+        coords = blocks.basis.precomputed
+    else:
+        table = kernel_table(dataset, queries)
+        kernel, F, coords = kernel_values(table, KernelSpec("rbf"), queries)
+        blocks = build_blocks(dataset, kernel, table, None, (kernel, F, coords))
+    for name, spec in LINEAR_SPECS.items():
+        model = train_with_blocks(blocks, replace(spec, kernel=blocks.kernel))
+        for got, want in zip(
+            plane_distances(model, queries, coords=coords), plane_distances(model, queries)
+        ):
+            assert np.array_equal(got, want), name
+        assert np.array_equal(predict(model, queries, coords=coords), predict(model, queries))
+
+
+def test_coords_are_keyword_only(planes_dataset):
+    """No caller can pass squared distances or coordinates in the old third position."""
+    model = train(planes_dataset, LINEAR_SPECS["gepsvm"])
+    queries = planes_dataset.X1
+    for call in (predict, plane_distances):
+        with pytest.raises(TypeError):
+            call(model, queries, queries)
 
 
 def test_a_wide_all_bias_plane_raises_through_train_and_run_cv():
@@ -672,9 +714,10 @@ def test_a_prefix_of_one_basis_serves_every_universum_size(n):
         _assert_same_blocks(sliced, alone, f"rbf, u = {u}")
         assert sliced.kernel.sigma == pytest.approx(alone.kernel.sigma, rel=1e-10)
         _assert_close(table.prefix(m).precomputed, alone_table.precomputed, f"u = {u}")
+        coords = kernel_values(table.prefix(m), sliced.kernel, queries)[2]
         assert np.array_equal(
-            predict(train_with_blocks(sliced, rbf), queries, table.prefix(m).precomputed),
-            predict(train_with_blocks(alone, rbf), queries, alone_table.precomputed),
+            predict(train_with_blocks(sliced, rbf), queries, coords=coords),
+            predict(train_with_blocks(alone, rbf), queries),
         ), f"rbf, u = {u}"
         if n + 1 <= m:
             continue  # narrow: linear blocks read no basis
@@ -688,8 +731,8 @@ def test_a_prefix_of_one_basis_serves_every_universum_size(n):
         _assert_close(sliced.basis.lift(z), alone.basis.lift(z), f"u = {u}")
         assert sliced.basis.weight_norm(z) == pytest.approx(alone.basis.weight_norm(z), rel=1e-10)
         assert np.array_equal(
-            predict(train_with_blocks(sliced, linear), queries, precomputed),
-            predict(train_with_blocks(alone, linear), queries, alone.basis.project(queries)),
+            predict(train_with_blocks(sliced, linear), queries, coords=precomputed),
+            predict(train_with_blocks(alone, linear), queries),
         ), f"linear, u = {u}"
     assert wide_sizes == (list(range(pool.p + 1)) if n == 40 else [0, 1, 2])
 

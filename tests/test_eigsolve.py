@@ -57,8 +57,8 @@ def test_standard_eigenvector_definition_and_normalization():
 def test_generalized_diagonal_hand_oracle():
     """diag(2, 5) against diag(1, 4) has pencil eigenvalues 2 and 1.25."""
     A = np.diag([2.0, 5.0])
-    B = np.diag([1.0, 4.0])
-    solution = smallest_eigpair_generalized(A, B)
+    b = np.array([1.0, 4.0])
+    solution = smallest_eigpair_generalized(A, np.diag(b), factor=np.diag(np.sqrt(b)))
     assert solution.eigenvalue == pytest.approx(1.25, abs=1e-12)
     np.testing.assert_allclose(np.abs(solution.eigenvector), [0.0, 1.0], atol=1e-12)
 
@@ -70,7 +70,7 @@ def test_generalized_reduces_to_scaled_standard():
     A = basis @ basis.T + 0.1 * np.eye(5)
     c = 3.7
     standard = smallest_eigpair_standard(A)
-    generalized = smallest_eigpair_generalized(A, c * np.eye(5))
+    generalized = smallest_eigpair_generalized(A, c * np.eye(5), factor=np.sqrt(c) * np.eye(5))
     assert generalized.eigenvalue == pytest.approx(standard.eigenvalue / c, rel=1e-10)
     overlap = abs(float(generalized.eigenvector @ standard.eigenvector))
     assert overlap == pytest.approx(1.0, abs=1e-10)
@@ -86,7 +86,7 @@ def test_generalized_minimizes_rayleigh_over_random_probes():
         A = basis @ basis.T + 0.1 * np.eye(q)
         factor = rng.standard_normal((q, int(rng.integers(1, q))))
         B = factor @ factor.T
-        solution = smallest_eigpair_generalized(A, B)
+        solution = smallest_eigpair_generalized(A, B, factor=factor.T)
         probes = rng.standard_normal((10_000, q))
         denominators = np.einsum("ij,jk,ik->i", probes, B, probes)
         keep = denominators > 1e-300
@@ -99,7 +99,7 @@ def test_singular_denominator_hand_oracle():
     """diag(a1, a2, a3) over diag(1, 1, 0): the minimum is min(a1, a2)."""
     A = np.diag([3.0, 2.0, 5.0])
     B = np.diag([1.0, 1.0, 0.0])
-    solution = smallest_eigpair_generalized(A, B)
+    solution = smallest_eigpair_generalized(A, B, factor=np.diag(np.sqrt(np.diag(B))))
     assert solution.eigenvalue == pytest.approx(2.0, abs=1e-12)
     np.testing.assert_allclose(solution.eigenvector, [0.0, 1.0, 0.0], atol=1e-12)
     residual = np.linalg.norm(
@@ -110,17 +110,10 @@ def test_singular_denominator_hand_oracle():
     assert residual <= bound
 
 
-def test_negative_denominator_is_refused():
-    with pytest.raises(SingularDenominatorError) as excinfo:
-        smallest_eigpair_generalized(np.eye(3), -np.eye(3), context="negative metric")
-    assert "negative metric" in str(excinfo.value)
-    assert "no positive direction" in str(excinfo.value)
-
-
 def test_indefinite_numerator_is_refused():
     A = np.diag([1.0, -1.0, 2.0])
     with pytest.raises(SingularDenominatorError) as excinfo:
-        smallest_eigpair_generalized(A, np.eye(3), context="test plane 1")
+        smallest_eigpair_generalized(A, np.eye(3), context="test plane 1", factor=np.eye(3))
     message = str(excinfo.value)
     assert message.startswith("test plane 1: numerator not positive-definite")
     assert " of B " not in message
@@ -193,6 +186,12 @@ def test_a_factored_pencil_refuses_a_flat_denominator_and_an_indefinite_numerato
             smallest_eigpair_generalized(np.eye(3), np.eye(3), factor=factor)
 
 
+def test_a_generalized_solve_needs_the_denominators_factor():
+    """B is never factored by the solve: a pencil without its row factor is refused."""
+    with pytest.raises(TypeError, match="factor"):
+        smallest_eigpair_generalized(np.eye(3), np.eye(3))
+
+
 def test_an_overflowing_pencil_given_as_a_factor_is_certified_by_exact_scaling():
     """The 1e300 pencil of the overflow test, its denominator given as diag(sqrt(b))."""
     A = np.array([[2.0, 1.0], [1.0, 3.0]])
@@ -210,10 +209,10 @@ def test_eigenvalue_scales_with_numerator():
     rng = np.random.default_rng(31)
     basis = rng.standard_normal((4, 4))
     A = basis @ basis.T + 0.1 * np.eye(4)
-    factor = rng.standard_normal((4, 4))
-    B = factor @ factor.T + 4 * np.eye(4)
-    one = smallest_eigpair_generalized(A, B)
-    scaled = smallest_eigpair_generalized(10.0 * A, B)
+    factor = np.vstack([rng.standard_normal((4, 4)), 2.0 * np.eye(4)])  # B = F'F
+    B = factor.T @ factor
+    one = smallest_eigpair_generalized(A, B, factor=factor)
+    scaled = smallest_eigpair_generalized(10.0 * A, B, factor=factor)
     assert scaled.eigenvalue == pytest.approx(10.0 * one.eigenvalue, rel=1e-9)
     overlap = abs(float(scaled.eigenvector @ one.eigenvector))
     assert overlap == pytest.approx(1.0, abs=1e-9)
@@ -234,7 +233,9 @@ def test_huge_norm_rank_deficient_pencil_is_rescued():
     A = span @ span.T / q + 1e-4 * np.trace(span @ span.T) / q * np.eye(q)
     low_rank = scale * rng.standard_normal((q, 10))
     B = low_rank @ low_rank.T
-    solution = smallest_eigpair_generalized(A, B, context="wide ratio pencil")
+    solution = smallest_eigpair_generalized(
+        A, B, context="wide ratio pencil", factor=low_rank.T
+    )
     assert solution.eigenvalue > 0
     residual = np.linalg.norm(
         A @ solution.eigenvector - solution.eigenvalue * (B @ solution.eigenvector)
@@ -248,6 +249,8 @@ def test_an_operand_whose_norms_overflow_is_certified_by_exact_scaling():
 
     The scaling is exact, so the reported residual is the in-range
     residual scaled back, and an in-range operand's check does not move.
+    A generalized pencil's case is
+    ``test_an_overflowing_pencil_given_as_a_factor_is_certified_by_exact_scaling``.
     """
     A = np.array([[2.0, 1.0], [1.0, 3.0]])
     small = smallest_eigpair_standard(A)
@@ -256,11 +259,6 @@ def test_an_operand_whose_norms_overflow_is_certified_by_exact_scaling():
     assert np.isfinite(huge.residual)
     assert huge.residual <= RESIDUAL_RTOL * 1e300 * (np.linalg.norm(A) + abs(small.eigenvalue))
     np.testing.assert_allclose(huge.eigenvector, small.eigenvector, atol=1e-15)
-    generalized = smallest_eigpair_generalized(A * 1e300, np.diag([1e300, 2e300]))
-    assert np.isfinite(generalized.residual)
-    assert generalized.eigenvalue == pytest.approx(
-        smallest_eigpair_generalized(A, np.diag([1.0, 2.0])).eigenvalue, rel=1e-14
-    )
     v = small.eigenvector
     expected = float(np.linalg.norm(A @ v - small.eigenvalue * v))
     assert _checked_pair(A, None, small.eigenvalue, v, "in range").residual == expected

@@ -22,7 +22,7 @@ from eigu.classifiers import (
     plane_distances,
     train_with_blocks,
 )
-from eigu import evaluation, features
+from eigu import classifiers, evaluation, features
 from eigu.cli import main
 from eigu.dataio import LabeledDataset, make_folds, subset_universum
 from eigu.evaluation import (
@@ -152,9 +152,9 @@ def test_every_bandwidth_shares_one_kernel_table(planes_dataset, monkeypatch):
     original = evaluation.predict
     predictions = []
 
-    def spy(model, queries, d2=None):
-        labels = original(model, queries, d2)
-        predictions.append((model, labels))
+    def spy(model, queries, *, coords=None):
+        labels = original(model, queries, coords=coords)
+        predictions.append((model, coords, labels))
         return labels
 
     monkeypatch.setattr(evaluation, "predict", spy)
@@ -170,7 +170,7 @@ def test_every_bandwidth_shares_one_kernel_table(planes_dataset, monkeypatch):
     test_rows = np.vstack([dataset.X1[test1], dataset.X2[test2]])
     table = tables[fold]
     # the engine runs every point of a fold before the next fold
-    for sigma, blocks, (model, labels) in zip(grid.sigma, built, predictions):
+    for sigma, blocks, (model, coords, labels) in zip(grid.sigma, built, predictions):
         spec = TrainSpec(
             classifier="iugepsvm", delta=1e-5, gamma1=0.1, psi1=0.01, kernel=KernelSpec("rbf", sigma)
         )
@@ -179,10 +179,32 @@ def test_every_bandwidth_shares_one_kernel_table(planes_dataset, monkeypatch):
         fresh_model = train_with_blocks(fresh_blocks, spec)
         assert fresh_blocks.basis.Z is not table.Z
         assert np.array_equal(blocks.K_ZZ, fresh_blocks.K_ZZ)
-        shared = plane_distances(model, test_rows, table.precomputed)
+        shared = plane_distances(model, test_rows, coords=coords)  # the sheet's kernel rows
         unshared = plane_distances(fresh_model, test_rows)
         assert all(np.array_equal(a, b) for a, b in zip(shared, unshared))
         assert np.array_equal(labels, original(fresh_model, test_rows))
+
+
+def test_an_rbf_sheet_evaluates_its_kernel_twice_and_no_scored_point_again(
+    planes_dataset, monkeypatch
+):
+    """K_ZZ and the test kernel rows once per sheet; each point scores the sheet's rows."""
+    grams = []
+    original = classifiers.gram
+
+    def spy(*args, **kwargs):
+        grams.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(classifiers, "gram", spy)
+    predicted = _counting(monkeypatch, "predict")
+    dataset, folds = planes_dataset, make_folds(planes_dataset, 2, seed=0)
+    grid = GridSpec(delta=(1e-5, 1e-3), gamma=(0.1,), psi=(0.01,), sigma=(0.5, 4.0),
+                    universum_size=(10, 20))
+    grid_search(dataset, folds, "iugepsvm", grid)
+    sheets = folds.k * len(grid.sigma) * len(grid.universum_size)
+    assert len(predicted) == grid.cardinality() * folds.k  # every point scored, none merged
+    assert len(grams) == 2 * sheets
 
 
 def test_run_cv_reports_each_folds_data_driven_sigma(planes_dataset):
@@ -211,9 +233,9 @@ def test_wide_folds_predict_from_one_projection_per_universum_size(monkeypatch):
     original = evaluation.predict
     calls = []
 
-    def spy(model, queries, precomputed=None):
-        labels = original(model, queries, precomputed)
-        calls.append((model, queries, precomputed, labels))
+    def spy(model, queries, *, coords=None):
+        labels = original(model, queries, coords=coords)
+        calls.append((model, queries, coords, labels))
         return labels
 
     monkeypatch.setattr(evaluation, "predict", spy)
@@ -224,8 +246,8 @@ def test_wide_folds_predict_from_one_projection_per_universum_size(monkeypatch):
     assert len(built) == 2 * folds.k  # one per (fold, u), shared by both deltas
     assert len(factors) == folds.k  # one per fold, sliced per u
     assert len(calls) == grid.cardinality() * folds.k
-    for model, queries, precomputed, labels in calls:
-        assert model.span is not None and precomputed is not None
+    for model, queries, coords, labels in calls:
+        assert model.span is not None and coords is not None
         assert np.array_equal(labels, original(model.lifted(), queries))
 
 
@@ -426,7 +448,7 @@ def test_equal_training_kernels_with_different_test_kernel_rows_do_not_merge():
     near = rows.X1[:1] + 0.05
     for test_rows, merged in ((near, False), (near + 1e4, True)):
         record = evaluation._FoldRecord(0, rows, None, test_rows, np.array([1]), Counter())
-        (_, _, first), (_, _, second) = (
+        (*_, first), (*_, second) = (
             record.sheet(0, KernelSpec("rbf", sigma), []) for sigma in (0.5, 1.0)
         )
         assert (first is second) == merged

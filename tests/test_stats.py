@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ import scipy.integrate
 import scipy.stats
 
 from eigu.stats import (
+    _average_ranks,
     build_stat_report,
     chi2_sf,
     friedman_test,
@@ -220,3 +225,31 @@ def test_build_stat_report_structure():
             assert tally.wins + tally.ties + tally.losses == 7
     with pytest.raises(ValueError, match="unknown champion"):
         build_stat_report(tables, champion="SVM")
+
+
+def test_average_ranks_are_scipys_rankdata_bit_for_bit():
+    """Tie-heavy draws, every tie group's rank an exact half-integer; -0.0 ties 0.0."""
+    rng = np.random.default_rng(7)
+    for size in (1, 2, 7, 30, 200):
+        for levels in (1, 2, 5, size):
+            values = 0.1 * rng.integers(-levels, levels + 1, size)
+            got = _average_ranks(values)
+            want = scipy.stats.rankdata(values, method="average")
+            assert got.dtype == want.dtype and np.array_equal(got, want), (size, levels)
+    signed_zeros = np.array([0.0, -0.0, 1.0, -0.0])
+    assert np.array_equal(
+        _average_ranks(signed_zeros), scipy.stats.rankdata(signed_zeros, method="average")
+    )
+
+
+def test_importing_the_command_line_leaves_scipy_stats_unloaded():
+    """``eigu --help`` starts without ``scipy.stats``, a large import eigu needs nothing of."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = "import sys, eigu.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.')))"
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert "'scipy.linalg'" in loaded  # the check ran in a process that loaded eigu
+    assert "scipy.stats" not in loaded
