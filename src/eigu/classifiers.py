@@ -357,7 +357,7 @@ def span_factor(
     rows = _training_rows(dataset, keep)
     F = np.ones((len(rows), dataset.n + 1))
     np.stack(rows, out=F[:, :-1])  # [X1 e; X2 e; U e], each row copied once
-    reflectors, tau, _ = householder_qr(F.T)  # F' = Q R, in F's own buffer
+    reflectors, tau = householder_qr(F.T)  # F' = Q R, in F's own buffer
     factor = SpanFactor.from_reflectors(reflectors[:, : tau.size], tau)
     return factor if test_rows is None else replace(factor, precomputed=factor.project(test_rows))
 

@@ -62,19 +62,19 @@ RESIDUAL_RTOL = 1e-8
 SYMMETRY_RTOL = 1e-10
 
 
-def householder_qr(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def householder_qr(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``columns`` = Q R by LAPACK's Householder QR, factored in place.
 
     ``columns`` is a Fortran-ordered scratch array (the transpose of a
     fresh C-ordered one), which the factor overwrites, so no copy of it
     is made.  Returns the reflectors (R in their upper triangle, Q's
-    Householder vectors below it, as ``apply_reflectors`` takes them),
-    their scales ``tau`` and R itself.
+    Householder vectors below it, as ``apply_reflectors`` takes them)
+    and their scales ``tau``.
     """
-    (reflectors, tau), R = scipy.linalg.qr(
+    (reflectors, tau), _ = scipy.linalg.qr(
         columns, overwrite_a=True, mode="raw", check_finite=False
     )
-    return reflectors, tau, R
+    return reflectors, tau
 
 
 def apply_reflectors(

@@ -15,7 +15,9 @@ per feature: the extractor fit, the training rows (indices into the
 rows, or the fit's own), the test rows, and on first use a basis whose
 prefixes serve every Universum size (a span factor for wide linear data,
 a kernel table for rbf, each gathering the training rows into its own
-buffer and holding the test rows' span coordinates or distances to Z).
+buffer and holding the test rows' span coordinates or distances to Z;
+a fold whose every sheet is on its span factor then keeps only its test
+rows' count).
 PCA and ICA both start from the PCA of the fold's training rows, ICA as
 its whitening, so a fold fits that basis once for all its fitted features.
 The engine then runs each record a *sheet* at a time: a sheet is every
@@ -255,24 +257,34 @@ class _FoldRecord:
     counts: Counter  # the run's work counts
     bases: dict = field(default_factory=dict)  # rbf? -> the kernel table or span factor
     seen: dict = field(default_factory=dict)  # u -> [(K_ZZ, test kernel rows, results)]
+    span_only: bool = False  # every sheet is on the span factor, the test rows' one reader
 
-    def sheet(self, u: int, kernel: KernelSpec | None, specs: list) -> tuple:
-        """Sheet (u, kernel) of points ``specs``: ``(blocks, coords, rbf sigma, results)``.
+    def spans(self, u: int, kernel: KernelSpec | None) -> bool:
+        """Whether sheet (u, kernel) is linear on fewer rows than columns, so on the span factor."""
+        if kernel is not None and kernel.family == "rbf":
+            return False
+        m1, m2 = (self.rows.m1, self.rows.m2) if self.keep is None else map(len, self.keep)
+        return m1 + m2 + u < self.rows.n + 1
+
+    def sheet(self, u: int, kernel: KernelSpec | None, keys: list) -> tuple:
+        """Sheet (u, kernel) of points keyed ``keys``: ``(blocks, coords, rbf sigma, results)``.
 
         The blocks are on the Universum's first ``u`` rows and a basis
         prefix, and ``coords`` are ``predict``'s test coordinates in their
         basis: the test rows, the prefix's ``precomputed`` or the test
-        kernel rows ``kernel_values`` made.  ``results`` maps a spec
-        without its kernel to its fold result; an rbf sheet shares them
+        kernel rows ``kernel_values`` made.  ``results`` maps a point's
+        key (``_Cell.keys``) to its fold result; an rbf sheet shares them
         with the earlier one at ``u`` whose kernel values are bitwise
         equal, and builds no blocks (None) if every point has a result
-        there.
+        there.  On a ``span_only`` record, once the span factor holds the
+        test rows' coordinates, the rows give way to a zero-width
+        placeholder of their count: scoring reads no more of them.
         """
         rbf = kernel is not None and kernel.family == "rbf"
         m1, m2 = (self.rows.m1, self.rows.m2) if self.keep is None else map(len, self.keep)
         rows = m1 + m2 + u
         basis = None
-        if rbf or rows < self.rows.n + 1:  # narrow linear blocks read the rows themselves
+        if rbf or self.spans(u, kernel):  # narrow linear blocks read the rows themselves
             if rbf not in self.bases:
                 build = kernel_table if rbf else span_factor
                 self.bases[rbf] = build(self.rows, self.test_rows, self.keep)
@@ -280,6 +292,8 @@ class _FoldRecord:
                 if rbf:  # the fold's rows held once, as views of the table's Z
                     Z, self.keep = self.bases[rbf].Z, None
                     self.rows = LabeledDataset.from_checked(Z[:m1], Z[m1 : m1 + m2], Z[m1 + m2 :])
+                elif self.span_only:
+                    self.test_rows = np.empty((len(self.test_rows), 0))
             basis = self.bases[rbf].prefix(rows)
         train = LabeledDataset.from_checked(self.rows.X1, self.rows.X2, self.rows.U[:u])
         if not rbf:
@@ -293,7 +307,7 @@ class _FoldRecord:
         else:
             results = {}
             self.seen[u].append((F[:, :-1], tested, results))
-        pending = any(replace(spec, kernel=None) not in results for spec in specs)
+        pending = any(key not in results for key in keys)
         blocks = build_blocks(train, kernel, basis, self.keep, values) if pending else None
         return blocks, tested, float(kernel.sigma), results
 
@@ -349,6 +363,7 @@ class _Cell:
 
     ``universum`` is the largest u asked for, an invalid point's too;
     ``draws``, whether it draws sizes rather than the whole pool.
+    ``keys`` are the points' result keys, their specs without the kernel.
     """
 
     classifier: str
@@ -356,6 +371,10 @@ class _Cell:
     universum: int = 0
     draws: bool = False
     failure: tuple | None = None  # (index, error) of the first failing point
+    keys: list = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.keys = [replace(spec, kernel=None) for spec, *_ in self.points]
 
     @property
     def live(self) -> int:
@@ -378,8 +397,8 @@ class _Cell:
         """
         blocks, coords, sigma, results = sheet
         for scored, index in enumerate(indices, 1):
-            spec, _, _, scores = self.points[index]
-            if (key := replace(spec, kernel=None)) not in results:
+            (spec, _, _, scores), key = self.points[index], self.keys[index]
+            if key not in results:
                 try:
                     results[key] = run_cv(None, None, spec, _fold=(record, blocks, coords))
                 except _FOLD_FAILURES as exc:
@@ -418,7 +437,7 @@ def _run_sheet(record: _FoldRecord, u: int, kernel: KernelSpec | None, shares: d
     if not shares:
         return
     try:
-        sheet = record.sheet(u, kernel, [c.points[i][0] for c, ids in shares.items() for i in ids])
+        sheet = record.sheet(u, kernel, [c.keys[i] for c, ids in shares.items() for i in ids])
     except _FOLD_FAILURES as exc:
         for cell, indices in shares.items():
             cell.fail(indices[0], record.fold, exc)
@@ -472,6 +491,7 @@ def _run_cells(dataset: LabeledDataset, features: list, folds: FoldPlan) -> Coun
             for cell in cells:
                 for index, (spec, u, _, _) in enumerate(cell.points[: cell.live]):
                     sheets.setdefault((u, spec.kernel), {}).setdefault(cell, []).append(index)
+            record.span_only = all(record.spans(u, kernel) for u, kernel in sheets)
             for (u, kernel), shares in sheets.items():
                 _run_sheet(record, u, kernel, shares)
         features = [f for f, r in zip(features, records) if isinstance(r, _FoldRecord)]
@@ -589,7 +609,7 @@ def _grid_cell(classifier: str, grid: GridSpec, pool: int) -> _Cell:
     axes = [sorted(getattr(grid, name) or [None]) for name in GRID_AXES]
     sizes = grid.universum_size
     pool = universum_rows(classifier, pool)
-    cell = _Cell(classifier, [], universum=max(sizes or (pool,)), draws=sizes is not None)
+    points, failure = [], None
     for point in itertools.product(*axes):
         value = dict(zip(GRID_AXES, point))
         u, sigma = value["universum_size"], value["sigma"]
@@ -601,11 +621,11 @@ def _grid_cell(classifier: str, grid: GridSpec, pool: int) -> _Cell:
             if u is not None and u > pool:  # the draw subset_universum refuses
                 raise ValueError(f"universum_size {u} exceeds the {pool} pooled rows")
         except ValueError as exc:
-            cell.failure = (len(cell.points), exc)  # no later point can matter
-            return cell
+            failure = (len(points), exc)  # no later point can matter
+            break
         extra = {} if u is None else {"universum_size": u}
-        cell.points.append((spec, pool if u is None else u, extra, []))
-    return cell
+        points.append((spec, pool if u is None else u, extra, []))
+    return _Cell(classifier, points, max(sizes or (pool,)), sizes is not None, failure)
 
 
 def grid_search(

@@ -246,9 +246,13 @@ def test_wide_folds_predict_from_one_projection_per_universum_size(monkeypatch):
     assert len(built) == 2 * folds.k  # one per (fold, u), shared by both deltas
     assert len(factors) == folds.k  # one per fold, sliced per u
     assert len(calls) == grid.cardinality() * folds.k
-    for model, queries, coords, labels in calls:
+    for index, (model, queries, coords, labels) in enumerate(calls):
+        fold = index // grid.cardinality()  # calls come fold by fold
+        test1, test2 = folds.class1_folds == fold, folds.class2_folds == fold
+        test_rows = np.vstack([dataset.X1[test1], dataset.X2[test2]])
         assert model.span is not None and coords is not None
-        assert np.array_equal(labels, original(model.lifted(), queries))
+        assert queries.shape == (len(test_rows), 0)  # the factor holds their coordinates
+        assert np.array_equal(labels, original(model.lifted(), test_rows))
 
 
 def test_run_cv_wraps_fold_failures():
@@ -1017,6 +1021,50 @@ def test_a_wavelet_jobs_raw_rows_are_freed_before_its_first_span_factor(
     assert all(row.error is None for row in run_benchmark(manifest).rows)
     assert len(raw) == 3  # X1, X2 and the Universum pool of the one task
     assert freed == [True] * manifest["folds"]  # dwt_db2's wide rows; 4 pca components are narrow
+
+
+@pytest.mark.parametrize("rbf", [False, True], ids=["linear", "linear and rbf"])
+def test_a_wide_folds_test_rows_are_freed_before_its_first_sheets_blocks(
+    bonn_tree, monkeypatch, rbf
+):
+    """Its span factor holds their coordinates, so scoring reads only their count.
+
+    A narrow (pca) fold keeps them, as they are its coordinates, and so
+    does a wide fold with an rbf sheet, whose kernel rows evaluate them.
+    """
+    made, build = evaluation._fold_records, evaluation.build_blocks
+    refs, checked = [], []
+
+    def recording(*args):
+        records = made(*args)
+        refs.extend(
+            (r.keep is not None, weakref.ref(r), weakref.ref(r.test_rows), len(r.test_rows))
+            for r in records if isinstance(r, evaluation._FoldRecord)
+        )
+        return records
+
+    def building(*args):
+        gc.collect()
+        for wide, record, rows, count in refs:
+            if record() is not None:
+                dropped = wide and not rbf
+                assert (rows() is None) == dropped
+                assert record().test_rows.shape == ((count, 0) if dropped else rows().shape)
+                checked.append(wide)
+        return build(*args)
+
+    manifest = _sharing_manifest(bonn_tree) if rbf else _toy_manifest(
+        bonn_tree, features=["dwt_db2", "pca"]
+    )
+    fresh = _fresh_rows(bonn_tree, manifest)
+    monkeypatch.setattr(evaluation, "_fold_records", recording)
+    monkeypatch.setattr(evaluation, "build_blocks", building)
+    got = [
+        (r.feature, r.classifier, r.fold_accs, r.params, r.n_runs, r.error)
+        for r in run_benchmark(manifest).rows
+    ]
+    assert got == fresh
+    assert {True, False} <= set(checked)  # wide and narrow folds were both seen building
 
 
 def test_a_wavelet_run_holds_its_rows_one_fold_buffer_and_one_sheet(tmp_path):

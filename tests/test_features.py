@@ -155,6 +155,9 @@ def test_pca_is_deterministic_and_flags_rank_deficiency():
     first = pca_fit(rows + 1.0, n_components=2)
     second = pca_fit(rows + 1.0, n_components=2)
     np.testing.assert_array_equal(first.components, second.components)
+    for flat in (np.ones((4, 3)), np.zeros((4, 0))):  # centered rank 0, with and without columns
+        with pytest.warns(UserWarning), pytest.raises(ValueError, match="rank 0"):
+            pca_fit(flat, n_components=2)
 
 
 def _wide_rows(rng):
@@ -169,13 +172,36 @@ def _repeated_wide_rows(rng):
     return rng.standard_normal((7, 300))[np.arange(42) % 7]  # centered rank 6
 
 
+def _centered_svd_rows(rng, m, n, sing):
+    """m x n rows whose centered singular values are ``sing``, up to rounding."""
+    left = rng.standard_normal((m, len(sing)))
+    left, _ = np.linalg.qr(left - left.mean(axis=0))  # orthonormal columns orthogonal to e
+    right, _ = np.linalg.qr(rng.standard_normal((n, len(sing))))
+    return (left * sing) @ right.T
+
+
+def _conditioned_wide_rows(rng):
+    """Centered rank 40 with s_1 / s_32 = 1e3: s_1..s_32 log-spaced from 1 to 1e-3."""
+    sing = np.concatenate([np.logspace(0, -3, 32), np.logspace(-3.2, -4, 8)])
+    return _centered_svd_rows(rng, 50, 300, sing)
+
+
 @pytest.mark.parametrize(
-    "make_rows, n_components, rank",
-    [(_wide_rows, 12, 39), (_narrow_rows, 8, 8), (_repeated_wide_rows, 12, 6)],
-    ids=["wide", "narrow", "wide rank-deficient"],
+    "make_rows, n_components, rank, sine, orthonormality, rtol",
+    [
+        (_wide_rows, 12, 39, 1e-10, 1e-12, 1e-12),
+        (_narrow_rows, 8, 8, 1e-10, 1e-12, 1e-12),
+        (_repeated_wide_rows, 12, 6, 1e-10, 1e-12, 1e-12),
+        # the Gram squares the conditioning: errors grow like eps (s_1 / s_k)^2 / gap,
+        # 1e-10 or less on this draw, where an SVD of C itself gives eps (s_1 / s_k) / gap
+        (_conditioned_wide_rows, 32, 40, 5e-10, 5e-10, 5e-10),
+    ],
+    ids=["wide", "narrow", "wide rank-deficient", "wide ill-conditioned"],
 )
-def test_pca_from_the_thin_qr_matches_a_dense_svd(make_rows, n_components, rank):
-    """The narrow case has 8 x 8 reflectors and a trapezoidal R."""
+def test_pca_from_the_snapshot_gram_matches_a_dense_svd(
+    make_rows, n_components, rank, sine, orthonormality, rtol
+):
+    """Wide rows take C C', narrow ones C'C; each kept component is within ``sine``."""
     rows = make_rows(np.random.default_rng(13))
     centered = rows - rows.mean(axis=0)
     _, sing, vt = np.linalg.svd(centered, full_matrices=False)
@@ -189,14 +215,32 @@ def test_pca_from_the_thin_qr_matches_a_dense_svd(make_rows, n_components, rank)
     if caught:
         assert f"centered rank is {rank}; keeping {kept}" in str(caught[0].message)
     W = basis.components
-    assert np.abs(W.T @ W - np.eye(kept)).max() <= 1e-12
+    assert np.abs(W.T @ W - np.eye(kept)).max() <= orthonormality
     for j in range(kept):
         v = vt[j]
-        assert np.linalg.norm(W[:, j] - (W[:, j] @ v) * v) <= 1e-10  # sine of the angle
+        assert np.linalg.norm(W[:, j] - (W[:, j] @ v) * v) <= sine  # sine of the angle
         assert W[np.argmax(np.abs(W[:, j])), j] > 0
     np.testing.assert_allclose(
-        basis.explained_variance, sing[:kept] ** 2 / (rows.shape[0] - 1), rtol=1e-12
+        basis.explained_variance, sing[:kept] ** 2 / (rows.shape[0] - 1), rtol=rtol
     )
+
+
+@pytest.mark.parametrize("shape", [(40, 300), (300, 12)], ids=["wide", "narrow"])
+def test_pca_counts_the_rank_a_gram_resolves(shape):
+    """A direction at 1e-9 s_1 is above an SVD's rank tolerance but below the Gram's.
+
+    The Gram keeps eigenvalues above w_max * max(m, n) * eps, so singular
+    values above s_1 * sqrt(max(m, n) * eps), about 2.6e-7 s_1 here.
+    """
+    r = 5
+    rows = _centered_svd_rows(np.random.default_rng(21), *shape, [5.0, 4, 3, 2, 1, 5e-9]) + 3.0
+    centered = rows - rows.mean(axis=0)
+    assert np.linalg.matrix_rank(centered) == r + 1  # an SVD of C resolves the sixth
+    warning = f"requested 8 components but centered rank is {r}; keeping {r}"
+    with pytest.warns(UserWarning, match=warning):
+        basis = pca_fit(rows, n_components=8)
+    assert basis.rank_deficient and basis.n_components == r
+    assert np.all(basis.explained_variance > 0)
 
 
 # ---------------------------------------------------------------------------
