@@ -33,12 +33,12 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg
+from scipy.linalg.lapack import dormqr
 
 from .dataio import LabeledDataset
 from .eigsolve import (
     _validated_symmetric,
-    apply_reflectors,
-    householder_qr,
     smallest_eigpair_generalized,
     smallest_eigpair_standard,
 )
@@ -194,21 +194,33 @@ def class_matrices(dataset: LabeledDataset, keep: tuple | None = None) -> Proble
     return ProblemBlocks.of_rows(*map(_augmented, (dataset.X1[k1], dataset.X2[k2], dataset.U)))
 
 
+def _apply_reflectors(
+    reflectors: np.ndarray, tau: np.ndarray, columns: np.ndarray, trans: str
+) -> np.ndarray:
+    """Q @ columns (``trans="N"``) or Q' @ columns (``"T"``) for Householder Q."""
+    work = dormqr("L", trans, reflectors, tau, columns, -1)[1]
+    out, _, info = dormqr("L", trans, reflectors, tau, columns, int(work[0]))
+    if info != 0:
+        raise RuntimeError(f"dormqr rejected argument {-info}")
+    return out
+
+
 @dataclass(frozen=True)
 class SpanFactor:
     """An orthonormal basis Q of the augmented training rows' span, as reflectors.
 
-    ``householder_qr(F.T)`` of the stacked bias-augmented rows F runs only
-    the Householder factorization: ``reflectors`` is LAPACK's
-    Fortran-ordered result (R in its upper triangle, the reflectors below)
-    and ``tau`` their scales, one per row of F.  Q is applied through them
-    (``dormqr``) and never formed.  ``bias_coords`` are the first q entries
-    of Q'e_n, where e_n is the bias axis, and ``bias_residual`` is the norm
-    of the rest; together they give a plane's weight norm without lifting
-    it.  ``precomputed`` is ``project(test_rows)``, if given, ``predict``'s
-    ``coords``.  The first k reflectors depend only on the first k rows of
-    F (Golub & Van Loan, *Matrix Computations*, 5.2), so one factor holds
-    the factor of every leading block of rows (:meth:`prefix`).
+    LAPACK's Householder QR of F' (``dgeqrf``, in ``span_factor``), for
+    the stacked bias-augmented rows F, runs only the factorization:
+    ``reflectors`` is its Fortran-ordered result (R in its upper
+    triangle, the reflectors below) and ``tau`` their scales, one per row
+    of F.  Q is applied through them (``dormqr``) and never formed.
+    ``bias_coords`` are the first q entries of Q'e_n, where e_n is the
+    bias axis, and ``bias_residual`` is the norm of the rest; together
+    they give a plane's weight norm without lifting it.  ``precomputed``
+    is ``project(test_rows)``, if given, ``predict``'s ``coords``.  The
+    first k reflectors depend only on the first k rows of F (Golub & Van
+    Loan, *Matrix Computations*, 5.2), so one factor holds the factor of
+    every leading block of rows (:meth:`prefix`).
     """
 
     reflectors: np.ndarray = field(repr=False)
@@ -222,7 +234,7 @@ class SpanFactor:
         """The factor of LAPACK's ``reflectors`` and ``tau``, with its bias terms."""
         bias_axis = np.zeros((reflectors.shape[0], 1))
         bias_axis[-1] = 1.0
-        rotated = apply_reflectors(reflectors, tau, bias_axis, "T")[:, 0]
+        rotated = _apply_reflectors(reflectors, tau, bias_axis, "T")[:, 0]
         return cls(reflectors, tau, rotated[: tau.size], float(np.linalg.norm(rotated[tau.size :])))
 
     def prefix(self, m: int) -> SpanFactor:
@@ -235,14 +247,14 @@ class SpanFactor:
 
     def project(self, rows: np.ndarray) -> np.ndarray:
         """Span coordinates of the bias-augmented ``rows``: (Q'[x; 1])[:q], one row per row."""
-        rotated = apply_reflectors(self.reflectors, self.tau, _augmented(rows).T, "T")
+        rotated = _apply_reflectors(self.reflectors, self.tau, _augmented(rows).T, "T")
         return rotated[: self.tau.size].T.copy()  # a view would pin all of the feature-sized array
 
     def lift(self, z: np.ndarray) -> np.ndarray:
         """The feature-space vector Q z of span coordinates ``z``."""
         padded = np.zeros((self.reflectors.shape[0], 1))
         padded[: z.size, 0] = z
-        return apply_reflectors(self.reflectors, self.tau, padded, "N")[:, 0]
+        return _apply_reflectors(self.reflectors, self.tau, padded, "N")[:, 0]
 
     def weight_norm(self, z: np.ndarray) -> float:
         """||(Q z)[:-1]||, the weight norm of plane ``z`` without lifting it.
@@ -357,7 +369,8 @@ def span_factor(
     rows = _training_rows(dataset, keep)
     F = np.ones((len(rows), dataset.n + 1))
     np.stack(rows, out=F[:, :-1])  # [X1 e; X2 e; U e], each row copied once
-    reflectors, tau = householder_qr(F.T)  # F' = Q R, in F's own buffer
+    # F' = Q R in F's own buffer: F.T is Fortran-ordered, so dgeqrf overwrites it uncopied
+    (reflectors, tau), _ = scipy.linalg.qr(F.T, overwrite_a=True, mode="raw", check_finite=False)
     factor = SpanFactor.from_reflectors(reflectors[:, : tau.size], tau)
     return factor if test_rows is None else replace(factor, precomputed=factor.project(test_rows))
 

@@ -14,7 +14,6 @@ import dataclasses
 import io
 import json
 import logging
-import math
 import os
 import platform
 import resource
@@ -39,16 +38,7 @@ from .dataio import (
     subset_universum,
     write_bundle,
 )
-from .evaluation import (
-    DECADE_GRID,
-    GridSpec,
-    fit_labeled,
-    grid_search,
-    load_tasks,
-    results_csv,
-    run_benchmark,
-    run_cv,
-)
+from .evaluation import fit_labeled, load_tasks, points_csv, results_csv, run_benchmark, run_cv
 from .features import DEFAULT_LEVELS, SUPPORTED_WAVELETS, feature_config_from_id
 from .kernels import KERNEL_FAMILIES, KernelSpec
 from .stats import build_stat_report, load_published_tables
@@ -160,7 +150,7 @@ def _read_bundle(path: str) -> tuple[LabeledDataset, dict]:
         raise UsageError(f"cannot read bundle {path}: {exc}") from exc
 
 
-#: ``cv``/``sweep``'s --task mode flags, as (flag, attribute).  They parse as None
+#: ``cv``'s --task mode flags, as (flag, attribute).  They parse as None
 #: when not given, so --bundle can refuse them; --task mode then uses
 #: ``EIGU_DATA_ROOT``, ``UNIVERSUM_POOL`` rows and ``SEGMENT_LENGTH`` samples.
 _TASK_FLAGS = (
@@ -227,20 +217,9 @@ def _train_spec(args) -> TrainSpec:
     )
 
 
-def _parse_grid_values(text: str, name: str) -> list[float]:
-    try:
-        values = [float(item) for item in text.split(",") if item.strip()]
-    except ValueError as exc:
-        raise UsageError(f"bad --{name}: {exc}") from exc
-    if not values:
-        raise UsageError(f"--{name} is empty")
-    if any(not np.isfinite(value) or value <= 0 for value in values):
-        raise UsageError(f"--{name} values must be positive and finite (log10 axes)")
-    return values
-
-
 def _filtered(current: list, requested: str | None, kind: str) -> list:
-    if requested is None or not isinstance(current, list):  # run_benchmark rejects a non-list
+    strings = isinstance(current, list) and all(isinstance(item, str) for item in current)
+    if requested is None or not strings:  # run_benchmark refuses a non-list or non-string entry
         return current
     wanted = [item.strip() for item in requested.split(",") if item.strip()]
     if not wanted:
@@ -358,6 +337,7 @@ def cmd_bench(args) -> int:
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "results.csv").write_text(results_csv(result.rows), encoding="utf-8")
+    (out / "points.csv").write_text(points_csv(result.rows), encoding="utf-8")
     _emit_json(result.summary, str(out / "summary.json"))
     _write_runinfo(out, "bench", args.raw_argv, started, counters=result.counters, peak_rss_mb=peak)
     n_errors = sum(1 for row in result.rows if row.error)
@@ -382,6 +362,8 @@ def _tables_from_results(path: Path) -> dict:
         task, feature, model = row["task"], row["feature"], row["classifier"]
         if row.get("error"):
             raise UsageError(f"cell {task}/{feature}/{model} failed: {row['error']}")
+        if (feature, model) in cells.get(task, {}):
+            raise UsageError(f"results CSV lists cell {task}/{feature}/{model} more than once")
         try:
             accuracy = float(row["mean_acc"])
         except (TypeError, ValueError) as exc:
@@ -434,40 +416,6 @@ def cmd_stats(args) -> int:
             )
         report["tasks"] = {args.task: report["tasks"][args.task]}
     _emit_json(report, args.output)
-    return EXIT_OK
-
-
-def cmd_sweep(args) -> int:
-    started = time.time()
-    gammas = _parse_grid_values(args.gamma_grid, "gamma-grid") if args.gamma_grid else DECADE_GRID
-    psis = _parse_grid_values(args.psi_grid, "psi-grid") if args.psi_grid else DECADE_GRID
-    if (args.kernel == "rbf") != (args.sigma is not None):
-        raise UsageError(
-            "sweep --kernel rbf needs --sigma, and --sigma needs --kernel rbf: "
-            "each sweep row names one bandwidth"
-        )
-    config, feature_id = _feature_config(args)
-    sigma = (args.sigma,) if args.kernel == "rbf" else None
-    grid = GridSpec(delta=(args.delta,), gamma=gammas, psi=psis, sigma=sigma)
-    # the spec of the grid's points, so a bad --delta fails before any data is read
-    TrainSpec(classifier="iugepsvm", delta=args.delta, kernel=_build_kernel(args))
-    dataset, task, folds = _load_dataset(args, "iugepsvm")
-    result = grid_search(
-        dataset, folds, "iugepsvm", grid, extractor=config, task=task, feature_id=feature_id
-    )
-    lines = ["log10_gamma,log10_psi,mean_accuracy"]
-    for report in result.reports:
-        gamma, psi = report.params["gamma1"], report.params["psi1"]
-        lines.append(f"{math.log10(gamma)!r},{math.log10(psi)!r},{report.mean_accuracy!r}")
-    out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "sweep.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _write_runinfo(out, "sweep", args.raw_argv, started)
-    best = result.best_spec
-    print(
-        f"{result.n_runs} cells -> {out / 'sweep.csv'}; best mean accuracy "
-        f"{result.best_report.mean_accuracy:.2f} at gamma={best.gamma1:g} psi={best.psi1:g}"
-    )
     return EXIT_OK
 
 
@@ -529,8 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="eigu",
         description=(
             "Eigenvalue twin-plane classifiers: data ingestion, feature "
-            "extraction, cross-validation, benchmarks, statistics, and "
-            "sensitivity sweeps."
+            "extraction, cross-validation, benchmarks and statistics."
         ),
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
@@ -700,24 +647,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_stats)
 
-    p = add_command("sweep", "Sweep iugepsvm's gamma/psi axes; emits plot-ready CSV.")
-    _add_input_arguments(p)
-    p.add_argument("--delta", type=float, default=1e-5, help="Tikhonov weight")
-    p.add_argument(
-        "--gamma-grid",
-        default=None,
-        help="comma-separated gamma values (default: the 1e-5..1e5 decades)",
-    )
-    p.add_argument(
-        "--psi-grid",
-        default=None,
-        help="comma-separated psi values (default: the 1e-5..1e5 decades)",
-    )
-    p.add_argument("--kernel", choices=KERNEL_FAMILIES, default=None, help="kernel mode")
-    p.add_argument("--sigma", type=float, default=None, help="rbf bandwidth, required by --kernel rbf")
-    p.add_argument("--output-dir", required=True, help="sweep CSV destination")
-    p.set_defaults(func=cmd_sweep)
-
     return parser
 
 
@@ -739,7 +668,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except KeyboardInterrupt:

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 from scipy.linalg.blas import dtrsm
-from scipy.linalg.lapack import dormqr, dpotrf
+from scipy.linalg.lapack import dpotrf
 
 __all__ = [
     "EigenSolution",
@@ -60,32 +60,6 @@ RESIDUAL_RTOL = 1e-8
 
 #: Maximum relative asymmetry accepted before symmetrization.
 SYMMETRY_RTOL = 1e-10
-
-
-def householder_qr(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``columns`` = Q R by LAPACK's Householder QR, factored in place.
-
-    ``columns`` is a Fortran-ordered scratch array (the transpose of a
-    fresh C-ordered one), which the factor overwrites, so no copy of it
-    is made.  Returns the reflectors (R in their upper triangle, Q's
-    Householder vectors below it, as ``apply_reflectors`` takes them)
-    and their scales ``tau``.
-    """
-    (reflectors, tau), _ = scipy.linalg.qr(
-        columns, overwrite_a=True, mode="raw", check_finite=False
-    )
-    return reflectors, tau
-
-
-def apply_reflectors(
-    reflectors: np.ndarray, tau: np.ndarray, columns: np.ndarray, trans: str
-) -> np.ndarray:
-    """Q @ columns (``trans="N"``) or Q' @ columns (``"T"``) for Householder Q."""
-    work = dormqr("L", trans, reflectors, tau, columns, -1)[1]
-    out, _, info = dormqr("L", trans, reflectors, tau, columns, int(work[0]))
-    if info != 0:
-        raise RuntimeError(f"dormqr rejected argument {-info}")
-    return out
 
 
 class SingularDenominatorError(RuntimeError):

@@ -58,7 +58,7 @@ denominators, are checked when they are built (``ProblemBlocks``), so
 its solves scan only each numerator's entries.
 
 Every entry point that reads recordings (``run_benchmark``, and the
-command line's ``cv``, ``sweep`` and ``ingest``) gets its raw rows from
+command line's ``cv`` and ``ingest``) gets its raw rows from
 ``load_tasks``.  It reads each set the tasks need once, reads set N only
 for a positive Universum pool, and caps that pool at N's recording
 count, so a run and its ``eigu cv`` replay draw the same pool.  The pool
@@ -133,6 +133,7 @@ __all__ = [
     "grid_search",
     "load_tasks",
     "parse_grid",
+    "points_csv",
     "results_csv",
     "run_benchmark",
     "run_cv",
@@ -665,6 +666,12 @@ def grid_search(
 
 @dataclass(frozen=True)
 class BenchRow:
+    """A cell's best point, or its error; ``points`` holds every point it scored.
+
+    Each point is ``(mean_acc, fold_accs, params)``, in visit order, with
+    no feature id, so a copied wavelet row's points equal its source's.
+    """
+
     task: str
     feature: str
     classifier: str
@@ -673,6 +680,7 @@ class BenchRow:
     params: dict
     n_runs: int = 0
     error: str | None = None
+    points: tuple[tuple[float, tuple[float, ...], dict], ...] = ()
 
 
 #: The per-job work counts ``run_benchmark`` reports, summed over jobs.
@@ -740,9 +748,10 @@ def _bench_row(cell: _Cell, folds: FoldPlan, task: str, feature: str) -> BenchRo
         best = cell.result(folds, task, feature)
     except (FoldTrainingError, ValueError) as exc:
         return BenchRow(*key, None, (), {}, error=f"{type(exc).__name__}: {exc}")
+    points = tuple((r.mean_accuracy, r.fold_accuracies, r.params) for r in best.reports)
     report = best.best_report
     scores = (report.mean_accuracy, report.fold_accuracies, report.params)
-    return BenchRow(*key, *scores, n_runs=best.n_runs)
+    return BenchRow(*key, *scores, n_runs=best.n_runs, points=points)
 
 
 #: The manifest's integer settings: key -> (default, smallest value allowed).
@@ -766,12 +775,13 @@ def run_benchmark(manifest: dict, workers: int | None = None) -> BenchmarkResult
     fitted features are one, and its wavelet features another, whose
     cells are scored once, in the first listed wavelet's coordinates,
     and copied to every wavelet's rows: a copy differs from its source
-    row in the feature id alone.  ``workers`` > 1 runs jobs in parallel
-    processes.  ``counters`` sums each job's feature fits, ICA fits
-    capped unconverged, kernel tables, span factors, sheet block builds,
-    block hits (scorings but a built sheet's first) and merged sheets (see
-    the module docstring); they count the scoring done, so a copied row
-    adds nothing to them.
+    row in the feature id alone.  Each row keeps every point its cell
+    scored (``BenchRow.points``; ``points_csv`` renders them).
+    ``workers`` > 1 runs jobs in parallel processes.  ``counters`` sums
+    each job's feature fits, ICA fits capped unconverged, kernel tables,
+    span factors, sheet block builds, block hits (scorings but a built
+    sheet's first) and merged sheets (see the module docstring); they
+    count the scoring done, so a copied row adds nothing to them.
 
     The manifest carries the lists ``tasks``, ``features`` and
     ``classifiers``, an object of per-classifier ``grids`` (each an
@@ -782,10 +792,12 @@ def run_benchmark(manifest: dict, workers: int | None = None) -> BenchmarkResult
     argument overrides it).  A malformed manifest, including an integer
     setting that is not an integer (a boolean is not one) or lies below
     its smallest value (``folds`` 2, ``universum_pool`` and ``seed`` 0,
-    the others 1), a key not named here, or a task, feature or
-    classifier listed twice (tasks compared lowercased, features by
-    ``feature_id``), raises before any data is read; cell failures are
-    recorded in their row and do not abort the run.  ``load_tasks``
+    the others 1), a key not named here, a list entry that is not a
+    string, a ``data_root`` that is neither a string nor a path, or a
+    task, feature or classifier listed twice (tasks compared lowercased,
+    features by ``feature_id``), raises ``ValueError`` before any data is
+    read; cell failures are recorded in their row and do not abort the
+    run.  ``load_tasks``
     reads the recordings: set N only when a listed classifier trains on
     a Universum and ``universum_pool`` is positive, and it caps the pool
     at N's recording count.
@@ -803,6 +815,10 @@ def run_benchmark(manifest: dict, workers: int | None = None) -> BenchmarkResult
         kind, name = (dict, "an object") if key == "grids" else (list, "a list")
         if not isinstance(manifest[key], kind):
             raise ValueError(f"manifest {key!r} must be {name}, got {manifest[key]!r}")
+        if kind is list and not all(isinstance(entry, str) for entry in manifest[key]):
+            raise ValueError(f"manifest {key!r} entries must be strings, got {manifest[key]!r}")
+    if not isinstance(manifest["data_root"], (str, Path)):
+        raise ValueError(f"manifest 'data_root' must be a string, got {manifest['data_root']!r}")
     settings = {
         key: default if manifest.get(key) is None else manifest[key]
         for key, (default, _) in _INT_SETTINGS.items()
@@ -894,21 +910,36 @@ def _summarize(rows, tasks, features, classifiers) -> dict:
     return summary
 
 
+def _scored(row: BenchRow, mean: float | None, fold_accs: tuple, params: dict) -> str:
+    """The text ``row``'s cell gives one set of scores: its first six columns."""
+    mean_field = "" if mean is None else repr(float(mean))
+    folds_field = ";".join(repr(float(a)) for a in fold_accs)
+    params_field = json.dumps(params, sort_keys=True).replace('"', '""')
+    key = f"{row.task},{row.feature},{row.classifier}"
+    return f'{key},{mean_field},"{folds_field}","{params_field}"'
+
+
 def results_csv(rows) -> str:
     """Render benchmark rows as the delimited results table.
 
     Floats use their shortest round-trip representation and no column
     holds a timing, so identical runs produce identical bytes.
     """
-    header = "task,feature,classifier,mean_acc,fold_accs,params_json,n_runs,error"
-    lines = [header]
+    lines = ["task,feature,classifier,mean_acc,fold_accs,params_json,n_runs,error"]
     for row in rows:
-        mean = "" if row.mean_acc is None else repr(float(row.mean_acc))
-        folds_field = ";".join(repr(float(a)) for a in row.fold_accs)
-        params = json.dumps(row.params, sort_keys=True).replace('"', '""')
         error = "" if row.error is None else row.error.replace('"', '""')
-        lines.append(
-            f'{row.task},{row.feature},{row.classifier},{mean},"{folds_field}",'
-            f'"{params}",{row.n_runs},"{error}"'
-        )
+        scores = _scored(row, row.mean_acc, row.fold_accs, row.params)
+        lines.append(f'{scores},{row.n_runs},"{error}"')
+    return "\n".join(lines) + "\n"
+
+
+def points_csv(rows) -> str:
+    """Render every scored point of benchmark rows, as ``results_csv`` renders a row's best.
+
+    Rows come in ``rows``' order and a cell's points in visit order, so
+    a cell's results row begins with the text of its best point's row.
+    A failed cell has no points.
+    """
+    lines = ["task,feature,classifier,mean_acc,fold_accs,params_json"]
+    lines += [_scored(row, *point) for row in rows for point in row.points]
     return "\n".join(lines) + "\n"

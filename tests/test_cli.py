@@ -12,7 +12,15 @@ import pytest
 from eigu.classifiers import model_from_json, predict
 from eigu.cli import main
 from eigu.dataio import make_folds, read_bundle
-from eigu.evaluation import GridSpec, grid_search, run_benchmark
+from eigu.evaluation import (
+    DECADE_GRID,
+    GridSpec,
+    grid_search,
+    load_tasks,
+    results_csv,
+    run_benchmark,
+)
+from eigu.features import feature_config_from_id
 
 from conftest import INVALID_GRIDS, TOY_PER_SET, TOY_SEGMENT
 
@@ -64,8 +72,17 @@ def test_help_lists_every_command(capsys):
         main(["--help"])
     assert excinfo.value.code == 0
     out = capsys.readouterr().out
-    for command in ("ingest", "features", "cv", "bench", "stats", "sweep"):
+    for command in ("ingest", "features", "cv", "bench", "stats"):
         assert command in out
+    assert "sweep" not in out
+
+
+def test_sweep_is_no_longer_a_command(capsys):
+    """A gamma x psi grid is a bench manifest now, and its points are in points.csv."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["sweep", "--task", "o_vs_s", "--output-dir", "sweep"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'sweep'" in capsys.readouterr().err
 
 
 def test_version_flag(capsys):
@@ -349,22 +366,18 @@ def test_a_universum_flag_that_cannot_apply_is_a_usage_error_before_any_data_is_
 
 
 @pytest.mark.parametrize("flag", ["--data-root", "--universum-pool", "--segment-length"])
-@pytest.mark.parametrize(
-    "command, extra",
-    [("cv", ["--classifier", "iugepsvm"]), ("sweep", ["--output-dir", "sweep"])],
-)
+@pytest.mark.parametrize("command, extra", [("cv", ["--classifier", "iugepsvm"])])
 def test_bundle_mode_refuses_a_task_mode_flag_before_reading_the_bundle(
-    toy_bundle, bonn_tree, tmp_path, monkeypatch, capsys, command, extra, flag
+    toy_bundle, bonn_tree, monkeypatch, capsys, command, extra, flag
 ):
     """A bundle's rows are read as they are, so a flag that would shape them cannot apply."""
     read = []
     monkeypatch.setattr("eigu.cli.read_bundle", lambda path: read.append(path))
-    monkeypatch.chdir(tmp_path)
     value = {"--data-root": str(bonn_tree), "--universum-pool": "3", "--segment-length": "128"}
     argv = [command, "--bundle", str(toy_bundle), *extra, "--folds", "2"]
     assert main([*argv, flag, value[flag]]) == 2
     assert f"{flag} does not apply to --bundle" in capsys.readouterr().err
-    assert read == [] and not (tmp_path / "sweep").exists()
+    assert read == []
 
 
 def test_cv_names_the_file_and_line_of_a_faulty_bundle_row(toy_bundle, tmp_path, capsys):
@@ -423,40 +436,30 @@ def test_cv_rejects_invalid_hyperparameters(toy_bundle, capsys):
     assert "universum_size must be >= 0" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "command, extra",
-    [("cv", ["--classifier", "gepsvm"]), ("sweep", ["--output-dir", "sweep"])],
-)
+@pytest.mark.parametrize("command, extra", [("cv", ["--classifier", "gepsvm"])])
 def test_a_bad_n_components_is_a_usage_error_before_any_data_is_read(
-    bonn_tree, tmp_path, monkeypatch, capsys, command, extra
+    bonn_tree, monkeypatch, capsys, command, extra
 ):
     loaded = []
     monkeypatch.setattr("eigu.cli.load_tasks", lambda *args: loaded.append(args))
-    monkeypatch.chdir(tmp_path)
     argv = [command, "--task", "o_vs_s", "--data-root", str(bonn_tree), "--feature", "pca"]
     rc = main([*argv, "--n-components", "0", *extra])
     assert rc == 2
     assert "n_components must be >= 1, got 0" in capsys.readouterr().err
     assert loaded == []
-    assert not (tmp_path / "sweep").exists()
 
 
-@pytest.mark.parametrize(
-    "command, extra",
-    [("cv", ["--classifier", "gepsvm"]), ("sweep", ["--output-dir", "sweep"])],
-)
+@pytest.mark.parametrize("command, extra", [("cv", ["--classifier", "gepsvm"])])
 def test_a_bad_delta_is_a_usage_error_before_any_data_is_read(
-    bonn_tree, tmp_path, monkeypatch, capsys, command, extra
+    bonn_tree, monkeypatch, capsys, command, extra
 ):
     loaded = []
     monkeypatch.setattr("eigu.cli.load_tasks", lambda *args: loaded.append(args))
-    monkeypatch.chdir(tmp_path)
     argv = [command, "--task", "o_vs_s", "--data-root", str(bonn_tree), "--feature", "pca"]
     rc = main([*argv, "--delta", "-1", *extra])
     assert rc == 2
     assert "delta must be finite and >= 0, got -1.0" in capsys.readouterr().err
     assert loaded == []
-    assert not (tmp_path / "sweep").exists()
 
 
 @pytest.mark.parametrize(
@@ -480,18 +483,6 @@ def test_bench_refuses_a_grid_axis_that_lists_a_value_twice(
     out = tmp_path / "out"
     assert main(["bench", "--manifest", str(path), "--output-dir", str(out)]) == 2
     assert f"grid axis {axis} lists {value!r} more than once" in capsys.readouterr().err
-    assert loaded == [] and not out.exists()
-
-
-def test_sweep_refuses_a_gamma_grid_that_lists_a_value_twice(
-    bonn_tree, tmp_path, monkeypatch, capsys
-):
-    loaded = []
-    monkeypatch.setattr("eigu.cli.load_tasks", lambda *args: loaded.append(args))
-    out = tmp_path / "sweep"
-    argv = ["sweep", "--task", "o_vs_s", "--data-root", str(bonn_tree), "--output-dir", str(out)]
-    assert main([*argv, "--gamma-grid", "0.1,0.1"]) == 2
-    assert "grid axis gamma lists 0.1 more than once" in capsys.readouterr().err
     assert loaded == [] and not out.exists()
 
 
@@ -592,32 +583,19 @@ def test_bench_filters_restrict_the_grid(bonn_tree, tmp_path):
 
 
 def test_bench_worker_count_does_not_change_results(bonn_tree, tmp_path):
-    manifest_path = tmp_path / "manifest.json"
-    manifest_path.write_text(json.dumps(_toy_manifest_payload(bonn_tree)))
-    outputs = {}
+    """No result file holds a timing, so each is the same bytes; pca and dwt_db2 are two jobs."""
+    payload = _toy_manifest_payload(bonn_tree)
+    payload["features"] = ["dwt_db2", "pca"]
+    manifest_path = _write_manifest(tmp_path, payload)
+    outputs = []
     for workers in ("1", "2"):
         out = tmp_path / f"w{workers}"
-        rc = main(
-            [
-                "bench",
-                "--manifest",
-                str(manifest_path),
-                "--output-dir",
-                str(out),
-                "--workers",
-                workers,
-            ]
-        )
-        assert rc == 0
-        with open(out / "results.csv", newline="") as handle:
-            rows = list(csv.reader(handle))
-        # timing is the one column allowed to differ between runs
-        outputs[workers] = [
-            [v for i, v in enumerate(row) if i != 6] for row in rows
-        ]
-        outputs[workers + "_summary"] = (out / "summary.json").read_bytes()
-    assert outputs["1"] == outputs["2"]
-    assert outputs["1_summary"] == outputs["2_summary"]
+        argv = ["bench", "--manifest", str(manifest_path), "--output-dir", str(out)]
+        assert main([*argv, "--workers", workers]) == 0
+        names = ("results.csv", "summary.json", "points.csv")
+        outputs.append([(out / name).read_bytes() for name in names])
+    assert outputs[0] == outputs[1]
+    _assert_results_begin_with_their_best_points(tmp_path / "w1")
 
 
 def test_bench_usage_errors(bonn_tree, tmp_path, capsys):
@@ -708,6 +686,10 @@ def test_bench_reports_cell_errors_but_exits_zero(bonn_tree, tmp_path, capsys):
     rc = main(["bench", "--manifest", str(manifest_path), "--output-dir", str(out)])
     assert rc == 0
     assert "1 with errors" in capsys.readouterr().out
+    with open(out / "points.csv", newline="") as handle:
+        classifiers = [row["classifier"] for row in csv.DictReader(handle)]
+    assert classifiers == ["gepsvm"]  # the failed iugepsvm cell writes no points
+    _assert_results_begin_with_their_best_points(out)
 
 
 def test_bench_exits_nonzero_on_a_programming_error(bonn_tree, tmp_path, monkeypatch):
@@ -765,87 +747,168 @@ def test_stats_from_bundled_tables(capsys):
     )
 
 
-def _sweep(toy_bundle, out, *extra):
-    return main(
-        [
-            "sweep",
-            "--bundle",
-            str(toy_bundle),
-            "--folds",
-            "2",
-            "--gamma-grid",
-            "0.1,1",
-            "--psi-grid",
-            "0.01",
-            "--output-dir",
-            str(out),
-            *extra,
-        ]
+def _write_manifest(tmp_path, payload, name="manifest.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(payload))
+    return path
+
+
+def _assert_results_begin_with_their_best_points(out):
+    """Each scored cell has n_runs points, and its results row begins with its first best one's.
+
+    A failed cell has none; the points follow the results rows' order.
+    """
+    results = (out / "results.csv").read_text().splitlines()
+    points = (out / "points.csv").read_text().splitlines()
+    assert points[0] == "task,feature,classifier,mean_acc,fold_accs,params_json"
+    parsed = list(csv.DictReader(points))
+    start = 0
+    for line, row in zip(results[1:], csv.DictReader(results)):
+        if row["error"]:
+            continue
+        n = int(row["n_runs"])
+        cell = parsed[start : start + n]
+        assert {(p["task"], p["feature"], p["classifier"]) for p in cell} == {
+            (row["task"], row["feature"], row["classifier"])
+        }
+        means = [float(p["mean_acc"]) for p in cell]
+        assert line.startswith(points[1 + start + means.index(max(means))] + ",")
+        start += n
+    assert start == len(parsed)
+
+
+@pytest.mark.parametrize("sigma", [None, 64.0], ids=["linear", "rbf"])
+def test_bench_points_are_the_engines_reports(bonn_tree, tmp_path, sigma):
+    """points.csv holds every point grid_search scores on the same rows, in visit order."""
+    grid = {"delta": [1e-5], "gamma": [0.1, 1.0], "psi": [0.01]}
+    if sigma is not None:
+        grid["sigma"] = [sigma]
+    payload = _toy_manifest_payload(bonn_tree)
+    payload["grids"]["iugepsvm"] = grid
+    out = tmp_path / "results"
+    assert main(["bench", "--manifest", str(_write_manifest(tmp_path, payload)),
+                 "--output-dir", str(out)]) == 0
+    with open(out / "points.csv", newline="") as handle:
+        points = [row for row in csv.DictReader(handle) if row["classifier"] == "iugepsvm"]
+    dataset = load_tasks(bonn_tree, ["o_vs_s"], 6, TOY_SEGMENT, 1)["o_vs_s"]
+    result = grid_search(
+        dataset, make_folds(dataset, 2, seed=1), "iugepsvm", GridSpec(**grid),
+        extractor=feature_config_from_id("dwt_db2"),
     )
+    assert len(points) == result.n_runs == 2
+    for row, report in zip(points, result.reports):
+        assert float(row["mean_acc"]) == report.mean_accuracy
+        assert tuple(float(a) for a in row["fold_accs"].split(";")) == report.fold_accuracies
+        assert json.loads(row["params_json"]) == report.params
+    _assert_results_begin_with_their_best_points(out)
 
 
-def _assert_sweep_rows_match_the_engine(toy_bundle, out, output, sigma):
-    lines = (out / "sweep.csv").read_text().splitlines()
-    assert lines[0] == "log10_gamma,log10_psi,mean_accuracy"
-    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
-    assert [row[:2] for row in rows] == [[-1.0, -2.0], [0.0, -2.0]]
-
-    dataset, _ = read_bundle(toy_bundle)
-    folds = make_folds(dataset, 2, seed=0)
-    grid = GridSpec(delta=(1e-5,), gamma=(0.1, 1.0), psi=(0.01,), sigma=sigma)
-    result = grid_search(dataset, folds, "iugepsvm", grid)
-    assert [row[2] for row in rows] == [r.mean_accuracy for r in result.reports]
-    best = result.best_spec
-    assert output.endswith(
-        f"best mean accuracy {result.best_report.mean_accuracy:.2f} "
-        f"at gamma={best.gamma1:g} psi={best.psi1:g}\n"
-    )
+def test_bench_writes_121_points_for_a_decade_gamma_psi_grid(bonn_tree, tmp_path):
+    payload = _toy_manifest_payload(bonn_tree)
+    payload.update(classifiers=["iugepsvm"])
+    payload["grids"] = {"iugepsvm": {"delta": [1e-5], "gamma": DECADE_GRID, "psi": DECADE_GRID}}
+    out = tmp_path / "results"
+    assert main(["bench", "--manifest", str(_write_manifest(tmp_path, payload)),
+                 "--output-dir", str(out)]) == 0
+    with open(out / "points.csv", newline="") as handle:
+        params = [json.loads(row["params_json"]) for row in csv.DictReader(handle)]
+    assert len(params) == 121
+    assert [(p["gamma1"], p["psi1"]) for p in params] == [
+        (g, s) for g in DECADE_GRID for s in DECADE_GRID
+    ]
+    _assert_results_begin_with_their_best_points(out)
 
 
-def test_sweep_writes_the_grid_csv(toy_bundle, tmp_path, capsys):
-    out = tmp_path / "sweep"
-    assert _sweep(toy_bundle, out) == 0
-    _assert_sweep_rows_match_the_engine(toy_bundle, out, capsys.readouterr().out, None)
+@pytest.mark.parametrize(
+    "key, value, extra",
+    [
+        ("tasks", [1], []),
+        ("features", [7], []),
+        ("classifiers", [["gepsvm"]], []),
+        ("classifiers", [["gepsvm"]], ["--classifiers", "gepsvm"]),
+        ("data_root", 5, []),
+    ],
+    ids=["task", "feature", "classifier", "classifier-filtered", "data-root"],
+)
+def test_bench_refuses_a_manifest_entry_that_is_not_a_string_before_any_data_is_read(
+    bonn_tree, tmp_path, monkeypatch, capsys, key, value, extra
+):
+    loaded = []
+    monkeypatch.setattr("eigu.evaluation.load_tasks", lambda *args: loaded.append(args))
+    payload = {**_toy_manifest_payload(bonn_tree), key: value}
+    out = tmp_path / "out"
+    manifest = _write_manifest(tmp_path, payload)
+    argv = ["bench", "--manifest", str(manifest), "--output-dir", str(out)]
+    assert main([*argv, *extra]) == 2
+    assert f"manifest {key!r}" in capsys.readouterr().err
+    assert loaded == [] and not out.exists()
 
 
-def test_sweep_with_a_named_rbf_sigma(toy_bundle, tmp_path, capsys):
-    out = tmp_path / "sweep"
-    assert _sweep(toy_bundle, out, "--kernel", "rbf", "--sigma", "64") == 0
-    _assert_sweep_rows_match_the_engine(toy_bundle, out, capsys.readouterr().out, (64.0,))
+def test_bench_takes_the_data_root_from_the_environment_or_refuses(
+    bonn_tree, tmp_path, monkeypatch, capsys
+):
+    """A null data_root is filled from EIGU_DATA_ROOT, and refused without it."""
+    payload = {**_toy_manifest_payload(bonn_tree), "data_root": None}
+    argv = ["bench", "--manifest", str(_write_manifest(tmp_path, payload)), "--output-dir"]
+    monkeypatch.delenv("EIGU_DATA_ROOT", raising=False)
+    assert main([*argv, str(tmp_path / "refused")]) == 2
+    message = "manifest has no data_root; pass --data-root or set EIGU_DATA_ROOT"
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "refused").exists()
+    monkeypatch.setenv("EIGU_DATA_ROOT", str(bonn_tree))
+    assert main([*argv, str(tmp_path / "env")]) == 0
+    want = results_csv(run_benchmark(_toy_manifest_payload(bonn_tree)).rows)
+    assert (tmp_path / "env" / "results.csv").read_text() == want
 
 
-def test_sweep_rbf_needs_a_named_sigma(toy_bundle, tmp_path, capsys):
-    assert _sweep(toy_bundle, tmp_path / "s", "--kernel", "rbf") == 2
-    assert "--sigma" in capsys.readouterr().err
-    assert not (tmp_path / "s").exists()
+def test_bench_seed_overrides_the_manifest_seed(bonn_tree, tmp_path):
+    payload = _toy_manifest_payload(bonn_tree)
+    out = tmp_path / "out"
+    manifest = _write_manifest(tmp_path, payload)
+    argv = ["bench", "--manifest", str(manifest), "--output-dir", str(out)]
+    assert main([*argv, "--seed", "3"]) == 0
+    want = results_csv(run_benchmark({**payload, "seed": 3}).rows)
+    assert want != results_csv(run_benchmark(payload).rows)  # the seed moves these folds
+    assert (out / "results.csv").read_text() == want
 
 
-def test_sweep_default_grid_has_121_cells(toy_bundle, tmp_path):
-    out = tmp_path / "sweep"
-    rc = main(
-        [
-            "sweep",
-            "--bundle",
-            str(toy_bundle),
-            "--folds",
-            "2",
-            "--output-dir",
-            str(out),
-        ]
-    )
-    assert rc == 0
-    lines = (out / "sweep.csv").read_text().splitlines()
-    assert len(lines) == 122
-    gammas = sorted({float(line.split(",")[0]) for line in lines[1:]})
-    assert gammas == [float(e) for e in range(-5, 6)]
+def test_an_unexpected_key_error_is_a_runtime_failure(bonn_tree, tmp_path, monkeypatch, capsys):
+    """No usage path raises KeyError, so one is a bug: exit 1 with its type name."""
+
+    def broken(manifest, workers=None):
+        raise KeyError("missing")
+
+    monkeypatch.setattr("eigu.cli.run_benchmark", broken)
+    payload = _toy_manifest_payload(bonn_tree)
+    argv = ["bench", "--manifest", str(_write_manifest(tmp_path, payload))]
+    assert main([*argv, "--output-dir", str(tmp_path / "out")]) == 1
+    assert "error: KeyError: 'missing'" in capsys.readouterr().err
 
 
-def test_sweep_takes_no_classifier_flag(toy_bundle, tmp_path, capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        _sweep(toy_bundle, tmp_path / "s", "--classifier", "iugepsvm")
-    assert excinfo.value.code == 2
-    assert not (tmp_path / "s").exists()
-    with pytest.raises(SystemExit) as excinfo:
-        main(["sweep", "--help"])
-    assert excinfo.value.code == 0
-    assert "--classifier" not in capsys.readouterr().out
+_RESULTS_HEADER = "task,feature,classifier,mean_acc,fold_accs,params_json,n_runs,error"
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        (["task,feature,mean_acc", "o_vs_s,pca,90.0"],
+         "results CSV needs columns ['classifier', 'feature', 'mean_acc', 'task']"),
+        ([_RESULTS_HEADER, 'o_vs_s,pca,gepsvm,,"","{}",0,"ValueError: bad"'],
+         "cell o_vs_s/pca/gepsvm failed: ValueError: bad"),
+        ([_RESULTS_HEADER, 'o_vs_s,pca,gepsvm,high,"","{}",1,""'],
+         "bad mean_acc for o_vs_s/pca/gepsvm: 'high'"),
+        ([_RESULTS_HEADER, 'o_vs_s,pca,gepsvm,90.0,"","{}",1,""',
+          'o_vs_s,ica,iugepsvm,80.0,"","{}",1,""'],
+         "results CSV is missing cell o_vs_s/pca/iugepsvm"),
+        ([_RESULTS_HEADER], "results CSV has no data rows"),
+        ([_RESULTS_HEADER, 'o_vs_s,pca,gepsvm,90.0,"","{}",1,""',
+          'o_vs_s,pca,gepsvm,10.0,"","{}",1,""'],
+         "results CSV lists cell o_vs_s/pca/gepsvm more than once"),
+    ],
+    ids=["columns", "failed-cell", "mean-acc", "missing-cell", "no-rows", "repeated-cell"],
+)
+def test_stats_refuses_a_results_csv_it_cannot_tabulate(tmp_path, capsys, lines, message):
+    path = tmp_path / "results.csv"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["stats", "--results", str(path)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err

@@ -1428,8 +1428,9 @@ def test_a_tasks_wavelets_are_scored_once_in_the_first_listed_wavelets_coordinat
     assert one.counters["feature_fits"] == 2 * 2 * k  # pca and ica, as before
     haar = {(r.task, r.classifier): r for r in one.rows if r.feature == "dwt_haar"}
     for row in one.rows:
-        if row.feature.startswith("dwt_"):  # a copy
+        if row.feature.startswith("dwt_"):  # a copy, every scored point included
             assert replace(row, feature="dwt_haar") == haar[(row.task, row.classifier)]
+            assert len(row.points) == row.n_runs > 0
     scored = {**manifest, "features": ["dwt_haar", "pca", "ica"]}
     assert [row for row in _cell_rows(one) if row[0] in scored["features"]] == _fresh_rows(
         bonn_tree, scored
